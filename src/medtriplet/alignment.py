@@ -5,8 +5,16 @@ embeddings: cross-modal image-to-text and text-to-image terms, weighted
 by eta, plus within-modal image-to-image and text-to-text terms,
 weighted by 1 - eta. Only the two square projection heads train; the
 encoder trunks stay frozen, so gradients flow through a single linear
-map and the cosine similarities. Gradients are analytic, with a central
-finite-difference oracle alongside for verification.
+map and the cosine similarities.
+
+Training data are arrays: (N, c) image and text trunk matrices with one
+row per sample, plus a (T, 3) array of anchor/positive/negative row
+indices. ``train_heads`` gathers one batch's rows at a time into
+(B, 3, c) blocks, and ``head_gradients`` computes all four terms and
+their analytic gradients for a block with row-wise matrix operations.
+The scalar ``multimodal_loss``/``triplet_hinge`` path is kept, one
+triplet at a time, as the independent oracle behind the central
+finite-difference check (``mean_loss``, ``gradient_report``).
 
 ``sign_mode`` selects the hinge orientation. The default ``corrected``
 form max(0, cos(A,N) - cos(A,P) + alpha) decreases when the anchor moves
@@ -25,7 +33,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .encoder import IMAGE, TEXT, Embedding
+from .encoder import IMAGE, TEXT
 
 logger = logging.getLogger(__name__)
 
@@ -62,38 +70,12 @@ class TripletEmbeddings:
     et_p: np.ndarray
     et_n: np.ndarray
 
-    @classmethod
-    def from_embeddings(cls, image: Sequence[Embedding], text: Sequence[Embedding]) -> "TripletEmbeddings":
-        return cls(*(e.vector for e in image), *(e.vector for e in text))
-
-
-@dataclass(frozen=True)
-class TripletTrunks:
-    """Frozen trunk outputs for one mined triplet (pre-head vectors)."""
-
-    zi_a: np.ndarray
-    zi_p: np.ndarray
-    zi_n: np.ndarray
-    zt_a: np.ndarray
-    zt_p: np.ndarray
-    zt_n: np.ndarray
-
 
 def cosine(u: np.ndarray, v: np.ndarray) -> float:
     nu, nv = np.linalg.norm(u), np.linalg.norm(v)
     if nu == 0.0 or nv == 0.0:
         raise DegenerateEmbeddingError("cosine of a zero-norm vector is undefined")
     return float(u @ v / (nu * nv))
-
-
-def _cosine_with_grads(u: np.ndarray, v: np.ndarray) -> tuple[float, np.ndarray, np.ndarray]:
-    nu, nv = np.linalg.norm(u), np.linalg.norm(v)
-    if nu == 0.0 or nv == 0.0:
-        raise DegenerateEmbeddingError("cosine of a zero-norm vector is undefined")
-    c = float(u @ v / (nu * nv))
-    du = v / (nu * nv) - c * u / nu**2
-    dv = u / (nu * nv) - c * v / nv**2
-    return c, du, dv
 
 
 def triplet_hinge(
@@ -105,19 +87,6 @@ def triplet_hinge(
     if sign_mode == "corrected":
         return max(0.0, cos_an - cos_ap + alpha)
     return max(0.0, cos_ap - cos_an + alpha)
-
-
-def _hinge_with_grads(
-    ea: np.ndarray, ep: np.ndarray, en: np.ndarray, alpha: float, sign_mode: str
-) -> tuple[float, np.ndarray, np.ndarray, np.ndarray]:
-    cos_ap, dap_a, dap_p = _cosine_with_grads(ea, ep)
-    cos_an, dan_a, dan_n = _cosine_with_grads(ea, en)
-    sign = 1.0 if sign_mode == "corrected" else -1.0
-    z = sign * (cos_an - cos_ap) + alpha
-    if z <= 0.0:  # subgradient 0 at the kink and in the flat region
-        zero = np.zeros_like(ea)
-        return max(0.0, z), zero, np.zeros_like(ep), np.zeros_like(en)
-    return z, sign * (dan_a - dap_a), -sign * dap_p, sign * dan_n
 
 
 def multimodal_loss(t: TripletEmbeddings, cfg: LossConfig = LossConfig()) -> tuple[float, dict[str, float]]:
@@ -132,83 +101,66 @@ def multimodal_loss(t: TripletEmbeddings, cfg: LossConfig = LossConfig()) -> tup
     return total, terms
 
 
-def _project(trunks: TripletTrunks, heads: dict[str, np.ndarray]) -> dict[str, np.ndarray]:
-    wi, wt = heads[IMAGE], heads[TEXT]
-    return {
-        "i_a": wi @ trunks.zi_a,
-        "i_p": wi @ trunks.zi_p,
-        "i_n": wi @ trunks.zi_n,
-        "t_a": wt @ trunks.zt_a,
-        "t_p": wt @ trunks.zt_p,
-        "t_n": wt @ trunks.zt_n,
-    }
-
-
-# Term layout: (name, anchor role, positive role, negative role).
-_TERM_ROLES = (
-    ("i2t", "i_a", "t_p", "t_n"),
-    ("t2i", "t_a", "i_p", "i_n"),
-    ("i2i", "i_a", "i_p", "i_n"),
-    ("t2t", "t_a", "t_p", "t_n"),
-)
-
-_ROLE_TRUNK = {
-    "i_a": ("zi_a", IMAGE),
-    "i_p": ("zi_p", IMAGE),
-    "i_n": ("zi_n", IMAGE),
-    "t_a": ("zt_a", TEXT),
-    "t_p": ("zt_p", TEXT),
-    "t_n": ("zt_n", TEXT),
-}
-
-
 def head_gradients(
-    batch: Sequence[TripletTrunks],
+    zi: np.ndarray,
+    zt: np.ndarray,
     heads: dict[str, np.ndarray],
     cfg: LossConfig = LossConfig(),
 ) -> tuple[float, dict[str, float], dict[str, np.ndarray]]:
     """Mean loss, mean per-term values, and analytic head gradients.
 
-    Gradients are of the batch-mean total with respect to each head.
+    ``zi`` and ``zt`` are (B, 3, c) image and text trunk outputs with
+    anchor, positive and negative along axis 1. Gradients are of the
+    batch-mean total with respect to each head.
     """
-    if not batch:
+    if len(zi) == 0:
         raise ValueError("empty triplet batch")
-    grads = {IMAGE: np.zeros_like(heads[IMAGE]), TEXT: np.zeros_like(heads[TEXT])}
-    term_sums = dict.fromkeys(TERM_NAMES, 0.0)
-    total_sum = 0.0
-    for trunks in batch:
-        e = _project(trunks, heads)
-        e_grads = {role: np.zeros_like(vec) for role, vec in e.items()}
-        for name, ra, rp, rn in _TERM_ROLES:
-            weight = cfg.eta if name in ("i2t", "t2i") else 1.0 - cfg.eta
-            value, ga, gp, gn = _hinge_with_grads(e[ra], e[rp], e[rn], cfg.alpha, cfg.sign_mode)
-            term_sums[name] += value
-            total_sum += weight * value
-            e_grads[ra] += weight * ga
-            e_grads[rp] += weight * gp
-            e_grads[rn] += weight * gn
-        for role, g in e_grads.items():
-            z_name, modality = _ROLE_TRUNK[role]
-            grads[modality] += np.outer(g, getattr(trunks, z_name))
-    n = len(batch)
-    for modality in grads:
-        grads[modality] /= n
-    return total_sum / n, {k: v / n for k, v in term_sums.items()}, grads
+    # emb[m, b, r]: modality m (0 image, 1 text), triplet b, role r (0 a, 1 p, 2 n)
+    emb = np.stack([zi @ heads[IMAGE].T, zt @ heads[TEXT].T])
+    norms = np.linalg.norm(emb, axis=-1, keepdims=True)
+    if not norms.all():
+        raise DegenerateEmbeddingError("cosine of a zero-norm vector is undefined")
+    unit = emb / norms
+    sign = 1.0 if cfg.sign_mode == "corrected" else -1.0
+    grad_unit = np.zeros_like(emb)
+    terms = {}
+    # (anchor modality, positive/negative modality) in TERM_NAMES order
+    for name, (ma, mo) in zip(TERM_NAMES, ((0, 1), (1, 0), (0, 0), (1, 1))):
+        weight = cfg.eta if ma != mo else 1.0 - cfg.eta
+        a, p, n = unit[ma, :, 0], unit[mo, :, 1], unit[mo, :, 2]
+        cos_ap = np.einsum("bc,bc->b", a, p)[:, None]
+        cos_an = np.einsum("bc,bc->b", a, n)[:, None]
+        z = sign * (cos_an - cos_ap) + cfg.alpha
+        active = z > 0.0  # subgradient 0 at the kink and in the flat region
+        terms[name] = float(np.where(active, z, 0.0).mean())
+        # d cos(u, v) / du = (v_hat - cos * u_hat) / |u|; the 1/|u| is applied below
+        coef = np.where(active, weight * sign, 0.0)
+        grad_unit[ma, :, 0] += coef * ((n - cos_an * a) - (p - cos_ap * a))
+        grad_unit[mo, :, 1] -= coef * (a - cos_ap * p)
+        grad_unit[mo, :, 2] += coef * (a - cos_an * n)
+    grad_emb = grad_unit / norms
+    b, c = zi.shape[0], zi.shape[-1]
+    grads = {
+        IMAGE: grad_emb[0].reshape(-1, c).T @ zi.reshape(-1, c) / b,
+        TEXT: grad_emb[1].reshape(-1, c).T @ zt.reshape(-1, c) / b,
+    }
+    total = cfg.eta * (terms["i2t"] + terms["t2i"]) + (1.0 - cfg.eta) * (terms["i2i"] + terms["t2t"])
+    return total, terms, grads
 
 
-def mean_loss(batch: Sequence[TripletTrunks], heads: dict[str, np.ndarray], cfg: LossConfig) -> float:
+def mean_loss(zi: np.ndarray, zt: np.ndarray, heads: dict[str, np.ndarray], cfg: LossConfig) -> float:
+    """Batch-mean loss, one triplet at a time through the scalar ``multimodal_loss``."""
     total = 0.0
-    for trunks in batch:
-        e = _project(trunks, heads)
-        value, _ = multimodal_loss(
-            TripletEmbeddings(e["i_a"], e["i_p"], e["i_n"], e["t_a"], e["t_p"], e["t_n"]), cfg
-        )
-        total += value
-    return total / len(batch)
+    for zi_row, zt_row in zip(zi, zt):
+        ei = [heads[IMAGE] @ z for z in zi_row]
+        et = [heads[TEXT] @ z for z in zt_row]
+        total += multimodal_loss(TripletEmbeddings(*ei, *et), cfg)[0]
+    return total / len(zi)
 
 
 def finite_difference_gradients(
-    batch: Sequence[TripletTrunks],
+    zi: np.ndarray,
+    zt: np.ndarray,
     heads: dict[str, np.ndarray],
     cfg: LossConfig = LossConfig(),
     step: float = 1e-4,
@@ -220,9 +172,9 @@ def finite_difference_gradients(
         for idx in np.ndindex(w.shape):
             perturbed = {m: (w_.copy() if m == modality else w_) for m, w_ in heads.items()}
             perturbed[modality][idx] = w[idx] + step
-            up = mean_loss(batch, perturbed, cfg)
+            up = mean_loss(zi, zt, perturbed, cfg)
             perturbed[modality][idx] = w[idx] - step
-            down = mean_loss(batch, perturbed, cfg)
+            down = mean_loss(zi, zt, perturbed, cfg)
             g[idx] = (up - down) / (2.0 * step)
         fd[modality] = g
     return fd
@@ -242,13 +194,14 @@ class GradReport:
 
 
 def gradient_report(
-    batch: Sequence[TripletTrunks],
+    zi: np.ndarray,
+    zt: np.ndarray,
     heads: dict[str, np.ndarray],
     cfg: LossConfig = LossConfig(),
     step: float = 1e-4,
 ) -> GradReport:
-    _, _, analytic = head_gradients(batch, heads, cfg)
-    fd = finite_difference_gradients(batch, heads, cfg, step)
+    _, _, analytic = head_gradients(zi, zt, heads, cfg)
+    fd = finite_difference_gradients(zi, zt, heads, cfg, step)
     worst = 0.0
     for modality in heads:
         scale = max(
@@ -319,7 +272,9 @@ class TrainResult:
 
 
 def train_heads(
-    triplet_trunks: Sequence[TripletTrunks],
+    z_img: np.ndarray,
+    z_txt: np.ndarray,
+    triplets: np.ndarray,
     heads: dict[str, np.ndarray],
     loss_cfg: LossConfig = LossConfig(),
     opt_cfg: OptimizerConfig = OptimizerConfig(),
@@ -327,13 +282,16 @@ def train_heads(
 ) -> TrainResult:
     """Mini-batch Adam over pre-computed trunk outputs.
 
+    ``z_img`` and ``z_txt`` are (N, c) trunk matrices with one row per
+    sample; ``triplets`` is a (T, 3) array of anchor, positive and
+    negative row indices into them. Each batch gathers only its own rows.
     The input heads are not mutated; training runs on copies. Loss per
     epoch is the mean over batches of the pre-update batch loss. Each
     epoch's shuffle is seeded by (seed, epoch number), so passing a
     previous run's ``optimizer_state`` as ``resume_state`` (with that
     run's trained heads) continues it exactly where it stopped.
     """
-    if not triplet_trunks:
+    if len(triplets) == 0:
         raise ValueError("no triplets to train on")
     trained = {k: v.copy() for k, v in heads.items()}
     optimizer = Adam(trained, opt_cfg)
@@ -342,22 +300,22 @@ def train_heads(
         optimizer.restore(resume_state)
         start_epoch = int(resume_state["adam.epoch"][0])
     curve: list[EpochStats] = []
-    n = len(triplet_trunks)
+    n = len(triplets)
     for epoch in range(start_epoch + 1, start_epoch + opt_cfg.epochs + 1):
         order = np.random.default_rng((opt_cfg.seed, epoch)).permutation(n)
         total_sum = 0.0
         term_sums = dict.fromkeys(TERM_NAMES, 0.0)
         for start in range(0, n, opt_cfg.batch_size):
-            batch = [triplet_trunks[int(i)] for i in order[start : start + opt_cfg.batch_size]]
-            batch_total, batch_terms, grads = head_gradients(batch, trained, loss_cfg)
+            rows = triplets[order[start : start + opt_cfg.batch_size]]
+            batch_total, batch_terms, grads = head_gradients(z_img[rows], z_txt[rows], trained, loss_cfg)
             if not np.isfinite(batch_total):
                 raise RuntimeError(
                     f"non-finite loss at epoch {epoch}, batch starting {start}: {batch_total!r}"
                 )
             optimizer.step(grads)
-            total_sum += batch_total * len(batch)
+            total_sum += batch_total * len(rows)
             for k, v in batch_terms.items():
-                term_sums[k] += v * len(batch)
+                term_sums[k] += v * len(rows)
         curve.append(
             EpochStats(epoch, total_sum / n, {k: v / n for k, v in term_sums.items()})
         )

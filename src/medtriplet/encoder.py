@@ -198,18 +198,22 @@ def _gelu(x: np.ndarray) -> np.ndarray:
     return 0.5 * x * (1.0 + np.tanh(np.sqrt(2.0 / np.pi) * (x + 0.044715 * x**3)))
 
 
-def attention_weights(h: np.ndarray, trunk: TrunkWeights, block: int, cfg: EncoderConfig) -> np.ndarray:
-    """Per-head softmax attention matrices, shape (heads, n, n); rows sum to 1."""
-    p = trunk.params
-    prefix = f"block{block}."
-    x = _layer_norm(h, p[prefix + "ln1.g"], p[prefix + "ln1.b"], cfg)
+def _attention(x: np.ndarray, p: dict[str, np.ndarray], prefix: str, cfg: EncoderConfig) -> np.ndarray:
+    """Softmax attention matrices from the already layer-normed block input ``x``."""
     q = x @ p[prefix + "attn.wq"] + p[prefix + "attn.bq"]
     k = x @ p[prefix + "attn.wk"] + p[prefix + "attn.bk"]
-    n, c = h.shape
+    n, c = x.shape
     head_dim = c // cfg.heads
     q = q.reshape(n, cfg.heads, head_dim).transpose(1, 0, 2)
     k = k.reshape(n, cfg.heads, head_dim).transpose(1, 0, 2)
     return _softmax(q @ k.transpose(0, 2, 1) / np.sqrt(head_dim))
+
+
+def attention_weights(h: np.ndarray, trunk: TrunkWeights, block: int, cfg: EncoderConfig) -> np.ndarray:
+    """Per-head softmax attention matrices, shape (heads, n, n); rows sum to 1."""
+    p = trunk.params
+    prefix = f"block{block}."
+    return _attention(_layer_norm(h, p[prefix + "ln1.g"], p[prefix + "ln1.b"], cfg), p, prefix, cfg)
 
 
 def transformer_block(h: np.ndarray, trunk: TrunkWeights, block: int, cfg: EncoderConfig) -> np.ndarray:
@@ -220,7 +224,7 @@ def transformer_block(h: np.ndarray, trunk: TrunkWeights, block: int, cfg: Encod
     n, c = h.shape
     head_dim = c // cfg.heads
     v = (x @ p[prefix + "attn.wv"] + p[prefix + "attn.bv"]).reshape(n, cfg.heads, head_dim).transpose(1, 0, 2)
-    attn = attention_weights(h, trunk, block, cfg)
+    attn = _attention(x, p, prefix, cfg)
     mixed = (attn @ v).transpose(1, 0, 2).reshape(n, c)
     h = h + mixed @ p[prefix + "attn.wo"] + p[prefix + "attn.bo"]
     x = _layer_norm(h, p[prefix + "ln2.g"], p[prefix + "ln2.b"], cfg)

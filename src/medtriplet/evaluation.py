@@ -58,12 +58,6 @@ class Gallery:
     def __len__(self) -> int:
         return len(self.entries)
 
-    def by_id(self, entry_id: str) -> GalleryEntry:
-        for e in self.entries:
-            if e.id == entry_id:
-                return e
-        raise KeyError(entry_id)
-
 
 def _ranked_pairs(query: Embedding, gallery: Gallery, query_id: str | None) -> list[tuple[str, float]]:
     candidates = [e for e in gallery.entries if e.id != query_id]

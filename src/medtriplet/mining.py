@@ -51,7 +51,6 @@ class MinerConfig:
     gammas: GammaWeights = field(default_factory=GammaWeights)
     semantics: Semantics = DEFAULT_SEMANTICS
     tie_policy: str = "lowest-id"  # or "seeded-random"
-    fallback_policy: str = "skip"  # "none" behaves identically: no relaxation exists
     seed: int = 0
 
     def __post_init__(self) -> None:
@@ -59,8 +58,6 @@ class MinerConfig:
             raise ValueError(f"need 0 <= tau_min <= tau_max <= 1, got [{self.tau_min}, {self.tau_max}]")
         if self.tie_policy not in ("lowest-id", "seeded-random"):
             raise ValueError(f"unknown tie_policy {self.tie_policy!r}")
-        if self.fallback_policy not in ("skip", "none"):
-            raise ValueError(f"unknown fallback_policy {self.fallback_policy!r}")
 
 
 @dataclass(frozen=True)

@@ -26,9 +26,9 @@ from pathlib import Path
 import numpy as np
 
 from . import __version__
-from .alignment import LossConfig, OptimizerConfig, TripletTrunks, train_heads, write_loss_curve
+from .alignment import LossConfig, OptimizerConfig, train_heads, write_loss_curve
 from .checkpoint import load_checkpoint, save_checkpoint
-from .corpus import Corpus, ingest, read_entities, write_entities
+from .corpus import CorpusRecord, ingest, read_entities, write_entities
 from .encoder import (
     IMAGE,
     TEXT,
@@ -144,9 +144,23 @@ def _coerce(dataclass_obj, section: dict[str, str]):
     return replace(dataclass_obj, **updates)
 
 
+_RUN_KEYS = ("out", "seed", "ontology", "corpus", "eval_corpus")
+_SCORING_KEYS = ("gamma0", "gamma1", "gamma2", "semantics")
+# Sections overlaid onto a RunConfig dataclass field: section name -> field name.
+_DATACLASS_SECTIONS = {"miner": "mining", "encoder": "encoder", "loss": "loss", "optimizer": "optimizer"}
+
+
+def _reject_unknown(what: str, names, allowed) -> None:
+    unknown = sorted(set(names) - set(allowed))
+    if unknown:
+        raise PipelineError(f"unknown {what} {unknown[0]!r}; expected one of: {', '.join(allowed)}")
+
+
 def config_from_file(path: str | Path) -> RunConfig:
     sections = read_sectioned_config(path)
+    _reject_unknown("config section", sections, ("run", "scoring", *_DATACLASS_SECTIONS))
     run = sections.get("run", {})
+    _reject_unknown("config key in [run]", run, _RUN_KEYS)
     cfg = RunConfig(
         out=Path(run.get("out", "run")),
         seed=int(run.get("seed", "0")),
@@ -155,6 +169,7 @@ def config_from_file(path: str | Path) -> RunConfig:
         eval_corpus=Path(run["eval_corpus"]) if "eval_corpus" in run else None,
     )
     scoring = sections.get("scoring", {})
+    _reject_unknown("config key in [scoring]", scoring, _SCORING_KEYS)
     if scoring:
         gammas = GammaWeights(
             float(scoring.get("gamma0", cfg.gammas.g0)),
@@ -162,14 +177,9 @@ def config_from_file(path: str | Path) -> RunConfig:
             float(scoring.get("gamma2", cfg.gammas.g2)),
         )
         cfg = replace(cfg, gammas=gammas, semantics=scoring.get("semantics", cfg.semantics))
-    if "miner" in sections:
-        cfg = replace(cfg, mining=_coerce(cfg.mining, sections["miner"]))
-    if "encoder" in sections:
-        cfg = replace(cfg, encoder=_coerce(cfg.encoder, sections["encoder"]))
-    if "loss" in sections:
-        cfg = replace(cfg, loss=_coerce(cfg.loss, sections["loss"]))
-    if "optimizer" in sections:
-        cfg = replace(cfg, optimizer=_coerce(cfg.optimizer, sections["optimizer"]))
+    for section, name in _DATACLASS_SECTIONS.items():
+        if section in sections:
+            cfg = replace(cfg, **{name: _coerce(getattr(cfg, name), sections[section])})
     return cfg
 
 
@@ -221,6 +231,8 @@ def _up_to_date(artifact: Path, cfg_payload: dict, inputs: dict[str, Path]) -> b
         return False
     if manifest.get("config_hash") != _config_hash(cfg_payload):
         return False
+    if manifest.get("output_hash") != sha256_file(artifact):
+        return False
     recorded = manifest.get("inputs", {})
     if set(recorded) != set(inputs):
         return False
@@ -245,24 +257,25 @@ def output_lock(out_dir: Path):
         lock.unlink(missing_ok=True)
 
 
-def _encode_corpus_trunks(
-    corpus: Corpus,
-    ids: set[str],
-    encoder_cfg: EncoderConfig,
-) -> dict[str, dict[str, np.ndarray]]:
-    """Frozen-trunk pooled vectors per sample id, both modalities."""
-    image_trunk = init_image_trunk(encoder_cfg)
-    text_trunk = init_text_trunk(encoder_cfg)
-    out: dict[str, dict[str, np.ndarray]] = {}
-    for sample_id in sorted(ids):
-        record = corpus[sample_id]
-        if record.image is None:
-            raise PipelineError(f"sample {sample_id!r} has no image path")
-        out[sample_id] = {
-            IMAGE: trunk_encode(load_image(record.image), image_trunk, encoder_cfg),
-            TEXT: trunk_encode(tokenize_text(record.text, encoder_cfg), text_trunk, encoder_cfg),
-        }
-    return out
+class FrozenTrunks:
+    """Both frozen encoder trunks, built once; encodes records into trunk matrices."""
+
+    def __init__(self, cfg: EncoderConfig) -> None:
+        self.cfg = cfg
+        self.image = init_image_trunk(cfg)
+        self.text = init_text_trunk(cfg)
+
+    def encode_texts(self, texts: list[str]) -> np.ndarray:
+        """(len(texts), c) pooled text-trunk outputs."""
+        return np.array([trunk_encode(tokenize_text(t, self.cfg), self.text, self.cfg) for t in texts])
+
+    def encode_records(self, records: list[CorpusRecord]) -> tuple[np.ndarray, np.ndarray]:
+        """(N, c) image and text trunk matrices, one row per record in order.
+
+        Records come from ``ingest(..., require_images=True)``, so each has an image.
+        """
+        z_img = np.array([trunk_encode(load_image(rec.image), self.image, self.cfg) for rec in records])
+        return z_img, self.encode_texts([rec.text for rec in records])
 
 
 def stage_extract(cfg: RunConfig, force: bool = False) -> Path:
@@ -328,24 +341,15 @@ def stage_train(cfg: RunConfig, force: bool = False) -> Path:
     if not triplets:
         raise PipelineError("triplet file holds no triplets; nothing to train on")
     corpus = ingest(cfg.corpus, require_images=True)
-    ids = {t.anchor_id for t in triplets} | {t.positive_id for t in triplets} | {t.negative_id for t in triplets}
-    missing = sorted(i for i in ids if i not in corpus.records)
+    ids = sorted({sample_id for t in triplets for sample_id in t.key()})
+    missing = [i for i in ids if i not in corpus.records]
     if missing:
         raise PipelineError(f"triplet ids missing from corpus: {missing[:5]}")
-    trunk_out = _encode_corpus_trunks(corpus, ids, cfg.encoder)
-    trunks = [
-        TripletTrunks(
-            zi_a=trunk_out[t.anchor_id][IMAGE],
-            zi_p=trunk_out[t.positive_id][IMAGE],
-            zi_n=trunk_out[t.negative_id][IMAGE],
-            zt_a=trunk_out[t.anchor_id][TEXT],
-            zt_p=trunk_out[t.positive_id][TEXT],
-            zt_n=trunk_out[t.negative_id][TEXT],
-        )
-        for t in triplets
-    ]
+    z_img, z_txt = FrozenTrunks(cfg.encoder).encode_records([corpus[i] for i in ids])
+    row = {sample_id: r for r, sample_id in enumerate(ids)}
+    index = np.array([[row[i] for i in t.key()] for t in triplets], dtype=np.int64)
     heads = {IMAGE: init_head(cfg.encoder, IMAGE), TEXT: init_head(cfg.encoder, TEXT)}
-    result = train_heads(trunks, heads, cfg.loss, cfg.optimizer)
+    result = train_heads(z_img, z_txt, index, heads, cfg.loss, cfg.optimizer)
     write_loss_curve(cfg.out / "loss_curve.jsonl", result.curve)
     arrays = {"head.image": result.heads[IMAGE], "head.text": result.heads[TEXT]}
     arrays.update(result.optimizer_state)
@@ -360,20 +364,18 @@ def load_heads(path: str | Path) -> tuple[dict, dict[str, np.ndarray]]:
 
 
 def _eval_embeddings(
-    cfg: RunConfig, heads: dict[str, np.ndarray], eval_corpus_path: Path
+    cfg: RunConfig, heads: dict[str, np.ndarray], eval_corpus_path: Path, trunks: FrozenTrunks
 ) -> tuple[list[tuple[str, Embedding, Embedding, MetaEntities]], Ontology]:
     ont = cfg.load_ontology()
-    corpus = ingest(eval_corpus_path, require_images=True)
-    image_trunk = init_image_trunk(cfg.encoder)
-    text_trunk = init_text_trunk(cfg.encoder)
-    rows = []
-    for rec in sorted(corpus, key=lambda r: r.id):
-        entities = extract(rec.report(), ont)
-        zi = trunk_encode(load_image(rec.image), image_trunk, cfg.encoder)
-        zt = trunk_encode(tokenize_text(rec.text, cfg.encoder), text_trunk, cfg.encoder)
-        rows.append(
-            (rec.id, Embedding(heads[IMAGE] @ zi, IMAGE), Embedding(heads[TEXT] @ zt, TEXT), entities)
-        )
+    records = sorted(ingest(eval_corpus_path, require_images=True), key=lambda r: r.id)
+    if not records:
+        raise PipelineError(f"eval corpus {eval_corpus_path} holds no records")
+    z_img, z_txt = trunks.encode_records(records)
+    e_img, e_txt = z_img @ heads[IMAGE].T, z_txt @ heads[TEXT].T
+    rows = [
+        (rec.id, Embedding(ei, IMAGE), Embedding(et, TEXT), extract(rec.report(), ont))
+        for rec, ei, et in zip(records, e_img, e_txt)
+    ]
     return rows, ont
 
 
@@ -381,7 +383,7 @@ def evaluate_retrieval_tasks(
     cfg: RunConfig, heads: dict[str, np.ndarray], eval_corpus_path: Path, match_mode: str = "mean"
 ) -> dict:
     """P@R tables for the four retrieval tasks over an evaluation corpus."""
-    rows, _ = _eval_embeddings(cfg, heads, eval_corpus_path)
+    rows, _ = _eval_embeddings(cfg, heads, eval_corpus_path, FrozenTrunks(cfg.encoder))
     image_gallery = Gallery(tuple(GalleryEntry(i, img, ents) for i, img, _, ents in rows))
     text_gallery = Gallery(tuple(GalleryEntry(i, txt, ents) for i, _, txt, ents in rows))
     image_queries = [(i, img, ents) for i, img, _, ents in rows]
@@ -403,24 +405,16 @@ def evaluate_classification(
     cfg: RunConfig, heads: dict[str, np.ndarray], eval_corpus_path: Path
 ) -> dict:
     """Zero-shot disease classification over single-disease eval records."""
-    rows, ont = _eval_embeddings(cfg, heads, eval_corpus_path)
+    trunks = FrozenTrunks(cfg.encoder)
+    rows, ont = _eval_embeddings(cfg, heads, eval_corpus_path, trunks)
     labelled = [(i, img, ents) for i, img, _, ents in rows if len(ents.entries) == 1]
     if len(labelled) < 2:
         raise PipelineError("need at least 2 single-disease eval records to classify")
     classes = sorted({ents.entries[0].disease for _, _, ents in labelled})
     if len(classes) < 2:
         raise PipelineError("need at least 2 distinct classes among eval records")
-    text_trunk = init_text_trunk(cfg.encoder)
-    prompts = [
-        (
-            label,
-            Embedding(
-                heads[TEXT] @ trunk_encode(tokenize_text(prompt_text(label, ont), cfg.encoder), text_trunk, cfg.encoder),
-                TEXT,
-            ),
-        )
-        for label in classes
-    ]
+    z_prompt = trunks.encode_texts([prompt_text(label, ont) for label in classes])
+    prompts = [(label, Embedding(e, TEXT)) for label, e in zip(classes, z_prompt @ heads[TEXT].T)]
     predictions, truths, score_vectors = [], [], []
     for _, img, ents in labelled:
         predicted, scores = zero_shot_classify(img, prompts)

@@ -21,6 +21,8 @@ from .corpus import CorpusRecord, write_corpus
 from .images import write_pgm
 
 TRUTH_SCHEMA = "truth/v1"
+# Integer tag of the per-class texture-mask seed stream (default_rng takes only integers).
+_TEXTURE_STREAM = 1
 
 # Disease canonicals available to the generator, in assignment order.
 CLASS_POOL = (
@@ -94,7 +96,7 @@ def _class_texture(class_index: int, size: int, seed: int) -> np.ndarray:
         base = (((rows + cols) // 4) % 2).astype(np.float64)
     if class_index >= 4:
         # later classes perturb their texture with a fixed seeded mask
-        rng = np.random.default_rng((seed, "texture", class_index))
+        rng = np.random.default_rng((seed, _TEXTURE_STREAM, class_index))
         base = 0.5 * base + 0.5 * (rng.random((size, size)) > 0.5)
     return base
 

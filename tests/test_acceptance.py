@@ -112,7 +112,7 @@ def test_criterion_3_miner_invariants(tmp_path, ontology):
 
 def test_criterion_4_gradient_check():
     """Analytic vs central finite differences, 100 draws, c=8, batch 4."""
-    from test_alignment import hinge_arguments, random_trunks
+    from test_alignment import hinge_arguments, random_batch
 
     start = time.time()
     rng = np.random.default_rng(4242)
@@ -120,16 +120,16 @@ def test_criterion_4_gradient_check():
     worst = 0.0
     while accepted < 100:
         heads = {IMAGE: rng.normal(0, 0.5, (8, 8)), TEXT: rng.normal(0, 0.5, (8, 8))}
-        batch = [random_trunks(rng) for _ in range(4)]
+        zi, zt = random_batch(rng, 4)
         cfg = LossConfig(
             alpha=float(rng.uniform(0, 0.8)),
             eta=float(rng.random()),
             sign_mode="corrected" if rng.random() < 0.5 else "as-printed",
         )
         # finite differences are invalid within a step of the hinge kink
-        if min(abs(z) for t in batch for z in hinge_arguments(t, heads, cfg)) < 5e-3:
+        if min(abs(z) for z in hinge_arguments(zi, zt, heads, cfg)) < 5e-3:
             continue
-        worst = max(worst, gradient_report(batch, heads, cfg, step=1e-4).max_rel_error)
+        worst = max(worst, gradient_report(zi, zt, heads, cfg, step=1e-4).max_rel_error)
         accepted += 1
     elapsed = time.time() - start
     assert worst <= 1e-5

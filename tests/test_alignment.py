@@ -11,10 +11,10 @@ from medtriplet.alignment import (
     LossConfig,
     OptimizerConfig,
     TripletEmbeddings,
-    TripletTrunks,
     cosine,
     gradient_report,
     head_gradients,
+    mean_loss,
     multimodal_loss,
     train_heads,
     triplet_hinge,
@@ -27,26 +27,29 @@ def unit(*values):
     return v / np.linalg.norm(v)
 
 
-def random_trunks(rng, c=8):
-    return TripletTrunks(*[rng.normal(size=c) for _ in range(6)])
+def random_batch(rng, b, c=8):
+    """(b, 3, c) image and text trunk blocks, drawn triplet by triplet in the
+    order image a/p/n, then text a/p/n."""
+    v = rng.normal(size=(b, 2, 3, c))
+    return v[:, 0], v[:, 1]
 
 
-def hinge_arguments(trunks, heads, cfg):
-    """All four terms' pre-hinge arguments for one triplet."""
-    e = {
-        "i_a": heads[IMAGE] @ trunks.zi_a,
-        "i_p": heads[IMAGE] @ trunks.zi_p,
-        "i_n": heads[IMAGE] @ trunks.zi_n,
-        "t_a": heads[TEXT] @ trunks.zt_a,
-        "t_p": heads[TEXT] @ trunks.zt_p,
-        "t_n": heads[TEXT] @ trunks.zt_n,
-    }
+def hinge_arguments(zi, zt, heads, cfg):
+    """All four terms' pre-hinge arguments for every triplet of a batch."""
     sign = 1.0 if cfg.sign_mode == "corrected" else -1.0
     args = []
-    for a, p, n in (("i_a", "t_p", "t_n"), ("t_a", "i_p", "i_n"),
-                    ("i_a", "i_p", "i_n"), ("t_a", "t_p", "t_n")):
-        args.append(sign * (cosine(e[a], e[n]) - cosine(e[a], e[p])) + cfg.alpha)
+    for zi_row, zt_row in zip(zi, zt):
+        i_a, i_p, i_n = (heads[IMAGE] @ z for z in zi_row)
+        t_a, t_p, t_n = (heads[TEXT] @ z for z in zt_row)
+        for a, p, n in ((i_a, t_p, t_n), (t_a, i_p, i_n), (i_a, i_p, i_n), (t_a, t_p, t_n)):
+            args.append(sign * (cosine(a, n) - cosine(a, p)) + cfg.alpha)
     return args
+
+
+def triplet_problem(rng, n, c=8):
+    """Trunk matrices and a (n, 3) index array: n triplets of distinct rows."""
+    zi, zt = random_batch(rng, n, c)
+    return zi.reshape(3 * n, c), zt.reshape(3 * n, c), np.arange(3 * n).reshape(n, 3)
 
 
 class TestCosine:
@@ -144,9 +147,9 @@ class TestGradients:
     def test_flat_region_zero_gradient(self):
         e1, e2 = np.zeros(4), np.zeros(4)
         e1[0], e2[1] = 1.0, 1.0
-        trunks = TripletTrunks(e1, e1, e2, e1, e1, e2)
+        z = np.array([[e1, e1, e2]])
         heads = {IMAGE: np.eye(4), TEXT: np.eye(4)}
-        total, _, grads = head_gradients([trunks], heads, LossConfig(alpha=0.3))
+        total, _, grads = head_gradients(z, z, heads, LossConfig(alpha=0.3))
         assert total == 0.0
         assert np.all(grads[IMAGE] == 0.0) and np.all(grads[TEXT] == 0.0)
 
@@ -156,43 +159,63 @@ class TestGradients:
         worst = 0.0
         while accepted < 100:
             heads = {IMAGE: rng.normal(0, 0.5, (8, 8)), TEXT: rng.normal(0, 0.5, (8, 8))}
-            batch = [random_trunks(rng) for _ in range(4)]
+            zi, zt = random_batch(rng, 4)
             cfg = LossConfig(alpha=float(rng.uniform(0, 0.8)), eta=float(rng.random()),
                              sign_mode="corrected" if rng.random() < 0.5 else "as-printed")
             # central differences are not a valid oracle within a step of
             # the hinge kink; resample draws that land there
-            args = [z for t in batch for z in hinge_arguments(t, heads, cfg)]
-            if min(abs(z) for z in args) < 5e-3:
+            if min(abs(z) for z in hinge_arguments(zi, zt, heads, cfg)) < 5e-3:
                 continue
-            report = gradient_report(batch, heads, cfg, step=1e-4)
+            report = gradient_report(zi, zt, heads, cfg, step=1e-4)
             worst = max(worst, report.max_rel_error)
             accepted += 1
         assert worst <= 1e-5
+
+    def test_batched_terms_match_scalar_loop(self):
+        rng = np.random.default_rng(13)
+        for sign_mode in ("corrected", "as-printed"):
+            heads = {IMAGE: rng.normal(0, 0.5, (8, 8)), TEXT: rng.normal(0, 0.5, (8, 8))}
+            zi, zt = random_batch(rng, 16)
+            cfg = LossConfig(alpha=0.5, eta=0.3, sign_mode=sign_mode)
+            total, terms, _ = head_gradients(zi, zt, heads, cfg)
+            assert total == pytest.approx(mean_loss(zi, zt, heads, cfg), rel=1e-12)
+            per_row = [
+                multimodal_loss(TripletEmbeddings(*(heads[IMAGE] @ z for z in a), *(heads[TEXT] @ z for z in b)), cfg)[1]
+                for a, b in zip(zi, zt)
+            ]
+            for name, value in terms.items():
+                assert value == pytest.approx(np.mean([r[name] for r in per_row]), rel=1e-12, abs=1e-15)
 
     def test_gradient_orthogonal_to_head_scaling(self):
         rng = np.random.default_rng(6)
         for _ in range(50):
             heads = {IMAGE: rng.normal(0, 0.5, (6, 6)), TEXT: rng.normal(0, 0.5, (6, 6))}
-            batch = [random_trunks(rng, c=6) for _ in range(3)]
-            _, _, grads = head_gradients(batch, heads, LossConfig())
+            zi, zt = random_batch(rng, 3, c=6)
+            _, _, grads = head_gradients(zi, zt, heads, LossConfig())
             for modality in (IMAGE, TEXT):
                 directional = float(np.sum(grads[modality] * heads[modality]))
                 assert abs(directional) <= 1e-8
 
     def test_empty_batch_rejected(self):
+        empty = np.zeros((0, 3, 2))
         with pytest.raises(ValueError):
-            head_gradients([], {IMAGE: np.eye(2), TEXT: np.eye(2)}, LossConfig())
+            head_gradients(empty, empty, {IMAGE: np.eye(2), TEXT: np.eye(2)}, LossConfig())
+
+    def test_zero_norm_row_rejected(self):
+        rng = np.random.default_rng(12)
+        zi, zt = random_batch(rng, 5)
+        zt[3, 1] = 0.0  # one positive's text trunk row, hence its embedding, is zero
+        heads = {IMAGE: np.eye(8), TEXT: np.eye(8)}
+        with pytest.raises(DegenerateEmbeddingError):
+            head_gradients(zi, zt, heads, LossConfig())
 
 
 class TestAdamAndTraining:
-    def _toy_trunks(self, rng, n=32, c=8):
-        return [random_trunks(rng, c=c) for _ in range(n)]
-
     def test_zero_learning_rate_is_identity(self):
         rng = np.random.default_rng(7)
-        trunks = self._toy_trunks(rng)
+        problem = triplet_problem(rng, 32)
         heads = {IMAGE: rng.normal(0, 0.5, (8, 8)), TEXT: rng.normal(0, 0.5, (8, 8))}
-        result = train_heads(trunks, heads, LossConfig(),
+        result = train_heads(*problem, heads, LossConfig(),
                              OptimizerConfig(learning_rate=0.0, epochs=5, batch_size=8, seed=0))
         np.testing.assert_array_equal(result.heads[IMAGE], heads[IMAGE])
         np.testing.assert_array_equal(result.heads[TEXT], heads[TEXT])
@@ -201,18 +224,18 @@ class TestAdamAndTraining:
 
     def test_same_seed_same_curve(self):
         rng = np.random.default_rng(8)
-        trunks = self._toy_trunks(rng)
+        problem = triplet_problem(rng, 32)
         heads = {IMAGE: rng.normal(0, 0.5, (8, 8)), TEXT: rng.normal(0, 0.5, (8, 8))}
         opt = OptimizerConfig(learning_rate=0.01, epochs=4, batch_size=8, seed=42)
-        c1 = train_heads(trunks, heads, LossConfig(), opt).curve
-        c2 = train_heads(trunks, heads, LossConfig(), opt).curve
+        c1 = train_heads(*problem, heads, LossConfig(), opt).curve
+        c2 = train_heads(*problem, heads, LossConfig(), opt).curve
         assert [e.total for e in c1] == [e.total for e in c2]
 
     def test_loss_decreases_on_trainable_problem(self):
         rng = np.random.default_rng(9)
-        trunks = self._toy_trunks(rng, n=64)
+        problem = triplet_problem(rng, 64)
         heads = {IMAGE: rng.normal(0, 0.5, (8, 8)), TEXT: rng.normal(0, 0.5, (8, 8))}
-        result = train_heads(trunks, heads, LossConfig(),
+        result = train_heads(*problem, heads, LossConfig(),
                              OptimizerConfig(learning_rate=0.01, epochs=10, batch_size=16, seed=1))
         assert result.curve[-1].total < result.curve[0].total
 
@@ -231,22 +254,22 @@ class TestAdamAndTraining:
 
     def test_input_heads_not_mutated(self):
         rng = np.random.default_rng(10)
-        trunks = self._toy_trunks(rng, n=16)
+        problem = triplet_problem(rng, 16)
         heads = {IMAGE: rng.normal(0, 0.5, (8, 8)), TEXT: rng.normal(0, 0.5, (8, 8))}
         snapshot = {k: v.copy() for k, v in heads.items()}
-        train_heads(trunks, heads, LossConfig(), OptimizerConfig(epochs=2, batch_size=8))
+        train_heads(*problem, heads, LossConfig(), OptimizerConfig(epochs=2, batch_size=8))
         for k in heads:
             np.testing.assert_array_equal(heads[k], snapshot[k])
 
     def test_resume_matches_straight_through_run(self):
         rng = np.random.default_rng(11)
-        trunks = self._toy_trunks(rng, n=48)
+        problem = triplet_problem(rng, 48)
         heads = {IMAGE: rng.normal(0, 0.5, (8, 8)), TEXT: rng.normal(0, 0.5, (8, 8))}
         base = OptimizerConfig(learning_rate=0.01, batch_size=16, seed=5)
-        straight = train_heads(trunks, heads, LossConfig(), replace(base, epochs=5))
-        first = train_heads(trunks, heads, LossConfig(), replace(base, epochs=3))
+        straight = train_heads(*problem, heads, LossConfig(), replace(base, epochs=5))
+        first = train_heads(*problem, heads, LossConfig(), replace(base, epochs=3))
         second = train_heads(
-            trunks, first.heads, LossConfig(), replace(base, epochs=2),
+            *problem, first.heads, LossConfig(), replace(base, epochs=2),
             resume_state=first.optimizer_state,
         )
         np.testing.assert_array_equal(second.heads[IMAGE], straight.heads[IMAGE])

@@ -26,6 +26,12 @@ class TestExitCodes:
         missing = tmp_path / "nope.jsonl"
         assert main(["extract", "--corpus", str(missing), "--out", str(tmp_path)]) == EXIT_DATA
 
+    def test_config_typo_is_data_error(self, tmp_path, capsys):
+        cfg = tmp_path / "run.cfg"
+        cfg.write_text("[run]\neval_corpos = e.jsonl\n")
+        assert main(["run", "--config", str(cfg)]) == EXIT_DATA
+        assert "'eval_corpos'" in capsys.readouterr().err
+
 
 class TestScoreCommand:
     def test_worked_example(self, tmp_path, capsys):
@@ -100,6 +106,13 @@ class TestPipelineCommands:
         out = tmp_path / "run"
         cfg.write_text(f"[run]\nout = {out}\ncorpus = {synth_dir/'corpus.jsonl'}\n")
         assert main(["run", "--config", str(cfg), "--stages", "mine"]) == EXIT_DATA
+
+
+class TestSynthCommand:
+    def test_five_classes(self, tmp_path):
+        out = tmp_path / "corpus"
+        assert main(["synth", "--out", str(out), "--classes", "5", "--per-class", "2", "--seed", "3"]) == EXIT_OK
+        assert len((out / "corpus.jsonl").read_text().splitlines()) == 1 + 10
 
 
 class TestOntologyCommand:

@@ -113,6 +113,23 @@ class TestStages:
         curve = (small_world.out / "loss_curve.jsonl").read_text().splitlines()
         assert len(curve) == small_world.optimizer.epochs
 
+    def test_corrupted_artifact_with_intact_manifest_reruns(self, small_world, caplog):
+        artifacts = run_pipeline(small_world, stages=("extract", "mine"))
+        good = artifacts["mine"].read_bytes()
+        artifacts["mine"].write_text(good.decode().replace("anchor_id", "anchor_jd", 1))
+        with caplog.at_level("INFO"):
+            run_pipeline(small_world, stages=("extract", "mine"))
+        skipped = [r.message for r in caplog.records if "skipping" in r.message]
+        assert skipped == ["extract: up to date, skipping"]
+        assert artifacts["mine"].read_bytes() == good
+
+    def test_empty_eval_corpus_named(self, small_world, tmp_path):
+        empty = tmp_path / "empty.jsonl"
+        write_corpus(empty, [])
+        run_pipeline(small_world, stages=("extract", "mine", "train"))
+        with pytest.raises(PipelineError, match="holds no records"):
+            run_pipeline(replace(small_world, eval_corpus=empty), stages=("eval",))
+
     def test_byte_identical_artifact_trees(self, small_world, tmp_path):
         cfg_a = replace(small_world, out=tmp_path / "out_a")
         cfg_b = replace(small_world, out=tmp_path / "out_b")
@@ -163,6 +180,24 @@ class TestConfigFile:
         path = tmp_path / "run.cfg"
         path.write_text("[loss]\nalfa = 0.2\n")
         with pytest.raises(PipelineError, match="unknown config key"):
+            config_from_file(path)
+
+    def test_unknown_run_key_rejected(self, tmp_path):
+        path = tmp_path / "run.cfg"
+        path.write_text("[run]\nseed = 1\neval_corpos = e.jsonl\n")
+        with pytest.raises(PipelineError, match="'eval_corpos'"):
+            config_from_file(path)
+
+    def test_unknown_scoring_key_rejected(self, tmp_path):
+        path = tmp_path / "run.cfg"
+        path.write_text("[scoring]\ngamma_0 = 0.8\n")
+        with pytest.raises(PipelineError, match="'gamma_0'"):
+            config_from_file(path)
+
+    def test_unknown_section_rejected(self, tmp_path):
+        path = tmp_path / "run.cfg"
+        path.write_text("[minner]\ntarget = 10\n")
+        with pytest.raises(PipelineError, match="'minner'"):
             config_from_file(path)
 
     def test_malformed_line_has_number(self, tmp_path):

@@ -60,6 +60,16 @@ class TestSynthesize:
             assert sorted(m.adj_union()) == expected["adj"]
             assert sorted(m.dir_union()) == expected["dir"]
 
+    def test_five_classes(self, tmp_path):
+        # class index 4 and up perturb their texture with a seeded mask
+        spec = SyntheticSpec(n_classes=5, per_class=3, overlap_rate=0.0, seed=4)
+        result = synthesize(spec, tmp_path / "a")
+        assert result.records == 15
+        truth = read_truth(result.truth_path)
+        assert len({c for r in truth.values() for c in r["classes"]}) == 5
+        again = synthesize(spec, tmp_path / "b")
+        assert (result.image_dir / "s0004.pgm").read_bytes() == (again.image_dir / "s0004.pgm").read_bytes()
+
     def test_spec_validation(self):
         with pytest.raises(ValueError):
             SyntheticSpec(n_classes=1)
