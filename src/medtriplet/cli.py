@@ -16,11 +16,11 @@ from dataclasses import replace
 from pathlib import Path
 
 from .alignment import DegenerateEmbeddingError
-from .corpus import DataError, ingest, read_entities, write_entities
-from .extraction import MetaEntities, extract
-from .mining import mine_corpus
+from .corpus import DataError
+from .extraction import MetaEntities
 from .ontology import OntologyError, default_ontology, load_ontology, save_ontology
 from .pipeline import (
+    STAGES,
     PipelineError,
     RunConfig,
     config_from_file,
@@ -79,20 +79,6 @@ def _load_meta_record(path: Path) -> MetaEntities:
     return MetaEntities.from_record(record)
 
 
-def _cmd_extract(args: argparse.Namespace) -> int:
-    cfg = _build_config(args)
-    if cfg.corpus is None:
-        raise PipelineError("extract needs --corpus or a config with one")
-    ont = default_ontology() if cfg.ontology is None else load_ontology(cfg.ontology)
-    corpus = ingest(cfg.corpus)
-    items = [(rec.id, extract(rec.report(), ont)) for rec in corpus]
-    cfg.out.mkdir(parents=True, exist_ok=True)
-    out_path = args.output or (cfg.out / "entities.jsonl")
-    write_entities(out_path, items)
-    print(f"extracted {len(items)} records -> {out_path}")
-    return EXIT_OK
-
-
 def _cmd_score(args: argparse.Namespace) -> int:
     weights = GammaWeights(args.gamma0, args.gamma1, args.gamma2)
     mi = _load_meta_record(args.first)
@@ -119,65 +105,30 @@ def _cmd_score(args: argparse.Namespace) -> int:
     return EXIT_OK
 
 
-def _cmd_mine(args: argparse.Namespace) -> int:
+def _cmd_stages(args: argparse.Namespace) -> int:
+    """``extract``, ``mine``, ``train`` and ``run``: the named stages through ``run_pipeline``."""
     cfg = _build_config(args)
-    mining = cfg.mining
-    if args.batch_size is not None:
-        mining = replace(mining, batch_size=args.batch_size)
-    if args.target is not None:
-        mining = replace(mining, target=args.target)
-    if args.tau_min is not None:
-        mining = replace(mining, tau_min=args.tau_min)
-    if args.tau_max is not None:
-        mining = replace(mining, tau_max=args.tau_max)
-    cfg = replace(cfg, mining=mining)
-    samples = read_entities(args.entities)
-    miner_cfg = cfg.miner_config()
-    cfg.out.mkdir(parents=True, exist_ok=True)
-    out_path = args.output or (cfg.out / "triplets.jsonl")
-    result = mine_corpus(
-        samples,
-        k=cfg.mining.batch_size,
-        target=cfg.mining.target,
-        cfg=miner_cfg,
-        out_path=out_path,
-        pass_limit=cfg.mining.pass_limit,
-    )
-    print(
-        f"mined {len(result.triplets)} unique triplets in {result.passes} passes -> {out_path}"
-        + ("" if result.reached_target else " (target not reached)")
-    )
+    keys = ("batch_size", "target", "tau_min", "tau_max")
+    overrides = {key: value for key in keys if (value := getattr(args, key, None)) is not None}
+    cfg = replace(cfg, mining=replace(cfg.mining, **overrides))
+    stages = tuple(args.stages or STAGES) if args.command == "run" else (args.command,)
+    for stage, path in run_pipeline(cfg, stages=stages, force=args.force).items():
+        print(f"{stage}: {path}")
     return EXIT_OK
 
 
-def _cmd_train(args: argparse.Namespace) -> int:
+def _cmd_eval(args: argparse.Namespace) -> int:
+    """``eval-retrieval`` and ``eval-classify``: print one report for an eval corpus."""
     cfg = _build_config(args)
-    stages = ("train",)
-    artifacts = run_pipeline(cfg, stages=stages, force=args.force)
-    print(f"trained heads -> {artifacts['train']}")
-    return EXIT_OK
-
-
-def _cmd_eval_retrieval(args: argparse.Namespace) -> int:
-    cfg = _build_config(args)
-    heads_path = args.heads or (cfg.out / "heads.ckpt")
-    _, heads = load_heads(heads_path)
+    _, heads = load_heads(args.heads or (cfg.out / "heads.ckpt"))
     eval_corpus = cfg.eval_corpus or cfg.corpus
     if eval_corpus is None:
-        raise PipelineError("eval-retrieval needs --eval-corpus or a config with one")
-    report = evaluate_retrieval_tasks(with_seed_defaults(cfg), heads, eval_corpus, args.match_mode)
-    print(json.dumps(report, indent=2, sort_keys=True))
-    return EXIT_OK
-
-
-def _cmd_eval_classify(args: argparse.Namespace) -> int:
-    cfg = _build_config(args)
-    heads_path = args.heads or (cfg.out / "heads.ckpt")
-    _, heads = load_heads(heads_path)
-    eval_corpus = cfg.eval_corpus or cfg.corpus
-    if eval_corpus is None:
-        raise PipelineError("eval-classify needs --eval-corpus or a config with one")
-    report = evaluate_classification(with_seed_defaults(cfg), heads, eval_corpus)
+        raise PipelineError(f"{args.command} needs --eval-corpus or a config with one")
+    cfg = with_seed_defaults(cfg)
+    if args.command == "eval-retrieval":
+        report = evaluate_retrieval_tasks(cfg, heads, eval_corpus, args.match_mode)
+    else:
+        report = evaluate_classification(cfg, heads, eval_corpus)
     print(json.dumps(report, indent=2, sort_keys=True))
     return EXIT_OK
 
@@ -195,15 +146,6 @@ def _cmd_synth(args: argparse.Namespace) -> int:
     )
     result = synthesize(spec, args.out or cfg.out)
     print(f"wrote {result.records} records -> {result.corpus_path}")
-    return EXIT_OK
-
-
-def _cmd_run(args: argparse.Namespace) -> int:
-    cfg = _build_config(args)
-    stages = tuple(args.stages or ("extract", "mine", "train", "eval"))
-    artifacts = run_pipeline(cfg, stages=stages, force=args.force)
-    for stage, path in artifacts.items():
-        print(f"{stage}: {path}")
     return EXIT_OK
 
 
@@ -226,8 +168,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("extract", help="extract entities from a corpus")
     _add_common(p)
     p.add_argument("--corpus", type=Path, help="corpus jsonl file")
-    p.add_argument("--output", type=Path, help="entity file to write")
-    p.set_defaults(func=_cmd_extract)
+    p.set_defaults(func=_cmd_stages)
 
     p = sub.add_parser("score", help="score two meta-entity records")
     p.add_argument("first", type=Path)
@@ -238,20 +179,18 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--semantics", choices=("union", "intersection"), default="union")
     p.set_defaults(func=_cmd_score)
 
-    p = sub.add_parser("mine", help="mine triplets from an entity file")
+    p = sub.add_parser("mine", help="mine triplets from <out>/entities.jsonl")
     _add_common(p)
-    p.add_argument("entities", type=Path, help="entities jsonl file")
     p.add_argument("--batch-size", type=int, dest="batch_size")
     p.add_argument("--target", type=int)
     p.add_argument("--tau-min", type=float, dest="tau_min")
     p.add_argument("--tau-max", type=float, dest="tau_max")
-    p.add_argument("--output", type=Path)
-    p.set_defaults(func=_cmd_mine)
+    p.set_defaults(func=_cmd_stages)
 
     p = sub.add_parser("train", help="train projection heads on mined triplets")
     _add_common(p)
     p.add_argument("--corpus", type=Path)
-    p.set_defaults(func=_cmd_train)
+    p.set_defaults(func=_cmd_stages)
 
     p = sub.add_parser("eval-retrieval", help="retrieval P@R over an eval corpus")
     _add_common(p)
@@ -259,14 +198,14 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--eval-corpus", type=Path, dest="eval_corpus")
     p.add_argument("--heads", type=Path, help="heads checkpoint (default: <out>/heads.ckpt)")
     p.add_argument("--match-mode", choices=("mean", "exact"), default="mean")
-    p.set_defaults(func=_cmd_eval_retrieval)
+    p.set_defaults(func=_cmd_eval)
 
     p = sub.add_parser("eval-classify", help="zero-shot classification over an eval corpus")
     _add_common(p)
     p.add_argument("--corpus", type=Path)
     p.add_argument("--eval-corpus", type=Path, dest="eval_corpus")
     p.add_argument("--heads", type=Path)
-    p.set_defaults(func=_cmd_eval_classify)
+    p.set_defaults(func=_cmd_eval)
 
     p = sub.add_parser("synth", help="generate a synthetic corpus")
     _add_common(p)
@@ -281,8 +220,8 @@ def build_parser() -> argparse.ArgumentParser:
     _add_common(p)
     p.add_argument("--corpus", type=Path)
     p.add_argument("--eval-corpus", type=Path, dest="eval_corpus")
-    p.add_argument("--stages", nargs="+", choices=("extract", "mine", "train", "eval"))
-    p.set_defaults(func=_cmd_run)
+    p.add_argument("--stages", nargs="+", choices=STAGES)
+    p.set_defaults(func=_cmd_stages)
 
     p = sub.add_parser("dump-ontology", help="print or save the active ontology")
     p.add_argument("--ontology", type=Path)

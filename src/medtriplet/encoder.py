@@ -265,7 +265,3 @@ def encode(
     """Full forward pass through trunk and projection head."""
     pooled = trunk_encode(sample, trunk, cfg)
     return Embedding(head @ pooled, trunk.modality)
-
-
-def encode_text(text: str, trunk: TrunkWeights, head: np.ndarray, cfg: EncoderConfig) -> Embedding:
-    return encode(tokenize_text(text, cfg), trunk, head, cfg)

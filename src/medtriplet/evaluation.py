@@ -22,7 +22,7 @@ from typing import Sequence
 import numpy as np
 
 from .alignment import cosine
-from .encoder import Embedding, EncoderConfig, TokenSequence, tokenize_text
+from .encoder import Embedding
 from .extraction import MetaEntities
 from .ontology import Ontology
 
@@ -151,13 +151,6 @@ def retrieval_result(
                     query_entities, [by_id[i] for i, _ in top], kind, match_mode
                 )
     return RetrievalResult(query_id, tuple(ranked), consistency)
-
-
-def build_prompt(disease: str, ont: Ontology, cfg: EncoderConfig) -> TokenSequence:
-    """Template a disease prompt and run it through the text pipeline."""
-    if disease not in ont.disease_labels:
-        raise ValueError(f"unknown disease label {disease!r}")
-    return tokenize_text(PROMPT_TEMPLATE.format(disease=disease), cfg)
 
 
 def prompt_text(disease: str, ont: Ontology) -> str:

@@ -29,10 +29,12 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import lru_cache
-from importlib import resources
 from pathlib import Path
 
 from .lemma import SENTENCE_BREAK, lemmatize
+
+# The embedded default; pipeline manifests hash it as the ontology input.
+DEFAULT_ONTOLOGY_FILE = Path(__file__).parent / "data" / "default_ontology.txt"
 
 SECTIONS = ("diseases", "adjectives", "directions", "splitters", "deleters")
 _SYNSET_SECTIONS = ("diseases", "adjectives", "directions")
@@ -198,5 +200,5 @@ def default_ontology() -> Ontology:
     6 splitters, 16 deleters. The adjective/splitter/deleter lists are a
     documented representative curation; supply a file for custom lexicons.
     """
-    text = resources.files("medtriplet.data").joinpath("default_ontology.txt").read_text("utf-8")
-    return parse_ontology(text, source="default_ontology.txt")
+    text = DEFAULT_ONTOLOGY_FILE.read_text("utf-8")
+    return parse_ontology(text, source=DEFAULT_ONTOLOGY_FILE.name)

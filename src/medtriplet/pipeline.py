@@ -3,10 +3,11 @@
 Stages (extract, mine, train, eval) execute in order inside a locked
 output directory. Every artifact gets a sibling ``<name>.manifest.json``
 recording the tool version, the stage seed, the effective stage config
-(plus its hash), and the content hashes of all inputs. A re-run skips
-any stage whose manifest still matches, unless forced. Manifests carry
-no timestamps, so identical inputs and config produce byte-identical
-artifact trees.
+(plus its hash), and the content hashes of all inputs, the ontology
+file among them. A re-run skips any stage whose manifest still matches,
+unless forced. A stage reads an earlier stage's artifact only when that
+artifact matches its own manifest. Manifests carry no timestamps, so
+identical inputs and config produce byte-identical artifact trees.
 
 The single global seed fans out to per-stage seeds as
 ``seed + 1000 * stage_index`` with stage indices synth=1, extract=2,
@@ -22,6 +23,7 @@ import logging
 from contextlib import contextmanager
 from dataclasses import asdict, dataclass, field, replace
 from pathlib import Path
+from typing import Callable
 
 import numpy as np
 
@@ -51,7 +53,7 @@ from .evaluation import (
 from .extraction import MetaEntities, extract
 from .images import load_image
 from .mining import MinerConfig, mine_corpus, read_triplets
-from .ontology import Ontology, default_ontology, load_ontology
+from .ontology import DEFAULT_ONTOLOGY_FILE, Ontology, default_ontology, load_ontology
 from .scoring import GammaWeights
 
 logger = logging.getLogger(__name__)
@@ -206,7 +208,7 @@ def _manifest_path(artifact: Path) -> Path:
     return artifact.with_name(artifact.name + ".manifest.json")
 
 
-def _write_manifest(artifact: Path, stage: str, seed: int, cfg_payload: dict, inputs: dict[str, Path]) -> None:
+def _write_manifest(artifact: Path, stage: str, seed: int, cfg_payload: dict, input_hashes: dict[str, str]) -> None:
     manifest = {
         "artifact": artifact.name,
         "tool": "medtriplet",
@@ -215,28 +217,31 @@ def _write_manifest(artifact: Path, stage: str, seed: int, cfg_payload: dict, in
         "seed": seed,
         "config": json.loads(json.dumps(cfg_payload, default=str)),
         "config_hash": _config_hash(cfg_payload),
-        "inputs": {name: sha256_file(p) for name, p in sorted(inputs.items())},
+        "inputs": input_hashes,
         "output_hash": sha256_file(artifact),
     }
     _manifest_path(artifact).write_text(json.dumps(manifest, indent=2, sort_keys=True) + "\n", encoding="utf-8")
 
 
-def _up_to_date(artifact: Path, cfg_payload: dict, inputs: dict[str, Path]) -> bool:
+def _read_manifest(artifact: Path) -> dict | None:
+    """The artifact's manifest, or None when the artifact or a readable manifest is missing."""
     manifest_path = _manifest_path(artifact)
     if not (artifact.exists() and manifest_path.exists()):
-        return False
+        return None
     try:
-        manifest = json.loads(manifest_path.read_text(encoding="utf-8"))
+        return json.loads(manifest_path.read_text(encoding="utf-8"))
     except json.JSONDecodeError:
-        return False
-    if manifest.get("config_hash") != _config_hash(cfg_payload):
-        return False
-    if manifest.get("output_hash") != sha256_file(artifact):
-        return False
-    recorded = manifest.get("inputs", {})
-    if set(recorded) != set(inputs):
-        return False
-    return all(recorded[name] == sha256_file(path) for name, path in inputs.items())
+        return None
+
+
+def _up_to_date(artifact: Path, cfg_payload: dict, input_hashes: dict[str, str]) -> bool:
+    manifest = _read_manifest(artifact)
+    return (
+        manifest is not None
+        and manifest.get("config_hash") == _config_hash(cfg_payload)
+        and manifest.get("inputs") == input_hashes
+        and manifest.get("output_hash") == sha256_file(artifact)
+    )
 
 
 @contextmanager
@@ -269,93 +274,117 @@ class FrozenTrunks:
         """(len(texts), c) pooled text-trunk outputs."""
         return np.array([trunk_encode(tokenize_text(t, self.cfg), self.text, self.cfg) for t in texts])
 
-    def encode_records(self, records: list[CorpusRecord]) -> tuple[np.ndarray, np.ndarray]:
-        """(N, c) image and text trunk matrices, one row per record in order.
+    def encode_images(self, records: list[CorpusRecord]) -> np.ndarray:
+        """(N, c) pooled image-trunk outputs, one row per record in order.
 
         Records come from ``ingest(..., require_images=True)``, so each has an image.
         """
-        z_img = np.array([trunk_encode(load_image(rec.image), self.image, self.cfg) for rec in records])
-        return z_img, self.encode_texts([rec.text for rec in records])
+        return np.array([trunk_encode(load_image(rec.image), self.image, self.cfg) for rec in records])
+
+    def encode_records(self, records: list[CorpusRecord]) -> tuple[np.ndarray, np.ndarray]:
+        """(N, c) image and text trunk matrices, one row per record in order."""
+        return self.encode_images(records), self.encode_texts([rec.text for rec in records])
+
+
+# Inputs written by an earlier stage: input name -> that stage.
+_WRITTEN_BY = {"entities": "extract", "triplets": "mine", "heads": "train"}
+
+
+def _run_stage(
+    cfg: RunConfig,
+    stage: str,
+    force: bool,
+    artifact: Path,
+    cfg_payload: dict,
+    inputs: dict[str, Path | None],
+    build: Callable[[], None],
+) -> Path:
+    """Check a stage's inputs, skip it if its artifact is current, else build it.
+
+    An input that an earlier stage wrote must match its own manifest, so a
+    partial artifact left by a killed run is never read. Each input is
+    hashed once; the manifest is written last.
+    """
+    input_hashes = {}
+    for name, path in inputs.items():
+        if path is None:
+            raise PipelineError(f"{stage} stage needs a path for {name}")
+        earlier = _WRITTEN_BY.get(name)
+        manifest = _read_manifest(path) if earlier else None
+        if earlier and manifest is None:
+            raise PipelineError(f"{stage} stage needs {path.name}; run {earlier} first")
+        input_hashes[name] = sha256_file(path)
+        if earlier and manifest.get("output_hash") != input_hashes[name]:
+            raise PipelineError(f"{path} does not match its manifest; run {earlier} again before {stage}")
+    if not force and _up_to_date(artifact, cfg_payload, input_hashes):
+        logger.info("%s: up to date, skipping", stage)
+        return artifact
+    build()
+    _write_manifest(artifact, stage, stage_seed(cfg.seed, stage), cfg_payload, input_hashes)
+    return artifact
 
 
 def stage_extract(cfg: RunConfig, force: bool = False) -> Path:
-    if cfg.corpus is None:
-        raise PipelineError("extract stage needs a corpus path")
-    ont = cfg.load_ontology()
     artifact = cfg.out / "entities.jsonl"
+
+    def build() -> None:
+        ont = cfg.load_ontology()
+        write_entities(artifact, [(rec.id, extract(rec.report(), ont)) for rec in ingest(cfg.corpus)])
+
     cfg_payload = {"ontology": "default" if cfg.ontology is None else str(cfg.ontology)}
-    inputs = {"corpus": cfg.corpus}
-    if cfg.ontology is not None:
-        inputs["ontology"] = cfg.ontology
-    if not force and _up_to_date(artifact, cfg_payload, inputs):
-        logger.info("extract: up to date, skipping")
-        return artifact
-    corpus = ingest(cfg.corpus)
-    items = [(rec.id, extract(rec.report(), ont)) for rec in corpus]
-    write_entities(artifact, items)
-    _write_manifest(artifact, "extract", stage_seed(cfg.seed, "extract"), cfg_payload, inputs)
-    return artifact
+    inputs = {"corpus": cfg.corpus, "ontology": cfg.ontology or DEFAULT_ONTOLOGY_FILE}
+    return _run_stage(cfg, "extract", force, artifact, cfg_payload, inputs, build)
 
 
 def stage_mine(cfg: RunConfig, force: bool = False) -> Path:
     entities_path = cfg.out / "entities.jsonl"
-    if not entities_path.exists():
-        raise PipelineError("mine stage needs entities.jsonl; run extract first")
     artifact = cfg.out / "triplets.jsonl"
     miner_cfg = cfg.miner_config()
+
+    def build() -> None:
+        mine_corpus(
+            read_entities(entities_path),
+            k=cfg.mining.batch_size,
+            target=cfg.mining.target,
+            cfg=miner_cfg,
+            out_path=artifact,
+            pass_limit=cfg.mining.pass_limit,
+        )
+
     cfg_payload = {"miner": asdict(miner_cfg), "k": cfg.mining.batch_size, "target": cfg.mining.target}
-    inputs = {"entities": entities_path}
-    if not force and _up_to_date(artifact, cfg_payload, inputs):
-        logger.info("mine: up to date, skipping")
-        return artifact
-    samples = read_entities(entities_path)
-    mine_corpus(
-        samples,
-        k=cfg.mining.batch_size,
-        target=cfg.mining.target,
-        cfg=miner_cfg,
-        out_path=artifact,
-        pass_limit=cfg.mining.pass_limit,
-    )
-    _write_manifest(artifact, "mine", miner_cfg.seed, cfg_payload, inputs)
-    return artifact
+    return _run_stage(cfg, "mine", force, artifact, cfg_payload, {"entities": entities_path}, build)
 
 
 def stage_train(cfg: RunConfig, force: bool = False) -> Path:
     triplets_path = cfg.out / "triplets.jsonl"
-    if not triplets_path.exists():
-        raise PipelineError("train stage needs triplets.jsonl; run mine first")
-    if cfg.corpus is None:
-        raise PipelineError("train stage needs a corpus path")
     artifact = cfg.out / "heads.ckpt"
+
+    def build() -> None:
+        _, triplets = read_triplets(triplets_path)
+        if not triplets:
+            raise PipelineError("triplet file holds no triplets; nothing to train on")
+        corpus = ingest(cfg.corpus, require_images=True)
+        ids = sorted({sample_id for t in triplets for sample_id in t.key()})
+        missing = [i for i in ids if i not in corpus.records]
+        if missing:
+            raise PipelineError(f"triplet ids missing from corpus: {missing[:5]}")
+        z_img, z_txt = FrozenTrunks(cfg.encoder).encode_records([corpus[i] for i in ids])
+        row = {sample_id: r for r, sample_id in enumerate(ids)}
+        index = np.array([[row[i] for i in t.key()] for t in triplets], dtype=np.int64)
+        heads = {IMAGE: init_head(cfg.encoder, IMAGE), TEXT: init_head(cfg.encoder, TEXT)}
+        result = train_heads(z_img, z_txt, index, heads, cfg.loss, cfg.optimizer)
+        write_loss_curve(cfg.out / "loss_curve.jsonl", result.curve)
+        arrays = {"head.image": result.heads[IMAGE], "head.text": result.heads[TEXT]}
+        arrays.update(result.optimizer_state)
+        save_checkpoint(artifact, {"encoder": asdict(cfg.encoder), "seed": cfg.seed}, arrays)
+
     cfg_payload = {
         "encoder": asdict(cfg.encoder),
         "loss": asdict(cfg.loss),
         "optimizer": asdict(cfg.optimizer),
     }
     inputs = {"triplets": triplets_path, "corpus": cfg.corpus}
-    if not force and _up_to_date(artifact, cfg_payload, inputs):
-        logger.info("train: up to date, skipping")
-        return artifact
-    _, triplets = read_triplets(triplets_path)
-    if not triplets:
-        raise PipelineError("triplet file holds no triplets; nothing to train on")
-    corpus = ingest(cfg.corpus, require_images=True)
-    ids = sorted({sample_id for t in triplets for sample_id in t.key()})
-    missing = [i for i in ids if i not in corpus.records]
-    if missing:
-        raise PipelineError(f"triplet ids missing from corpus: {missing[:5]}")
-    z_img, z_txt = FrozenTrunks(cfg.encoder).encode_records([corpus[i] for i in ids])
-    row = {sample_id: r for r, sample_id in enumerate(ids)}
-    index = np.array([[row[i] for i in t.key()] for t in triplets], dtype=np.int64)
-    heads = {IMAGE: init_head(cfg.encoder, IMAGE), TEXT: init_head(cfg.encoder, TEXT)}
-    result = train_heads(z_img, z_txt, index, heads, cfg.loss, cfg.optimizer)
-    write_loss_curve(cfg.out / "loss_curve.jsonl", result.curve)
-    arrays = {"head.image": result.heads[IMAGE], "head.text": result.heads[TEXT]}
-    arrays.update(result.optimizer_state)
-    save_checkpoint(artifact, {"encoder": asdict(cfg.encoder), "seed": cfg.seed}, arrays)
-    _write_manifest(artifact, "train", cfg.optimizer.seed, cfg_payload, inputs)
-    return artifact
+    return _run_stage(cfg, "train", force, artifact, cfg_payload, inputs, build)
 
 
 def load_heads(path: str | Path) -> tuple[dict, dict[str, np.ndarray]]:
@@ -363,32 +392,29 @@ def load_heads(path: str | Path) -> tuple[dict, dict[str, np.ndarray]]:
     return config, {IMAGE: arrays["head.image"], TEXT: arrays["head.text"]}
 
 
-def _eval_embeddings(
-    cfg: RunConfig, heads: dict[str, np.ndarray], eval_corpus_path: Path, trunks: FrozenTrunks
-) -> tuple[list[tuple[str, Embedding, Embedding, MetaEntities]], Ontology]:
+def _eval_records(
+    cfg: RunConfig, eval_corpus_path: Path
+) -> tuple[list[CorpusRecord], list[MetaEntities], Ontology]:
+    """The eval corpus's records sorted by id, their extracted entities, and the ontology."""
     ont = cfg.load_ontology()
     records = sorted(ingest(eval_corpus_path, require_images=True), key=lambda r: r.id)
     if not records:
         raise PipelineError(f"eval corpus {eval_corpus_path} holds no records")
-    z_img, z_txt = trunks.encode_records(records)
-    e_img, e_txt = z_img @ heads[IMAGE].T, z_txt @ heads[TEXT].T
-    rows = [
-        (rec.id, Embedding(ei, IMAGE), Embedding(et, TEXT), extract(rec.report(), ont))
-        for rec, ei, et in zip(records, e_img, e_txt)
-    ]
-    return rows, ont
+    return records, [extract(rec.report(), ont) for rec in records], ont
 
 
 def evaluate_retrieval_tasks(
     cfg: RunConfig, heads: dict[str, np.ndarray], eval_corpus_path: Path, match_mode: str = "mean"
 ) -> dict:
     """P@R tables for the four retrieval tasks over an evaluation corpus."""
-    rows, _ = _eval_embeddings(cfg, heads, eval_corpus_path, FrozenTrunks(cfg.encoder))
-    image_gallery = Gallery(tuple(GalleryEntry(i, img, ents) for i, img, _, ents in rows))
-    text_gallery = Gallery(tuple(GalleryEntry(i, txt, ents) for i, _, txt, ents in rows))
-    image_queries = [(i, img, ents) for i, img, _, ents in rows]
-    text_queries = [(i, txt, ents) for i, _, txt, ents in rows]
-    r_values = [r for r in cfg.r_values if r <= max(1, len(rows) - 1)] or [1]
+    records, ents, _ = _eval_records(cfg, eval_corpus_path)
+    ids = [rec.id for rec in records]
+    z_img, z_txt = FrozenTrunks(cfg.encoder).encode_records(records)
+    image_queries = list(zip(ids, [Embedding(e, IMAGE) for e in z_img @ heads[IMAGE].T], ents))
+    text_queries = list(zip(ids, [Embedding(e, TEXT) for e in z_txt @ heads[TEXT].T], ents))
+    image_gallery = Gallery(tuple(GalleryEntry(*q) for q in image_queries))
+    text_gallery = Gallery(tuple(GalleryEntry(*q) for q in text_queries))
+    r_values = [r for r in cfg.r_values if r <= max(1, len(records) - 1)] or [1]
     return {
         "r_values": list(r_values),
         "match_mode": match_mode,
@@ -404,22 +430,26 @@ def evaluate_retrieval_tasks(
 def evaluate_classification(
     cfg: RunConfig, heads: dict[str, np.ndarray], eval_corpus_path: Path
 ) -> dict:
-    """Zero-shot disease classification over single-disease eval records."""
-    trunks = FrozenTrunks(cfg.encoder)
-    rows, ont = _eval_embeddings(cfg, heads, eval_corpus_path, trunks)
-    labelled = [(i, img, ents) for i, img, _, ents in rows if len(ents.entries) == 1]
+    """Zero-shot disease classification over single-disease eval records.
+
+    Only the labelled records' images and the class prompts are encoded.
+    """
+    records, ents, ont = _eval_records(cfg, eval_corpus_path)
+    labelled = [(rec, m.entries[0].disease) for rec, m in zip(records, ents) if len(m.entries) == 1]
     if len(labelled) < 2:
         raise PipelineError("need at least 2 single-disease eval records to classify")
-    classes = sorted({ents.entries[0].disease for _, _, ents in labelled})
+    truths = [disease for _, disease in labelled]
+    classes = sorted(set(truths))
     if len(classes) < 2:
         raise PipelineError("need at least 2 distinct classes among eval records")
+    trunks = FrozenTrunks(cfg.encoder)
+    images = trunks.encode_images([rec for rec, _ in labelled]) @ heads[IMAGE].T
     z_prompt = trunks.encode_texts([prompt_text(label, ont) for label in classes])
     prompts = [(label, Embedding(e, TEXT)) for label, e in zip(classes, z_prompt @ heads[TEXT].T)]
-    predictions, truths, score_vectors = [], [], []
-    for _, img, ents in labelled:
-        predicted, scores = zero_shot_classify(img, prompts)
+    predictions, score_vectors = [], []
+    for e in images:
+        predicted, scores = zero_shot_classify(Embedding(e, IMAGE), prompts)
         predictions.append(predicted)
-        truths.append(ents.entries[0].disease)
         score_vectors.append(scores)
     metrics = classification_metrics(predictions, truths, score_vectors)
     return {
@@ -435,22 +465,18 @@ def evaluate_classification(
 
 def stage_eval(cfg: RunConfig, force: bool = False) -> Path:
     heads_path = cfg.out / "heads.ckpt"
-    if not heads_path.exists():
-        raise PipelineError("eval stage needs heads.ckpt; run train first")
     eval_corpus = cfg.eval_corpus or cfg.corpus
-    if eval_corpus is None:
-        raise PipelineError("eval stage needs an eval corpus path")
     artifact = cfg.out / "eval_retrieval.json"
+
+    def build() -> None:
+        _, heads = load_heads(heads_path)
+        report = evaluate_retrieval_tasks(cfg, heads, eval_corpus)
+        artifact.write_text(json.dumps(report, indent=2, sort_keys=True) + "\n", encoding="utf-8")
+
     cfg_payload = {"encoder": asdict(cfg.encoder), "r_values": list(cfg.r_values)}
     inputs = {"heads": heads_path, "eval_corpus": eval_corpus}
-    if not force and _up_to_date(artifact, cfg_payload, inputs):
-        logger.info("eval: up to date, skipping")
-        return artifact
-    _, heads = load_heads(heads_path)
-    report = evaluate_retrieval_tasks(cfg, heads, eval_corpus)
-    artifact.write_text(json.dumps(report, indent=2, sort_keys=True) + "\n", encoding="utf-8")
-    _write_manifest(artifact, "eval", stage_seed(cfg.seed, "eval"), cfg_payload, inputs)
-    return artifact
+    inputs["ontology"] = cfg.ontology or DEFAULT_ONTOLOGY_FILE
+    return _run_stage(cfg, "eval", force, artifact, cfg_payload, inputs, build)
 
 
 _STAGE_FUNCS = {

@@ -5,6 +5,7 @@ import json
 import pytest
 
 from medtriplet.cli import EXIT_DATA, EXIT_OK, EXIT_USAGE, main
+from medtriplet.pipeline import output_lock
 
 
 @pytest.fixture()
@@ -66,7 +67,7 @@ class TestPipelineCommands:
         assert entities.exists()
         assert (
             main(
-                ["mine", str(entities), "--out", str(out), "--batch-size", "12",
+                ["mine", "--out", str(out), "--batch-size", "12",
                  "--target", "40", "--seed", "2"]
             )
             == EXIT_OK
@@ -100,6 +101,26 @@ class TestPipelineCommands:
         assert main(["eval-classify", "--config", str(cfg)]) == EXIT_OK
         classify = json.loads(capsys.readouterr().out)
         assert 0.0 <= classify["accuracy"] <= 100.0
+
+    def test_stage_command_respects_lock(self, synth_dir, tmp_path, capsys):
+        out = tmp_path / "run"
+        with output_lock(out):
+            assert main(["extract", "--corpus", str(synth_dir / "corpus.jsonl"), "--out", str(out)]) == EXIT_DATA
+        assert "locked" in capsys.readouterr().err
+        assert not (out / "entities.jsonl").exists()
+
+    def test_stage_commands_write_manifests_and_skip(self, synth_dir, tmp_path, caplog):
+        out = tmp_path / "run"
+        corpus = str(synth_dir / "corpus.jsonl")
+        mine = ["mine", "--out", str(out), "--batch-size", "12", "--target", "40"]
+        assert main(["extract", "--corpus", corpus, "--out", str(out)]) == EXIT_OK
+        assert main(mine) == EXIT_OK
+        assert (out / "entities.jsonl.manifest.json").exists()
+        assert (out / "triplets.jsonl.manifest.json").exists()
+        with caplog.at_level("INFO"):
+            assert main(mine) == EXIT_OK
+            assert main([*mine, "--force"]) == EXIT_OK
+        assert [r.message for r in caplog.records if "skipping" in r.message] == ["mine: up to date, skipping"]
 
     def test_mine_before_extract_dependency_error(self, synth_dir, tmp_path):
         cfg = tmp_path / "run.cfg"

@@ -8,7 +8,6 @@ from medtriplet.encoder import EncoderConfig, Embedding, tokenize_text
 from medtriplet.evaluation import (
     Gallery,
     GalleryEntry,
-    build_prompt,
     classification_metrics,
     precision_at_r,
     prompt_text,
@@ -143,14 +142,14 @@ class TestPrompts:
         )
 
     def test_tokenized_through_standard_pipeline(self, ontology):
-        seq = build_prompt("pneumonia", ontology, CFG)
+        seq = tokenize_text(prompt_text("pneumonia", ontology), CFG)
         assert seq.ids == tokenize_text("This is an X-Ray image of pneumonia.", CFG).ids
 
     def test_unknown_disease(self, ontology):
         with pytest.raises(ValueError):
-            build_prompt("psittacosis", ontology, CFG)
+            prompt_text("psittacosis", ontology)
         with pytest.raises(ValueError):
-            build_prompt("", ontology, CFG)
+            prompt_text("", ontology)
 
 
 class TestZeroShot:

@@ -6,16 +6,22 @@ from pathlib import Path
 
 import pytest
 
+from medtriplet import pipeline
 from medtriplet.corpus import CorpusRecord, DataError, ingest, write_corpus
+from medtriplet.extraction import extract
+from medtriplet.ontology import default_ontology, save_ontology
 from medtriplet.pipeline import (
     MiningSettings,
     PipelineError,
     RunConfig,
     config_from_file,
+    evaluate_classification,
+    load_heads,
     output_lock,
     run_pipeline,
     sha256_file,
     stage_seed,
+    with_seed_defaults,
 )
 from medtriplet.synthetic import SyntheticSpec, synthesize
 
@@ -129,6 +135,53 @@ class TestStages:
         run_pipeline(small_world, stages=("extract", "mine", "train"))
         with pytest.raises(PipelineError, match="holds no records"):
             run_pipeline(replace(small_world, eval_corpus=empty), stages=("eval",))
+
+    def test_ontology_edit_reruns_eval(self, small_world, tmp_path, caplog):
+        ontology = tmp_path / "ontology.txt"
+        save_ontology(default_ontology(), ontology)
+        cfg = replace(small_world, ontology=ontology)
+        run_pipeline(cfg)
+        # a deleter that no report contains: the entities stay the same, so mine and train are skipped
+        ontology.write_text(ontology.read_text() + "zzunusedword\n")
+        with caplog.at_level("INFO"):
+            run_pipeline(cfg)
+        skipped = [r.message for r in caplog.records if "skipping" in r.message]
+        assert skipped == ["mine: up to date, skipping", "train: up to date, skipping"]
+
+    def test_default_ontology_recorded_as_input(self, small_world):
+        artifacts = run_pipeline(small_world)
+        for stage in ("extract", "eval"):
+            manifest = json.loads(Path(str(artifacts[stage]) + ".manifest.json").read_text())
+            assert manifest["inputs"]["ontology"] == sha256_file(pipeline.DEFAULT_ONTOLOGY_FILE), stage
+
+    def test_truncated_dependency_rejected(self, small_world):
+        artifacts = run_pipeline(small_world, stages=("extract", "mine"))
+        lines = artifacts["mine"].read_text().splitlines(keepends=True)
+        assert len(lines) == 1 + 60
+        artifacts["mine"].write_text("".join(lines[:11]))  # header and 10 triplets, as a killed mine leaves it
+        with pytest.raises(PipelineError, match="triplets.jsonl.*run mine again"):
+            run_pipeline(small_world, stages=("train",))
+        assert not (small_world.out / "heads.ckpt").exists()
+
+    def test_dependency_without_manifest_rejected(self, small_world):
+        artifacts = run_pipeline(small_world, stages=("extract",))
+        Path(str(artifacts["extract"]) + ".manifest.json").unlink()
+        with pytest.raises(PipelineError, match="needs entities.jsonl; run extract first"):
+            run_pipeline(small_world, stages=("mine",))
+
+    def test_classification_encodes_only_labelled_images_and_prompts(self, small_world, monkeypatch):
+        run_pipeline(small_world, stages=("extract", "mine", "train"))
+        _, heads = load_heads(small_world.out / "heads.ckpt")
+        ont = default_ontology()
+        ents = [extract(rec.report(), ont) for rec in ingest(small_world.eval_corpus)]
+        single = [m for m in ents if len(m.entries) == 1]
+        classes = {m.entries[0].disease for m in single}
+        calls = []
+        encode = pipeline.trunk_encode
+        monkeypatch.setattr(pipeline, "trunk_encode", lambda *a: calls.append(1) or encode(*a))
+        report = evaluate_classification(with_seed_defaults(small_world), heads, small_world.eval_corpus)
+        assert report["samples"] == len(single)
+        assert len(calls) == len(single) + len(classes) < 2 * len(ents)
 
     def test_byte_identical_artifact_trees(self, small_world, tmp_path):
         cfg_a = replace(small_world, out=tmp_path / "out_a")
