@@ -1,12 +1,13 @@
-"""Retrieval and zero-shot classification evaluation.
+"""Retrieval and zero-shot classification evaluation on embedding matrices.
 
-Retrieval ranks gallery entries by cosine similarity to a query
-embedding (ties broken by ascending id) and measures consistency of the
-retrieved items' entity labels against the query's. Consistency per
-entity kind is the Jaccard index of the label sets; Precision@R is the
-mean consistency over the top-R items, as a percentage. An exact-match
-mode (consistency 1 only when the sets are equal) is available behind
-``match_mode``.
+Retrieval takes (n, c) query and gallery matrices whose row i is record
+i, rows in ascending id order. Each query ranks every other gallery row
+by cosine similarity, ties going to the lower row (the lower id).
+Consistency per entity kind compares the query's label set with a
+retrieved item's, both rows of one multi-hot matrix per kind: their
+Jaccard index, or under ``match_mode="exact"`` 1 only when they are
+equal. Precision@R is the mean consistency over the top-R items, as a
+percentage.
 
 Zero-shot classification embeds one templated text prompt per disease
 and predicts the class whose prompt embedding is most similar to the
@@ -22,7 +23,6 @@ from typing import Sequence
 import numpy as np
 
 from .alignment import cosine
-from .encoder import Embedding
 from .extraction import MetaEntities
 from .ontology import Ontology
 
@@ -31,58 +31,15 @@ logger = logging.getLogger(__name__)
 PROMPT_TEMPLATE = "This is an X-Ray image of {disease}."
 
 ENTITY_KINDS = ("disease", "adjective", "direction")
+MATCH_MODES = ("mean", "exact")
 
 
-@dataclass(frozen=True)
-class GalleryEntry:
-    id: str
-    embedding: Embedding
-    entities: MetaEntities
-
-
-@dataclass(frozen=True)
-class Gallery:
-    entries: tuple[GalleryEntry, ...]
-
-    def __post_init__(self) -> None:
-        ids = [e.id for e in self.entries]
-        if len(set(ids)) != len(ids):
-            raise ValueError("duplicate ids in gallery")
-        if self.entries:
-            length = self.entries[0].embedding.vector.shape[0]
-            modality = self.entries[0].embedding.modality
-            for e in self.entries:
-                if e.embedding.vector.shape[0] != length or e.embedding.modality != modality:
-                    raise ValueError("gallery embeddings must share length and modality")
-
-    def __len__(self) -> int:
-        return len(self.entries)
-
-
-def _ranked_pairs(query: Embedding, gallery: Gallery, query_id: str | None) -> list[tuple[str, float]]:
-    candidates = [e for e in gallery.entries if e.id != query_id]
-    ranked = sorted(
-        ((cosine(query.vector, e.embedding.vector), e.id) for e in candidates),
-        key=lambda pair: (-pair[0], pair[1]),
-    )
-    return [(entry_id, sim) for sim, entry_id in ranked]
-
-
-def retrieve(query: Embedding, gallery: Gallery, r: int, query_id: str | None = None) -> list[str]:
-    """Top-r gallery ids by cosine similarity; ties by ascending id.
-
-    The query's own gallery entry (matched by id) is excluded. Asking
-    for more items than the gallery holds returns everything, with a
-    warning.
-    """
-    if r < 1:
-        raise ValueError("r must be >= 1")
-    if not len(gallery):
-        raise ValueError("empty gallery")
-    ranked = _ranked_pairs(query, gallery, query_id)
-    if r > len(ranked):
-        logger.warning("requested top-%d from a gallery of %d; returning all", r, len(ranked))
-    return [entry_id for entry_id, _ in ranked[:r]]
+def rank(query: np.ndarray, gallery: np.ndarray, exclude: int) -> np.ndarray:
+    """Gallery row indices other than ``exclude``, by descending cosine
+    similarity to ``query``; ties go to the lower row."""
+    rows = np.delete(np.arange(len(gallery)), exclude)
+    sims = np.array([cosine(query, gallery[j]) for j in rows])
+    return rows[np.argsort(-sims, kind="stable")]
 
 
 def entity_label_set(entities: MetaEntities, kind: str) -> frozenset[str]:
@@ -95,6 +52,25 @@ def entity_label_set(entities: MetaEntities, kind: str) -> frozenset[str]:
     raise ValueError(f"unknown entity kind {kind!r}")
 
 
+def _label_matrix(entities: Sequence[MetaEntities], kind: str) -> np.ndarray:
+    """(n, v) multi-hot matrix of each item's ``kind`` labels over their sorted union."""
+    sets = [entity_label_set(e, kind) for e in entities]
+    column = {label: j for j, label in enumerate(sorted(set().union(*sets)))}
+    matrix = np.zeros((len(sets), len(column)), dtype=bool)
+    for i, labels in enumerate(sets):
+        matrix[i, [column[label] for label in labels]] = True
+    return matrix
+
+
+def _consistency(query: np.ndarray, items: np.ndarray, match_mode: str) -> np.ndarray:
+    """Consistency of each multi-hot row of ``items`` with the ``query`` row."""
+    if match_mode == "exact":
+        return np.all(items == query, axis=1).astype(np.float64)
+    inter = np.count_nonzero(items & query, axis=1)
+    union = np.count_nonzero(items | query, axis=1)
+    return np.divide(inter, union, out=np.zeros(len(items)), where=union > 0)
+
+
 def precision_at_r(
     query: MetaEntities,
     retrieved: Sequence[MetaEntities],
@@ -103,54 +79,16 @@ def precision_at_r(
 ) -> float:
     """Mean consistency of retrieved items with the query, as a percentage.
 
-    ``mean`` averages Jaccard indices; ``exact`` counts only identical
-    label sets (empty query and retrieved sets count as a match there).
+    ``mean`` averages Jaccard indices (two empty sets score 0); ``exact``
+    counts only identical label sets (empty query and retrieved sets
+    count as a match there).
     """
     if not retrieved:
         raise ValueError("retrieved list must be non-empty")
-    if match_mode not in ("mean", "exact"):
+    if match_mode not in MATCH_MODES:
         raise ValueError(f"unknown match_mode {match_mode!r}")
-    query_set = entity_label_set(query, kind)
-    values = []
-    for item in retrieved:
-        item_set = entity_label_set(item, kind)
-        if match_mode == "exact":
-            values.append(1.0 if item_set == query_set else 0.0)
-        else:
-            union = query_set | item_set
-            values.append(len(query_set & item_set) / len(union) if union else 0.0)
-    return 100.0 * float(np.mean(values))
-
-
-@dataclass(frozen=True)
-class RetrievalResult:
-    """One query's ranking (similarity non-increasing, ties by id) and
-    its per-entity-kind consistency at each requested depth."""
-
-    query_id: str
-    ranked: tuple[tuple[str, float], ...]
-    consistency: dict[str, dict[int, float]]
-
-
-def retrieval_result(
-    query_id: str,
-    query: Embedding,
-    query_entities: MetaEntities,
-    gallery: Gallery,
-    r_values: Sequence[int] = (1, 10, 20, 50),
-    match_mode: str = "mean",
-) -> RetrievalResult:
-    by_id = {e.id: e.entities for e in gallery.entries}
-    ranked = _ranked_pairs(query, gallery, query_id)
-    consistency: dict[str, dict[int, float]] = {kind: {} for kind in ENTITY_KINDS}
-    for kind in ENTITY_KINDS:
-        for r in r_values:
-            top = ranked[:r]
-            if top:
-                consistency[kind][r] = precision_at_r(
-                    query_entities, [by_id[i] for i, _ in top], kind, match_mode
-                )
-    return RetrievalResult(query_id, tuple(ranked), consistency)
+    labels = _label_matrix([query, *retrieved], kind)
+    return 100.0 * float(np.mean(_consistency(labels[0], labels[1:], match_mode)))
 
 
 def prompt_text(disease: str, ont: Ontology) -> str:
@@ -160,14 +98,16 @@ def prompt_text(disease: str, ont: Ontology) -> str:
 
 
 def zero_shot_classify(
-    image: Embedding, prompts: Sequence[tuple[str, Embedding]]
+    image: np.ndarray, prompts: np.ndarray, classes: Sequence[str]
 ) -> tuple[str, dict[str, float]]:
-    """Predict the class of the most similar prompt; ties pick the
+    """Predict the class of the most similar prompt row; ties pick the
     lexicographically first class. The full similarity vector comes back
     for downstream ranking metrics."""
-    if len(prompts) < 2:
+    if len(prompts) != len(classes):
+        raise ValueError("need one prompt row per class")
+    if len(classes) < 2:
         raise ValueError("need at least 2 candidate classes")
-    scores = {label: cosine(image.vector, emb.vector) for label, emb in prompts}
+    scores = {label: cosine(image, prompt) for label, prompt in zip(classes, prompts)}
     best = max(scores.values())
     predicted = min(label for label, s in scores.items() if s == best)
     return predicted, scores
@@ -250,19 +190,35 @@ def classification_metrics(
 
 
 def retrieval_report(
-    queries: Sequence[tuple[str, Embedding, MetaEntities]],
-    gallery: Gallery,
+    queries: np.ndarray,
+    gallery: np.ndarray,
+    entities: Sequence[MetaEntities],
     r_values: Sequence[int] = (1, 10, 20, 50),
     match_mode: str = "mean",
 ) -> dict[str, dict[int, float]]:
-    """Mean P@R per entity kind over a query set against one gallery."""
-    results = [
-        retrieval_result(query_id, embedding, entities, gallery, r_values, match_mode)
-        for query_id, embedding, entities in queries
-    ]
-    out: dict[str, dict[int, float]] = {kind: {} for kind in ENTITY_KINDS}
-    for kind in ENTITY_KINDS:
-        for r in r_values:
-            values = [res.consistency[kind][r] for res in results if r in res.consistency[kind]]
-            out[kind][r] = float(np.mean(values)) if values else float("nan")
-    return out
+    """Mean P@R per entity kind; row i of both matrices is record i.
+
+    Each query is ranked once against every other gallery row. A kind's
+    value is NaN when no query has another row to retrieve.
+    """
+    if match_mode not in MATCH_MODES:
+        raise ValueError(f"unknown match_mode {match_mode!r}")
+    if not len(queries) == len(gallery) == len(entities):
+        raise ValueError("queries, gallery and entities must have one row per record")
+    if min(r_values) < 1:
+        raise ValueError("r values must be >= 1")
+    labels = {kind: _label_matrix(entities, kind) for kind in ENTITY_KINDS}
+    depth = max(r_values)
+    per_query: dict[str, dict[int, list[float]]] = {kind: {r: [] for r in r_values} for kind in ENTITY_KINDS}
+    for i, query in enumerate(queries):
+        top = rank(query, gallery, exclude=i)[:depth]
+        if not len(top):
+            continue
+        for kind, matrix in labels.items():
+            values = _consistency(matrix[i], matrix[top], match_mode)
+            for r in r_values:
+                per_query[kind][r].append(100.0 * float(np.mean(values[:r])))
+    return {
+        kind: {r: float(np.mean(values)) if values else float("nan") for r, values in by_r.items()}
+        for kind, by_r in per_query.items()
+    }

@@ -35,21 +35,13 @@ from .encoder import (
     IMAGE,
     TEXT,
     EncoderConfig,
-    Embedding,
     init_head,
     init_image_trunk,
     init_text_trunk,
     tokenize_text,
     trunk_encode,
 )
-from .evaluation import (
-    Gallery,
-    GalleryEntry,
-    classification_metrics,
-    prompt_text,
-    retrieval_report,
-    zero_shot_classify,
-)
+from .evaluation import classification_metrics, prompt_text, retrieval_report, zero_shot_classify
 from .extraction import MetaEntities, extract
 from .images import load_image
 from .mining import MinerConfig, mine_corpus, read_triplets
@@ -271,8 +263,9 @@ class FrozenTrunks:
         self.text = init_text_trunk(cfg)
 
     def encode_texts(self, texts: list[str]) -> np.ndarray:
-        """(len(texts), c) pooled text-trunk outputs."""
-        return np.array([trunk_encode(tokenize_text(t, self.cfg), self.text, self.cfg) for t in texts])
+        """(len(texts), c) pooled text-trunk outputs; each distinct text is encoded once."""
+        pooled = {t: trunk_encode(tokenize_text(t, self.cfg), self.text, self.cfg) for t in dict.fromkeys(texts)}
+        return np.array([pooled[t] for t in texts])
 
     def encode_images(self, records: list[CorpusRecord]) -> np.ndarray:
         """(N, c) pooled image-trunk outputs, one row per record in order.
@@ -351,7 +344,8 @@ def stage_mine(cfg: RunConfig, force: bool = False) -> Path:
             pass_limit=cfg.mining.pass_limit,
         )
 
-    cfg_payload = {"miner": asdict(miner_cfg), "k": cfg.mining.batch_size, "target": cfg.mining.target}
+    cfg_payload = {"miner": asdict(miner_cfg), "k": cfg.mining.batch_size, "target": cfg.mining.target,
+                   "pass_limit": cfg.mining.pass_limit}
     return _run_stage(cfg, "mine", force, artifact, cfg_payload, {"entities": entities_path}, build)
 
 
@@ -403,26 +397,30 @@ def _eval_records(
     return records, [extract(rec.report(), ont) for rec in records], ont
 
 
+def _project(z: np.ndarray, head: np.ndarray) -> np.ndarray:
+    """Trunk rows through a projection head; non-finite entries are an error."""
+    embeddings = z @ head.T
+    if not np.all(np.isfinite(embeddings)):
+        raise ValueError("embeddings contain non-finite entries")
+    return embeddings
+
+
 def evaluate_retrieval_tasks(
     cfg: RunConfig, heads: dict[str, np.ndarray], eval_corpus_path: Path, match_mode: str = "mean"
 ) -> dict:
     """P@R tables for the four retrieval tasks over an evaluation corpus."""
     records, ents, _ = _eval_records(cfg, eval_corpus_path)
-    ids = [rec.id for rec in records]
     z_img, z_txt = FrozenTrunks(cfg.encoder).encode_records(records)
-    image_queries = list(zip(ids, [Embedding(e, IMAGE) for e in z_img @ heads[IMAGE].T], ents))
-    text_queries = list(zip(ids, [Embedding(e, TEXT) for e in z_txt @ heads[TEXT].T], ents))
-    image_gallery = Gallery(tuple(GalleryEntry(*q) for q in image_queries))
-    text_gallery = Gallery(tuple(GalleryEntry(*q) for q in text_queries))
+    images, texts = _project(z_img, heads[IMAGE]), _project(z_txt, heads[TEXT])
     r_values = [r for r in cfg.r_values if r <= max(1, len(records) - 1)] or [1]
     return {
         "r_values": list(r_values),
         "match_mode": match_mode,
         "tasks": {
-            "i2i": retrieval_report(image_queries, image_gallery, r_values, match_mode),
-            "i2t": retrieval_report(image_queries, text_gallery, r_values, match_mode),
-            "t2i": retrieval_report(text_queries, image_gallery, r_values, match_mode),
-            "t2t": retrieval_report(text_queries, text_gallery, r_values, match_mode),
+            "i2i": retrieval_report(images, images, ents, r_values, match_mode),
+            "i2t": retrieval_report(images, texts, ents, r_values, match_mode),
+            "t2i": retrieval_report(texts, images, ents, r_values, match_mode),
+            "t2t": retrieval_report(texts, texts, ents, r_values, match_mode),
         },
     }
 
@@ -443,12 +441,11 @@ def evaluate_classification(
     if len(classes) < 2:
         raise PipelineError("need at least 2 distinct classes among eval records")
     trunks = FrozenTrunks(cfg.encoder)
-    images = trunks.encode_images([rec for rec, _ in labelled]) @ heads[IMAGE].T
-    z_prompt = trunks.encode_texts([prompt_text(label, ont) for label in classes])
-    prompts = [(label, Embedding(e, TEXT)) for label, e in zip(classes, z_prompt @ heads[TEXT].T)]
+    images = _project(trunks.encode_images([rec for rec, _ in labelled]), heads[IMAGE])
+    prompts = _project(trunks.encode_texts([prompt_text(label, ont) for label in classes]), heads[TEXT])
     predictions, score_vectors = [], []
-    for e in images:
-        predicted, scores = zero_shot_classify(Embedding(e, IMAGE), prompts)
+    for image in images:
+        predicted, scores = zero_shot_classify(image, prompts, classes)
         predictions.append(predicted)
         score_vectors.append(scores)
     metrics = classification_metrics(predictions, truths, score_vectors)

@@ -2,10 +2,14 @@
 
 The scoring oracle below is a direct, self-contained transcription of
 the similarity definition over plain dicts and sets. It shares no code
-with medtriplet.scoring; keep it that way.
+with medtriplet.scoring; keep it that way. The retrieval oracle works
+the same way over plain lists and sets and shares no code with
+medtriplet.evaluation.
 """
 
 from __future__ import annotations
+
+import math
 
 import numpy as np
 
@@ -91,3 +95,45 @@ def random_entities(
         direction = {d for d in dir_pool if rng.random() < 0.4}
         plain[disease_pool[int(idx)]] = (adj, direction)
     return plain
+
+
+def _plain_labels(plain: PlainEntities, kind: str) -> set:
+    if kind == "disease":
+        return set(plain)
+    return set().union(*(descriptors[0 if kind == "adjective" else 1] for descriptors in plain.values()))
+
+
+def oracle_retrieval_report(
+    queries: list[list[float]],
+    gallery: list[list[float]],
+    plain: list[PlainEntities],
+    r_values,
+    match_mode: str,
+) -> dict[str, dict[int, float]]:
+    """Mean P@R per kind: rank the other rows by (-cosine, row), then
+    average Jaccard (or exact-match) consistency of the top R.
+
+    The averages go through ``np.mean`` so that the summation order, and
+    so every bit of the result, is the one the report uses.
+    """
+
+    def cos(u, v):
+        dot = sum(a * b for a, b in zip(u, v))
+        return dot / (math.sqrt(sum(a * a for a in u)) * math.sqrt(sum(b * b for b in v)))
+
+    def consistency(a: set, b: set) -> float:
+        if match_mode == "exact":
+            return 1.0 if a == b else 0.0
+        return len(a & b) / len(a | b) if a | b else 0.0
+
+    out = {}
+    for kind in ("disease", "adjective", "direction"):
+        labels = [_plain_labels(p, kind) for p in plain]
+        out[kind] = {}
+        for r in r_values:
+            per_query = []
+            for i, query in enumerate(queries):
+                ranked = sorted((-cos(query, gallery[j]), j) for j in range(len(gallery)) if j != i)
+                per_query.append(100.0 * float(np.mean([consistency(labels[i], labels[j]) for _, j in ranked[:r]])))
+            out[kind][r] = float(np.mean(per_query))
+    return out

@@ -4,97 +4,117 @@ import numpy as np
 import pytest
 
 from conftest import entities
-from medtriplet.encoder import EncoderConfig, Embedding, tokenize_text
+from medtriplet.encoder import EncoderConfig, tokenize_text
 from medtriplet.evaluation import (
-    Gallery,
-    GalleryEntry,
     classification_metrics,
     precision_at_r,
     prompt_text,
-    retrieval_result,
-    retrieve,
+    rank,
+    retrieval_report,
     zero_shot_classify,
 )
+from oracles import oracle_retrieval_report, random_entities, to_meta
 
 CFG = EncoderConfig()
 EMPTY = entities({})
+EDEMA = entities({"edema": (set(), set())})
+PNEUMONIA = entities({"pneumonia": (set(), set())})
 
 
-def emb(*values, modality="image"):
-    return Embedding(np.array(values, dtype=np.float64), modality)
+def vec(*values):
+    return np.array(values, dtype=np.float64)
 
 
-def gallery_from(vectors: dict[str, tuple], ents=None):
-    return Gallery(
-        tuple(
-            GalleryEntry(k, emb(*v), ents[k] if ents else EMPTY)
-            for k, v in sorted(vectors.items())
-        )
-    )
+def rows(*vectors):
+    return np.array(vectors, dtype=np.float64)
 
 
 class TestRetrieve:
+    """``rank``: other gallery rows by descending cosine, ties to the lower row."""
+
     def test_duplicate_of_query_ranks_first(self):
-        g = gallery_from({"a": (0.2, 0.9), "b": (1.0, 0.0), "c": (0.5, 0.5)})
-        assert retrieve(emb(1.0, 0.0), g, r=1) == ["b"]
+        g = rows((1.0, 0.0), (0.2, 0.9), (1.0, 0.0), (0.5, 0.5))
+        assert rank(g[0], g, exclude=0)[0] == 2
 
     def test_top_one_of_two(self):
-        g = gallery_from({"hi": (0.9, np.sqrt(1 - 0.81)), "lo": (0.1, np.sqrt(1 - 0.01))})
-        assert retrieve(emb(1.0, 0.0), g, r=1) == ["hi"]
+        g = rows((1.0, 0.0), (0.1, np.sqrt(1 - 0.01)), (0.9, np.sqrt(1 - 0.81)))
+        assert list(rank(g[0], g, exclude=0)) == [2, 1]
 
     def test_full_tie_ascending_ids(self):
-        g = gallery_from({"b": (0.0, 1.0), "a": (0.0, 1.0), "c": (0.0, 1.0)})
-        assert retrieve(emb(1.0, 0.0), g, r=3) == ["a", "b", "c"]
+        g = rows((1.0, 0.0), (0.0, 1.0), (0.0, 1.0), (0.0, 1.0))
+        assert list(rank(g[0], g, exclude=0)) == [1, 2, 3]
 
     def test_query_id_excluded(self):
-        g = gallery_from({"q": (1.0, 0.0), "x": (0.9, 0.1)})
-        assert retrieve(emb(1.0, 0.0), g, r=2, query_id="q") == ["x"]
-
-    def test_self_retrieval_when_not_excluded(self):
-        g = gallery_from({"q": (1.0, 0.0), "x": (0.9, 0.44)})
-        assert retrieve(emb(1.0, 0.0), g, r=1)[0] == "q"
-
-    def test_oversized_r_returns_all(self, caplog):
-        g = gallery_from({"a": (1.0, 0.0), "b": (0.0, 1.0)})
-        with caplog.at_level("WARNING"):
-            out = retrieve(emb(1.0, 0.0), g, r=10)
-        assert out == ["a", "b"]
-        assert any("returning all" in r.message for r in caplog.records)
+        g = rows((1.0, 0.0), (0.9, 0.1))
+        assert list(rank(g[0], g, exclude=0)) == [1]
+        assert list(rank(g[0], g, exclude=1)) == [0]
 
     def test_rescaled_gallery_entry_same_ranking(self):
         rng = np.random.default_rng(0)
-        vectors = {f"v{i}": tuple(rng.normal(size=4)) for i in range(6)}
-        query = emb(*rng.normal(size=4))
-        g1 = gallery_from(vectors)
-        vectors["v3"] = tuple(5.0 * np.array(vectors["v3"]))
-        g2 = gallery_from(vectors)
-        assert retrieve(query, g1, r=6) == retrieve(query, g2, r=6)
+        g1 = rng.normal(size=(7, 4))
+        g2 = g1.copy()
+        g2[3] *= 5.0
+        assert list(rank(g1[0], g1, exclude=0)) == list(rank(g1[0], g2, exclude=0))
 
-    def test_gallery_validation(self):
-        with pytest.raises(ValueError, match="duplicate"):
-            Gallery((GalleryEntry("a", emb(1.0), EMPTY), GalleryEntry("a", emb(2.0), EMPTY)))
+    def test_similarity_non_increasing(self):
+        rng = np.random.default_rng(1)
+        g = rng.normal(size=(12, 5))
+        query = rng.normal(size=5)
+        sims = [query @ g[j] / (np.linalg.norm(query) * np.linalg.norm(g[j])) for j in rank(query, g, exclude=4)]
+        assert sims == sorted(sims, reverse=True)
+        assert len(sims) == 11
 
 
 class TestRetrievalResult:
+    """``retrieval_report``: mean P@R per entity kind over matrix rows."""
+
     def test_ranking_non_increasing_and_consistency_recorded(self):
-        ents = {
-            "a": entities({"edema": (set(), set())}),
-            "b": entities({"edema": (set(), set())}),
-            "c": entities({"pneumonia": (set(), set())}),
-        }
-        g = gallery_from({"a": (1.0, 0.0), "b": (0.8, 0.6), "c": (0.0, 1.0)}, ents)
-        res = retrieval_result("q", emb(1.0, 0.0), ents["a"], g, r_values=(1, 2, 3))
-        sims = [s for _, s in res.ranked]
-        assert sims == sorted(sims, reverse=True)
-        assert [i for i, _ in res.ranked] == ["a", "b", "c"]
-        assert res.consistency["disease"][1] == 100.0
-        assert res.consistency["disease"][3] == pytest.approx(100.0 * 2 / 3)
+        g = rows((1.0, 0.0), (0.8, 0.6), (0.0, 1.0))
+        assert [list(rank(g[i], g, exclude=i)) for i in range(3)] == [[1, 2], [0, 2], [1, 0]]
+        report = retrieval_report(g, g, [EDEMA, EDEMA, PNEUMONIA], r_values=(1, 2))
+        # Every query's top-1 is an edema row; top-2 adds the pneumonia row to the edema queries.
+        assert report["disease"][1] == pytest.approx(100.0 * 2 / 3)
+        assert report["disease"][2] == pytest.approx((50.0 + 50.0 + 0.0) / 3)
 
     def test_tie_break_by_id_inside_result(self):
-        ents = {k: EMPTY for k in ("b", "a")}
-        g = gallery_from({"b": (0.5, 0.5), "a": (0.5, 0.5)}, ents)
-        res = retrieval_result("q", emb(1.0, 1.0), EMPTY, g, r_values=(2,))
-        assert [i for i, _ in res.ranked] == ["a", "b"]
+        g = rows((0.5, 0.5), (0.5, 0.5), (0.5, 0.5))
+        report = retrieval_report(g, g, [EDEMA, EDEMA, PNEUMONIA], r_values=(1,))
+        # Every query ties its two others: query 0 takes row 1 (edema), queries 1 and 2 take row 0.
+        assert report["disease"][1] == pytest.approx(100.0 * 2 / 3)
+
+    def test_r_beyond_gallery_averages_all_others(self):
+        g = rows((1.0, 0.0), (0.0, 1.0), (0.6, 0.8))
+        report = retrieval_report(g, g, [EDEMA, PNEUMONIA, EDEMA], r_values=(2, 50))
+        assert report["disease"][50] == report["disease"][2]
+
+    def test_single_record_has_nothing_to_retrieve(self):
+        report = retrieval_report(rows((1.0, 0.0)), rows((1.0, 0.0)), [EDEMA], r_values=(1,))
+        assert all(np.isnan(report[kind][1]) for kind in ("disease", "adjective", "direction"))
+
+    def test_invalid_arguments(self):
+        g = rows((1.0, 0.0), (0.0, 1.0))
+        with pytest.raises(ValueError, match="match_mode"):
+            retrieval_report(g, g, [EDEMA, EDEMA], match_mode="median")
+        with pytest.raises(ValueError, match="one row per record"):
+            retrieval_report(g, g, [EDEMA])
+        with pytest.raises(ValueError, match=">= 1"):
+            retrieval_report(g, g, [EDEMA, EDEMA], r_values=(0, 1))
+
+    @pytest.mark.parametrize("match_mode", ["mean", "exact"])
+    def test_matches_plain_python_oracle(self, match_mode):
+        rng = np.random.default_rng(2024)
+        for case in range(40):
+            n, c = int(rng.integers(2, 24)), int(rng.integers(2, 6))
+            queries, gallery = rng.normal(size=(n, c)), rng.normal(size=(n, c))
+            # Duplicate rows force exact cosine ties.
+            gallery[rng.integers(0, n, size=n // 2)] = gallery[0]
+            queries[rng.integers(0, n, size=n // 3)] = gallery[-1]
+            if case % 2:
+                gallery = queries
+            plain = [random_entities(rng) for _ in range(n)]
+            r_values = (1, 3, 10, 50)[: int(rng.integers(1, 5))]
+            report = retrieval_report(queries, gallery, [to_meta(p) for p in plain], r_values, match_mode)
+            assert report == oracle_retrieval_report(queries.tolist(), gallery.tolist(), plain, r_values, match_mode)
 
 
 class TestPrecisionAtR:
@@ -154,24 +174,26 @@ class TestPrompts:
 
 class TestZeroShot:
     def test_exact_prompt_match(self):
-        prompts = [("a", emb(1.0, 0.0)), ("b", emb(0.0, 1.0))]
-        predicted, scores = zero_shot_classify(emb(1.0, 0.0), prompts)
+        predicted, scores = zero_shot_classify(vec(1.0, 0.0), rows((1.0, 0.0), (0.0, 1.0)), ["a", "b"])
         assert predicted == "a"
         assert scores["a"] == pytest.approx(1.0)
 
     def test_tie_lexicographic(self):
-        prompts = [("b", emb(1.0, 0.0)), ("a", emb(1.0, 0.0))]
-        predicted, _ = zero_shot_classify(emb(1.0, 0.0), prompts)
+        predicted, _ = zero_shot_classify(vec(1.0, 0.0), rows((1.0, 0.0), (1.0, 0.0)), ["b", "a"])
         assert predicted == "a"
 
     def test_argmax(self):
-        prompts = [("a", emb(0.1, 1.0)), ("b", emb(0.9, 0.44)), ("c", emb(0.4, 0.92))]
-        predicted, _ = zero_shot_classify(emb(1.0, 0.0), prompts)
+        prompts = rows((0.1, 1.0), (0.9, 0.44), (0.4, 0.92))
+        predicted, _ = zero_shot_classify(vec(1.0, 0.0), prompts, ["a", "b", "c"])
         assert predicted == "b"
 
     def test_needs_two_classes(self):
-        with pytest.raises(ValueError):
-            zero_shot_classify(emb(1.0), [("a", emb(1.0))])
+        with pytest.raises(ValueError, match="at least 2"):
+            zero_shot_classify(vec(1.0), rows((1.0,)), ["a"])
+
+    def test_one_prompt_row_per_class(self):
+        with pytest.raises(ValueError, match="one prompt row per class"):
+            zero_shot_classify(vec(1.0, 0.0), rows((1.0, 0.0), (0.0, 1.0)), ["a", "b", "c"])
 
 
 class TestClassificationMetrics:

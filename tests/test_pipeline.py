@@ -4,10 +4,12 @@ import json
 from dataclasses import replace
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 from medtriplet import pipeline
 from medtriplet.corpus import CorpusRecord, DataError, ingest, write_corpus
+from medtriplet.encoder import IMAGE, TEXT, init_head
 from medtriplet.extraction import extract
 from medtriplet.ontology import default_ontology, save_ontology
 from medtriplet.pipeline import (
@@ -16,6 +18,7 @@ from medtriplet.pipeline import (
     RunConfig,
     config_from_file,
     evaluate_classification,
+    evaluate_retrieval_tasks,
     load_heads,
     output_lock,
     run_pipeline,
@@ -128,6 +131,41 @@ class TestStages:
         skipped = [r.message for r in caplog.records if "skipping" in r.message]
         assert skipped == ["extract: up to date, skipping"]
         assert artifacts["mine"].read_bytes() == good
+
+    def test_pass_limit_change_remines(self, small_world, caplog):
+        cfg = replace(small_world, mining=replace(small_world.mining, target=500, pass_limit=2))
+        run_pipeline(cfg, stages=("extract", "mine"))
+        longer = replace(cfg, mining=replace(cfg.mining, pass_limit=40))
+        with caplog.at_level("INFO"):
+            artifacts = run_pipeline(longer, stages=("extract", "mine"))
+        skipped = [r.message for r in caplog.records if "skipping" in r.message]
+        assert skipped == ["extract: up to date, skipping"]
+        manifest = json.loads(Path(str(artifacts["mine"]) + ".manifest.json").read_text())
+        assert manifest["config"]["pass_limit"] == 40
+
+    def test_non_finite_head_named(self, small_world):
+        cfg = with_seed_defaults(small_world)
+        heads = {IMAGE: init_head(cfg.encoder, IMAGE), TEXT: init_head(cfg.encoder, TEXT)}
+        for modality in (IMAGE, TEXT):
+            broken = {**heads, modality: heads[modality].copy()}
+            broken[modality][0, 0] = np.nan
+            for evaluate in (evaluate_retrieval_tasks, evaluate_classification):
+                with pytest.raises(ValueError, match="non-finite entries"):
+                    evaluate(cfg, broken, cfg.eval_corpus)
+
+    def test_repeated_texts_encoded_once(self, small_world, tmp_path, monkeypatch):
+        records = sorted(ingest(small_world.eval_corpus, require_images=True), key=lambda r: r.id)
+        repeated = tmp_path / "repeated.jsonl"
+        write_corpus(repeated, [replace(rec, text=records[i % 3].text) for i, rec in enumerate(records)])
+        cfg = with_seed_defaults(small_world)
+        heads = {IMAGE: init_head(cfg.encoder, IMAGE), TEXT: init_head(cfg.encoder, TEXT)}
+        calls = []
+        encode = pipeline.trunk_encode
+        monkeypatch.setattr(pipeline, "trunk_encode", lambda sample, *a: calls.append(sample) or encode(sample, *a))
+        evaluate_retrieval_tasks(cfg, heads, repeated)
+        texts = [tuple(sample.ids) for sample in calls if hasattr(sample, "ids")]
+        assert len(texts) == len(set(texts)) == 3
+        assert len(calls) - len(texts) == len(records)
 
     def test_empty_eval_corpus_named(self, small_world, tmp_path):
         empty = tmp_path / "empty.jsonl"

@@ -1,11 +1,18 @@
-"""The benchmark's tracer patches names inside the package; they must keep existing."""
+"""The benchmark's tracer patches names inside the package; they must keep
+existing, and the call counts its traced run checks must hold."""
 
 import importlib
 import importlib.util
 import sys
 from pathlib import Path
 
-from medtriplet import pipeline
+import numpy as np
+
+from medtriplet import evaluation, mining, pipeline
+from medtriplet.encoder import IMAGE, TEXT, init_head
+from medtriplet.mining import Batch, MinerConfig
+from medtriplet.synthetic import SyntheticSpec, synthesize
+from oracles import random_entities, to_meta
 
 TRACING = Path(__file__).resolve().parents[1] / "benchmarks" / "tracing.py"
 
@@ -28,3 +35,34 @@ def test_layer_patch_targets_resolve(monkeypatch):
 
 def test_stage_dispatch_table_matches_stages():
     assert tuple(pipeline._STAGE_FUNCS) == pipeline.STAGES
+
+
+def _counting(monkeypatch, module, attr) -> list:
+    """Replace ``module.attr`` with a wrapper that records one entry per call."""
+    calls = []
+    original = getattr(module, attr)
+    monkeypatch.setattr(module, attr, lambda *a, **kw: calls.append(1) or original(*a, **kw))
+    return calls
+
+
+def test_mine_batch_scores_each_ordered_pair_three_times(monkeypatch):
+    """The benchmark's traced run checks 3*k*(k-1) ``mining.score`` calls per
+    ``mine_batch`` when, as there, every anchor has a positive."""
+    rng = np.random.default_rng(3)
+    k = 9
+    plain = [{"d1": (set(), set()), **random_entities(rng)} for _ in range(k)]
+    batch = Batch(tuple((f"s{i}", to_meta(p)) for i, p in enumerate(plain)))
+    calls = _counting(monkeypatch, mining, "score")
+    mining.mine_batch(batch, MinerConfig())
+    assert len(calls) == 3 * k * (k - 1)
+
+
+def test_retrieval_makes_one_cosine_call_per_ordered_pair_and_task(tmp_path, monkeypatch):
+    """The benchmark's traced run checks 4*n*(n-1) ``evaluation.cosine`` calls during eval."""
+    world = synthesize(SyntheticSpec(n_classes=3, per_class=3, overlap_rate=0.3, seed=4), tmp_path / "eval")
+    cfg = pipeline.with_seed_defaults(pipeline.RunConfig(out=tmp_path / "run"))
+    heads = {IMAGE: init_head(cfg.encoder, IMAGE), TEXT: init_head(cfg.encoder, TEXT)}
+    calls = _counting(monkeypatch, evaluation, "cosine")
+    pipeline.evaluate_retrieval_tasks(cfg, heads, world.corpus_path)
+    n = 9
+    assert len(calls) == 4 * n * (n - 1)
