@@ -27,6 +27,7 @@ from __future__ import annotations
 
 import json
 import logging
+import math
 from dataclasses import dataclass
 from pathlib import Path
 from typing import Sequence
@@ -72,10 +73,16 @@ class TripletEmbeddings:
 
 
 def cosine(u: np.ndarray, v: np.ndarray) -> float:
-    nu, nv = np.linalg.norm(u), np.linalg.norm(v)
+    """Cosine of two 1-D float vectors; retrieval calls it once per ordered pair.
+
+    Kernel contract: the benchmark's traced run counts those calls. The
+    norms are ``sqrt(x.dot(x))``, exactly what ``np.linalg.norm`` computes,
+    and ``u.dot(v)`` is the dot product ``u @ v`` makes, without the dispatch.
+    """
+    nu, nv = math.sqrt(u.dot(u)), math.sqrt(v.dot(v))
     if nu == 0.0 or nv == 0.0:
         raise DegenerateEmbeddingError("cosine of a zero-norm vector is undefined")
-    return float(u @ v / (nu * nv))
+    return float(u.dot(v) / (nu * nv))
 
 
 def triplet_hinge(

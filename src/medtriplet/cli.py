@@ -31,7 +31,7 @@ from .pipeline import (
     stage_seed,
     with_seed_defaults,
 )
-from .scoring import GammaWeights, score
+from .scoring import DEFAULT_SEMANTICS, SEMANTICS, GammaWeights, score
 from .synthetic import SyntheticSpec, synthesize
 
 logger = logging.getLogger(__name__)
@@ -176,7 +176,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--gamma0", type=float, default=0.85)
     p.add_argument("--gamma1", type=float, default=0.10)
     p.add_argument("--gamma2", type=float, default=0.05)
-    p.add_argument("--semantics", choices=("union", "intersection"), default="union")
+    p.add_argument("--semantics", choices=SEMANTICS, default=DEFAULT_SEMANTICS)
     p.set_defaults(func=_cmd_score)
 
     p = sub.add_parser("mine", help="mine triplets from <out>/entities.jsonl")

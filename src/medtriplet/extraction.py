@@ -13,7 +13,7 @@ effusion entry. Deleter tokens are the only suppression mechanism.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import lru_cache
+from functools import cached_property, lru_cache
 
 from .lemma import SENTENCE_BREAK, lemmatize
 from .ontology import Ontology, Synset
@@ -55,6 +55,11 @@ class MetaEntities:
         labels = [e.disease for e in self.entries]
         if labels != sorted(set(labels)):
             raise ValueError("entries must be unique and sorted by disease label")
+
+    @cached_property
+    def by_disease(self) -> dict[str, DiseaseEntry]:
+        """``{disease: entry}``, built once per instance; read it, never mutate it."""
+        return {e.disease: e for e in self.entries}
 
     def disease_set(self) -> frozenset[str]:
         return frozenset(e.disease for e in self.entries)

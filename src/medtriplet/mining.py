@@ -22,7 +22,7 @@ from typing import Iterator, Sequence
 import numpy as np
 
 from .extraction import MetaEntities
-from .scoring import DEFAULT_SEMANTICS, GammaWeights, Semantics, score
+from .scoring import DEFAULT_SEMANTICS, SEMANTICS, GammaWeights, Semantics, score
 
 logger = logging.getLogger(__name__)
 
@@ -58,6 +58,8 @@ class MinerConfig:
             raise ValueError(f"need 0 <= tau_min <= tau_max <= 1, got [{self.tau_min}, {self.tau_max}]")
         if self.tie_policy not in ("lowest-id", "seeded-random"):
             raise ValueError(f"unknown tie_policy {self.tie_policy!r}")
+        if self.semantics not in SEMANTICS:
+            raise ValueError(f"unknown semantics {self.semantics!r}; expected one of: {', '.join(SEMANTICS)}")
 
 
 @dataclass(frozen=True)

@@ -20,6 +20,7 @@ from __future__ import annotations
 import hashlib
 import json
 import logging
+import os
 from contextlib import contextmanager
 from dataclasses import asdict, dataclass, field, replace
 from pathlib import Path
@@ -174,6 +175,10 @@ def config_from_file(path: str | Path) -> RunConfig:
     for section, name in _DATACLASS_SECTIONS.items():
         if section in sections:
             cfg = replace(cfg, **{name: _coerce(getattr(cfg, name), sections[section])})
+    try:
+        cfg.miner_config()
+    except ValueError as exc:
+        raise PipelineError(f"{path}: {exc}") from None
     return cfg
 
 
@@ -243,11 +248,15 @@ def output_lock(out_dir: Path):
     try:
         fd = lock.open("x")
     except FileExistsError:
+        try:
+            owner = lock.read_text(encoding="utf-8").strip() or "unknown"
+        except OSError:  # released, or unreadable, since the open above
+            owner = "unknown"
         raise PipelineError(
-            f"output directory {out_dir} is locked by another run (remove {lock} if stale)"
+            f"output directory {out_dir} is locked by another run, pid {owner} (remove {lock} if stale)"
         ) from None
     try:
-        fd.write("medtriplet\n")
+        fd.write(f"{os.getpid()}\n")
         fd.close()
         yield
     finally:

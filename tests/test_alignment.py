@@ -67,6 +67,18 @@ class TestCosine:
         with pytest.raises(DegenerateEmbeddingError):
             cosine(np.zeros(3), np.ones(3))
 
+    def test_bitwise_equal_to_numpy_norm_formula(self):
+        rng = np.random.default_rng(41)
+        for trial in range(400):
+            c = int(rng.integers(1, 130))
+            scales = 10.0 ** rng.uniform(-8, 8, size=2)
+            if trial % 2:  # rows of a 2-D matrix, as retrieval passes them
+                m = rng.standard_normal((3, c)) * np.array([scales[0], 1.0, scales[1]])[:, None]
+                u, v = m[0], m[2]
+            else:
+                u, v = rng.standard_normal(c) * scales[0], rng.standard_normal(c) * scales[1]
+            assert cosine(u, v) == float(u @ v / (np.linalg.norm(u) * np.linalg.norm(v)))
+
 
 class TestTripletHinge:
     def test_satisfied_margin(self):

@@ -34,6 +34,36 @@ class TestExitCodes:
         assert "'eval_corpos'" in capsys.readouterr().err
 
 
+# `medtriplet score` output for the worked example under each semantics,
+# recorded before the score kernel's per-call rewrite.
+WORKED_SCORE_JSON = """{
+  "total": 0.45,
+  "prefactor": 0.5,
+  "shared_diseases": [
+    {
+      "disease": "pneumonia",
+      "ji_adj": 0.5,
+      "ji_dir": 0.0,
+      "summand": 0.9
+    }
+  ]
+}
+"""
+WORKED_SCORE_JSON_INTERSECTION = """{
+  "total": 0.4736842105263158,
+  "prefactor": 0.5,
+  "shared_diseases": [
+    {
+      "disease": "pneumonia",
+      "ji_adj": 0.5,
+      "ji_dir": 0.0,
+      "summand": 0.9473684210526316
+    }
+  ]
+}
+"""
+
+
 class TestScoreCommand:
     def test_worked_example(self, tmp_path, capsys):
         first = tmp_path / "mi.json"
@@ -46,11 +76,13 @@ class TestScoreCommand:
             {"disease": "pneumonia", "adj": ["mild", "severe"], "dir": ["right"]},
         ]}))
         assert main(["score", str(first), str(second)]) == EXIT_OK
-        out = json.loads(capsys.readouterr().out)
-        assert out["total"] == pytest.approx(0.45, abs=1e-12)
+        printed = capsys.readouterr().out
+        assert printed == WORKED_SCORE_JSON
+        assert json.loads(printed)["total"] == pytest.approx(0.45, abs=1e-12)
         assert main(["score", str(first), str(second), "--semantics", "intersection"]) == EXIT_OK
-        out = json.loads(capsys.readouterr().out)
-        assert out["total"] == pytest.approx(0.9 / 0.95 / 2, abs=1e-12)
+        printed = capsys.readouterr().out
+        assert printed == WORKED_SCORE_JSON_INTERSECTION
+        assert json.loads(printed)["total"] == pytest.approx(0.9 / 0.95 / 2, abs=1e-12)
 
     def test_bad_gammas_rejected(self, tmp_path):
         rec = tmp_path / "m.json"
@@ -101,6 +133,14 @@ class TestPipelineCommands:
         assert main(["eval-classify", "--config", str(cfg)]) == EXIT_OK
         classify = json.loads(capsys.readouterr().out)
         assert 0.0 <= classify["accuracy"] <= 100.0
+
+    def test_semantics_typo_exits_before_any_stage(self, synth_dir, tmp_path, capsys):
+        out = tmp_path / "run"
+        cfg = tmp_path / "run.cfg"
+        cfg.write_text(f"[run]\nout = {out}\ncorpus = {synth_dir / 'corpus.jsonl'}\n[scoring]\nsemantics = unoin\n")
+        assert main(["run", "--config", str(cfg)]) == EXIT_DATA
+        assert "'unoin'" in capsys.readouterr().err
+        assert not out.exists()
 
     def test_stage_command_respects_lock(self, synth_dir, tmp_path, capsys):
         out = tmp_path / "run"

@@ -99,6 +99,13 @@ class TestMineBatch:
         assert all(t.anchor_id != "a" for t in triplets)
 
 
+class TestMinerConfig:
+    @pytest.mark.parametrize("field", ["tie_policy", "semantics"])
+    def test_unknown_value_rejected(self, field):
+        with pytest.raises(ValueError, match="'bogus'"):
+            MinerConfig(**{field: "bogus"})
+
+
 class TestTripletInvariants:
     def test_distinct_ids_enforced(self):
         with pytest.raises(ValueError):

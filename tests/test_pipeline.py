@@ -1,6 +1,7 @@
 """Staged pipeline: manifests, skipping, locking, determinism."""
 
 import json
+import os
 from dataclasses import replace
 from pathlib import Path
 
@@ -243,6 +244,19 @@ class TestLockAndSeeds:
         with output_lock(out):
             pass
 
+    def test_lock_records_and_names_owner_pid(self, tmp_path):
+        out = tmp_path / "out"
+        with output_lock(out):
+            assert (out / ".lock").read_text() == f"{os.getpid()}\n"
+            with pytest.raises(PipelineError, match=f"pid {os.getpid()} "):
+                with output_lock(out):
+                    pass
+        (out / ".lock").write_text("4242\n")
+        with pytest.raises(PipelineError, match="pid 4242 "):
+            with output_lock(out):
+                pass
+        assert (out / ".lock").read_text() == "4242\n"  # another owner's lock is never removed
+
     def test_stage_seeds_distinct(self):
         seeds = {stage_seed(5, s) for s in ("synth", "extract", "mine", "train", "eval")}
         assert len(seeds) == 5
@@ -283,6 +297,15 @@ class TestConfigFile:
         path = tmp_path / "run.cfg"
         path.write_text("[scoring]\ngamma_0 = 0.8\n")
         with pytest.raises(PipelineError, match="'gamma_0'"):
+            config_from_file(path)
+
+    @pytest.mark.parametrize(
+        "text", ["[scoring]\nsemantics = unoin\n", "[miner]\ntie_policy = lowest\n"], ids=["semantics", "tie_policy"]
+    )
+    def test_unknown_miner_value_rejected(self, tmp_path, text):
+        path = tmp_path / "run.cfg"
+        path.write_text(text)
+        with pytest.raises(PipelineError, match=f"{text.split()[-1]!r}"):
             config_from_file(path)
 
     def test_unknown_section_rejected(self, tmp_path):

@@ -1,5 +1,7 @@
 """Similarity score: worked values, algebraic properties, oracle equivalence."""
 
+import hashlib
+
 import numpy as np
 import pytest
 
@@ -78,6 +80,42 @@ class TestEdgeCases:
     def test_breakdown_identity(self):
         b = score(WORKED_MI, WORKED_MJ)
         assert b.total == pytest.approx(b.prefactor * sum(t.summand for t in b.shared_diseases), abs=1e-15)
+
+    def test_unknown_semantics_rejected_without_shared_disease(self):
+        mi = entities({"edema": (set(), set())})
+        mj = entities({"pneumonia": (set(), set())})
+        with pytest.raises(ValueError, match="'bogus'"):
+            score(mi, mj, semantics="bogus")
+
+
+# SHA-256 over the repr of every ScoreBreakdown field for the pairs below,
+# recorded from the scoring code before its per-call rewrite: any change to
+# a float's value or to the order of its operations changes the digest.
+GOLDEN_BREAKDOWN_DIGEST = "60427bcecf7208bb9aed331b81d474a5bc54f420bf0e0bacbe88c1c9b461ccbf"
+
+
+def test_breakdown_fields_match_golden_digest():
+    rng = np.random.default_rng(20260601)
+    # g0 = 0 weightings let denom reach 0 (a summand of 1 by convention).
+    fixed = [GammaWeights(), GammaWeights(0.0, 0.5, 0.5), GammaWeights(0.0, 1.0, 0.0), GammaWeights(0.0, 0.0, 1.0)]
+    digest = hashlib.sha256()
+    zero_denoms = 0
+    for i in range(1000):
+        mi, mj = to_meta(random_entities(rng)), to_meta(random_entities(rng))
+        if i % 4 == 0:
+            g0, g1 = rng.random() / 2, rng.random() / 2
+            weights = GammaWeights(g0, g1, 1.0 - g0 - g1)
+        else:
+            weights = fixed[i % 4]
+        for semantics in ("union", "intersection"):
+            b = score(mi, mj, weights, semantics)
+            terms = [f for t in b.shared_diseases for f in (t.disease, t.ji_adj, t.ji_dir, t.summand)]
+            digest.update(repr([b.prefactor, b.total] + terms).encode())
+            zero_denoms += sum(
+                weights.g0 == 0.0 and t.ji_adj == t.ji_dir == 0.0 and t.summand == 1.0 for t in b.shared_diseases
+            )
+    assert zero_denoms > 0
+    assert digest.hexdigest() == GOLDEN_BREAKDOWN_DIGEST
 
 
 class TestProperties:
