@@ -17,7 +17,7 @@ from .alignment import (
     multimodal_loss,
     triplet_hinge,
 )
-from .encoder import EncoderConfig, Embedding, ImageSample, TokenSequence, encode
+from .encoder import EncoderConfig, ImageSample, TokenSequence
 from .extraction import DiseaseEntry, MetaEntities, Report, extract
 from .mining import Batch, MinerConfig, Triplet, mine_batch, mine_corpus
 from .ontology import Ontology, Synset, default_ontology, load_ontology
@@ -27,7 +27,6 @@ __all__ = [
     "__version__",
     "Batch",
     "DiseaseEntry",
-    "Embedding",
     "EncoderConfig",
     "GammaWeights",
     "ImageSample",
@@ -44,7 +43,6 @@ __all__ = [
     "TripletEmbeddings",
     "cosine",
     "default_ontology",
-    "encode",
     "extract",
     "jaccard",
     "load_ontology",

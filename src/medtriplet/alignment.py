@@ -53,9 +53,9 @@ class LossConfig:
 
     def __post_init__(self) -> None:
         if self.alpha < 0:
-            raise ValueError("margin alpha must be nonnegative")
+            raise ValueError(f"margin alpha must be nonnegative, got {self.alpha!r}")
         if not 0.0 <= self.eta <= 1.0:
-            raise ValueError("eta must lie in [0, 1]")
+            raise ValueError(f"eta must lie in [0, 1], got {self.eta!r}")
         if self.sign_mode not in ("corrected", "as-printed"):
             raise ValueError(f"unknown sign_mode {self.sign_mode!r}")
 
@@ -230,6 +230,19 @@ class OptimizerConfig:
     batch_size: int = 64
     seed: int = 0
 
+    def __post_init__(self) -> None:
+        if self.learning_rate < 0:
+            raise ValueError(f"learning_rate must be nonnegative, got {self.learning_rate!r}")
+        for name, beta in (("beta1", self.beta1), ("beta2", self.beta2)):
+            if not 0.0 <= beta < 1.0:
+                raise ValueError(f"{name} must lie in [0, 1), got {beta!r}")
+        if self.eps <= 0:
+            raise ValueError(f"eps must be positive, got {self.eps!r}")
+        if self.epochs < 1:
+            raise ValueError(f"epochs must be >= 1, got {self.epochs!r}")
+        if self.batch_size < 1:
+            raise ValueError(f"batch_size must be >= 1, got {self.batch_size!r}")
+
 
 class Adam:
     """Standard Adam with bias correction, updating arrays in place."""
@@ -251,18 +264,6 @@ class Adam:
             v_hat = self.v[key] / (1.0 - c.beta2**self.t)
             self.params[key] -= c.learning_rate * m_hat / (np.sqrt(v_hat) + c.eps)
 
-    def state_arrays(self) -> dict[str, np.ndarray]:
-        state = {f"adam.m.{k}": v for k, v in self.m.items()}
-        state.update({f"adam.v.{k}": v for k, v in self.v.items()})
-        state["adam.t"] = np.array([self.t], dtype=np.int64)
-        return state
-
-    def restore(self, state: dict[str, np.ndarray]) -> None:
-        for key in self.params:
-            self.m[key] = state[f"adam.m.{key}"].copy()
-            self.v[key] = state[f"adam.v.{key}"].copy()
-        self.t = int(state["adam.t"][0])
-
 
 @dataclass(frozen=True)
 class EpochStats:
@@ -275,7 +276,6 @@ class EpochStats:
 class TrainResult:
     heads: dict[str, np.ndarray]
     curve: list[EpochStats]
-    optimizer_state: dict[str, np.ndarray]
 
 
 def train_heads(
@@ -285,7 +285,6 @@ def train_heads(
     heads: dict[str, np.ndarray],
     loss_cfg: LossConfig = LossConfig(),
     opt_cfg: OptimizerConfig = OptimizerConfig(),
-    resume_state: dict[str, np.ndarray] | None = None,
 ) -> TrainResult:
     """Mini-batch Adam over pre-computed trunk outputs.
 
@@ -294,21 +293,15 @@ def train_heads(
     negative row indices into them. Each batch gathers only its own rows.
     The input heads are not mutated; training runs on copies. Loss per
     epoch is the mean over batches of the pre-update batch loss. Each
-    epoch's shuffle is seeded by (seed, epoch number), so passing a
-    previous run's ``optimizer_state`` as ``resume_state`` (with that
-    run's trained heads) continues it exactly where it stopped.
+    epoch's shuffle is seeded by (seed, epoch number).
     """
     if len(triplets) == 0:
         raise ValueError("no triplets to train on")
     trained = {k: v.copy() for k, v in heads.items()}
     optimizer = Adam(trained, opt_cfg)
-    start_epoch = 0
-    if resume_state is not None:
-        optimizer.restore(resume_state)
-        start_epoch = int(resume_state["adam.epoch"][0])
     curve: list[EpochStats] = []
     n = len(triplets)
-    for epoch in range(start_epoch + 1, start_epoch + opt_cfg.epochs + 1):
+    for epoch in range(1, opt_cfg.epochs + 1):
         order = np.random.default_rng((opt_cfg.seed, epoch)).permutation(n)
         total_sum = 0.0
         term_sums = dict.fromkeys(TERM_NAMES, 0.0)
@@ -327,9 +320,7 @@ def train_heads(
             EpochStats(epoch, total_sum / n, {k: v / n for k, v in term_sums.items()})
         )
         logger.debug("epoch %d mean loss %.6f", epoch, curve[-1].total)
-    state = optimizer.state_arrays()
-    state["adam.epoch"] = np.array([start_epoch + opt_cfg.epochs], dtype=np.int64)
-    return TrainResult(heads=trained, curve=curve, optimizer_state=state)
+    return TrainResult(heads=trained, curve=curve)
 
 
 def write_loss_curve(path: str | Path, curve: Sequence[EpochStats]) -> None:

@@ -4,9 +4,10 @@ Images are cut into non-overlapping patches and linearly projected; text
 tokens index a hashed embedding table. Learnable position encodings are
 added, the sequence runs through pre-norm attention/MLP blocks with
 residual connections, and the final hidden states are mean-pooled into a
-single vector. A per-modality square projection head maps the pooled
-trunk output to the embedding that downstream alignment trains; the
-trunk itself stays frozen at its seeded random initialization.
+single vector. ``init_head`` seeds the per-modality square projection
+head that maps a pooled trunk output to the embedding alignment trains
+(the pipeline applies it to whole trunk matrices); the trunk itself
+stays frozen at its seeded random initialization.
 """
 
 from __future__ import annotations
@@ -38,11 +39,11 @@ class EncoderConfig:
 
     def __post_init__(self) -> None:
         if self.embed_dim % self.heads != 0:
-            raise ValueError("embed_dim must be divisible by heads")
+            raise ValueError(f"embed_dim {self.embed_dim} must be divisible by heads {self.heads}")
         if self.depth < 1:
-            raise ValueError("depth must be >= 1")
+            raise ValueError(f"depth must be >= 1, got {self.depth}")
         if self.ln_epsilon <= 0:
-            raise ValueError("ln_epsilon must be positive")
+            raise ValueError(f"ln_epsilon must be positive, got {self.ln_epsilon!r}")
 
 
 @dataclass(frozen=True)
@@ -69,18 +70,6 @@ class TokenSequence:
             raise ValueError("token ids must be nonnegative")
 
 
-@dataclass(frozen=True)
-class Embedding:
-    vector: np.ndarray
-    modality: str
-
-    def __post_init__(self) -> None:
-        if self.vector.ndim != 1:
-            raise ValueError("embedding must be one-dimensional")
-        if not np.all(np.isfinite(self.vector)):
-            raise ValueError("embedding contains non-finite entries")
-
-
 def hash_token(token: str, vocab_size: int) -> int:
     """Stable token id: SHA-256 of the token modulo the vocabulary size."""
     digest = hashlib.sha256(token.encode("utf-8")).digest()
@@ -102,19 +91,7 @@ def tokenize_text(text: str, cfg: EncoderConfig) -> TokenSequence:
 class TrunkWeights:
     """Frozen encoder parameters for one modality, as named arrays."""
 
-    modality: str
     params: dict[str, np.ndarray]
-
-
-def _block_param_names(i: int) -> list[str]:
-    p = f"block{i}."
-    return [
-        p + "ln1.g", p + "ln1.b",
-        p + "attn.wq", p + "attn.bq", p + "attn.wk", p + "attn.bk",
-        p + "attn.wv", p + "attn.bv", p + "attn.wo", p + "attn.bo",
-        p + "ln2.g", p + "ln2.b",
-        p + "mlp.w1", p + "mlp.b1", p + "mlp.w2", p + "mlp.b2",
-    ]
 
 
 def _init_blocks(rng: np.random.Generator, cfg: EncoderConfig) -> dict[str, np.ndarray]:
@@ -146,7 +123,7 @@ def init_image_trunk(cfg: EncoderConfig) -> TrunkWeights:
         "pos": rng.normal(0.0, cfg.init_scale, (cfg.max_seq_len, cfg.embed_dim)),
     }
     params.update(_init_blocks(rng, cfg))
-    return TrunkWeights(IMAGE, params)
+    return TrunkWeights(params)
 
 
 def init_text_trunk(cfg: EncoderConfig) -> TrunkWeights:
@@ -156,7 +133,7 @@ def init_text_trunk(cfg: EncoderConfig) -> TrunkWeights:
         "pos": rng.normal(0.0, cfg.init_scale, (cfg.max_seq_len, cfg.embed_dim)),
     }
     params.update(_init_blocks(rng, cfg))
-    return TrunkWeights(TEXT, params)
+    return TrunkWeights(params)
 
 
 def init_head(cfg: EncoderConfig, modality: str) -> np.ndarray:
@@ -209,13 +186,6 @@ def _attention(x: np.ndarray, p: dict[str, np.ndarray], prefix: str, cfg: Encode
     return _softmax(q @ k.transpose(0, 2, 1) / np.sqrt(head_dim))
 
 
-def attention_weights(h: np.ndarray, trunk: TrunkWeights, block: int, cfg: EncoderConfig) -> np.ndarray:
-    """Per-head softmax attention matrices, shape (heads, n, n); rows sum to 1."""
-    p = trunk.params
-    prefix = f"block{block}."
-    return _attention(_layer_norm(h, p[prefix + "ln1.g"], p[prefix + "ln1.b"], cfg), p, prefix, cfg)
-
-
 def transformer_block(h: np.ndarray, trunk: TrunkWeights, block: int, cfg: EncoderConfig) -> np.ndarray:
     """Pre-norm multi-head self-attention and MLP, each with a residual."""
     p = trunk.params
@@ -254,14 +224,3 @@ def trunk_encode(sample: ImageSample | TokenSequence, trunk: TrunkWeights, cfg: 
     for i in range(cfg.depth):
         h = transformer_block(h, trunk, i, cfg)
     return h.mean(axis=0)
-
-
-def encode(
-    sample: ImageSample | TokenSequence,
-    trunk: TrunkWeights,
-    head: np.ndarray,
-    cfg: EncoderConfig,
-) -> Embedding:
-    """Full forward pass through trunk and projection head."""
-    pooled = trunk_encode(sample, trunk, cfg)
-    return Embedding(head @ pooled, trunk.modality)

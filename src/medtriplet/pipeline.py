@@ -121,21 +121,24 @@ def read_sectioned_config(path: str | Path) -> dict[str, dict[str, str]]:
     return sections
 
 
-def _coerce(dataclass_obj, section: dict[str, str]):
-    """Overlay string key/values from a config section onto a dataclass."""
+_BOOLEANS = {"true": True, "yes": True, "1": True, "false": False, "no": False, "0": False}
+
+
+def _parse(section: str, key: str, raw: str, kind: type):
+    """One config value as ``kind``; a value that is not one names its section and key."""
+    try:
+        return _BOOLEANS[raw.lower()] if kind is bool else kind(raw)
+    except (KeyError, ValueError):
+        raise PipelineError(f"[{section}] {key} = {raw!r} is not a valid {kind.__name__}") from None
+
+
+def _coerce(dataclass_obj, name: str, section: dict[str, str]):
+    """Overlay string key/values from config section ``name`` onto a dataclass."""
     updates = {}
     for key, raw in section.items():
         if not hasattr(dataclass_obj, key):
             raise PipelineError(f"unknown config key {key!r} for {type(dataclass_obj).__name__}")
-        current = getattr(dataclass_obj, key)
-        if isinstance(current, bool):
-            updates[key] = raw.lower() in ("1", "true", "yes")
-        elif isinstance(current, int):
-            updates[key] = int(raw)
-        elif isinstance(current, float):
-            updates[key] = float(raw)
-        else:
-            updates[key] = raw
+        updates[key] = _parse(name, key, raw, type(getattr(dataclass_obj, key)))
     return replace(dataclass_obj, **updates)
 
 
@@ -156,26 +159,29 @@ def config_from_file(path: str | Path) -> RunConfig:
     _reject_unknown("config section", sections, ("run", "scoring", *_DATACLASS_SECTIONS))
     run = sections.get("run", {})
     _reject_unknown("config key in [run]", run, _RUN_KEYS)
+    for section in ("encoder", "optimizer"):
+        if "seed" in sections.get(section, {}):
+            raise PipelineError(f"{path}: [{section}] seed is not read; every stage seed derives from [run] seed")
     cfg = RunConfig(
         out=Path(run.get("out", "run")),
-        seed=int(run.get("seed", "0")),
+        seed=_parse("run", "seed", run.get("seed", "0"), int),
         ontology=Path(run["ontology"]) if "ontology" in run else None,
         corpus=Path(run["corpus"]) if "corpus" in run else None,
         eval_corpus=Path(run["eval_corpus"]) if "eval_corpus" in run else None,
     )
     scoring = sections.get("scoring", {})
     _reject_unknown("config key in [scoring]", scoring, _SCORING_KEYS)
-    if scoring:
-        gammas = GammaWeights(
-            float(scoring.get("gamma0", cfg.gammas.g0)),
-            float(scoring.get("gamma1", cfg.gammas.g1)),
-            float(scoring.get("gamma2", cfg.gammas.g2)),
-        )
-        cfg = replace(cfg, gammas=gammas, semantics=scoring.get("semantics", cfg.semantics))
-    for section, name in _DATACLASS_SECTIONS.items():
-        if section in sections:
-            cfg = replace(cfg, **{name: _coerce(getattr(cfg, name), sections[section])})
     try:
+        if scoring:
+            g = cfg.gammas
+            gammas = GammaWeights(*(
+                _parse("scoring", key, scoring[key], float) if key in scoring else default
+                for key, default in (("gamma0", g.g0), ("gamma1", g.g1), ("gamma2", g.g2))
+            ))
+            cfg = replace(cfg, gammas=gammas, semantics=scoring.get("semantics", cfg.semantics))
+        for section, name in _DATACLASS_SECTIONS.items():
+            if section in sections:
+                cfg = replace(cfg, **{name: _coerce(getattr(cfg, name), section, sections[section])})
         cfg.miner_config()
     except ValueError as exc:
         raise PipelineError(f"{path}: {exc}") from None
@@ -183,7 +189,10 @@ def config_from_file(path: str | Path) -> RunConfig:
 
 
 def with_seed_defaults(cfg: RunConfig) -> RunConfig:
-    """Fan the global seed out to nested configs that still carry defaults."""
+    """Fan the global seed out: the encoder gets it as is, the optimizer the train stage seed.
+
+    Both always replace whatever seed the nested configs carry.
+    """
     encoder = replace(cfg.encoder, seed=cfg.seed)
     optimizer = replace(cfg.optimizer, seed=stage_seed(cfg.seed, "train"))
     return replace(cfg, encoder=encoder, optimizer=optimizer)
@@ -378,7 +387,6 @@ def stage_train(cfg: RunConfig, force: bool = False) -> Path:
         result = train_heads(z_img, z_txt, index, heads, cfg.loss, cfg.optimizer)
         write_loss_curve(cfg.out / "loss_curve.jsonl", result.curve)
         arrays = {"head.image": result.heads[IMAGE], "head.text": result.heads[TEXT]}
-        arrays.update(result.optimizer_state)
         save_checkpoint(artifact, {"encoder": asdict(cfg.encoder), "seed": cfg.seed}, arrays)
 
     cfg_payload = {

@@ -1,7 +1,5 @@
 """Alignment objective: hinge values, loss algebra, gradients, training."""
 
-from dataclasses import replace
-
 import numpy as np
 import pytest
 
@@ -273,22 +271,6 @@ class TestAdamAndTraining:
         for k in heads:
             np.testing.assert_array_equal(heads[k], snapshot[k])
 
-    def test_resume_matches_straight_through_run(self):
-        rng = np.random.default_rng(11)
-        problem = triplet_problem(rng, 48)
-        heads = {IMAGE: rng.normal(0, 0.5, (8, 8)), TEXT: rng.normal(0, 0.5, (8, 8))}
-        base = OptimizerConfig(learning_rate=0.01, batch_size=16, seed=5)
-        straight = train_heads(*problem, heads, LossConfig(), replace(base, epochs=5))
-        first = train_heads(*problem, heads, LossConfig(), replace(base, epochs=3))
-        second = train_heads(
-            *problem, first.heads, LossConfig(), replace(base, epochs=2),
-            resume_state=first.optimizer_state,
-        )
-        np.testing.assert_array_equal(second.heads[IMAGE], straight.heads[IMAGE])
-        np.testing.assert_array_equal(second.heads[TEXT], straight.heads[TEXT])
-        combined = [e.total for e in first.curve + second.curve]
-        assert combined == [e.total for e in straight.curve]
-
 
 class TestLossConfig:
     def test_validation(self):
@@ -298,3 +280,16 @@ class TestLossConfig:
             LossConfig(eta=1.5)
         with pytest.raises(ValueError):
             LossConfig(sign_mode="upside-down")
+
+
+class TestOptimizerConfig:
+    @pytest.mark.parametrize(
+        "field, value",
+        [("batch_size", 0), ("epochs", 0), ("learning_rate", -0.01), ("beta1", 1.0), ("beta2", -0.1), ("eps", 0.0)],
+    )
+    def test_out_of_range_rejected(self, field, value):
+        with pytest.raises(ValueError, match=f"{field}.*got {value!r}"):
+            OptimizerConfig(**{field: value})
+
+    def test_boundary_values_accepted(self):
+        OptimizerConfig(learning_rate=0.0, beta1=0.0, beta2=0.0, epochs=1, batch_size=1)

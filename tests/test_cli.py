@@ -142,6 +142,14 @@ class TestPipelineCommands:
         assert "'unoin'" in capsys.readouterr().err
         assert not out.exists()
 
+    def test_optimizer_bound_exits_before_any_stage(self, synth_dir, tmp_path, capsys):
+        out = tmp_path / "run"
+        cfg = tmp_path / "run.cfg"
+        cfg.write_text(f"[run]\nout = {out}\ncorpus = {synth_dir / 'corpus.jsonl'}\n[optimizer]\nbatch_size = 0\n")
+        assert main(["run", "--config", str(cfg)]) == EXIT_DATA
+        assert "batch_size must be >= 1, got 0" in capsys.readouterr().err
+        assert not out.exists()
+
     def test_stage_command_respects_lock(self, synth_dir, tmp_path, capsys):
         out = tmp_path / "run"
         with output_lock(out):

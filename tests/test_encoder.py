@@ -10,9 +10,9 @@ from medtriplet.encoder import (
     EncoderConfig,
     ImageSample,
     TokenSequence,
-    attention_weights,
+    _attention,
+    _layer_norm,
     embed_input,
-    encode,
     hash_token,
     init_head,
     init_image_trunk,
@@ -23,6 +23,7 @@ from medtriplet.encoder import (
     trunk_encode,
 )
 from medtriplet.images import load_image, read_pgm, write_pgm
+from medtriplet.pipeline import _project
 
 CFG = EncoderConfig(patch_size=8, embed_dim=64, depth=2, heads=4, max_seq_len=64, seed=0)
 SMALL = EncoderConfig(patch_size=4, embed_dim=16, depth=2, heads=4, max_seq_len=8, seed=1)
@@ -150,7 +151,8 @@ class TestTransformerBlock:
     def test_attention_rows_sum_to_one(self):
         trunk = init_image_trunk(SMALL)
         h = np.random.default_rng(5).normal(size=(7, 16))
-        attn = attention_weights(h, trunk, 0, SMALL)
+        p = trunk.params
+        attn = _attention(_layer_norm(h, p["block0.ln1.g"], p["block0.ln1.b"], SMALL), p, "block0.", SMALL)
         assert attn.shape == (SMALL.heads, 7, 7)
         np.testing.assert_allclose(attn.sum(axis=-1), 1.0, atol=1e-9)
 
@@ -167,25 +169,27 @@ class TestTransformerBlock:
 
 
 class TestEncode:
+    """Trunk output through a projection head, as the pipeline projects trunk matrices."""
+
     def test_output_length(self):
         rng = np.random.default_rng(7)
-        emb = encode(random_image(rng), init_image_trunk(CFG), init_head(CFG, IMAGE), CFG)
-        assert emb.vector.shape == (CFG.embed_dim,)
-        assert emb.modality == IMAGE
+        pooled = trunk_encode(random_image(rng), init_image_trunk(CFG), CFG)
+        assert _project(pooled[None], init_head(CFG, IMAGE)).shape == (1, CFG.embed_dim)
 
     def test_purity(self):
         rng = np.random.default_rng(8)
         img = random_image(rng)
         trunk, head = init_image_trunk(CFG), init_head(CFG, IMAGE)
-        np.testing.assert_array_equal(encode(img, trunk, head, CFG).vector, encode(img, trunk, head, CFG).vector)
+        np.testing.assert_array_equal(
+            _project(trunk_encode(img, trunk, CFG)[None], head), _project(trunk_encode(img, trunk, CFG)[None], head)
+        )
 
     def test_head_linearity(self):
         rng = np.random.default_rng(9)
-        img = random_image(rng)
-        trunk = init_image_trunk(CFG)
-        e1 = encode(img, trunk, np.eye(CFG.embed_dim), CFG)
-        e2 = encode(img, trunk, 2.0 * np.eye(CFG.embed_dim), CFG)
-        np.testing.assert_allclose(e2.vector, 2.0 * e1.vector, atol=1e-12)
+        pooled = trunk_encode(random_image(rng), init_image_trunk(CFG), CFG)[None]
+        e1 = _project(pooled, np.eye(CFG.embed_dim))
+        e2 = _project(pooled, 2.0 * np.eye(CFG.embed_dim))
+        np.testing.assert_allclose(e2, 2.0 * e1, atol=1e-12)
 
     def test_residual_identity_full_path(self):
         cfg = EncoderConfig(patch_size=4, embed_dim=16, heads=4, max_seq_len=8, use_layer_norm=False, seed=3)
@@ -199,9 +203,8 @@ class TestEncode:
 
     def test_text_encoding(self):
         seq = tokenize_text("Mild left pleural effusion.", CFG)
-        emb = encode(seq, init_text_trunk(CFG), init_head(CFG, TEXT), CFG)
-        assert emb.vector.shape == (CFG.embed_dim,)
-        assert emb.modality == TEXT
+        pooled = trunk_encode(seq, init_text_trunk(CFG), CFG)
+        assert _project(pooled[None], init_head(CFG, TEXT)).shape == (1, CFG.embed_dim)
 
 
 class TestImagesIO:

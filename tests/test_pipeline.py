@@ -9,6 +9,7 @@ import numpy as np
 import pytest
 
 from medtriplet import pipeline
+from medtriplet.checkpoint import load_checkpoint, save_checkpoint
 from medtriplet.corpus import CorpusRecord, DataError, ingest, write_corpus
 from medtriplet.encoder import IMAGE, TEXT, init_head
 from medtriplet.extraction import extract
@@ -122,6 +123,23 @@ class TestStages:
         assert set(report["tasks"]) == {"i2i", "i2t", "t2i", "t2t"}
         curve = (small_world.out / "loss_curve.jsonl").read_text().splitlines()
         assert len(curve) == small_world.optimizer.epochs
+
+    def test_checkpoint_holds_only_the_two_heads(self, small_world):
+        artifacts = run_pipeline(small_world, stages=("extract", "mine", "train"))
+        _, arrays = load_checkpoint(artifacts["train"])
+        assert sorted(arrays) == ["head.image", "head.text"]
+
+    def test_checkpoint_with_optimizer_state_still_loads(self, tmp_path):
+        rng = np.random.default_rng(0)
+        heads = {"head.image": rng.normal(size=(4, 4)), "head.text": rng.normal(size=(4, 4))}
+        extra = {f"adam.{m}.{k}": rng.normal(size=(4, 4)) for m in "mv" for k in (IMAGE, TEXT)}
+        extra["adam.t"] = extra["adam.epoch"] = np.array([3], dtype=np.int64)
+        path = tmp_path / "heads.ckpt"
+        save_checkpoint(path, {"seed": 0}, {**heads, **extra})
+        _, loaded = load_heads(path)
+        assert sorted(loaded) == [IMAGE, TEXT]
+        np.testing.assert_array_equal(loaded[IMAGE], heads["head.image"])
+        np.testing.assert_array_equal(loaded[TEXT], heads["head.text"])
 
     def test_corrupted_artifact_with_intact_manifest_reruns(self, small_world, caplog):
         artifacts = run_pipeline(small_world, stages=("extract", "mine"))
@@ -306,6 +324,62 @@ class TestConfigFile:
         path = tmp_path / "run.cfg"
         path.write_text(text)
         with pytest.raises(PipelineError, match=f"{text.split()[-1]!r}"):
+            config_from_file(path)
+
+    @pytest.mark.parametrize(
+        "text, message",
+        [
+            ("[optimizer]\nbatch_size = 0\n", "batch_size must be >= 1, got 0"),
+            ("[optimizer]\nepochs = 0\n", "epochs must be >= 1, got 0"),
+            ("[optimizer]\nbeta2 = 1.0\n", "beta2 must lie in [0, 1), got 1.0"),
+            ("[loss]\neta = 1.5\n", "eta must lie in [0, 1], got 1.5"),
+            ("[encoder]\ndepth = 0\n", "depth must be >= 1, got 0"),
+        ],
+        ids=["batch_size", "epochs", "beta2", "eta", "depth"],
+    )
+    def test_out_of_range_value_names_file_and_value(self, tmp_path, text, message):
+        path = tmp_path / "run.cfg"
+        path.write_text(text)
+        with pytest.raises(PipelineError) as info:
+            config_from_file(path)
+        assert str(info.value) == f"{path}: {message}"
+
+    @pytest.mark.parametrize("section", ["encoder", "optimizer"])
+    def test_stage_seed_keys_rejected(self, tmp_path, section):
+        path = tmp_path / "run.cfg"
+        path.write_text(f"[run]\nseed = 1\n[{section}]\nseed = 7\n")
+        with pytest.raises(PipelineError, match=rf"\[{section}\] seed .*\[run\] seed"):
+            config_from_file(path)
+
+    @pytest.mark.parametrize(
+        "raw, expected", [("true", True), ("YES", True), ("1", True), ("False", False), ("no", False), ("0", False)]
+    )
+    def test_boolean_spellings(self, tmp_path, raw, expected):
+        path = tmp_path / "run.cfg"
+        path.write_text(f"[encoder]\nuse_layer_norm = {raw}\n")
+        assert config_from_file(path).encoder.use_layer_norm is expected
+
+    @pytest.mark.parametrize("raw", ["ture", "on", ""])
+    def test_unknown_boolean_rejected(self, tmp_path, raw):
+        path = tmp_path / "run.cfg"
+        path.write_text(f"[encoder]\nuse_layer_norm = {raw}\n")
+        with pytest.raises(PipelineError, match=r"\[encoder\] use_layer_norm"):
+            config_from_file(path)
+
+    @pytest.mark.parametrize(
+        "text, where",
+        [
+            ("[optimizer]\nepochs = abc\n", r"\[optimizer\] epochs"),
+            ("[loss]\nalpha = wide\n", r"\[loss\] alpha"),
+            ("[run]\nseed = 1.5\n", r"\[run\] seed"),
+            ("[scoring]\ngamma1 = x\n", r"\[scoring\] gamma1"),
+        ],
+        ids=["int", "float", "run_seed", "gamma"],
+    )
+    def test_unparsable_number_names_section_and_key(self, tmp_path, text, where):
+        path = tmp_path / "run.cfg"
+        path.write_text(text)
+        with pytest.raises(PipelineError, match=where):
             config_from_file(path)
 
     def test_unknown_section_rejected(self, tmp_path):

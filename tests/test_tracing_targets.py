@@ -8,7 +8,7 @@ from pathlib import Path
 
 import numpy as np
 
-from medtriplet import evaluation, mining, pipeline
+from medtriplet import alignment, evaluation, mining, pipeline
 from medtriplet.encoder import IMAGE, TEXT, init_head
 from medtriplet.mining import Batch, MinerConfig
 from medtriplet.synthetic import SyntheticSpec, synthesize
@@ -66,3 +66,15 @@ def test_retrieval_makes_one_cosine_call_per_ordered_pair_and_task(tmp_path, mon
     pipeline.evaluate_retrieval_tasks(cfg, heads, world.corpus_path)
     n = 9
     assert len(calls) == 4 * n * (n - 1)
+
+
+def test_traced_wraps_every_patch_and_restores_it(monkeypatch):
+    """``traced`` wraps each LAYER_PATCHES name and ``Adam.step`` inside the block only."""
+    tracing = _load_tracing(monkeypatch)
+    targets = [(importlib.import_module(m), attr) for m, attr, _, _ in tracing.LAYER_PATCHES]
+    targets.append((alignment.Adam, "step"))
+    originals = [getattr(obj, attr) for obj, attr in targets]
+    with tracing.traced(tracing.Tracer()):
+        inside = [getattr(obj, attr) for obj, attr in targets]
+    assert all(now is not before for now, before in zip(inside, originals)), targets
+    assert all(getattr(obj, attr) is before for (obj, attr), before in zip(targets, originals)), targets
