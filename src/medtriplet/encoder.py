@@ -38,12 +38,15 @@ class EncoderConfig:
     seed: int = 0
 
     def __post_init__(self) -> None:
+        for name in ("patch_size", "embed_dim", "depth", "heads", "max_seq_len", "vocab_size"):
+            if getattr(self, name) < 1:
+                raise ValueError(f"{name} must be >= 1, got {getattr(self, name)}")
         if self.embed_dim % self.heads != 0:
             raise ValueError(f"embed_dim {self.embed_dim} must be divisible by heads {self.heads}")
-        if self.depth < 1:
-            raise ValueError(f"depth must be >= 1, got {self.depth}")
-        if self.ln_epsilon <= 0:
-            raise ValueError(f"ln_epsilon must be positive, got {self.ln_epsilon!r}")
+        # "not > 0" also rejects NaN.
+        for name in ("mlp_ratio", "ln_epsilon"):
+            if not getattr(self, name) > 0:
+                raise ValueError(f"{name} must be positive, got {getattr(self, name)!r}")
 
 
 @dataclass(frozen=True)
@@ -159,9 +162,10 @@ def patchify(image: ImageSample, patch_size: int) -> np.ndarray:
 def _layer_norm(x: np.ndarray, g: np.ndarray, b: np.ndarray, cfg: EncoderConfig) -> np.ndarray:
     if not cfg.use_layer_norm:
         return x
-    mean = x.mean(axis=-1, keepdims=True)
-    var = x.var(axis=-1, keepdims=True)
-    return (x - mean) / np.sqrt(var + cfg.ln_epsilon) * g + b
+    # Center once and reuse it for the variance: bit-identical to x.var(), without its second mean pass.
+    centered = x - x.mean(axis=-1, keepdims=True)
+    var = (centered * centered).sum(axis=-1, keepdims=True) / x.shape[-1]
+    return centered / np.sqrt(var + cfg.ln_epsilon) * g + b
 
 
 def _softmax(x: np.ndarray) -> np.ndarray:
@@ -171,8 +175,9 @@ def _softmax(x: np.ndarray) -> np.ndarray:
 
 
 def _gelu(x: np.ndarray) -> np.ndarray:
-    # tanh approximation
-    return 0.5 * x * (1.0 + np.tanh(np.sqrt(2.0 / np.pi) * (x + 0.044715 * x**3)))
+    # tanh approximation. The cube is an exact product: numpy sends x**3 with
+    # negative float64 bases down a slow pow path, about 50x the cost.
+    return 0.5 * x * (1.0 + np.tanh(np.sqrt(2.0 / np.pi) * (x + 0.044715 * (x * x * x))))
 
 
 def _attention(x: np.ndarray, p: dict[str, np.ndarray], prefix: str, cfg: EncoderConfig) -> np.ndarray:

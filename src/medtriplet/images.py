@@ -30,7 +30,14 @@ def read_pgm(path: str | Path) -> ImageSample:
     values = tokens[4:]
     if len(values) != width * height:
         raise ValueError(f"{path}: expected {width * height} pixels, found {len(values)}")
-    grid = np.array([int(v) for v in values], dtype=np.float64).reshape(height, width)
+    try:
+        grid = np.array(values, dtype=np.int64)
+    except (ValueError, OverflowError):
+        raise ValueError(f"{path}: pixel values must be integers") from None
+    grid = grid.reshape(height, width)
+    outside = grid[(grid < 0) | (grid > maxval)]
+    if outside.size:
+        raise ValueError(f"{path}: pixel value {outside[0]} outside [0, {maxval}]")
     return ImageSample(grid / maxval)
 
 
@@ -39,7 +46,7 @@ def write_pgm(path: str | Path, pixels: np.ndarray, maxval: int = 255) -> None:
     grid = np.clip(np.rint(np.asarray(pixels, dtype=np.float64) * maxval), 0, maxval).astype(int)
     height, width = grid.shape
     lines = ["P2", f"{width} {height}", str(maxval)]
-    lines.extend(" ".join(str(v) for v in row) for row in grid)
+    lines.extend(" ".join(map(str, row)) for row in grid.tolist())
     Path(path).write_text("\n".join(lines) + "\n", encoding="ascii")
 
 

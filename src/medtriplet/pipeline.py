@@ -22,7 +22,7 @@ import json
 import logging
 import os
 from contextlib import contextmanager
-from dataclasses import asdict, dataclass, field, replace
+from dataclasses import asdict, dataclass, field, fields, replace
 from pathlib import Path
 from typing import Callable
 
@@ -134,11 +134,8 @@ def _parse(section: str, key: str, raw: str, kind: type):
 
 def _coerce(dataclass_obj, name: str, section: dict[str, str]):
     """Overlay string key/values from config section ``name`` onto a dataclass."""
-    updates = {}
-    for key, raw in section.items():
-        if not hasattr(dataclass_obj, key):
-            raise PipelineError(f"unknown config key {key!r} for {type(dataclass_obj).__name__}")
-        updates[key] = _parse(name, key, raw, type(getattr(dataclass_obj, key)))
+    _reject_unknown(f"config key in [{name}]", section, [f.name for f in fields(dataclass_obj)])
+    updates = {key: _parse(name, key, raw, type(getattr(dataclass_obj, key))) for key, raw in section.items()}
     return replace(dataclass_obj, **updates)
 
 
@@ -155,23 +152,24 @@ def _reject_unknown(what: str, names, allowed) -> None:
 
 
 def config_from_file(path: str | Path) -> RunConfig:
+    """Parse and validate a run config file; every error it raises names the file."""
     sections = read_sectioned_config(path)
-    _reject_unknown("config section", sections, ("run", "scoring", *_DATACLASS_SECTIONS))
-    run = sections.get("run", {})
-    _reject_unknown("config key in [run]", run, _RUN_KEYS)
-    for section in ("encoder", "optimizer"):
-        if "seed" in sections.get(section, {}):
-            raise PipelineError(f"{path}: [{section}] seed is not read; every stage seed derives from [run] seed")
-    cfg = RunConfig(
-        out=Path(run.get("out", "run")),
-        seed=_parse("run", "seed", run.get("seed", "0"), int),
-        ontology=Path(run["ontology"]) if "ontology" in run else None,
-        corpus=Path(run["corpus"]) if "corpus" in run else None,
-        eval_corpus=Path(run["eval_corpus"]) if "eval_corpus" in run else None,
-    )
-    scoring = sections.get("scoring", {})
-    _reject_unknown("config key in [scoring]", scoring, _SCORING_KEYS)
     try:
+        _reject_unknown("config section", sections, ("run", "scoring", *_DATACLASS_SECTIONS))
+        run = sections.get("run", {})
+        _reject_unknown("config key in [run]", run, _RUN_KEYS)
+        for section in ("encoder", "optimizer"):
+            if "seed" in sections.get(section, {}):
+                raise PipelineError(f"[{section}] seed is not read; every stage seed derives from [run] seed")
+        cfg = RunConfig(
+            out=Path(run.get("out", "run")),
+            seed=_parse("run", "seed", run.get("seed", "0"), int),
+            ontology=Path(run["ontology"]) if "ontology" in run else None,
+            corpus=Path(run["corpus"]) if "corpus" in run else None,
+            eval_corpus=Path(run["eval_corpus"]) if "eval_corpus" in run else None,
+        )
+        scoring = sections.get("scoring", {})
+        _reject_unknown("config key in [scoring]", scoring, _SCORING_KEYS)
         if scoring:
             g = cfg.gammas
             gammas = GammaWeights(*(
@@ -183,7 +181,7 @@ def config_from_file(path: str | Path) -> RunConfig:
             if section in sections:
                 cfg = replace(cfg, **{name: _coerce(getattr(cfg, name), section, sections[section])})
         cfg.miner_config()
-    except ValueError as exc:
+    except (PipelineError, ValueError) as exc:
         raise PipelineError(f"{path}: {exc}") from None
     return cfg
 

@@ -4,7 +4,8 @@ The scoring oracle below is a direct, self-contained transcription of
 the similarity definition over plain dicts and sets. It shares no code
 with medtriplet.scoring; keep it that way. The retrieval oracle works
 the same way over plain lists and sets and shares no code with
-medtriplet.evaluation.
+medtriplet.evaluation. The GELU oracle is the scalar tanh formula on
+Python floats and ``math.tanh``.
 """
 
 from __future__ import annotations
@@ -43,6 +44,11 @@ def oracle_score(mi: PlainEntities, mj: PlainEntities, g0: float, g1: float, g2:
         denom = g0 + g1 * d_adj + g2 * d_dir
         total += numer / denom if denom > 0 else 1.0
     return total / len(union)
+
+
+def oracle_gelu(x: float) -> float:
+    """Tanh-approximation GELU of one float."""
+    return 0.5 * x * (1.0 + math.tanh(math.sqrt(2.0 / math.pi) * (x + 0.044715 * x**3)))
 
 
 def to_meta(plain: PlainEntities) -> MetaEntities:

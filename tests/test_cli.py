@@ -150,6 +150,15 @@ class TestPipelineCommands:
         assert "batch_size must be >= 1, got 0" in capsys.readouterr().err
         assert not out.exists()
 
+    @pytest.mark.parametrize("key", ["heads", "patch_size", "vocab_size"])
+    def test_encoder_bound_exits_before_any_stage(self, synth_dir, tmp_path, capsys, key):
+        out = tmp_path / "run"
+        cfg = tmp_path / "run.cfg"
+        cfg.write_text(f"[run]\nout = {out}\ncorpus = {synth_dir / 'corpus.jsonl'}\n[encoder]\n{key} = 0\n")
+        assert main(["run", "--config", str(cfg)]) == EXIT_DATA
+        assert f"{cfg}: {key} must be >= 1, got 0" in capsys.readouterr().err
+        assert not out.exists()
+
     def test_stage_command_respects_lock(self, synth_dir, tmp_path, capsys):
         out = tmp_path / "run"
         with output_lock(out):

@@ -1,5 +1,7 @@
 """Toy transformer encoders: shapes, determinism, structural identities."""
 
+import re
+
 import numpy as np
 import pytest
 
@@ -11,6 +13,7 @@ from medtriplet.encoder import (
     ImageSample,
     TokenSequence,
     _attention,
+    _gelu,
     _layer_norm,
     embed_input,
     hash_token,
@@ -24,6 +27,7 @@ from medtriplet.encoder import (
 )
 from medtriplet.images import load_image, read_pgm, write_pgm
 from medtriplet.pipeline import _project
+from oracles import oracle_gelu
 
 CFG = EncoderConfig(patch_size=8, embed_dim=64, depth=2, heads=4, max_seq_len=64, seed=0)
 SMALL = EncoderConfig(patch_size=4, embed_dim=16, depth=2, heads=4, max_seq_len=8, seed=1)
@@ -43,6 +47,25 @@ class TestConfig:
             EncoderConfig(depth=0)
         with pytest.raises(ValueError):
             EncoderConfig(ln_epsilon=0.0)
+
+    @pytest.mark.parametrize(
+        "name, value, message",
+        [
+            ("heads", 0, "heads must be >= 1, got 0"),
+            ("heads", -4, "heads must be >= 1, got -4"),
+            ("embed_dim", 0, "embed_dim must be >= 1, got 0"),
+            ("patch_size", 0, "patch_size must be >= 1, got 0"),
+            ("vocab_size", 0, "vocab_size must be >= 1, got 0"),
+            ("max_seq_len", 0, "max_seq_len must be >= 1, got 0"),
+            ("mlp_ratio", 0.0, "mlp_ratio must be positive, got 0.0"),
+            ("mlp_ratio", float("nan"), "mlp_ratio must be positive, got nan"),
+        ],
+        ids=["heads", "heads_negative", "embed_dim", "patch_size", "vocab_size", "max_seq_len", "mlp_ratio", "mlp_ratio_nan"],
+    )
+    def test_bounds_name_the_value(self, name, value, message):
+        with pytest.raises(ValueError) as info:
+            EncoderConfig(**{name: value})
+        assert str(info.value) == message
 
 
 class TestPatchify:
@@ -128,6 +151,29 @@ class TestEmbedInput:
         h1 = embed_input(img, init_image_trunk(SMALL), SMALL)
         h2 = embed_input(img, init_image_trunk(SMALL), SMALL)
         np.testing.assert_array_equal(h1, h2)
+
+
+class TestLayerNormAndGelu:
+    def test_layer_norm_bitwise_equal_to_numpy_var_formula(self):
+        rng = np.random.default_rng(43)
+        for trial in range(300):
+            n, c = int(rng.integers(1, 70)), int(rng.integers(1, 130))
+            scale, offset = 10.0 ** rng.uniform(-6, 3, size=2)
+            x = rng.standard_normal((n, c)) * scale + offset * rng.standard_normal()
+            g, b = rng.standard_normal(c), rng.standard_normal(c)
+            cfg = CFG if trial % 2 else EncoderConfig(ln_epsilon=10.0 ** rng.uniform(-12, -1))
+            mean, var = x.mean(axis=-1, keepdims=True), x.var(axis=-1, keepdims=True)
+            expected = (x - mean) / np.sqrt(var + cfg.ln_epsilon) * g + b
+            assert (_layer_norm(x, g, b, cfg) == expected).all()
+
+    def test_gelu_matches_scalar_oracle(self):
+        rng = np.random.default_rng(44)
+        x = np.concatenate([rng.standard_normal(4000) * 10.0 ** rng.uniform(-6, 1, 4000), np.linspace(-2, 40, 4001)])
+        x = x[x >= -2]
+        np.testing.assert_allclose(_gelu(x), np.vectorize(oracle_gelu)(x), rtol=1e-14, atol=0)
+        # Below about -2, 1 + tanh(...) cancels, so only the absolute error stays small.
+        tail = np.linspace(-12, -2, 2001)
+        np.testing.assert_allclose(_gelu(tail), np.vectorize(oracle_gelu)(tail), rtol=0, atol=1e-15)
 
 
 class TestTransformerBlock:
@@ -228,6 +274,28 @@ class TestImagesIO:
         path.write_text("P2\n2 2\n255\n0 0 0\n")
         with pytest.raises(ValueError, match="expected 4"):
             read_pgm(path)
+
+    @pytest.mark.parametrize(
+        "token, message",
+        [("300", "pixel value 300 outside"), ("-4", "pixel value -4 outside"), ("1.5", "integers")],
+        ids=["above_maxval", "negative", "not_integer"],
+    )
+    def test_pgm_pixel_values_checked(self, tmp_path, token, message):
+        path = tmp_path / "img.pgm"
+        path.write_text(f"P2\n2 2\n255\n0 255 {token} 7\n")
+        with pytest.raises(ValueError, match=f"^{re.escape(str(path))}: .*{message}"):
+            read_pgm(path)
+
+    def test_pgm_written_bytes_pinned(self, tmp_path):
+        rng = np.random.default_rng(14)
+        grid = rng.random((9, 7)) * 1.2 - 0.1  # clips to both 0 and maxval
+        path = tmp_path / "img.pgm"
+        write_pgm(path, grid)
+        ints = np.clip(np.rint(grid * 255), 0, 255).astype(int)
+        assert ints.min() == 0 and ints.max() == 255
+        # Formatting over numpy integer scalars, as the writer did before it joined Python ints.
+        expected = "\n".join(["P2", "7 9", "255", *(" ".join(str(v) for v in row) for row in ints)]) + "\n"
+        assert path.read_bytes() == expected.encode("ascii")
 
     def test_npy_round_trip(self, tmp_path):
         rng = np.random.default_rng(12)

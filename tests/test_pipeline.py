@@ -302,7 +302,7 @@ class TestConfigFile:
     def test_unknown_key_rejected(self, tmp_path):
         path = tmp_path / "run.cfg"
         path.write_text("[loss]\nalfa = 0.2\n")
-        with pytest.raises(PipelineError, match="unknown config key"):
+        with pytest.raises(PipelineError, match=r"unknown config key in \[loss\] 'alfa'"):
             config_from_file(path)
 
     def test_unknown_run_key_rejected(self, tmp_path):
@@ -334,8 +334,12 @@ class TestConfigFile:
             ("[optimizer]\nbeta2 = 1.0\n", "beta2 must lie in [0, 1), got 1.0"),
             ("[loss]\neta = 1.5\n", "eta must lie in [0, 1], got 1.5"),
             ("[encoder]\ndepth = 0\n", "depth must be >= 1, got 0"),
+            ("[encoder]\nheads = 0\n", "heads must be >= 1, got 0"),
+            ("[encoder]\npatch_size = 0\n", "patch_size must be >= 1, got 0"),
+            ("[encoder]\nvocab_size = 0\n", "vocab_size must be >= 1, got 0"),
+            ("[encoder]\nmlp_ratio = 0\n", "mlp_ratio must be positive, got 0.0"),
         ],
-        ids=["batch_size", "epochs", "beta2", "eta", "depth"],
+        ids=["batch_size", "epochs", "beta2", "eta", "depth", "heads", "patch_size", "vocab_size", "mlp_ratio"],
     )
     def test_out_of_range_value_names_file_and_value(self, tmp_path, text, message):
         path = tmp_path / "run.cfg"
@@ -381,6 +385,25 @@ class TestConfigFile:
         path.write_text(text)
         with pytest.raises(PipelineError, match=where):
             config_from_file(path)
+
+    @pytest.mark.parametrize(
+        "text, message",
+        [
+            ("[minner]\ntarget = 10\n", "unknown config section 'minner'"),
+            ("[run]\neval_corpos = e.jsonl\n", "unknown config key in [run] 'eval_corpos'"),
+            ("[scoring]\ngamma_0 = 0.8\n", "unknown config key in [scoring] 'gamma_0'"),
+            ("[loss]\nalfa = 0.2\n", "unknown config key in [loss] 'alfa'"),
+            ("[encoder]\n__post_init__ = 1\n", "unknown config key in [encoder] '__post_init__'"),
+            ("[optimizer]\nepochs = abc\n", "[optimizer] epochs = 'abc' is not a valid int"),
+        ],
+        ids=["section", "run_key", "scoring_key", "loss_key", "encoder_method", "value"],
+    )
+    def test_error_names_file(self, tmp_path, text, message):
+        path = tmp_path / "run.cfg"
+        path.write_text(text)
+        with pytest.raises(PipelineError) as info:
+            config_from_file(path)
+        assert str(info.value).startswith(f"{path}: {message}")
 
     def test_unknown_section_rejected(self, tmp_path):
         path = tmp_path / "run.cfg"
