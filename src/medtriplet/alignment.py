@@ -25,7 +25,6 @@ corrected(A, P, N) == as-printed(A, N, P) for all inputs.
 
 from __future__ import annotations
 
-import json
 import logging
 import math
 from dataclasses import dataclass
@@ -34,6 +33,7 @@ from typing import Sequence
 
 import numpy as np
 
+from .corpus import write_jsonl
 from .encoder import IMAGE, TEXT
 
 logger = logging.getLogger(__name__)
@@ -324,9 +324,5 @@ def train_heads(
 
 
 def write_loss_curve(path: str | Path, curve: Sequence[EpochStats]) -> None:
-    lines = []
-    for stats in curve:
-        record = {"epoch": stats.epoch, "total": stats.total}
-        record.update({k: stats.terms[k] for k in TERM_NAMES})
-        lines.append(json.dumps(record))
-    Path(path).write_text("\n".join(lines) + "\n", encoding="utf-8")
+    records = ({"epoch": s.epoch, "total": s.total, **{k: s.terms[k] for k in TERM_NAMES}} for s in curve)
+    write_jsonl(path, records)

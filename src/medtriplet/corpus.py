@@ -2,6 +2,8 @@
 
 Every file starts with a single header record carrying its schema
 version; data records follow one per line, UTF-8, fixed field order.
+``read_jsonl`` and ``write_jsonl`` are the one codec for these files and
+for the other line-delimited artifacts (triplets, loss curve, truth).
 
 corpus/v1 record:   {"id": ..., "text": ..., "image": path-or-null}
 entities/v1 record: {"id": ..., "entries": [{"disease", "adj", "dir"}]}
@@ -11,6 +13,7 @@ from __future__ import annotations
 
 import json
 from dataclasses import dataclass
+from itertools import chain
 from pathlib import Path
 from typing import Iterable, Iterator
 
@@ -51,30 +54,47 @@ class Corpus:
         return self.records[sample_id]
 
 
-def _read_lines(path: Path, schema: str) -> Iterator[tuple[int, dict]]:
+def _json_objects(path: Path, lines: list[str]) -> Iterator[tuple[int, dict]]:
+    """(line number, record) for each non-blank line; the first line counts even when blank."""
+    for lineno, line in enumerate(lines, start=1):
+        if lineno > 1 and not line.strip():
+            continue
+        try:
+            record = json.loads(line)
+        except json.JSONDecodeError as exc:
+            raise DataError(f"{path}:{lineno}: invalid JSON: {exc}") from None
+        if not isinstance(record, dict):
+            raise DataError(f"{path}:{lineno}: expected a JSON object, got {type(record).__name__}")
+        yield lineno, record
+
+
+def read_jsonl(path: str | Path, schema: str) -> tuple[dict, Iterator[tuple[int, dict]]]:
+    """A line-delimited file's header, checked to carry ``schema``, and its
+    (line number, record) pairs, parsed as they are consumed; blank lines
+    are skipped. Errors name the file and the line."""
+    path = Path(path)
     lines = path.read_text(encoding="utf-8").splitlines()
     if not lines:
         raise DataError(f"{path}: empty file, expected a {schema} header record")
-    try:
-        header = json.loads(lines[0])
-    except json.JSONDecodeError as exc:
-        raise DataError(f"{path}:1: invalid JSON in header: {exc}") from exc
+    records = _json_objects(path, lines)
+    _, header = next(records)
     if header.get("schema") != schema:
         raise DataError(f"{path}:1: expected schema {schema!r}, got {header.get('schema')!r}")
-    for lineno, line in enumerate(lines[1:], start=2):
-        if not line.strip():
-            continue
-        try:
-            yield lineno, json.loads(line)
-        except json.JSONDecodeError as exc:
-            raise DataError(f"{path}:{lineno}: invalid JSON: {exc}") from exc
+    return header, records
+
+
+def write_jsonl(path: str | Path, records: Iterable[dict]) -> None:
+    """One JSON object per line, keys in insertion order, UTF-8, written record by record."""
+    with open(path, "w", encoding="utf-8") as fh:
+        for record in records:
+            fh.write(json.dumps(record) + "\n")
 
 
 def ingest(path: str | Path, require_images: bool = False) -> Corpus:
     """Load and validate a corpus file into an id-indexed handle."""
     path = Path(path)
     records: dict[str, CorpusRecord] = {}
-    for lineno, rec in _read_lines(path, CORPUS_SCHEMA):
+    for lineno, rec in read_jsonl(path, CORPUS_SCHEMA)[1]:
         for field_name in ("id", "text"):
             if field_name not in rec:
                 raise DataError(f"{path}:{lineno}: record missing {field_name!r} field")
@@ -99,30 +119,19 @@ def ingest(path: str | Path, require_images: bool = False) -> Corpus:
 
 
 def write_corpus(path: str | Path, records: Iterable[CorpusRecord]) -> None:
-    lines = [json.dumps({"schema": CORPUS_SCHEMA})]
-    for rec in records:
-        lines.append(
-            json.dumps(
-                {"id": rec.id, "text": rec.text, "image": None if rec.image is None else str(rec.image)}
-            )
-        )
-    Path(path).write_text("\n".join(lines) + "\n", encoding="utf-8")
+    rows = ({"id": r.id, "text": r.text, "image": None if r.image is None else str(r.image)} for r in records)
+    write_jsonl(path, chain([{"schema": CORPUS_SCHEMA}], rows))
 
 
 def write_entities(path: str | Path, items: Iterable[tuple[str, MetaEntities]]) -> None:
-    lines = [json.dumps({"schema": ENTITIES_SCHEMA})]
-    for sample_id, entities in items:
-        record = {"id": sample_id}
-        record.update(entities.to_record())
-        lines.append(json.dumps(record))
-    Path(path).write_text("\n".join(lines) + "\n", encoding="utf-8")
+    write_jsonl(path, chain([{"schema": ENTITIES_SCHEMA}], ({"id": sid, **m.to_record()} for sid, m in items)))
 
 
 def read_entities(path: str | Path) -> list[tuple[str, MetaEntities]]:
     path = Path(path)
     items: list[tuple[str, MetaEntities]] = []
     seen: set[str] = set()
-    for lineno, rec in _read_lines(path, ENTITIES_SCHEMA):
+    for lineno, rec in read_jsonl(path, ENTITIES_SCHEMA)[1]:
         if "id" not in rec or "entries" not in rec:
             raise DataError(f"{path}:{lineno}: record missing 'id' or 'entries'")
         sample_id = str(rec["id"])

@@ -9,9 +9,9 @@ Jaccard index, or under ``match_mode="exact"`` 1 only when they are
 equal. Precision@R is the mean consistency over the top-R items, as a
 percentage.
 
-Zero-shot classification embeds one templated text prompt per disease
-and predicts the class whose prompt embedding is most similar to the
-image embedding.
+Zero-shot classification scores image rows against one templated text
+prompt per disease in one (n, k) cosine matrix; each row predicts its
+most similar class, and the metrics read the matrix column by column.
 """
 
 from __future__ import annotations
@@ -98,43 +98,31 @@ def prompt_text(disease: str, ont: Ontology) -> str:
 
 
 def zero_shot_classify(
-    image: np.ndarray, prompts: np.ndarray, classes: Sequence[str]
-) -> tuple[str, dict[str, float]]:
-    """Predict the class of the most similar prompt row; ties pick the
-    lexicographically first class. The full similarity vector comes back
-    for downstream ranking metrics."""
+    images: np.ndarray, prompts: np.ndarray, classes: Sequence[str]
+) -> tuple[list[str], np.ndarray]:
+    """Predict each image row's class: the one whose prompt row is most similar.
+
+    Returns the predictions and the (n, k) cosine score matrix, column j
+    for ``classes[j]``. Ties pick the lexicographically first class.
+    """
     if len(prompts) != len(classes):
         raise ValueError("need one prompt row per class")
     if len(classes) < 2:
         raise ValueError("need at least 2 candidate classes")
-    scores = {label: cosine(image, prompt) for label, prompt in zip(classes, prompts)}
-    best = max(scores.values())
-    predicted = min(label for label, s in scores.items() if s == best)
-    return predicted, scores
+    scores = np.array([[cosine(image, prompt) for prompt in prompts] for image in images])
+    scores = scores.reshape(len(images), len(classes))
+    by_name = np.argsort(classes, kind="stable")
+    best = by_name[np.argmax(scores[:, by_name], axis=1)]
+    return [classes[j] for j in best], scores
 
 
-def _average_ranks(values: np.ndarray) -> np.ndarray:
-    """Ranks starting at 1; tied values share the mean of their ranks."""
-    order = np.argsort(values, kind="stable")
-    ranks = np.empty(len(values), dtype=np.float64)
-    i = 0
-    while i < len(values):
-        j = i
-        while j + 1 < len(values) and values[order[j + 1]] == values[order[i]]:
-            j += 1
-        ranks[order[i : j + 1]] = (i + j) / 2.0 + 1.0
-        i = j + 1
-    return ranks
-
-
-def _binary_auc(labels: np.ndarray, scores: np.ndarray) -> float:
-    """Rank-based one-vs-rest AUC; ties count half."""
-    n_pos = int(labels.sum())
-    n_neg = len(labels) - n_pos
-    if n_pos == 0 or n_neg == 0:
-        return float("nan")
-    ranks = _average_ranks(scores)
-    rank_sum = float(ranks[labels.astype(bool)].sum())
+def _binary_auc(positive: np.ndarray, scores: np.ndarray) -> float:
+    """Rank-based one-vs-rest AUC; tied scores share the mean of their ranks."""
+    n_pos = int(np.count_nonzero(positive))
+    n_neg = len(positive) - n_pos
+    _, group, counts = np.unique(scores, return_inverse=True, return_counts=True)
+    ranks = (np.cumsum(counts) - (counts - 1) / 2.0)[group]
+    rank_sum = float(ranks[positive].sum())
     return (rank_sum - n_pos * (n_pos + 1) / 2.0) / (n_pos * n_neg)
 
 
@@ -151,36 +139,41 @@ class ClassificationMetrics:
 def classification_metrics(
     predictions: Sequence[str],
     truths: Sequence[str],
-    score_vectors: Sequence[dict[str, float]],
+    scores: np.ndarray,
+    classes: Sequence[str],
 ) -> ClassificationMetrics:
     """Accuracy, macro F1 and macro one-vs-rest AUC.
 
-    Classes that never occur in the truths are excluded from the macro
-    averages and reported in ``skipped_classes``.
+    ``scores`` is the (n, k) matrix with one row per sample and column j
+    for ``classes[j]``. Classes that never occur in the truths are
+    excluded from the macro averages and reported in ``skipped_classes``.
     """
-    if not (len(predictions) == len(truths) == len(score_vectors)):
-        raise ValueError("predictions, truths and score vectors must align")
-    truth_arr = np.array(truths)
-    pred_arr = np.array(predictions)
+    scores = np.asarray(scores, dtype=np.float64)
+    if len(predictions) != len(truths) or scores.shape != (len(truths), len(classes)):
+        raise ValueError("need one prediction, truth and score row per sample, one score column per class")
+    if not np.all(np.isfinite(scores)):
+        raise ValueError("scores contain non-finite entries")
     classes_seen = sorted(set(truths))
+    unscored = [cls for cls in classes_seen if cls not in classes]
+    if unscored:
+        raise ValueError(f"true class {unscored[0]!r} has no score column")
     if len(classes_seen) < 2:
         raise ValueError("need at least 2 classes present in truths")
-    all_classes = sorted(set(classes_seen) | set(predictions) | set(score_vectors[0]))
-    skipped = tuple(c for c in all_classes if c not in classes_seen)
+    skipped = tuple(sorted(set(classes) - set(truths)))
     if skipped:
         logger.warning("classes absent from truths excluded from macro averages: %s", skipped)
-    accuracy = 100.0 * float(np.mean(pred_arr == truth_arr))
+    truth_arr = np.array(truths)
+    pred_arr = np.array(predictions)
     f1: dict[str, float] = {}
     auc: dict[str, float] = {}
     for cls in classes_seen:
-        tp = int(np.sum((pred_arr == cls) & (truth_arr == cls)))
-        fp = int(np.sum((pred_arr == cls) & (truth_arr != cls)))
-        fn = int(np.sum((pred_arr != cls) & (truth_arr == cls)))
-        f1[cls] = 100.0 * (2 * tp / (2 * tp + fp + fn)) if (2 * tp + fp + fn) else 0.0
-        scores = np.array([sv.get(cls, 0.0) for sv in score_vectors])
-        auc[cls] = _binary_auc((truth_arr == cls).astype(np.float64), scores)
+        is_true, is_pred = truth_arr == cls, pred_arr == cls
+        tp = np.count_nonzero(is_true & is_pred)
+        # 2·tp + fp + fn: every true and every predicted sample of cls, so at least one.
+        f1[cls] = 100.0 * (2 * tp / (np.count_nonzero(is_true) + np.count_nonzero(is_pred)))
+        auc[cls] = _binary_auc(is_true, scores[:, list(classes).index(cls)])
     return ClassificationMetrics(
-        accuracy=accuracy,
+        accuracy=100.0 * float(np.mean(pred_arr == truth_arr)),
         macro_f1=float(np.mean([f1[c] for c in classes_seen])),
         macro_auc=float(np.mean([auc[c] for c in classes_seen])),
         per_class_f1=f1,

@@ -24,9 +24,10 @@ def read_pgm(path: str | Path) -> ImageSample:
         raise ValueError(f"{path}: not a plain (P2) graymap")
     if len(tokens) < 4:
         raise ValueError(f"{path}: truncated graymap header")
-    width, height, maxval = int(tokens[1]), int(tokens[2]), int(tokens[3])
-    if maxval <= 0:
-        raise ValueError(f"{path}: maxval must be positive")
+    sizes = tokens[1:4]
+    if not all(token.isdecimal() and int(token) >= 1 for token in sizes):
+        raise ValueError(f"{path}: width, height and maxval must be integers >= 1, got {' '.join(sizes)}")
+    width, height, maxval = map(int, sizes)
     values = tokens[4:]
     if len(values) != width * height:
         raise ValueError(f"{path}: expected {width * height} pixels, found {len(values)}")

@@ -13,14 +13,16 @@ score are the same thing.
 
 from __future__ import annotations
 
-import json
 import logging
 from dataclasses import dataclass, field
+from itertools import chain
+from operator import itemgetter
 from pathlib import Path
 from typing import Iterator, Sequence
 
 import numpy as np
 
+from .corpus import DataError, read_jsonl, write_jsonl
 from .extraction import MetaEntities
 from .scoring import DEFAULT_SEMANTICS, SEMANTICS, GammaWeights, Semantics, score
 
@@ -223,35 +225,24 @@ def mine_corpus(
     return result
 
 
+_TRIPLET_FIELDS = ("anchor_id", "positive_id", "negative_id", "score_ap", "score_an")
+_triplet_values = itemgetter(*_TRIPLET_FIELDS)
+
+
 def write_triplets(result: MiningResult, path: str | Path) -> None:
-    """Manifest record first, then one sorted triplet record per line."""
-    lines = [json.dumps(result.manifest, sort_keys=True)]
-    for t in result.triplets:
-        lines.append(
-            json.dumps(
-                {
-                    "anchor_id": t.anchor_id,
-                    "positive_id": t.positive_id,
-                    "negative_id": t.negative_id,
-                    "score_ap": t.score_ap,
-                    "score_an": t.score_an,
-                }
-            )
-        )
-    Path(path).write_text("\n".join(lines) + "\n", encoding="utf-8")
+    """Manifest record first, keys sorted, then one sorted triplet record per line."""
+    rows = ({name: getattr(t, name) for name in _TRIPLET_FIELDS} for t in result.triplets)
+    write_jsonl(path, chain([dict(sorted(result.manifest.items()))], rows))
 
 
 def read_triplets(path: str | Path) -> tuple[dict, list[Triplet]]:
-    lines = Path(path).read_text(encoding="utf-8").splitlines()
-    if not lines:
-        raise ValueError(f"{path}: empty triplet file")
-    manifest = json.loads(lines[0])
-    if manifest.get("schema") != TRIPLETS_SCHEMA:
-        raise ValueError(f"{path}: expected schema {TRIPLETS_SCHEMA}, got {manifest.get('schema')!r}")
+    manifest, records = read_jsonl(path, TRIPLETS_SCHEMA)
     triplets = []
-    for line in lines[1:]:
-        rec = json.loads(line)
-        triplets.append(
-            Triplet(rec["anchor_id"], rec["positive_id"], rec["negative_id"], rec["score_ap"], rec["score_an"])
-        )
+    for lineno, rec in records:
+        try:
+            triplets.append(Triplet(*_triplet_values(rec)))
+        except KeyError as exc:
+            raise DataError(f"{path}:{lineno}: triplet record missing {exc.args[0]!r} field") from None
+        except (TypeError, ValueError) as exc:
+            raise DataError(f"{path}:{lineno}: {exc}") from None
     return manifest, triplets

@@ -72,6 +72,12 @@ class MiningSettings:
     tau_max: float = 0.60
     tie_policy: str = "lowest-id"
 
+    def __post_init__(self) -> None:
+        # A batch needs an anchor, a positive and a negative.
+        for name, low in (("batch_size", 3), ("pass_limit", 1), ("target", 0)):
+            if getattr(self, name) < low:
+                raise ValueError(f"{name} must be >= {low}, got {getattr(self, name)}")
+
 
 @dataclass(frozen=True)
 class RunConfig:
@@ -286,9 +292,17 @@ class FrozenTrunks:
     def encode_images(self, records: list[CorpusRecord]) -> np.ndarray:
         """(N, c) pooled image-trunk outputs, one row per record in order.
 
-        Records come from ``ingest(..., require_images=True)``, so each has an image.
+        Records come from ``ingest(..., require_images=True)``, so each has an
+        image. An image the trunk cannot take is an error naming its record.
         """
-        return np.array([trunk_encode(load_image(rec.image), self.image, self.cfg) for rec in records])
+        rows = []
+        for rec in records:
+            image = load_image(rec.image)
+            try:
+                rows.append(trunk_encode(image, self.image, self.cfg))
+            except ValueError as exc:
+                raise PipelineError(f"record {rec.id!r}, image {rec.image}: {exc}") from None
+        return np.array(rows)
 
     def encode_records(self, records: list[CorpusRecord]) -> tuple[np.ndarray, np.ndarray]:
         """(N, c) image and text trunk matrices, one row per record in order."""
@@ -449,21 +463,15 @@ def evaluate_classification(
     """
     records, ents, ont = _eval_records(cfg, eval_corpus_path)
     labelled = [(rec, m.entries[0].disease) for rec, m in zip(records, ents) if len(m.entries) == 1]
-    if len(labelled) < 2:
-        raise PipelineError("need at least 2 single-disease eval records to classify")
     truths = [disease for _, disease in labelled]
     classes = sorted(set(truths))
     if len(classes) < 2:
-        raise PipelineError("need at least 2 distinct classes among eval records")
+        raise PipelineError(f"eval corpus {eval_corpus_path} needs single-disease records of 2 or more classes")
     trunks = FrozenTrunks(cfg.encoder)
     images = _project(trunks.encode_images([rec for rec, _ in labelled]), heads[IMAGE])
     prompts = _project(trunks.encode_texts([prompt_text(label, ont) for label in classes]), heads[TEXT])
-    predictions, score_vectors = [], []
-    for image in images:
-        predicted, scores = zero_shot_classify(image, prompts, classes)
-        predictions.append(predicted)
-        score_vectors.append(scores)
-    metrics = classification_metrics(predictions, truths, score_vectors)
+    predictions, scores = zero_shot_classify(images, prompts, classes)
+    metrics = classification_metrics(predictions, truths, scores, classes)
     return {
         "classes": classes,
         "samples": len(labelled),

@@ -11,13 +11,12 @@ partial disease overlaps that semi-hard mining bands rely on.
 
 from __future__ import annotations
 
-import json
 from dataclasses import dataclass, field
 from pathlib import Path
 
 import numpy as np
 
-from .corpus import CorpusRecord, write_corpus
+from .corpus import CorpusRecord, write_corpus, write_jsonl
 from .images import write_pgm
 
 TRUTH_SCHEMA = "truth/v1"
@@ -142,7 +141,7 @@ def synthesize(spec: SyntheticSpec, out_dir: str | Path) -> SynthResult:
     classes = spec.classes
     adjectives = sorted(ADJECTIVE_LEVELS)
     records: list[CorpusRecord] = []
-    truth_lines = [json.dumps({"schema": TRUTH_SCHEMA})]
+    truth = [{"schema": TRUTH_SCHEMA}]
     total = spec.n_classes * spec.per_class
     for n in range(total):
         primary = n % spec.n_classes
@@ -168,18 +167,16 @@ def synthesize(spec: SyntheticSpec, out_dir: str | Path) -> SynthResult:
         image_path = image_dir / f"{sample_id}.pgm"
         write_pgm(image_path, pixels)
         records.append(CorpusRecord(sample_id, text, Path("images") / image_path.name))
-        truth_lines.append(
-            json.dumps(
-                {
-                    "id": sample_id,
-                    "classes": sorted(set(classes_named)),
-                    "adj": sorted(set(adj_named)),
-                    "dir": sorted(set(dir_named)),
-                }
-            )
+        truth.append(
+            {
+                "id": sample_id,
+                "classes": sorted(set(classes_named)),
+                "adj": sorted(set(adj_named)),
+                "dir": sorted(set(dir_named)),
+            }
         )
     corpus_path = out_dir / "corpus.jsonl"
     truth_path = out_dir / "truth.jsonl"
     write_corpus(corpus_path, records)
-    truth_path.write_text("\n".join(truth_lines) + "\n", encoding="utf-8")
+    write_jsonl(truth_path, truth)
     return SynthResult(corpus_path, truth_path, image_dir, total, classes)

@@ -4,8 +4,9 @@ The scoring oracle below is a direct, self-contained transcription of
 the similarity definition over plain dicts and sets. It shares no code
 with medtriplet.scoring; keep it that way. The retrieval oracle works
 the same way over plain lists and sets and shares no code with
-medtriplet.evaluation. The GELU oracle is the scalar tanh formula on
-Python floats and ``math.tanh``.
+medtriplet.evaluation; neither does the AUC oracle, which counts
+pairwise wins instead of ranking. The GELU oracle is the scalar tanh
+formula on Python floats and ``math.tanh``.
 """
 
 from __future__ import annotations
@@ -49,6 +50,16 @@ def oracle_score(mi: PlainEntities, mj: PlainEntities, g0: float, g1: float, g2:
 def oracle_gelu(x: float) -> float:
     """Tanh-approximation GELU of one float."""
     return 0.5 * x * (1.0 + math.tanh(math.sqrt(2.0 / math.pi) * (x + 0.044715 * x**3)))
+
+
+def oracle_binary_auc(positive: list[bool], scores: list[float]) -> float:
+    """One-vs-rest AUC over every positive/negative pair, ranks never formed:
+    (wins + ties / 2) / (P * N)."""
+    pos = [s for s, p in zip(scores, positive) if p]
+    neg = [s for s, p in zip(scores, positive) if not p]
+    wins = sum(1 for a in pos for b in neg if a > b)
+    ties = sum(1 for a in pos for b in neg if a == b)
+    return (wins + ties / 2) / (len(pos) * len(neg))
 
 
 def to_meta(plain: PlainEntities) -> MetaEntities:

@@ -159,6 +159,32 @@ class TestPipelineCommands:
         assert f"{cfg}: {key} must be >= 1, got 0" in capsys.readouterr().err
         assert not out.exists()
 
+    def test_miner_bound_exits_before_any_stage(self, synth_dir, tmp_path, capsys):
+        out = tmp_path / "run"
+        cfg = tmp_path / "run.cfg"
+        cfg.write_text(f"[run]\nout = {out}\ncorpus = {synth_dir / 'corpus.jsonl'}\n[miner]\ntarget = -1\n")
+        assert main(["run", "--config", str(cfg)]) == EXIT_DATA
+        assert f"{cfg}: target must be >= 0, got -1" in capsys.readouterr().err
+        assert main(["mine", "--out", str(out), "--batch-size", "0"]) == EXIT_DATA
+        assert "batch_size must be >= 3, got 0" in capsys.readouterr().err
+        assert main(["mine", "--out", str(out), "--tau-min", "2"]) == EXIT_DATA
+        assert "got [2.0, 0.6]" in capsys.readouterr().err
+        assert not out.exists()
+
+    def test_image_the_trunk_cannot_take_names_its_record(self, synth_dir, tmp_path, capsys):
+        out = tmp_path / "run"
+        corpus = str(synth_dir / "corpus.jsonl")
+        assert main(["extract", "--corpus", corpus, "--out", str(out)]) == EXIT_OK
+        assert main(["mine", "--out", str(out), "--batch-size", "12", "--target", "40"]) == EXIT_OK
+        sample_id = json.loads((out / "triplets.jsonl").read_text().splitlines()[1])["anchor_id"]
+        image = synth_dir / "images" / f"{sample_id}.pgm"
+        image.write_text("P2\n2 2\n255\n0 255 7 7\n")  # smaller than one patch
+        capsys.readouterr()
+        assert main(["train", "--corpus", corpus, "--out", str(out)]) == EXIT_DATA
+        err = capsys.readouterr().err
+        assert f"record {sample_id!r}, image {image}: image 2x2 not divisible by patch size" in err
+        assert "Traceback" not in err
+
     def test_stage_command_respects_lock(self, synth_dir, tmp_path, capsys):
         out = tmp_path / "run"
         with output_lock(out):

@@ -276,13 +276,21 @@ class TestImagesIO:
             read_pgm(path)
 
     @pytest.mark.parametrize(
-        "token, message",
-        [("300", "pixel value 300 outside"), ("-4", "pixel value -4 outside"), ("1.5", "integers")],
-        ids=["above_maxval", "negative", "not_integer"],
+        "text, message",
+        [
+            ("P2\n2 2\n255\n0 255 300 7\n", "pixel value 300 outside"),
+            ("P2\n2 2\n255\n0 255 -4 7\n", "pixel value -4 outside"),
+            ("P2\n2 2\n255\n0 255 1.5 7\n", "integers"),
+            ("P2\n0 0\n255\n", "must be integers >= 1, got 0 0 255"),
+            ("P2\n-2 -2\n255\n0 255 7 7\n", "must be integers >= 1, got -2 -2 255"),
+            ("P2\n2 x\n255\n0 255 7 7\n", "must be integers >= 1, got 2 x 255"),
+            ("P2\n2 2\n0\n0 0 0 0\n", "must be integers >= 1, got 2 2 0"),
+        ],
+        ids=["above_maxval", "negative", "not_integer", "zero_size", "negative_size", "size_not_integer", "zero_maxval"],
     )
-    def test_pgm_pixel_values_checked(self, tmp_path, token, message):
+    def test_pgm_pixel_values_checked(self, tmp_path, text, message):
         path = tmp_path / "img.pgm"
-        path.write_text(f"P2\n2 2\n255\n0 255 {token} 7\n")
+        path.write_text(text)
         with pytest.raises(ValueError, match=f"^{re.escape(str(path))}: .*{message}"):
             read_pgm(path)
 

@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 from conftest import entities
+from medtriplet.alignment import cosine
 from medtriplet.encoder import EncoderConfig, tokenize_text
 from medtriplet.evaluation import (
     classification_metrics,
@@ -13,7 +14,7 @@ from medtriplet.evaluation import (
     retrieval_report,
     zero_shot_classify,
 )
-from oracles import oracle_retrieval_report, random_entities, to_meta
+from oracles import oracle_binary_auc, oracle_retrieval_report, random_entities, to_meta
 
 CFG = EncoderConfig()
 EMPTY = entities({})
@@ -174,18 +175,19 @@ class TestPrompts:
 
 class TestZeroShot:
     def test_exact_prompt_match(self):
-        predicted, scores = zero_shot_classify(vec(1.0, 0.0), rows((1.0, 0.0), (0.0, 1.0)), ["a", "b"])
-        assert predicted == "a"
-        assert scores["a"] == pytest.approx(1.0)
+        predicted, scores = zero_shot_classify(rows((1.0, 0.0)), rows((1.0, 0.0), (0.0, 1.0)), ["a", "b"])
+        assert predicted == ["a"]
+        assert scores.shape == (1, 2)
+        assert scores[0, 0] == pytest.approx(1.0)
 
     def test_tie_lexicographic(self):
-        predicted, _ = zero_shot_classify(vec(1.0, 0.0), rows((1.0, 0.0), (1.0, 0.0)), ["b", "a"])
-        assert predicted == "a"
+        predicted, _ = zero_shot_classify(rows((1.0, 0.0)), rows((1.0, 0.0), (1.0, 0.0)), ["b", "a"])
+        assert predicted == ["a"]
 
     def test_argmax(self):
         prompts = rows((0.1, 1.0), (0.9, 0.44), (0.4, 0.92))
-        predicted, _ = zero_shot_classify(vec(1.0, 0.0), prompts, ["a", "b", "c"])
-        assert predicted == "b"
+        predicted, _ = zero_shot_classify(rows((1.0, 0.0)), prompts, ["a", "b", "c"])
+        assert predicted == ["b"]
 
     def test_needs_two_classes(self):
         with pytest.raises(ValueError, match="at least 2"):
@@ -195,18 +197,25 @@ class TestZeroShot:
         with pytest.raises(ValueError, match="one prompt row per class"):
             zero_shot_classify(vec(1.0, 0.0), rows((1.0, 0.0), (0.0, 1.0)), ["a", "b", "c"])
 
+    def test_rows_match_one_image_at_a_time(self):
+        rng = np.random.default_rng(31)
+        images, prompts = rng.normal(size=(9, 4)), rng.normal(size=(3, 4))
+        images[4] = prompts[2]  # exact match with one prompt
+        prompts[1] = prompts[0]  # two tied classes
+        classes = ["c", "b", "a"]
+        predicted, scores = zero_shot_classify(images, prompts, classes)
+        for i, image in enumerate(images):
+            row = [cosine(image, prompt) for prompt in prompts]
+            assert scores[i].tolist() == row
+            assert predicted[i] == min(c for c, s in zip(classes, row) if s == max(row))
+
 
 class TestClassificationMetrics:
     def test_perfect(self):
         preds = ["a", "b", "a", "b"]
         truths = ["a", "b", "a", "b"]
-        scores = [
-            {"a": 0.9, "b": 0.1},
-            {"a": 0.1, "b": 0.9},
-            {"a": 0.8, "b": 0.2},
-            {"a": 0.2, "b": 0.8},
-        ]
-        m = classification_metrics(preds, truths, scores)
+        scores = rows((0.9, 0.1), (0.1, 0.9), (0.8, 0.2), (0.2, 0.8))
+        m = classification_metrics(preds, truths, scores, ["a", "b"])
         assert m.accuracy == 100.0
         assert m.macro_f1 == 100.0
         assert m.macro_auc == pytest.approx(1.0)
@@ -214,17 +223,17 @@ class TestClassificationMetrics:
     def test_all_one_class_on_balanced_truth(self):
         preds = ["a"] * 4
         truths = ["a", "a", "b", "b"]
-        scores = [{"a": 0.5, "b": 0.5}] * 4
-        m = classification_metrics(preds, truths, scores)
+        scores = rows(*[(0.5, 0.5)] * 4)
+        m = classification_metrics(preds, truths, scores, ["a", "b"])
         assert m.accuracy == 50.0
 
     def test_random_scores_auc_near_half(self):
         rng = np.random.default_rng(123)
         n = 1000
         truths = ["a"] * (n // 2) + ["b"] * (n // 2)
-        scores = [{"a": float(rng.random()), "b": float(rng.random())} for _ in range(n)]
-        preds = [max(s, key=lambda k: (s[k], k)) for s in scores]
-        m = classification_metrics(preds, truths, scores)
+        scores = rows(*[(float(rng.random()), float(rng.random())) for _ in range(n)])
+        preds = ["a" if a > b else "b" for a, b in scores]
+        m = classification_metrics(preds, truths, scores, ["a", "b"])
         assert abs(m.macro_auc - 0.5) <= 0.05
 
     def test_auc_invariant_under_monotone_transform(self):
@@ -234,24 +243,56 @@ class TestClassificationMetrics:
             truths = ["a" if rng.random() < 0.5 else "b" for _ in range(n)]
             if len(set(truths)) < 2:
                 continue
-            scores = [{"a": float(rng.normal()), "b": float(rng.normal())} for _ in range(n)]
-            preds = [max(s, key=s.get) for s in scores]
-            base = classification_metrics(preds, truths, scores)
-            warped = [{k: float(np.exp(3 * v) + 1) for k, v in s.items()} for s in scores]
-            transformed = classification_metrics(preds, truths, warped)
+            scores = rows(*[(float(rng.normal()), float(rng.normal())) for _ in range(n)])
+            preds = ["a" if a >= b else "b" for a, b in scores]
+            base = classification_metrics(preds, truths, scores, ["a", "b"])
+            warped = np.exp(3 * scores) + 1
+            transformed = classification_metrics(preds, truths, warped, ["a", "b"])
             assert transformed.macro_auc == pytest.approx(base.macro_auc, abs=1e-12)
 
     def test_class_missing_from_truths_flagged(self, caplog):
         preds = ["a", "c", "b", "b"]
         truths = ["a", "a", "b", "b"]
-        scores = [{"a": 0.5, "b": 0.3, "c": 0.2}] * 4
+        scores = rows(*[(0.5, 0.3, 0.2)] * 4)
         with caplog.at_level("WARNING"):
-            m = classification_metrics(preds, truths, scores)
+            m = classification_metrics(preds, truths, scores, ["a", "b", "c"])
         assert m.skipped_classes == ("c",)
 
     def test_ties_count_half(self):
         truths = ["a", "b"]
         preds = ["a", "a"]
-        scores = [{"a": 0.5, "b": 0.5}, {"a": 0.5, "b": 0.5}]
-        m = classification_metrics(preds, truths, scores)
+        scores = rows((0.5, 0.5), (0.5, 0.5))
+        m = classification_metrics(preds, truths, scores, ["a", "b"])
         assert m.macro_auc == pytest.approx(0.5)
+
+    def test_auc_matches_pairwise_oracle(self):
+        rng = np.random.default_rng(2025)
+        for case in range(600):
+            n = int(rng.integers(2, 40))
+            n_a = int(rng.integers(1, n))
+            truths = rng.permutation(["a"] * n_a + ["b"] * (n - n_a)).tolist()
+            # Rounding to a few levels forces tied scores, signed zeros among them.
+            scores = np.round(rng.normal(size=(n, 2)), int(rng.integers(0, 3)))
+            scores[rng.random(size=(n, 2)) < 0.1] = -0.0
+            preds = ["a" if a >= b else "b" for a, b in scores]
+            m = classification_metrics(preds, truths, scores, ["a", "b"])
+            for j, cls in enumerate(("a", "b")):
+                positive = [t == cls for t in truths]
+                assert m.per_class_auc[cls] == oracle_binary_auc(positive, scores[:, j].tolist()), case
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    def test_non_finite_scores_rejected(self, bad):
+        scores = rows((0.9, 0.1), (0.1, 0.9))
+        scores[1, 0] = bad
+        with pytest.raises(ValueError, match="non-finite"):
+            classification_metrics(["a", "b"], ["a", "b"], scores, ["a", "b"])
+
+    def test_true_class_without_column_rejected(self):
+        with pytest.raises(ValueError, match="true class 'c' has no score column"):
+            classification_metrics(["a", "b", "a"], ["a", "b", "c"], rows(*[(0.5, 0.5)] * 3), ["a", "b"])
+
+    def test_one_score_row_per_sample(self):
+        with pytest.raises(ValueError, match="one prediction, truth and score row per sample"):
+            classification_metrics(["a", "b"], ["a", "b"], rows((0.5, 0.5)), ["a", "b"])
+        with pytest.raises(ValueError, match="one score column per class"):
+            classification_metrics(["a", "b"], ["a", "b"], rows((0.5, 0.5), (0.5, 0.5)), ["a", "b", "c"])

@@ -1,9 +1,12 @@
 """Triplet mining: selection rules, batch invariants, corpus determinism."""
 
+import re
+
 import numpy as np
 import pytest
 
 from conftest import entities
+from medtriplet.corpus import DataError
 from medtriplet.mining import (
     Batch,
     MinerConfig,
@@ -135,6 +138,21 @@ class TestMineCorpus:
         assert result.triplets == []
         manifest, triplets = read_triplets(path)
         assert triplets == [] and manifest["target"] == 0
+
+    @pytest.mark.parametrize(
+        "line, message",
+        [
+            ('{"anchor_id": "a", "positive_id": "b"', "invalid JSON"),
+            ('{"anchor_id": "a", "positive_id": "b", "negative_id": "c", "score_ap": 0.5}', "missing 'score_an'"),
+        ],
+        ids=["malformed_line", "missing_field"],
+    )
+    def test_bad_triplet_record_names_file_and_line(self, tmp_path, line, message):
+        path = tmp_path / "t.jsonl"
+        mine_corpus(_random_corpus(20, 3), k=10, target=0, cfg=MinerConfig(seed=1), out_path=path)
+        path.write_text(path.read_text() + line + "\n")
+        with pytest.raises(DataError, match=f"^{re.escape(str(path))}:2: .*{message}"):
+            read_triplets(path)
 
     def test_unique_and_exact_count(self, tmp_path):
         samples = _random_corpus(60, 4)

@@ -338,8 +338,14 @@ class TestConfigFile:
             ("[encoder]\npatch_size = 0\n", "patch_size must be >= 1, got 0"),
             ("[encoder]\nvocab_size = 0\n", "vocab_size must be >= 1, got 0"),
             ("[encoder]\nmlp_ratio = 0\n", "mlp_ratio must be positive, got 0.0"),
+            ("[miner]\nbatch_size = 2\n", "batch_size must be >= 3, got 2"),
+            ("[miner]\npass_limit = 0\n", "pass_limit must be >= 1, got 0"),
+            ("[miner]\ntarget = -1\n", "target must be >= 0, got -1"),
         ],
-        ids=["batch_size", "epochs", "beta2", "eta", "depth", "heads", "patch_size", "vocab_size", "mlp_ratio"],
+        ids=[
+            "batch_size", "epochs", "beta2", "eta", "depth", "heads", "patch_size", "vocab_size", "mlp_ratio",
+            "miner_batch_size", "pass_limit", "target",
+        ],
     )
     def test_out_of_range_value_names_file_and_value(self, tmp_path, text, message):
         path = tmp_path / "run.cfg"
