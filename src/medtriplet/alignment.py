@@ -187,26 +187,15 @@ def finite_difference_gradients(
     return fd
 
 
-@dataclass(frozen=True)
-class GradReport:
-    """Analytic vs finite-difference head gradients.
-
-    ``max_rel_error`` is the max over heads of the max-norm of the
-    difference divided by the max-norm of the larger gradient.
-    """
-
-    analytic: dict[str, np.ndarray]
-    finite_difference: dict[str, np.ndarray]
-    max_rel_error: float
-
-
 def gradient_report(
     zi: np.ndarray,
     zt: np.ndarray,
     heads: dict[str, np.ndarray],
     cfg: LossConfig = LossConfig(),
     step: float = 1e-4,
-) -> GradReport:
+) -> float:
+    """Max over heads of the max-norm of the analytic minus the finite-difference
+    gradient, divided by the max-norm of the larger of the two."""
     _, _, analytic = head_gradients(zi, zt, heads, cfg)
     fd = finite_difference_gradients(zi, zt, heads, cfg, step)
     worst = 0.0
@@ -217,7 +206,7 @@ def gradient_report(
             1e-12,
         )
         worst = max(worst, float(np.abs(analytic[modality] - fd[modality]).max()) / scale)
-    return GradReport(analytic=analytic, finite_difference=fd, max_rel_error=worst)
+    return worst
 
 
 @dataclass(frozen=True)

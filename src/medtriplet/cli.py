@@ -18,7 +18,7 @@ from pathlib import Path
 from .alignment import DegenerateEmbeddingError
 from .corpus import DataError
 from .extraction import MetaEntities
-from .ontology import OntologyError, default_ontology, load_ontology, save_ontology
+from .ontology import OntologyError, default_ontology, load_ontology, save_ontology, serialize_ontology
 from .pipeline import (
     STAGES,
     PipelineError,
@@ -59,24 +59,22 @@ def _add_common(parser: argparse.ArgumentParser) -> None:
 
 def _build_config(args: argparse.Namespace) -> RunConfig:
     cfg = config_from_file(args.config) if args.config else RunConfig()
-    if args.seed is not None:
-        cfg = replace(cfg, seed=args.seed)
-    if args.out is not None:
-        cfg = replace(cfg, out=args.out)
-    if getattr(args, "ontology", None) is not None:
-        cfg = replace(cfg, ontology=args.ontology)
-    if getattr(args, "corpus", None) is not None:
-        cfg = replace(cfg, corpus=args.corpus)
-    if getattr(args, "eval_corpus", None) is not None:
-        cfg = replace(cfg, eval_corpus=args.eval_corpus)
+    # A command-line value overrides the config file's.
+    for name in ("seed", "out", "ontology", "corpus", "eval_corpus"):
+        if getattr(args, name, None) is not None:
+            cfg = replace(cfg, **{name: getattr(args, name)})
     return cfg
 
 
 def _load_meta_record(path: Path) -> MetaEntities:
-    record = json.loads(path.read_text(encoding="utf-8"))
-    if isinstance(record, list):
-        record = {"entries": record}
-    return MetaEntities.from_record(record)
+    """A meta-entity record, or its bare entries list, from a JSON file; errors name the file."""
+    try:
+        record = json.loads(path.read_text(encoding="utf-8"))
+        if not isinstance(record, dict):
+            record = {"entries": record}
+        return MetaEntities.from_record(record)
+    except ValueError as exc:  # json.JSONDecodeError is a ValueError
+        raise DataError(f"{path}: {exc}") from None
 
 
 def _cmd_score(args: argparse.Namespace) -> int:
@@ -156,8 +154,6 @@ def _cmd_dump_ontology(args: argparse.Namespace) -> int:
         save_ontology(ont, args.output)
         print(f"wrote ontology -> {args.output}")
     else:
-        from .ontology import serialize_ontology
-
         print(serialize_ontology(ont), end="")
     return EXIT_OK
 

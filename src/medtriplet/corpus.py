@@ -37,23 +37,6 @@ class CorpusRecord:
         return Report(self.id, self.text)
 
 
-@dataclass
-class Corpus:
-    """Validated in-memory index of a corpus file."""
-
-    path: Path
-    records: dict[str, CorpusRecord]
-
-    def __len__(self) -> int:
-        return len(self.records)
-
-    def __iter__(self) -> Iterator[CorpusRecord]:
-        return iter(self.records.values())
-
-    def __getitem__(self, sample_id: str) -> CorpusRecord:
-        return self.records[sample_id]
-
-
 def _json_objects(path: Path, lines: list[str]) -> Iterator[tuple[int, dict]]:
     """(line number, record) for each non-blank line; the first line counts even when blank."""
     for lineno, line in enumerate(lines, start=1):
@@ -90,32 +73,31 @@ def write_jsonl(path: str | Path, records: Iterable[dict]) -> None:
             fh.write(json.dumps(record) + "\n")
 
 
-def ingest(path: str | Path, require_images: bool = False) -> Corpus:
-    """Load and validate a corpus file into an id-indexed handle."""
+def ingest(path: str | Path, require_images: bool = False) -> list[CorpusRecord]:
+    """Load and validate a corpus file; records in file order, ids unique."""
     path = Path(path)
-    records: dict[str, CorpusRecord] = {}
+    records: list[CorpusRecord] = []
+    seen: set[str] = set()
     for lineno, rec in read_jsonl(path, CORPUS_SCHEMA)[1]:
         for field_name in ("id", "text"):
             if field_name not in rec:
                 raise DataError(f"{path}:{lineno}: record missing {field_name!r} field")
         sample_id = str(rec["id"])
-        if sample_id in records:
+        if sample_id in seen:
             raise DataError(f"{path}:{lineno}: duplicate id {sample_id!r}")
+        seen.add(sample_id)
         if not str(rec["text"]).strip():
             raise DataError(f"{path}:{lineno}: empty text for id {sample_id!r}")
         image = rec.get("image")
-        image_path: Path | None = None
-        if image is not None:
-            image_path = Path(image)
-            if not image_path.is_absolute():
-                image_path = path.parent / image_path
+        # A relative image path is relative to the corpus file; joining keeps an absolute one as is.
+        image_path = None if image is None else path.parent / image
         if require_images:
             if image_path is None:
                 raise DataError(f"{path}:{lineno}: id {sample_id!r} has no image")
             if not image_path.exists():
                 raise DataError(f"{path}:{lineno}: missing image for id {sample_id!r}: {image_path}")
-        records[sample_id] = CorpusRecord(sample_id, str(rec["text"]), image_path)
-    return Corpus(path=path, records=records)
+        records.append(CorpusRecord(sample_id, str(rec["text"]), image_path))
+    return records
 
 
 def write_corpus(path: str | Path, records: Iterable[CorpusRecord]) -> None:
@@ -138,5 +120,8 @@ def read_entities(path: str | Path) -> list[tuple[str, MetaEntities]]:
         if sample_id in seen:
             raise DataError(f"{path}:{lineno}: duplicate id {sample_id!r}")
         seen.add(sample_id)
-        items.append((sample_id, MetaEntities.from_record(rec)))
+        try:
+            items.append((sample_id, MetaEntities.from_record(rec)))
+        except ValueError as exc:
+            raise DataError(f"{path}:{lineno}: {exc}") from None
     return items

@@ -6,8 +6,8 @@ added, the sequence runs through pre-norm attention/MLP blocks with
 residual connections, and the final hidden states are mean-pooled into a
 single vector. ``init_head`` seeds the per-modality square projection
 head that maps a pooled trunk output to the embedding alignment trains
-(the pipeline applies it to whole trunk matrices); the trunk itself
-stays frozen at its seeded random initialization.
+(the pipeline applies it to whole trunk matrices); the trunk itself, a
+``{name: array}`` dict, stays frozen at its seeded random initialization.
 """
 
 from __future__ import annotations
@@ -34,7 +34,6 @@ class EncoderConfig:
     max_seq_len: int = 64
     vocab_size: int = 4096
     init_scale: float = 0.02
-    use_layer_norm: bool = True
     seed: int = 0
 
     def __post_init__(self) -> None:
@@ -90,13 +89,6 @@ def tokenize_text(text: str, cfg: EncoderConfig) -> TokenSequence:
     return TokenSequence(tuple(ids) if ids else (0,))
 
 
-@dataclass
-class TrunkWeights:
-    """Frozen encoder parameters for one modality, as named arrays."""
-
-    params: dict[str, np.ndarray]
-
-
 def _init_blocks(rng: np.random.Generator, cfg: EncoderConfig) -> dict[str, np.ndarray]:
     c = cfg.embed_dim
     hidden = int(round(cfg.mlp_ratio * c))
@@ -117,7 +109,7 @@ def _init_blocks(rng: np.random.Generator, cfg: EncoderConfig) -> dict[str, np.n
     return params
 
 
-def init_image_trunk(cfg: EncoderConfig) -> TrunkWeights:
+def init_image_trunk(cfg: EncoderConfig) -> dict[str, np.ndarray]:
     rng = np.random.default_rng((cfg.seed, 0))
     patch_dim = cfg.patch_size * cfg.patch_size
     params = {
@@ -126,17 +118,17 @@ def init_image_trunk(cfg: EncoderConfig) -> TrunkWeights:
         "pos": rng.normal(0.0, cfg.init_scale, (cfg.max_seq_len, cfg.embed_dim)),
     }
     params.update(_init_blocks(rng, cfg))
-    return TrunkWeights(params)
+    return params
 
 
-def init_text_trunk(cfg: EncoderConfig) -> TrunkWeights:
+def init_text_trunk(cfg: EncoderConfig) -> dict[str, np.ndarray]:
     rng = np.random.default_rng((cfg.seed, 1))
     params = {
         "table": rng.normal(0.0, cfg.init_scale, (cfg.vocab_size, cfg.embed_dim)),
         "pos": rng.normal(0.0, cfg.init_scale, (cfg.max_seq_len, cfg.embed_dim)),
     }
     params.update(_init_blocks(rng, cfg))
-    return TrunkWeights(params)
+    return params
 
 
 def init_head(cfg: EncoderConfig, modality: str) -> np.ndarray:
@@ -160,8 +152,6 @@ def patchify(image: ImageSample, patch_size: int) -> np.ndarray:
 
 
 def _layer_norm(x: np.ndarray, g: np.ndarray, b: np.ndarray, cfg: EncoderConfig) -> np.ndarray:
-    if not cfg.use_layer_norm:
-        return x
     # Center once and reuse it for the variance: bit-identical to x.var(), without its second mean pass.
     centered = x - x.mean(axis=-1, keepdims=True)
     var = (centered * centered).sum(axis=-1, keepdims=True) / x.shape[-1]
@@ -191,9 +181,8 @@ def _attention(x: np.ndarray, p: dict[str, np.ndarray], prefix: str, cfg: Encode
     return _softmax(q @ k.transpose(0, 2, 1) / np.sqrt(head_dim))
 
 
-def transformer_block(h: np.ndarray, trunk: TrunkWeights, block: int, cfg: EncoderConfig) -> np.ndarray:
+def transformer_block(h: np.ndarray, p: dict[str, np.ndarray], block: int, cfg: EncoderConfig) -> np.ndarray:
     """Pre-norm multi-head self-attention and MLP, each with a residual."""
-    p = trunk.params
     prefix = f"block{block}."
     x = _layer_norm(h, p[prefix + "ln1.g"], p[prefix + "ln1.b"], cfg)
     n, c = h.shape
@@ -207,23 +196,23 @@ def transformer_block(h: np.ndarray, trunk: TrunkWeights, block: int, cfg: Encod
     return h + mlp
 
 
-def embed_input(sample: ImageSample | TokenSequence, trunk: TrunkWeights, cfg: EncoderConfig) -> np.ndarray:
+def embed_input(sample: ImageSample | TokenSequence, trunk: dict[str, np.ndarray], cfg: EncoderConfig) -> np.ndarray:
     """Initial hidden sequence: learnable linear map plus position encodings."""
     if isinstance(sample, ImageSample):
         patches = patchify(sample, cfg.patch_size)
-        projected = patches @ trunk.params["input.w"] + trunk.params["input.b"]
+        projected = patches @ trunk["input.w"] + trunk["input.b"]
     else:
         ids = np.asarray(sample.ids, dtype=np.int64)
-        if ids.max(initial=0) >= trunk.params["table"].shape[0]:
+        if ids.max(initial=0) >= trunk["table"].shape[0]:
             raise ValueError("token id outside the embedding table")
-        projected = trunk.params["table"][ids]
+        projected = trunk["table"][ids]
     n = projected.shape[0]
     if n > cfg.max_seq_len:
         raise ValueError(f"sequence length {n} exceeds max_seq_len {cfg.max_seq_len}")
-    return projected + trunk.params["pos"][:n]
+    return projected + trunk["pos"][:n]
 
 
-def trunk_encode(sample: ImageSample | TokenSequence, trunk: TrunkWeights, cfg: EncoderConfig) -> np.ndarray:
+def trunk_encode(sample: ImageSample | TokenSequence, trunk: dict[str, np.ndarray], cfg: EncoderConfig) -> np.ndarray:
     """Frozen-trunk forward pass, mean-pooled over sequence positions."""
     h = embed_input(sample, trunk, cfg)
     for i in range(cfg.depth):

@@ -80,11 +80,24 @@ class MetaEntities:
 
     @classmethod
     def from_record(cls, record: dict) -> "MetaEntities":
-        entries = tuple(
+        """Inverse of ``to_record``; a malformed field is a ValueError that names it."""
+        entries = record.get("entries")
+        if not isinstance(entries, list):
+            raise ValueError(f"'entries' must be a list, got {entries!r}")
+        for e in entries:
+            if not isinstance(e, dict):
+                raise ValueError(f"each entry must be an object, got {e!r}")
+            if not isinstance(e.get("disease"), str):
+                raise ValueError(f"entry 'disease' must be a string, got {e.get('disease')!r}")
+            for name in ("adj", "dir"):
+                value = e.get(name, [])
+                if not (isinstance(value, list) and all(isinstance(v, str) for v in value)):
+                    raise ValueError(f"entry {name!r} must be a list of strings, got {value!r}")
+        parsed = tuple(
             DiseaseEntry(e["disease"], frozenset(e.get("adj", ())), frozenset(e.get("dir", ())))
-            for e in sorted(record["entries"], key=lambda e: e["disease"])
+            for e in sorted(entries, key=lambda e: e["disease"])
         )
-        return cls(entries)
+        return cls(parsed)
 
 
 @dataclass

@@ -5,7 +5,7 @@ random order). Its positive is the remaining sample with maximum entity
 similarity; its negative is the minimum-similarity sample whose score
 falls inside the semi-hard band [tau_min, tau_max]. Anchors whose best
 positive scores 0 (no shared disease anywhere in the batch) are skipped,
-as are anchors with an empty band.
+as are anchors with an empty band. Ties go to the lowest sample id.
 
 Scores are nonnegative by construction, so selecting on |score| and on
 score are the same thing.
@@ -52,14 +52,11 @@ class MinerConfig:
     tau_max: float = 0.60
     gammas: GammaWeights = field(default_factory=GammaWeights)
     semantics: Semantics = DEFAULT_SEMANTICS
-    tie_policy: str = "lowest-id"  # or "seeded-random"
     seed: int = 0
 
     def __post_init__(self) -> None:
         if not (0.0 <= self.tau_min <= self.tau_max <= 1.0):
             raise ValueError(f"need 0 <= tau_min <= tau_max <= 1, got [{self.tau_min}, {self.tau_max}]")
-        if self.tie_policy not in ("lowest-id", "seeded-random"):
-            raise ValueError(f"unknown tie_policy {self.tie_policy!r}")
         if self.semantics not in SEMANTICS:
             raise ValueError(f"unknown semantics {self.semantics!r}; expected one of: {', '.join(SEMANTICS)}")
 
@@ -91,20 +88,13 @@ def _anchor_scores(anchor_index: int, batch: Batch, cfg: MinerConfig) -> list[tu
     ]
 
 
-def _break_tie(candidates: list[str], cfg: MinerConfig, anchor_index: int) -> str:
-    if len(candidates) == 1 or cfg.tie_policy == "lowest-id":
-        return min(candidates)
-    rng = np.random.default_rng((cfg.seed, anchor_index))
-    return sorted(candidates)[rng.integers(len(candidates))]
-
-
 def select_positive(anchor_index: int, batch: Batch, cfg: MinerConfig) -> str:
-    """Id of the non-anchor sample with maximum similarity to the anchor."""
+    """Id of the non-anchor sample with maximum similarity to the anchor; ties go to the lowest id."""
     if len(batch) < 2:
         raise ValueError("batch must hold at least 2 samples")
     scores = _anchor_scores(anchor_index, batch, cfg)
     best = max(s for _, s in scores)
-    return _break_tie([sid for sid, s in scores if s == best], cfg, anchor_index)
+    return min(sid for sid, s in scores if s == best)
 
 
 def select_negative(
@@ -112,8 +102,8 @@ def select_negative(
 ) -> str | None:
     """Id of the in-band minimum-similarity sample, or None if band empty.
 
-    Band bounds are inclusive; the anchor and the already-chosen positive
-    are never candidates.
+    Ties go to the lowest id. Band bounds are inclusive; the anchor and the
+    already-chosen positive are never candidates.
     """
     if len(batch) < 3:
         raise ValueError("batch must hold at least 3 samples")
@@ -125,15 +115,13 @@ def select_negative(
     if not scores:
         return None
     worst = min(s for _, s in scores)
-    return _break_tie([sid for sid, s in scores if s == worst], cfg, anchor_index)
+    return min(sid for sid, s in scores if s == worst)
 
 
-def mine_batch(batch: Batch, cfg: MinerConfig, rng: np.random.Generator | None = None) -> list[Triplet]:
-    """Mine one triplet attempt per batch element, anchors in seeded order."""
+def mine_batch(batch: Batch, cfg: MinerConfig, rng: np.random.Generator) -> list[Triplet]:
+    """Mine one triplet attempt per batch element, anchors in the order ``rng`` draws."""
     if len(batch) < 3:
         return []
-    if rng is None:
-        rng = np.random.default_rng(cfg.seed)
     by_id = {sid: dict(_anchor_scores(i, batch, cfg)) for i, (sid, _) in enumerate(batch.samples)}
     triplets: list[Triplet] = []
     for anchor_index in rng.permutation(len(batch)):
@@ -213,7 +201,6 @@ def mine_corpus(
         "tau_max": cfg.tau_max,
         "gammas": [cfg.gammas.g0, cfg.gammas.g1, cfg.gammas.g2],
         "semantics": cfg.semantics,
-        "tie_policy": cfg.tie_policy,
         "unique_mined": len(unique),
         "emitted": len(triplets),
         "passes": passes,

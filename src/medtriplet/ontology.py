@@ -106,31 +106,10 @@ def _build_tokens(entries: list[str], section: str) -> frozenset[str]:
     return frozenset(tokens)
 
 
-def build_ontology(
-    diseases: list[tuple[str, list[str]]] = (),
-    adjectives: list[tuple[str, list[str]]] = (),
-    directions: list[tuple[str, list[str]]] = (),
-    splitters: list[str] = (),
-    deleters: list[str] = (),
-) -> Ontology:
-    """Lemmatize, validate and freeze the five categories."""
-    ont = Ontology(
-        diseases=_build_synsets(list(diseases), "diseases"),
-        adjectives=_build_synsets(list(adjectives), "adjectives"),
-        directions=_build_synsets(list(directions), "directions"),
-        splitters=_build_tokens(list(splitters), "splitters"),
-        deleters=_build_tokens(list(deleters), "deleters"),
-    )
-    clash = ont.splitters & ont.deleters
-    if clash:
-        raise OntologyError(f"token in both [splitters] and [deleters]: {sorted(clash)[0]!r}")
-    return ont
-
-
 def parse_ontology(text: str, source: str = "<string>") -> Ontology:
-    """Parse the sectioned text format; errors carry line numbers."""
-    synset_entries: dict[str, list[tuple[str, list[str]]]] = {s: [] for s in _SYNSET_SECTIONS}
-    token_entries: dict[str, list[str]] = {"splitters": [], "deleters": []}
+    """Parse the sectioned text format, then lemmatize, validate and freeze
+    the five categories; parse errors carry line numbers."""
+    entries: dict[str, list] = {s: [] for s in SECTIONS}
     section: str | None = None
     for lineno, raw_line in enumerate(text.splitlines(), start=1):
         line = raw_line.strip()
@@ -152,18 +131,22 @@ def parse_ontology(text: str, source: str = "<string>") -> Ontology:
             if not (rhs.startswith("[") and rhs.endswith("]")):
                 raise OntologyError(f"{source}:{lineno}: variant list must be bracketed")
             variants = [v.strip() for v in rhs[1:-1].split(",") if v.strip()]
-            synset_entries[section].append((canonical.strip(), variants))
+            entries[section].append((canonical.strip(), variants))
         else:
             if "=" in line:
                 raise OntologyError(f"{source}:{lineno}: [{section}] takes bare tokens")
-            token_entries[section].append(line)
-    return build_ontology(
-        diseases=synset_entries["diseases"],
-        adjectives=synset_entries["adjectives"],
-        directions=synset_entries["directions"],
-        splitters=token_entries["splitters"],
-        deleters=token_entries["deleters"],
+            entries[section].append(line)
+    ont = Ontology(
+        diseases=_build_synsets(entries["diseases"], "diseases"),
+        adjectives=_build_synsets(entries["adjectives"], "adjectives"),
+        directions=_build_synsets(entries["directions"], "directions"),
+        splitters=_build_tokens(entries["splitters"], "splitters"),
+        deleters=_build_tokens(entries["deleters"], "deleters"),
     )
+    clash = ont.splitters & ont.deleters
+    if clash:
+        raise OntologyError(f"token in both [splitters] and [deleters]: {sorted(clash)[0]!r}")
+    return ont
 
 
 def load_ontology(path: str | Path) -> Ontology:

@@ -4,7 +4,8 @@ Stages (extract, mine, train, eval) execute in order inside a locked
 output directory. Every artifact gets a sibling ``<name>.manifest.json``
 recording the tool version, the stage seed, the effective stage config
 (plus its hash), and the content hashes of all inputs, the ontology
-file among them. A re-run skips any stage whose manifest still matches,
+file among them, and of files a stage writes beside its artifact (the
+loss curve beside ``heads.ckpt``). A re-run skips any stage whose manifest still matches,
 unless forced. A stage reads an earlier stage's artifact only when that
 artifact matches its own manifest. Manifests carry no timestamps, so
 identical inputs and config produce byte-identical artifact trees.
@@ -52,6 +53,8 @@ from .scoring import GammaWeights
 logger = logging.getLogger(__name__)
 
 STAGES = ("extract", "mine", "train", "eval")
+# Retrieval depths P@R is reported at, where the eval corpus is deep enough.
+R_VALUES = (1, 10, 20, 50)
 _STAGE_INDEX = {"synth": 1, "extract": 2, "mine": 3, "train": 4, "eval": 5}
 
 
@@ -70,7 +73,6 @@ class MiningSettings:
     pass_limit: int = 100
     tau_min: float = 0.25
     tau_max: float = 0.60
-    tie_policy: str = "lowest-id"
 
     def __post_init__(self) -> None:
         # A batch needs an anchor, a positive and a negative.
@@ -92,7 +94,10 @@ class RunConfig:
     encoder: EncoderConfig = field(default_factory=EncoderConfig)
     loss: LossConfig = field(default_factory=LossConfig)
     optimizer: OptimizerConfig = field(default_factory=OptimizerConfig)
-    r_values: tuple[int, ...] = (1, 10, 20, 50)
+
+    def __post_init__(self) -> None:
+        if self.seed < 0:
+            raise ValueError(f"seed must be >= 0, got {self.seed}")
 
     def load_ontology(self) -> Ontology:
         return default_ontology() if self.ontology is None else load_ontology(self.ontology)
@@ -103,7 +108,6 @@ class RunConfig:
             tau_max=self.mining.tau_max,
             gammas=self.gammas,
             semantics=self.semantics,
-            tie_policy=self.mining.tie_policy,
             seed=stage_seed(self.seed, "mine"),
         )
 
@@ -127,14 +131,11 @@ def read_sectioned_config(path: str | Path) -> dict[str, dict[str, str]]:
     return sections
 
 
-_BOOLEANS = {"true": True, "yes": True, "1": True, "false": False, "no": False, "0": False}
-
-
 def _parse(section: str, key: str, raw: str, kind: type):
     """One config value as ``kind``; a value that is not one names its section and key."""
     try:
-        return _BOOLEANS[raw.lower()] if kind is bool else kind(raw)
-    except (KeyError, ValueError):
+        return kind(raw)
+    except ValueError:
         raise PipelineError(f"[{section}] {key} = {raw!r} is not a valid {kind.__name__}") from None
 
 
@@ -218,7 +219,14 @@ def _manifest_path(artifact: Path) -> Path:
     return artifact.with_name(artifact.name + ".manifest.json")
 
 
-def _write_manifest(artifact: Path, stage: str, seed: int, cfg_payload: dict, input_hashes: dict[str, str]) -> None:
+def _side_hashes(side_outputs: tuple[Path, ...]) -> dict[str, str]:
+    """Content hash of each file a stage writes beside its artifact; a missing one is left out."""
+    return {path.name: sha256_file(path) for path in side_outputs if path.exists()}
+
+
+def _write_manifest(
+    artifact: Path, stage: str, seed: int, cfg_payload: dict, input_hashes: dict[str, str], side: tuple[Path, ...]
+) -> None:
     manifest = {
         "artifact": artifact.name,
         "tool": "medtriplet",
@@ -230,6 +238,8 @@ def _write_manifest(artifact: Path, stage: str, seed: int, cfg_payload: dict, in
         "inputs": input_hashes,
         "output_hash": sha256_file(artifact),
     }
+    if side:
+        manifest["side_outputs"] = _side_hashes(side)
     _manifest_path(artifact).write_text(json.dumps(manifest, indent=2, sort_keys=True) + "\n", encoding="utf-8")
 
 
@@ -244,13 +254,14 @@ def _read_manifest(artifact: Path) -> dict | None:
         return None
 
 
-def _up_to_date(artifact: Path, cfg_payload: dict, input_hashes: dict[str, str]) -> bool:
+def _up_to_date(artifact: Path, cfg_payload: dict, input_hashes: dict[str, str], side: tuple[Path, ...]) -> bool:
     manifest = _read_manifest(artifact)
     return (
         manifest is not None
         and manifest.get("config_hash") == _config_hash(cfg_payload)
         and manifest.get("inputs") == input_hashes
         and manifest.get("output_hash") == sha256_file(artifact)
+        and manifest.get("side_outputs", {}) == _side_hashes(side)
     )
 
 
@@ -321,12 +332,15 @@ def _run_stage(
     cfg_payload: dict,
     inputs: dict[str, Path | None],
     build: Callable[[], None],
+    side_outputs: tuple[Path, ...] = (),
 ) -> Path:
     """Check a stage's inputs, skip it if its artifact is current, else build it.
 
     An input that an earlier stage wrote must match its own manifest, so a
     partial artifact left by a killed run is never read. Each input is
-    hashed once; the manifest is written last.
+    hashed once; the manifest is written last. ``side_outputs`` are files
+    the build writes besides the artifact; a missing or changed one makes
+    the stage stale too.
     """
     input_hashes = {}
     for name, path in inputs.items():
@@ -339,11 +353,11 @@ def _run_stage(
         input_hashes[name] = sha256_file(path)
         if earlier and manifest.get("output_hash") != input_hashes[name]:
             raise PipelineError(f"{path} does not match its manifest; run {earlier} again before {stage}")
-    if not force and _up_to_date(artifact, cfg_payload, input_hashes):
+    if not force and _up_to_date(artifact, cfg_payload, input_hashes, side_outputs):
         logger.info("%s: up to date, skipping", stage)
         return artifact
     build()
-    _write_manifest(artifact, stage, stage_seed(cfg.seed, stage), cfg_payload, input_hashes)
+    _write_manifest(artifact, stage, stage_seed(cfg.seed, stage), cfg_payload, input_hashes, side_outputs)
     return artifact
 
 
@@ -382,14 +396,15 @@ def stage_mine(cfg: RunConfig, force: bool = False) -> Path:
 def stage_train(cfg: RunConfig, force: bool = False) -> Path:
     triplets_path = cfg.out / "triplets.jsonl"
     artifact = cfg.out / "heads.ckpt"
+    curve_path = cfg.out / "loss_curve.jsonl"
 
     def build() -> None:
         _, triplets = read_triplets(triplets_path)
         if not triplets:
             raise PipelineError("triplet file holds no triplets; nothing to train on")
-        corpus = ingest(cfg.corpus, require_images=True)
+        corpus = {rec.id: rec for rec in ingest(cfg.corpus, require_images=True)}
         ids = sorted({sample_id for t in triplets for sample_id in t.key()})
-        missing = [i for i in ids if i not in corpus.records]
+        missing = [i for i in ids if i not in corpus]
         if missing:
             raise PipelineError(f"triplet ids missing from corpus: {missing[:5]}")
         z_img, z_txt = FrozenTrunks(cfg.encoder).encode_records([corpus[i] for i in ids])
@@ -397,7 +412,7 @@ def stage_train(cfg: RunConfig, force: bool = False) -> Path:
         index = np.array([[row[i] for i in t.key()] for t in triplets], dtype=np.int64)
         heads = {IMAGE: init_head(cfg.encoder, IMAGE), TEXT: init_head(cfg.encoder, TEXT)}
         result = train_heads(z_img, z_txt, index, heads, cfg.loss, cfg.optimizer)
-        write_loss_curve(cfg.out / "loss_curve.jsonl", result.curve)
+        write_loss_curve(curve_path, result.curve)
         arrays = {"head.image": result.heads[IMAGE], "head.text": result.heads[TEXT]}
         save_checkpoint(artifact, {"encoder": asdict(cfg.encoder), "seed": cfg.seed}, arrays)
 
@@ -407,7 +422,7 @@ def stage_train(cfg: RunConfig, force: bool = False) -> Path:
         "optimizer": asdict(cfg.optimizer),
     }
     inputs = {"triplets": triplets_path, "corpus": cfg.corpus}
-    return _run_stage(cfg, "train", force, artifact, cfg_payload, inputs, build)
+    return _run_stage(cfg, "train", force, artifact, cfg_payload, inputs, build, side_outputs=(curve_path,))
 
 
 def load_heads(path: str | Path) -> tuple[dict, dict[str, np.ndarray]]:
@@ -441,7 +456,7 @@ def evaluate_retrieval_tasks(
     records, ents, _ = _eval_records(cfg, eval_corpus_path)
     z_img, z_txt = FrozenTrunks(cfg.encoder).encode_records(records)
     images, texts = _project(z_img, heads[IMAGE]), _project(z_txt, heads[TEXT])
-    r_values = [r for r in cfg.r_values if r <= max(1, len(records) - 1)] or [1]
+    r_values = [r for r in R_VALUES if r <= max(1, len(records) - 1)] or [1]
     return {
         "r_values": list(r_values),
         "match_mode": match_mode,
@@ -493,7 +508,7 @@ def stage_eval(cfg: RunConfig, force: bool = False) -> Path:
         report = evaluate_retrieval_tasks(cfg, heads, eval_corpus)
         artifact.write_text(json.dumps(report, indent=2, sort_keys=True) + "\n", encoding="utf-8")
 
-    cfg_payload = {"encoder": asdict(cfg.encoder), "r_values": list(cfg.r_values)}
+    cfg_payload = {"encoder": asdict(cfg.encoder), "r_values": list(R_VALUES)}
     inputs = {"heads": heads_path, "eval_corpus": eval_corpus}
     inputs["ontology"] = cfg.ontology or DEFAULT_ONTOLOGY_FILE
     return _run_stage(cfg, "eval", force, artifact, cfg_payload, inputs, build)

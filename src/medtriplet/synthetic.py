@@ -11,7 +11,7 @@ partial disease overlaps that semi-hard mining bands rely on.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from pathlib import Path
 
 import numpy as np
@@ -20,6 +20,10 @@ from .corpus import CorpusRecord, write_corpus, write_jsonl
 from .images import write_pgm
 
 TRUTH_SCHEMA = "truth/v1"
+# Intensity of a record's primary class texture (a second class gets 0.6 of it).
+TEXTURE_AMPLITUDE = 0.35
+# Standard deviation of the Gaussian pixel noise added to every image.
+NOISE = 0.02
 # Integer tag of the per-class texture-mask seed stream (default_rng takes only integers).
 _TEXTURE_STREAM = 1
 
@@ -55,8 +59,6 @@ class SyntheticSpec:
     per_class: int = 50
     image_size: int = 32
     overlap_rate: float = 0.3
-    texture_amplitude: float = 0.35
-    noise: float = 0.02
     seed: int = 0
     id_prefix: str = "s"
 
@@ -67,10 +69,8 @@ class SyntheticSpec:
             raise ValueError("per_class must be >= 1")
         if not 0.0 <= self.overlap_rate <= 1.0:
             raise ValueError("overlap_rate must lie in [0, 1]")
-
-    @property
-    def classes(self) -> tuple[str, ...]:
-        return CLASS_POOL[: self.n_classes]
+        if self.seed < 0:
+            raise ValueError(f"seed must be >= 0, got {self.seed}")
 
 
 @dataclass
@@ -79,7 +79,6 @@ class SynthResult:
     truth_path: Path
     image_dir: Path
     records: int
-    classes: tuple[str, ...] = field(default_factory=tuple)
 
 
 def _class_texture(class_index: int, size: int, seed: int) -> np.ndarray:
@@ -123,12 +122,12 @@ def _render(
     rng: np.random.Generator,
 ) -> np.ndarray:
     size = spec.image_size
-    image = spec.texture_amplitude * _class_texture(primary, size, spec.seed)
+    image = TEXTURE_AMPLITUDE * _class_texture(primary, size, spec.seed)
     if secondary is not None:
-        image += 0.6 * spec.texture_amplitude * _class_texture(secondary, size, spec.seed)
+        image += 0.6 * TEXTURE_AMPLITUDE * _class_texture(secondary, size, spec.seed)
     rows, cols = _direction_block(direction, size)
     image[rows, cols] += ADJECTIVE_LEVELS[adjective]
-    image += rng.normal(0.0, spec.noise, (size, size))
+    image += rng.normal(0.0, NOISE, (size, size))
     return np.clip(image, 0.0, 1.0)
 
 
@@ -138,7 +137,7 @@ def synthesize(spec: SyntheticSpec, out_dir: str | Path) -> SynthResult:
     image_dir = out_dir / "images"
     image_dir.mkdir(parents=True, exist_ok=True)
     rng = np.random.default_rng(spec.seed)
-    classes = spec.classes
+    classes = CLASS_POOL[: spec.n_classes]
     adjectives = sorted(ADJECTIVE_LEVELS)
     records: list[CorpusRecord] = []
     truth = [{"schema": TRUTH_SCHEMA}]
@@ -179,4 +178,4 @@ def synthesize(spec: SyntheticSpec, out_dir: str | Path) -> SynthResult:
     truth_path = out_dir / "truth.jsonl"
     write_corpus(corpus_path, records)
     write_jsonl(truth_path, truth)
-    return SynthResult(corpus_path, truth_path, image_dir, total, classes)
+    return SynthResult(corpus_path, truth_path, image_dir, total)

@@ -89,6 +89,22 @@ class TestScoreCommand:
         rec.write_text(json.dumps({"entries": []}))
         assert main(["score", str(rec), str(rec), "--gamma0", "0.9"]) == EXIT_DATA
 
+    @pytest.mark.parametrize(
+        "text, message",
+        [
+            ('{"entries": [{"adj": ["mild"]}]}', "entry 'disease' must be a string, got None"),
+            ("not json", "Expecting value: line 1 column 1 (char 0)"),
+            ('{"entries": "edema"}', "'entries' must be a list, got 'edema'"),
+        ],
+        ids=["missing_disease", "not_json", "entries_not_list"],
+    )
+    def test_malformed_record_names_its_file(self, tmp_path, capsys, text, message):
+        good, bad = tmp_path / "good.json", tmp_path / "bad.json"
+        good.write_text(json.dumps({"entries": []}))
+        bad.write_text(text)
+        assert main(["score", str(good), str(bad)]) == EXIT_DATA
+        assert capsys.readouterr().err == f"error: {bad}: {message}\n"
+
 
 class TestPipelineCommands:
     def test_extract_mine_roundtrip(self, synth_dir, tmp_path, capsys):
@@ -169,6 +185,14 @@ class TestPipelineCommands:
         assert "batch_size must be >= 3, got 0" in capsys.readouterr().err
         assert main(["mine", "--out", str(out), "--tau-min", "2"]) == EXIT_DATA
         assert "got [2.0, 0.6]" in capsys.readouterr().err
+        assert not out.exists()
+
+    @pytest.mark.parametrize("command", ["run", "synth"])
+    def test_negative_seed_exits_before_any_stage(self, synth_dir, tmp_path, capsys, command):
+        out = tmp_path / "run"
+        extra = ["--corpus", str(synth_dir / "corpus.jsonl")] if command == "run" else []
+        assert main([command, "--out", str(out), "--seed", "-1", *extra]) == EXIT_DATA
+        assert "seed must be >= 0, got -1" in capsys.readouterr().err
         assert not out.exists()
 
     def test_image_the_trunk_cannot_take_names_its_record(self, synth_dir, tmp_path, capsys):

@@ -125,18 +125,18 @@ class TestTokenization:
 class TestEmbedInput:
     def test_zero_weights_zero_pe(self):
         trunk = init_image_trunk(SMALL)
-        trunk.params["input.w"] = np.zeros_like(trunk.params["input.w"])
-        trunk.params["input.b"] = np.zeros_like(trunk.params["input.b"])
-        trunk.params["pos"] = np.zeros_like(trunk.params["pos"])
+        trunk["input.w"] = np.zeros_like(trunk["input.w"])
+        trunk["input.b"] = np.zeros_like(trunk["input.b"])
+        trunk["pos"] = np.zeros_like(trunk["pos"])
         img = ImageSample(np.random.default_rng(0).random((8, 8)))
         assert np.all(embed_input(img, trunk, SMALL) == 0.0)
 
     def test_identity_map_single_patch(self):
         cfg = EncoderConfig(patch_size=4, embed_dim=16, heads=4, max_seq_len=4, seed=0)
         trunk = init_image_trunk(cfg)
-        trunk.params["input.w"] = np.eye(16)
-        trunk.params["input.b"] = np.zeros(16)
-        trunk.params["pos"] = np.zeros_like(trunk.params["pos"])
+        trunk["input.w"] = np.eye(16)
+        trunk["input.b"] = np.zeros(16)
+        trunk["pos"] = np.zeros_like(trunk["pos"])
         img = ImageSample(np.random.default_rng(1).random((4, 4)))
         np.testing.assert_array_equal(embed_input(img, trunk, cfg)[0], img.pixels.ravel())
 
@@ -180,8 +180,8 @@ class TestTransformerBlock:
     def test_zero_output_weights_identity(self):
         trunk = init_image_trunk(SMALL)
         for i in range(SMALL.depth):
-            trunk.params[f"block{i}.attn.wo"] = np.zeros((16, 16))
-            trunk.params[f"block{i}.mlp.w2"] = np.zeros_like(trunk.params[f"block{i}.mlp.w2"])
+            trunk[f"block{i}.attn.wo"] = np.zeros((16, 16))
+            trunk[f"block{i}.mlp.w2"] = np.zeros_like(trunk[f"block{i}.mlp.w2"])
         h = np.random.default_rng(3).normal(size=(5, 16))
         np.testing.assert_array_equal(transformer_block(h, trunk, 0, SMALL), h)
 
@@ -197,21 +197,22 @@ class TestTransformerBlock:
     def test_attention_rows_sum_to_one(self):
         trunk = init_image_trunk(SMALL)
         h = np.random.default_rng(5).normal(size=(7, 16))
-        p = trunk.params
+        p = trunk
         attn = _attention(_layer_norm(h, p["block0.ln1.g"], p["block0.ln1.b"], SMALL), p, "block0.", SMALL)
         assert attn.shape == (SMALL.heads, 7, 7)
         np.testing.assert_allclose(attn.sum(axis=-1), 1.0, atol=1e-9)
 
     def test_single_position_reduces_to_value_path(self):
-        cfg = EncoderConfig(patch_size=4, embed_dim=16, heads=4, max_seq_len=4, use_layer_norm=False, seed=2)
-        trunk = init_image_trunk(cfg)
-        trunk.params["block0.mlp.w2"] = np.zeros_like(trunk.params["block0.mlp.w2"])
-        trunk.params["block0.mlp.b2"] = np.zeros_like(trunk.params["block0.mlp.b2"])
+        cfg = EncoderConfig(patch_size=4, embed_dim=16, heads=4, max_seq_len=4, seed=2)
+        p = init_image_trunk(cfg)
+        p["block0.mlp.w2"] = np.zeros_like(p["block0.mlp.w2"])
+        p["block0.mlp.b2"] = np.zeros_like(p["block0.mlp.b2"])
         h = np.random.default_rng(6).normal(size=(1, 16))
-        p = trunk.params
-        v = h @ p["block0.attn.wv"] + p["block0.attn.bv"]
+        # One position attends only to itself: the block adds the value path of the layer-normed input.
+        x = _layer_norm(h, p["block0.ln1.g"], p["block0.ln1.b"], cfg)
+        v = x @ p["block0.attn.wv"] + p["block0.attn.bv"]
         expected = h + v @ p["block0.attn.wo"] + p["block0.attn.bo"]
-        np.testing.assert_allclose(transformer_block(h, trunk, 0, cfg), expected, atol=1e-12)
+        np.testing.assert_allclose(transformer_block(h, p, 0, cfg), expected, atol=1e-12)
 
 
 class TestEncode:
@@ -238,11 +239,11 @@ class TestEncode:
         np.testing.assert_allclose(e2, 2.0 * e1, atol=1e-12)
 
     def test_residual_identity_full_path(self):
-        cfg = EncoderConfig(patch_size=4, embed_dim=16, heads=4, max_seq_len=8, use_layer_norm=False, seed=3)
+        cfg = EncoderConfig(patch_size=4, embed_dim=16, heads=4, max_seq_len=8, seed=3)
         trunk = init_image_trunk(cfg)
         for i in range(cfg.depth):
-            trunk.params[f"block{i}.attn.wo"] = np.zeros((16, 16))
-            trunk.params[f"block{i}.mlp.w2"] = np.zeros_like(trunk.params[f"block{i}.mlp.w2"])
+            trunk[f"block{i}.attn.wo"] = np.zeros((16, 16))
+            trunk[f"block{i}.mlp.w2"] = np.zeros_like(trunk[f"block{i}.mlp.w2"])
         img = ImageSample(np.random.default_rng(10).random((8, 8)))
         pooled = trunk_encode(img, trunk, cfg)
         np.testing.assert_array_equal(pooled, embed_input(img, trunk, cfg).mean(axis=0))

@@ -140,3 +140,22 @@ class TestRecordRoundTrip:
     def test_to_from_record(self, ontology):
         m = extract(Report("r", "Small left apical pneumothorax."), ontology)
         assert MetaEntities.from_record(m.to_record()) == m
+
+    @pytest.mark.parametrize(
+        "record, message",
+        [
+            ({}, "'entries' must be a list, got None"),
+            ({"entries": "edema"}, "'entries' must be a list, got 'edema'"),
+            ({"entries": ["edema"]}, "each entry must be an object, got 'edema'"),
+            ({"entries": [{"adj": ["mild"]}]}, "entry 'disease' must be a string, got None"),
+            ({"entries": [{"disease": 3}]}, "entry 'disease' must be a string, got 3"),
+            ({"entries": [{"disease": "edema", "adj": "mild"}]}, "entry 'adj' must be a list of strings, got 'mild'"),
+            ({"entries": [{"disease": "edema", "dir": [["left"]]}]}, "entry 'dir' must be a list of strings"),
+        ],
+        ids=["no_entries", "entries_not_list", "entry_not_object", "no_disease", "disease_not_string",
+             "adj_not_list", "dir_not_strings"],
+    )
+    def test_malformed_record_names_the_field(self, record, message):
+        with pytest.raises(ValueError) as info:
+            MetaEntities.from_record(record)
+        assert str(info.value).startswith(message)

@@ -50,13 +50,7 @@ class TestSelectPositive:
 
     def test_tie_lowest_id(self):
         batch = batch_of(("a", ANCHOR), ("x2", MID), ("x1", MID))
-        assert select_positive(0, batch, MinerConfig(tie_policy="lowest-id")) == "x1"
-
-    def test_tie_seeded_random_deterministic(self):
-        batch = batch_of(("a", ANCHOR), ("x2", MID), ("x1", MID))
-        cfg = MinerConfig(tie_policy="seeded-random", seed=5)
-        picks = {select_positive(0, batch, cfg) for _ in range(5)}
-        assert len(picks) == 1
+        assert select_positive(0, batch, MinerConfig()) == "x1"
 
 
 class TestSelectNegative:
@@ -77,13 +71,13 @@ class TestSelectNegative:
 class TestMineBatch:
     def test_identical_entities_yield_nothing(self):
         batch = batch_of(("a", NEAR), ("b", NEAR), ("c", NEAR))  # pairwise 1.0
-        assert mine_batch(batch, MinerConfig()) == []
+        assert mine_batch(batch, MinerConfig(), np.random.default_rng(0)) == []
 
     def test_three_sample_enumeration(self):
         # Pairwise: (a,b)=1.0, (a,c)=(b,c)=0.45.
         twin = entities({"pneumonia": ({"mild"}, {"left"}), "edema": (set(), set())})
         batch = batch_of(("a", ANCHOR), ("b", twin), ("c", MID))
-        triplets = {t.anchor_id: t for t in mine_batch(batch, MinerConfig())}
+        triplets = {t.anchor_id: t for t in mine_batch(batch, MinerConfig(), np.random.default_rng(0))}
         assert triplets["a"].positive_id == "b" and triplets["a"].negative_id == "c"
         assert triplets["b"].positive_id == "a" and triplets["b"].negative_id == "c"
         # anchor c: positives tie at 0.45, lowest id wins; the other twin
@@ -92,18 +86,18 @@ class TestMineBatch:
         assert triplets["c"].score_ap == triplets["c"].score_an == pytest.approx(0.45)
 
     def test_empty_and_small_batches(self):
-        assert mine_batch(Batch(()), MinerConfig()) == []
-        assert mine_batch(batch_of(("a", ANCHOR), ("b", MID)), MinerConfig()) == []
+        assert mine_batch(Batch(()), MinerConfig(), np.random.default_rng(0)) == []
+        assert mine_batch(batch_of(("a", ANCHOR), ("b", MID)), MinerConfig(), np.random.default_rng(0)) == []
 
     def test_zero_score_positive_skips_anchor(self):
         other = entities({"fracture": (set(), set())})
         batch = batch_of(("a", ANCHOR), ("b", FAR), ("c", other))
-        triplets = mine_batch(batch, MinerConfig())
+        triplets = mine_batch(batch, MinerConfig(), np.random.default_rng(0))
         assert all(t.anchor_id != "a" for t in triplets)
 
 
 class TestMinerConfig:
-    @pytest.mark.parametrize("field", ["tie_policy", "semantics"])
+    @pytest.mark.parametrize("field", ["semantics"])
     def test_unknown_value_rejected(self, field):
         with pytest.raises(ValueError, match="'bogus'"):
             MinerConfig(**{field: "bogus"})
@@ -207,6 +201,6 @@ class TestMineCorpus:
     def test_anchor_unique_within_batch(self):
         samples = _random_corpus(30, 15)
         batch = Batch(tuple(samples[:12]))
-        triplets = mine_batch(batch, MinerConfig(seed=3))
+        triplets = mine_batch(batch, MinerConfig(seed=3), np.random.default_rng(3))
         anchors = [t.anchor_id for t in triplets]
         assert len(anchors) == len(set(anchors))

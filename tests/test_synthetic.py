@@ -77,3 +77,5 @@ class TestSynthesize:
             SyntheticSpec(overlap_rate=1.5)
         with pytest.raises(ValueError):
             SyntheticSpec(per_class=0)
+        with pytest.raises(ValueError, match=r"seed must be >= 0, got -1"):
+            SyntheticSpec(seed=-1)

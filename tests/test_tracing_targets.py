@@ -1,14 +1,18 @@
 """The benchmark's tracer patches names inside the package; they must keep
-existing, and the call counts its traced run checks must hold."""
+existing, the call counts its traced run checks must hold, and the calls
+the benchmark makes into the package must keep working."""
 
 import importlib
 import importlib.util
+import os
 import sys
 from pathlib import Path
 
 import numpy as np
+import pytest
 
 from medtriplet import alignment, evaluation, mining, pipeline
+from medtriplet.corpus import ingest
 from medtriplet.encoder import IMAGE, TEXT, init_head
 from medtriplet.mining import Batch, MinerConfig
 from medtriplet.synthetic import SyntheticSpec, synthesize
@@ -25,6 +29,41 @@ def _load_tracing(monkeypatch):
     monkeypatch.setitem(sys.modules, spec.name, module)
     spec.loader.exec_module(module)
     return module
+
+
+@pytest.fixture
+def bench(monkeypatch):
+    """benchmarks/bench.py, imported like tracing.py with benchmarks/ on ``sys.path``;
+    the environment variables it sets on import are restored afterwards."""
+    monkeypatch.syspath_prepend(str(TRACING.parent))
+    monkeypatch.setitem(sys.modules, "tracing", _load_tracing(monkeypatch))
+    spec = importlib.util.spec_from_file_location("_medtriplet_bench", TRACING.with_name("bench.py"))
+    module = importlib.util.module_from_spec(spec)
+    monkeypatch.setitem(sys.modules, spec.name, module)
+    environ = dict(os.environ)
+    try:
+        spec.loader.exec_module(module)
+    finally:
+        for var in set(os.environ) - set(environ):
+            del os.environ[var]
+        os.environ.update(environ)
+    return module
+
+
+def test_bench_builds_run_configs_and_specs(bench, tmp_path):
+    for workload in bench.WORKLOADS.values():
+        cfg = bench.run_config(workload, 1, tmp_path / "out", tmp_path / "train.jsonl", tmp_path / "eval.jsonl")
+        assert isinstance(cfg, pipeline.RunConfig)
+        assert (cfg.mining.target, cfg.optimizer.epochs) == (workload.target, workload.epochs)
+        train, evaluation_spec = bench.specs(workload, 1)
+        assert isinstance(train, SyntheticSpec) and isinstance(evaluation_spec, SyntheticSpec)
+        assert (train.per_class, evaluation_spec.per_class) == (workload.train_per_class, workload.eval_per_class)
+
+
+def test_bench_counts_ingested_records(bench, tmp_path):
+    _, spec = bench.specs(bench.WORKLOADS["dense"], 1)
+    world = synthesize(spec, tmp_path / "eval")
+    assert len(ingest(world.corpus_path)) == spec.n_classes * spec.per_class
 
 
 def test_layer_patch_targets_resolve(monkeypatch):
@@ -53,7 +92,7 @@ def test_mine_batch_scores_each_ordered_pair_three_times(monkeypatch):
     plain = [{"d1": (set(), set()), **random_entities(rng)} for _ in range(k)]
     batch = Batch(tuple((f"s{i}", to_meta(p)) for i, p in enumerate(plain)))
     calls = _counting(monkeypatch, mining, "score")
-    mining.mine_batch(batch, MinerConfig())
+    mining.mine_batch(batch, MinerConfig(), np.random.default_rng(0))
     assert len(calls) == 3 * k * (k - 1)
 
 
