@@ -4,6 +4,8 @@ Every file starts with a single header record carrying its schema
 version; data records follow one per line, UTF-8, fixed field order.
 ``read_jsonl`` and ``write_jsonl`` are the one codec for these files and
 for the other line-delimited artifacts (triplets, loss curve, truth).
+``atomic_write`` writes each run-dir artifact and manifest whole or not
+at all, so a crash mid-write leaves the previous file in place.
 
 corpus/v1 record:   {"id": ..., "text": ..., "image": path-or-null}
 entities/v1 record: {"id": ..., "entries": [{"disease", "adj", "dir"}]}
@@ -12,10 +14,12 @@ entities/v1 record: {"id": ..., "entries": [{"disease", "adj", "dir"}]}
 from __future__ import annotations
 
 import json
+import os
+from contextlib import contextmanager
 from dataclasses import dataclass
 from itertools import chain
 from pathlib import Path
-from typing import Iterable, Iterator
+from typing import IO, Iterable, Iterator
 
 from .extraction import MetaEntities, Report
 
@@ -66,9 +70,31 @@ def read_jsonl(path: str | Path, schema: str) -> tuple[dict, Iterator[tuple[int,
     return header, records
 
 
+@contextmanager
+def atomic_write(path: str | Path, mode: str = "w") -> Iterator[IO]:
+    """A handle that writes ``path`` whole or not at all (``mode`` "w" for
+    UTF-8 text, "wb" for bytes).
+
+    Writes go to a temp file in the same directory. When the block exits
+    cleanly the temp file is fsynced and renamed over ``path``; when it
+    raises, the temp file is removed and ``path`` keeps its old bytes.
+    """
+    path = Path(path)
+    tmp = path.with_name(f".{path.name}.{os.getpid()}.tmp")
+    try:
+        with open(tmp, mode, encoding=None if "b" in mode else "utf-8") as fh:
+            yield fh
+            fh.flush()
+            os.fsync(fh.fileno())
+        os.replace(tmp, path)
+    finally:
+        tmp.unlink(missing_ok=True)
+
+
 def write_jsonl(path: str | Path, records: Iterable[dict]) -> None:
-    """One JSON object per line, keys in insertion order, UTF-8, written record by record."""
-    with open(path, "w", encoding="utf-8") as fh:
+    """One JSON object per line, keys in insertion order, UTF-8, written record by
+    record and renamed into place only once every record is written."""
+    with atomic_write(path) as fh:
         for record in records:
             fh.write(json.dumps(record) + "\n")
 

@@ -2,12 +2,14 @@
 
 Retrieval takes (n, c) query and gallery matrices whose row i is record
 i, rows in ascending id order. Each query ranks every other gallery row
-by cosine similarity, ties going to the lower row (the lower id).
+by cosine similarity, ties going to the lower row (the lower id); each
+gallery row's norm is computed once per call, not once per pair.
 Consistency per entity kind compares the query's label set with a
 retrieved item's, both rows of one multi-hot matrix per kind: their
 Jaccard index, or under ``match_mode="exact"`` 1 only when they are
 equal. Precision@R is the mean consistency over the top-R items, as a
-percentage.
+percentage; all queries' top items form one (n, depth) index matrix, so
+each kind's consistencies are one array operation.
 
 Zero-shot classification scores image rows against one templated text
 prompt per disease in one (n, k) cosine matrix; each row predicts its
@@ -22,7 +24,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .alignment import cosine
+from .alignment import cosine, norm
 from .extraction import MetaEntities
 from .ontology import Ontology
 
@@ -34,11 +36,20 @@ ENTITY_KINDS = ("disease", "adjective", "direction")
 MATCH_MODES = ("mean", "exact")
 
 
-def rank(query: np.ndarray, gallery: np.ndarray, exclude: int) -> np.ndarray:
+def rank(query: np.ndarray, gallery: np.ndarray, exclude: int, norms: Sequence[float] | None = None) -> np.ndarray:
     """Gallery row indices other than ``exclude``, by descending cosine
-    similarity to ``query``; ties go to the lower row."""
+    similarity to ``query``; ties go to the lower row.
+
+    ``norms`` are the gallery rows' norms as ``norm`` computes them; a
+    caller that ranks many queries against one gallery passes them in,
+    and without them they are computed here. Either way ``cosine`` is
+    called once per ranked row with the same floats.
+    """
+    if norms is None:
+        norms = [norm(row) for row in gallery]
+    nq = norm(query)
     rows = np.delete(np.arange(len(gallery)), exclude)
-    sims = np.array([cosine(query, gallery[j]) for j in rows])
+    sims = np.array([cosine(query, gallery[j], nq, norms[j]) for j in rows.tolist()])
     return rows[np.argsort(-sims, kind="stable")]
 
 
@@ -63,12 +74,13 @@ def _label_matrix(entities: Sequence[MetaEntities], kind: str) -> np.ndarray:
 
 
 def _consistency(query: np.ndarray, items: np.ndarray, match_mode: str) -> np.ndarray:
-    """Consistency of each multi-hot row of ``items`` with the ``query`` row."""
+    """Consistency of multi-hot ``items`` rows with ``query`` rows, along the
+    last axis; ``query`` broadcasts against ``items``."""
     if match_mode == "exact":
-        return np.all(items == query, axis=1).astype(np.float64)
-    inter = np.count_nonzero(items & query, axis=1)
-    union = np.count_nonzero(items | query, axis=1)
-    return np.divide(inter, union, out=np.zeros(len(items)), where=union > 0)
+        return np.all(items == query, axis=-1).astype(np.float64)
+    inter = np.count_nonzero(items & query, axis=-1)
+    union = np.count_nonzero(items | query, axis=-1)
+    return np.divide(inter, union, out=np.zeros(inter.shape), where=union > 0)
 
 
 def precision_at_r(
@@ -109,7 +121,12 @@ def zero_shot_classify(
         raise ValueError("need one prompt row per class")
     if len(classes) < 2:
         raise ValueError("need at least 2 candidate classes")
-    scores = np.array([[cosine(image, prompt) for prompt in prompts] for image in images])
+    image_norms = [norm(image) for image in images]
+    prompt_norms = [norm(prompt) for prompt in prompts]
+    scores = np.array([
+        [cosine(image, prompt, ni, nk) for prompt, nk in zip(prompts, prompt_norms)]
+        for image, ni in zip(images, image_norms)
+    ])
     scores = scores.reshape(len(images), len(classes))
     by_name = np.argsort(classes, kind="stable")
     best = by_name[np.argmax(scores[:, by_name], axis=1)]
@@ -191,8 +208,9 @@ def retrieval_report(
 ) -> dict[str, dict[int, float]]:
     """Mean P@R per entity kind; row i of both matrices is record i.
 
-    Each query is ranked once against every other gallery row. A kind's
-    value is NaN when no query has another row to retrieve.
+    Each query is ranked once against every other gallery row, with the
+    gallery's norms computed once. A kind's value is NaN when no query has
+    another row to retrieve.
     """
     if match_mode not in MATCH_MODES:
         raise ValueError(f"unknown match_mode {match_mode!r}")
@@ -200,18 +218,15 @@ def retrieval_report(
         raise ValueError("queries, gallery and entities must have one row per record")
     if min(r_values) < 1:
         raise ValueError("r values must be >= 1")
-    labels = {kind: _label_matrix(entities, kind) for kind in ENTITY_KINDS}
+    if len(gallery) < 2:
+        return {kind: dict.fromkeys(r_values, float("nan")) for kind in ENTITY_KINDS}
+    norms = [norm(row) for row in gallery]
     depth = max(r_values)
-    per_query: dict[str, dict[int, list[float]]] = {kind: {r: [] for r in r_values} for kind in ENTITY_KINDS}
-    for i, query in enumerate(queries):
-        top = rank(query, gallery, exclude=i)[:depth]
-        if not len(top):
-            continue
-        for kind, matrix in labels.items():
-            values = _consistency(matrix[i], matrix[top], match_mode)
-            for r in r_values:
-                per_query[kind][r].append(100.0 * float(np.mean(values[:r])))
-    return {
-        kind: {r: float(np.mean(values)) if values else float("nan") for r, values in by_r.items()}
-        for kind, by_r in per_query.items()
-    }
+    # top[i]: query i's top-depth gallery rows, best first
+    top = np.array([rank(query, gallery, i, norms)[:depth] for i, query in enumerate(queries)])
+    report = {}
+    for kind in ENTITY_KINDS:
+        labels = _label_matrix(entities, kind)
+        values = _consistency(labels[:, None], labels[top], match_mode)
+        report[kind] = {r: float(np.mean(100.0 * values[:, :r].mean(axis=1))) for r in r_values}
+    return report

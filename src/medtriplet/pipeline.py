@@ -32,7 +32,7 @@ import numpy as np
 from . import __version__
 from .alignment import LossConfig, OptimizerConfig, train_heads, write_loss_curve
 from .checkpoint import load_checkpoint, save_checkpoint
-from .corpus import CorpusRecord, ingest, read_entities, write_entities
+from .corpus import CorpusRecord, atomic_write, ingest, read_entities, write_entities
 from .encoder import (
     IMAGE,
     TEXT,
@@ -240,7 +240,8 @@ def _write_manifest(
     }
     if side:
         manifest["side_outputs"] = _side_hashes(side)
-    _manifest_path(artifact).write_text(json.dumps(manifest, indent=2, sort_keys=True) + "\n", encoding="utf-8")
+    with atomic_write(_manifest_path(artifact)) as fh:
+        fh.write(json.dumps(manifest, indent=2, sort_keys=True) + "\n")
 
 
 def _read_manifest(artifact: Path) -> dict | None:
@@ -425,9 +426,22 @@ def stage_train(cfg: RunConfig, force: bool = False) -> Path:
     return _run_stage(cfg, "train", force, artifact, cfg_payload, inputs, build, side_outputs=(curve_path,))
 
 
-def load_heads(path: str | Path) -> tuple[dict, dict[str, np.ndarray]]:
+def load_heads(path: str | Path, embed_dim: int | None = None) -> tuple[dict, dict[str, np.ndarray]]:
+    """A checkpoint's config and its two projection heads, square and of one
+    shape, (embed_dim, embed_dim) when ``embed_dim`` is given; other arrays
+    in the file are ignored. Each error names the file."""
     config, arrays = load_checkpoint(path)
-    return config, {IMAGE: arrays["head.image"], TEXT: arrays["head.text"]}
+    heads = {}
+    for modality in (IMAGE, TEXT):
+        name = f"head.{modality}"
+        if name not in arrays:
+            raise PipelineError(f"{path}: checkpoint has no {name!r} array")
+        heads[modality] = arrays[name]
+    dim = embed_dim or next(iter(heads[IMAGE].shape), 0)
+    for modality, head in heads.items():
+        if head.shape != (dim, dim):
+            raise PipelineError(f"{path}: head.{modality} has shape {head.shape}, expected {(dim, dim)}")
+    return config, heads
 
 
 def _eval_records(
@@ -504,9 +518,10 @@ def stage_eval(cfg: RunConfig, force: bool = False) -> Path:
     artifact = cfg.out / "eval_retrieval.json"
 
     def build() -> None:
-        _, heads = load_heads(heads_path)
+        _, heads = load_heads(heads_path, cfg.encoder.embed_dim)
         report = evaluate_retrieval_tasks(cfg, heads, eval_corpus)
-        artifact.write_text(json.dumps(report, indent=2, sort_keys=True) + "\n", encoding="utf-8")
+        with atomic_write(artifact) as fh:
+            fh.write(json.dumps(report, indent=2, sort_keys=True) + "\n")
 
     cfg_payload = {"encoder": asdict(cfg.encoder), "r_values": list(R_VALUES)}
     inputs = {"heads": heads_path, "eval_corpus": eval_corpus}

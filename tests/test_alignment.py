@@ -14,6 +14,7 @@ from medtriplet.alignment import (
     head_gradients,
     mean_loss,
     multimodal_loss,
+    norm,
     train_heads,
     triplet_hinge,
 )
@@ -76,6 +77,21 @@ class TestCosine:
             else:
                 u, v = rng.standard_normal(c) * scales[0], rng.standard_normal(c) * scales[1]
             assert cosine(u, v) == float(u @ v / (np.linalg.norm(u) * np.linalg.norm(v)))
+
+    def test_given_norms_give_the_same_bits(self):
+        rng = np.random.default_rng(43)
+        for trial in range(400):
+            c = int(rng.integers(1, 130))
+            u = rng.standard_normal(c) * 10.0 ** rng.uniform(-8, 8)
+            # Every third pair is a scaled duplicate, whose cosine is 1 up to rounding.
+            v = u * rng.uniform(0.1, 10.0) if trial % 3 == 0 else rng.standard_normal(c) * 10.0 ** rng.uniform(-8, 8)
+            assert norm(u) == np.linalg.norm(u)
+            assert cosine(u, v, norm(u), norm(v)) == cosine(u, v)
+            assert cosine(u, v, norm(u)) == cosine(u, v, None, norm(v)) == cosine(u, v)
+
+    def test_zero_norm_given_raises(self):
+        with pytest.raises(DegenerateEmbeddingError):
+            cosine(np.ones(3), np.ones(3), norm(np.ones(3)), 0.0)
 
 
 class TestTripletHinge:

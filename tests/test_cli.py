@@ -2,8 +2,10 @@
 
 import json
 
+import numpy as np
 import pytest
 
+from medtriplet.checkpoint import save_checkpoint
 from medtriplet.cli import EXIT_DATA, EXIT_OK, EXIT_USAGE, main
 from medtriplet.pipeline import output_lock
 
@@ -234,6 +236,45 @@ class TestPipelineCommands:
         out = tmp_path / "run"
         cfg.write_text(f"[run]\nout = {out}\ncorpus = {synth_dir/'corpus.jsonl'}\n")
         assert main(["run", "--config", str(cfg), "--stages", "mine"]) == EXIT_DATA
+
+
+class TestBadHeadsCheckpoint:
+    """``eval-retrieval --heads X`` on a bad checkpoint exits 2 with an error naming X."""
+
+    def _heads(self, tmp_path, dim=64, names=("head.image", "head.text")):
+        rng = np.random.default_rng(0)
+        path = tmp_path / "heads.ckpt"
+        save_checkpoint(path, {"seed": 0}, {name: rng.normal(size=(dim, dim)) for name in names})
+        return path
+
+    def _eval(self, synth_dir, heads, capsys) -> str:
+        capsys.readouterr()
+        code = main(["eval-retrieval", "--corpus", str(synth_dir / "corpus.jsonl"), "--heads", str(heads)])
+        err = capsys.readouterr().err
+        assert code == EXIT_DATA, err
+        assert err.startswith(f"error: {heads}: ")
+        assert "Traceback" not in err
+        return err
+
+    def test_payload_cut_short(self, synth_dir, tmp_path, capsys):
+        heads = self._heads(tmp_path)
+        heads.write_bytes(heads.read_bytes()[:-100])
+        assert "array 'head.text': bytes [32768, 65536) run past the 65436-byte payload" in self._eval(
+            synth_dir, heads, capsys
+        )
+
+    def test_header_cut_short(self, synth_dir, tmp_path, capsys):
+        heads = self._heads(tmp_path)
+        heads.write_bytes(heads.read_bytes()[:30])
+        assert "header runs past the 30-byte file" in self._eval(synth_dir, heads, capsys)
+
+    def test_missing_image_head(self, synth_dir, tmp_path, capsys):
+        heads = self._heads(tmp_path, names=("head.text",))
+        assert "checkpoint has no 'head.image' array" in self._eval(synth_dir, heads, capsys)
+
+    def test_heads_of_another_embed_dim(self, synth_dir, tmp_path, capsys):
+        heads = self._heads(tmp_path, dim=8)
+        assert "head.image has shape (8, 8), expected (64, 64)" in self._eval(synth_dir, heads, capsys)
 
 
 class TestSynthCommand:

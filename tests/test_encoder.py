@@ -1,11 +1,12 @@
 """Toy transformer encoders: shapes, determinism, structural identities."""
 
+import json
 import re
 
 import numpy as np
 import pytest
 
-from medtriplet.checkpoint import load_checkpoint, save_checkpoint
+from medtriplet.checkpoint import MAGIC, load_checkpoint, save_checkpoint
 from medtriplet.encoder import (
     IMAGE,
     TEXT,
@@ -336,6 +337,39 @@ class TestCheckpoint:
         for name, arr in arrays.items():
             assert arrays2[name].dtype == arr.dtype
             np.testing.assert_array_equal(arrays2[name], arr)
+
+    @pytest.mark.parametrize(
+        "entry, message",
+        [
+            ({"shape": [4, 4], "offset": 0, "nbytes": 64}, "nbytes 64 does not hold shape [4, 4] of <f8"),
+            ({"shape": [4, 4], "offset": 8, "nbytes": 128}, "bytes [8, 136) run past the 128-byte payload"),
+            ({"shape": [4, 4], "offset": -8, "nbytes": 128}, "must be non-negative integers"),
+            ({"shape": [4], "offset": 0}, "header entry has no 'nbytes' field"),
+            ({"shape": [4], "offset": 0, "nbytes": 32, "dtype": "<q8"}, "data type"),
+        ],
+    )
+    def test_header_entry_must_fit_the_payload(self, tmp_path, entry, message):
+        entry = {"name": "head.image", "dtype": "<f8", **entry}
+        header = json.dumps({"config": {}, "arrays": [entry]}).encode()
+        path = tmp_path / "w.ckpt"
+        path.write_bytes(MAGIC + len(header).to_bytes(4, "little") + header + bytes(128))
+        with pytest.raises(ValueError, match=re.escape(f"{path}: array 'head.image': ")) as err:
+            load_checkpoint(path)
+        assert message in str(err.value)
+
+    def test_header_entry_without_a_name(self, tmp_path):
+        header = json.dumps({"config": {}, "arrays": [{"dtype": "<f8", "shape": [1], "offset": 0, "nbytes": 8}]}).encode()
+        path = tmp_path / "w.ckpt"
+        path.write_bytes(MAGIC + len(header).to_bytes(4, "little") + header + bytes(8))
+        with pytest.raises(ValueError, match=re.escape(f"{path}: checkpoint header entry without a name")):
+            load_checkpoint(path)
+
+    def test_header_without_arrays(self, tmp_path):
+        header = json.dumps({"config": {}}).encode()
+        path = tmp_path / "w.ckpt"
+        path.write_bytes(MAGIC + len(header).to_bytes(4, "little") + header)
+        with pytest.raises(ValueError, match=re.escape(f"{path}: unreadable checkpoint header: KeyError('arrays')")):
+            load_checkpoint(path)
 
     def test_bad_magic(self, tmp_path):
         path = tmp_path / "w.ckpt"

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from conftest import entities
-from medtriplet.alignment import cosine
+from medtriplet.alignment import DegenerateEmbeddingError, cosine, norm
 from medtriplet.encoder import EncoderConfig, tokenize_text
 from medtriplet.evaluation import (
     classification_metrics,
@@ -65,6 +65,18 @@ class TestRetrieve:
         assert sims == sorted(sims, reverse=True)
         assert len(sims) == 11
 
+    def test_given_norms_same_ranking_on_duplicate_rows(self):
+        rng = np.random.default_rng(5)
+        for _ in range(30):
+            n = int(rng.integers(2, 20))
+            g = rng.normal(size=(n, 4))
+            # Duplicated and rescaled rows force exact and near ties.
+            g[rng.integers(0, n, size=n // 2)] = g[0]
+            g[rng.integers(0, n, size=n // 3)] = 3.0 * g[-1]
+            norms = [norm(row) for row in g]
+            for i in range(n):
+                np.testing.assert_array_equal(rank(g[i], g, i, norms), rank(g[i], g, i))
+
 
 class TestRetrievalResult:
     """``retrieval_report``: mean P@R per entity kind over matrix rows."""
@@ -91,6 +103,14 @@ class TestRetrievalResult:
     def test_single_record_has_nothing_to_retrieve(self):
         report = retrieval_report(rows((1.0, 0.0)), rows((1.0, 0.0)), [EDEMA], r_values=(1,))
         assert all(np.isnan(report[kind][1]) for kind in ("disease", "adjective", "direction"))
+
+    def test_zero_norm_row_raises(self):
+        g = rows((1.0, 0.0), (0.0, 0.0), (0.6, 0.8))
+        with pytest.raises(DegenerateEmbeddingError):
+            retrieval_report(g, g, [EDEMA, EDEMA, PNEUMONIA], r_values=(1,))
+        with pytest.raises(DegenerateEmbeddingError):
+            retrieval_report(rows((1.0, 0.0), (0.0, 0.0), (0.6, 0.8)), rows((1.0, 0.0), (0.5, 0.5), (0.6, 0.8)),
+                             [EDEMA, EDEMA, PNEUMONIA], r_values=(1,))
 
     def test_invalid_arguments(self):
         g = rows((1.0, 0.0), (0.0, 1.0))
@@ -188,6 +208,12 @@ class TestZeroShot:
         prompts = rows((0.1, 1.0), (0.9, 0.44), (0.4, 0.92))
         predicted, _ = zero_shot_classify(rows((1.0, 0.0)), prompts, ["a", "b", "c"])
         assert predicted == ["b"]
+
+    def test_zero_norm_row_raises(self):
+        with pytest.raises(DegenerateEmbeddingError):
+            zero_shot_classify(rows((1.0, 0.0), (0.0, 0.0)), rows((1.0, 0.0), (0.0, 1.0)), ["a", "b"])
+        with pytest.raises(DegenerateEmbeddingError):
+            zero_shot_classify(rows((1.0, 0.0)), rows((1.0, 0.0), (0.0, 0.0)), ["a", "b"])
 
     def test_needs_two_classes(self):
         with pytest.raises(ValueError, match="at least 2"):

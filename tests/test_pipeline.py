@@ -10,7 +10,7 @@ import pytest
 
 from medtriplet import pipeline
 from medtriplet.checkpoint import load_checkpoint, save_checkpoint
-from medtriplet.corpus import CorpusRecord, DataError, ingest, read_entities, write_corpus
+from medtriplet.corpus import CorpusRecord, DataError, ingest, read_entities, write_corpus, write_jsonl
 from medtriplet.encoder import IMAGE, TEXT, init_head
 from medtriplet.extraction import extract
 from medtriplet.ontology import default_ontology, save_ontology
@@ -43,6 +43,30 @@ def small_world(tmp_path):
         mining=MiningSettings(batch_size=12, target=60, pass_limit=40),
     )
     return cfg
+
+
+class TestAtomicWrites:
+    def test_failed_jsonl_write_keeps_the_old_file(self, tmp_path):
+        path = tmp_path / "t.jsonl"
+        write_jsonl(path, [{"schema": "x"}, {"id": "old"}])
+        before = path.read_bytes()
+
+        def rows():
+            yield {"schema": "x"}
+            yield {"id": "new"}
+            raise RuntimeError("killed mid-write")
+
+        with pytest.raises(RuntimeError, match="killed mid-write"):
+            write_jsonl(path, rows())
+        assert path.read_bytes() == before
+        assert sorted(os.listdir(tmp_path)) == ["t.jsonl"]
+
+    def test_checkpoint_write_replaces_and_leaves_no_temp_file(self, tmp_path):
+        path = tmp_path / "heads.ckpt"
+        path.write_bytes(b"stale")
+        save_checkpoint(path, {"seed": 0}, {"head.image": np.eye(2)})
+        assert sorted(os.listdir(tmp_path)) == ["heads.ckpt"]
+        np.testing.assert_array_equal(load_checkpoint(path)[1]["head.image"], np.eye(2))
 
 
 class TestIngest:
