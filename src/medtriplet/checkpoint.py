@@ -25,7 +25,7 @@ def save_checkpoint(path: str | Path, config: dict, arrays: dict[str, np.ndarray
     entries = []
     payload = bytearray()
     for name in sorted(arrays):
-        arr = np.ascontiguousarray(arrays[name])
+        arr = np.asarray(arrays[name])
         if arr.dtype.byteorder == ">":
             arr = arr.astype(arr.dtype.newbyteorder("<"))
         entries.append(

@@ -118,12 +118,11 @@ def _cmd_stages(args: argparse.Namespace) -> int:
 
 def _cmd_eval(args: argparse.Namespace) -> int:
     """``eval-retrieval`` and ``eval-classify``: print one report for an eval corpus."""
-    cfg = _build_config(args)
-    _, heads = load_heads(args.heads or (cfg.out / "heads.ckpt"), cfg.encoder.embed_dim)
+    cfg = with_seed_defaults(_build_config(args))
+    _, heads = load_heads(args.heads or (cfg.out / "heads.ckpt"), cfg)
     eval_corpus = cfg.eval_corpus or cfg.corpus
     if eval_corpus is None:
         raise PipelineError(f"{args.command} needs --eval-corpus or a config with one")
-    cfg = with_seed_defaults(cfg)
     if args.command == "eval-retrieval":
         report = evaluate_retrieval_tasks(cfg, heads, eval_corpus, args.match_mode)
     else:

@@ -9,12 +9,21 @@ as are anchors with an empty band. Ties go to the lowest sample id.
 
 Scores are nonnegative by construction, so selecting on |score| and on
 score are the same thing.
+
+Cost: ``mine_batch`` scores every ordered pair of a k-sample batch three
+times, once for its rows of totals and once each in ``select_positive``
+and ``select_negative``, so 3·k·(k−1) ``score`` calls when every anchor has
+a positive. One sweep would do; the other two stay only because the
+benchmark's traced run checks that count (ROADMAP.md, item 1). Around
+those calls the batch is kept as parallel id and structure tuples, and
+each sweep yields a plain list of totals.
 """
 
 from __future__ import annotations
 
 import logging
 from dataclasses import dataclass, field
+from functools import cached_property
 from itertools import chain
 from operator import itemgetter
 from pathlib import Path
@@ -38,12 +47,19 @@ class Batch:
     samples: tuple[tuple[str, MetaEntities], ...]
 
     def __post_init__(self) -> None:
-        ids = [sid for sid, _ in self.samples]
-        if len(set(ids)) != len(ids):
+        if len(set(self.ids)) != len(self.ids):
             raise ValueError("duplicate sample ids in batch")
 
     def __len__(self) -> int:
         return len(self.samples)
+
+    @cached_property
+    def ids(self) -> tuple[str, ...]:
+        return tuple(sid for sid, _ in self.samples)
+
+    @cached_property
+    def structures(self) -> tuple[MetaEntities, ...]:
+        return tuple(m for _, m in self.samples)
 
 
 @dataclass(frozen=True)
@@ -79,13 +95,19 @@ class Triplet:
         return (self.anchor_id, self.positive_id, self.negative_id)
 
 
-def _anchor_scores(anchor_index: int, batch: Batch, cfg: MinerConfig) -> list[tuple[str, float]]:
-    _, anchor_m = batch.samples[anchor_index]
-    return [
-        (sid, score(anchor_m, m, cfg.gammas, cfg.semantics).total)
-        for j, (sid, m) in enumerate(batch.samples)
-        if j != anchor_index
-    ]
+def _others(items: tuple, anchor_index: int) -> tuple:
+    return items[:anchor_index] + items[anchor_index + 1 :]
+
+
+def _anchor_scores(anchor_index: int, batch: Batch, cfg: MinerConfig) -> list[float]:
+    """The anchor's score against every other sample, in batch order.
+
+    ``score`` is looked up in this module at each call, never bound early,
+    so a wrapper put in its place (the benchmark's tracer) sees every call.
+    """
+    anchor = batch.structures[anchor_index]
+    gammas, semantics = cfg.gammas, cfg.semantics
+    return [score(anchor, m, gammas, semantics).total for m in _others(batch.structures, anchor_index)]
 
 
 def select_positive(anchor_index: int, batch: Batch, cfg: MinerConfig) -> str:
@@ -93,8 +115,8 @@ def select_positive(anchor_index: int, batch: Batch, cfg: MinerConfig) -> str:
     if len(batch) < 2:
         raise ValueError("batch must hold at least 2 samples")
     scores = _anchor_scores(anchor_index, batch, cfg)
-    best = max(s for _, s in scores)
-    return min(sid for sid, s in scores if s == best)
+    best = max(scores)
+    return min(sid for sid, s in zip(_others(batch.ids, anchor_index), scores) if s == best)
 
 
 def select_negative(
@@ -107,35 +129,29 @@ def select_negative(
     """
     if len(batch) < 3:
         raise ValueError("batch must hold at least 3 samples")
-    scores = [
-        (sid, s)
-        for sid, s in _anchor_scores(anchor_index, batch, cfg)
-        if sid != exclude and cfg.tau_min <= s <= cfg.tau_max
-    ]
-    if not scores:
-        return None
-    worst = min(s for _, s in scores)
-    return min(sid for sid, s in scores if s == worst)
+    lo, hi = cfg.tau_min, cfg.tau_max
+    scores = _anchor_scores(anchor_index, batch, cfg)
+    band = [(s, sid) for sid, s in zip(_others(batch.ids, anchor_index), scores) if lo <= s <= hi and sid != exclude]
+    return min(band)[1] if band else None
 
 
 def mine_batch(batch: Batch, cfg: MinerConfig, rng: np.random.Generator) -> list[Triplet]:
     """Mine one triplet attempt per batch element, anchors in the order ``rng`` draws."""
     if len(batch) < 3:
         return []
-    by_id = {sid: dict(_anchor_scores(i, batch, cfg)) for i, (sid, _) in enumerate(batch.samples)}
+    ids = batch.ids
+    rows = [dict(zip(_others(ids, i), _anchor_scores(i, batch, cfg))) for i in range(len(batch))]
     triplets: list[Triplet] = []
-    for anchor_index in rng.permutation(len(batch)):
-        anchor_id = batch.samples[anchor_index][0]
-        positive_id = select_positive(int(anchor_index), batch, cfg)
-        score_ap = by_id[anchor_id][positive_id]
+    for anchor_index in rng.permutation(len(batch)).tolist():
+        row = rows[anchor_index]
+        positive_id = select_positive(anchor_index, batch, cfg)
+        score_ap = row[positive_id]
         if score_ap <= 0.0:
             continue  # nothing in the batch shares a disease with this anchor
-        negative_id = select_negative(int(anchor_index), batch, cfg, exclude=positive_id)
+        negative_id = select_negative(anchor_index, batch, cfg, exclude=positive_id)
         if negative_id is None:
             continue
-        triplets.append(
-            Triplet(anchor_id, positive_id, negative_id, score_ap, by_id[anchor_id][negative_id])
-        )
+        triplets.append(Triplet(ids[anchor_index], positive_id, negative_id, score_ap, row[negative_id]))
     return triplets
 
 

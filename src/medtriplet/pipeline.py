@@ -266,20 +266,32 @@ def _up_to_date(artifact: Path, cfg_payload: dict, input_hashes: dict[str, str],
     )
 
 
+def _lock_owner(lock: Path) -> str:
+    """Who holds ``lock``: its recorded pid, and whether that pid still runs."""
+    try:
+        owner = lock.read_text(encoding="utf-8").strip()
+    except OSError:  # released, or unreadable, since the open that failed
+        owner = ""
+    if not owner.isdigit() or int(owner) == 0 or os.name != "posix":
+        return f"pid {owner or 'unknown'} (remove {lock} if stale)"
+    try:
+        os.kill(int(owner), 0)  # signal 0 only checks that the pid exists
+    except (ProcessLookupError, OverflowError):
+        return f"stale: pid {owner} is not running (remove {lock} to go on)"
+    except PermissionError:  # it exists, under another user
+        pass
+    return f"held by running pid {owner} (remove {lock} only if that is not a medtriplet run)"
+
+
 @contextmanager
 def output_lock(out_dir: Path):
+    """Hold ``out_dir/.lock``, which records this pid, for the block; never removes another's lock."""
     out_dir.mkdir(parents=True, exist_ok=True)
     lock = out_dir / ".lock"
     try:
         fd = lock.open("x")
     except FileExistsError:
-        try:
-            owner = lock.read_text(encoding="utf-8").strip() or "unknown"
-        except OSError:  # released, or unreadable, since the open above
-            owner = "unknown"
-        raise PipelineError(
-            f"output directory {out_dir} is locked by another run, pid {owner} (remove {lock} if stale)"
-        ) from None
+        raise PipelineError(f"output directory {out_dir} is locked by another run: {_lock_owner(lock)}") from None
     try:
         fd.write(f"{os.getpid()}\n")
         fd.close()
@@ -415,7 +427,7 @@ def stage_train(cfg: RunConfig, force: bool = False) -> Path:
         result = train_heads(z_img, z_txt, index, heads, cfg.loss, cfg.optimizer)
         write_loss_curve(curve_path, result.curve)
         arrays = {"head.image": result.heads[IMAGE], "head.text": result.heads[TEXT]}
-        save_checkpoint(artifact, {"encoder": asdict(cfg.encoder), "seed": cfg.seed}, arrays)
+        save_checkpoint(artifact, _heads_record(cfg), arrays)
 
     cfg_payload = {
         "encoder": asdict(cfg.encoder),
@@ -426,10 +438,27 @@ def stage_train(cfg: RunConfig, force: bool = False) -> Path:
     return _run_stage(cfg, "train", force, artifact, cfg_payload, inputs, build, side_outputs=(curve_path,))
 
 
-def load_heads(path: str | Path, embed_dim: int | None = None) -> tuple[dict, dict[str, np.ndarray]]:
+def _heads_record(cfg: RunConfig) -> dict:
+    """What ``heads.ckpt`` records of the run that trained it: the heads fit those frozen trunks only."""
+    return {"encoder": asdict(cfg.encoder), "seed": cfg.seed}
+
+
+def _flat_record(record: dict) -> dict:
+    """``{"seed": 4, "encoder": {"depth": 2}}`` as ``{"seed": 4, "encoder.depth": 2}``."""
+    encoder = record.get("encoder")
+    nested = encoder.items() if isinstance(encoder, dict) else ()
+    return {**{k: v for k, v in record.items() if k != "encoder"}, **{f"encoder.{k}": v for k, v in nested}}
+
+
+def load_heads(path: str | Path, cfg: RunConfig | None = None) -> tuple[dict, dict[str, np.ndarray]]:
     """A checkpoint's config and its two projection heads, square and of one
-    shape, (embed_dim, embed_dim) when ``embed_dim`` is given; other arrays
-    in the file are ignored. Each error names the file."""
+    shape; other arrays in the file are ignored.
+
+    With ``cfg`` (seed defaults applied), the heads must be (embed_dim,
+    embed_dim) and the checkpoint must record ``cfg``'s seed and encoder
+    config, else the first field that differs is named. Each error names
+    the file.
+    """
     config, arrays = load_checkpoint(path)
     heads = {}
     for modality in (IMAGE, TEXT):
@@ -437,10 +466,16 @@ def load_heads(path: str | Path, embed_dim: int | None = None) -> tuple[dict, di
         if name not in arrays:
             raise PipelineError(f"{path}: checkpoint has no {name!r} array")
         heads[modality] = arrays[name]
-    dim = embed_dim or next(iter(heads[IMAGE].shape), 0)
+    dim = cfg.encoder.embed_dim if cfg is not None else next(iter(heads[IMAGE].shape), 0)
     for modality, head in heads.items():
         if head.shape != (dim, dim):
             raise PipelineError(f"{path}: head.{modality} has shape {head.shape}, expected {(dim, dim)}")
+    if cfg is not None:
+        got = _flat_record(config if isinstance(config, dict) else {})
+        for name, want in _flat_record(_heads_record(cfg)).items():
+            if name not in got or got[name] != want:
+                recorded = f"{name} = {got[name]!r}" if name in got else f"no {name}"
+                raise PipelineError(f"{path}: checkpoint records {recorded}; this run has {name} = {want!r}")
     return config, heads
 
 
@@ -518,7 +553,7 @@ def stage_eval(cfg: RunConfig, force: bool = False) -> Path:
     artifact = cfg.out / "eval_retrieval.json"
 
     def build() -> None:
-        _, heads = load_heads(heads_path, cfg.encoder.embed_dim)
+        _, heads = load_heads(heads_path, cfg)
         report = evaluate_retrieval_tasks(cfg, heads, eval_corpus)
         with atomic_write(artifact) as fh:
             fh.write(json.dumps(report, indent=2, sort_keys=True) + "\n")

@@ -63,6 +63,7 @@ class ScoreBreakdown(NamedTuple):
 
 
 _NO_SHARED = ScoreBreakdown((), 0.0, 0.0)
+_new = tuple.__new__
 
 
 def jaccard(a: Iterable[str], b: Iterable[str]) -> float:
@@ -87,34 +88,47 @@ def score(
 ) -> ScoreBreakdown:
     """Score two meta-entity structures; symmetric in its arguments.
 
-    Kernel contract: mining calls this once per ordered pair, which the
-    benchmark's traced run counts, and every float is the same operation
-    in the same order as the formula above, so scores repeat bit for bit.
+    Kernel contract: every float is the same operation in the same order as
+    the formula above, so scores repeat bit for bit. Each union size is
+    |A| + |B| - |A & B|, one set operation per descriptor kind and none when
+    a side is empty; the indicators come from the same counts. The summands
+    add left to right into a running total, the plain float addition that
+    ``sum`` did before Python 3.12 made it compensated. The named tuples are
+    built with ``tuple.__new__``, as their own ``_make`` does, which skips a
+    Python frame per tuple. Mining calls this once per ordered pair, and the
+    benchmark's traced run counts those calls, so the kernel keeps no memo.
     """
     if semantics not in SEMANTICS:
         raise ValueError(f"unknown indicator semantics {semantics!r}; expected one of: {', '.join(SEMANTICS)}")
     di, dj = mi.by_disease, mj.by_disease
-    shared = sorted(di.keys() & dj.keys())
+    shared = di.keys() & dj.keys()
     if not shared:
         return _NO_SHARED
+    n_shared = len(shared)
+    prefactor = 1.0 / (len(di) + len(dj) - n_shared)
+    if n_shared > 1:
+        shared = sorted(shared)
     g0, g1, g2 = weights.g0, weights.g1, weights.g2
     by_union = semantics == "union"
     terms = []
-    summands = []
+    total = 0
     for disease in shared:
         ei, ej = di[disease], dj[disease]
-        adj_or, dir_or = ei.adj | ej.adj, ei.dir | ej.dir
-        adj_and, dir_and = ei.adj & ej.adj, ei.dir & ej.dir
-        ji_adj = len(adj_and) / len(adj_or) if adj_or else 0.0
-        ji_dir = len(dir_and) / len(dir_or) if dir_or else 0.0
+        ai, aj, ri, rj = ei.adj, ej.adj, ei.dir, ej.dir
+        n_adj, n_dir = len(ai) + len(aj), len(ri) + len(rj)
+        adj_and = len(ai & aj) if ai and aj else 0
+        dir_and = len(ri & rj) if ri and rj else 0
+        ji_adj = adj_and / (n_adj - adj_and) if n_adj else 0.0
+        ji_dir = dir_and / (n_dir - dir_and) if n_dir else 0.0
         numer = g0 + g1 * ji_adj + g2 * ji_dir
-        delta_adj, delta_dir = (adj_or, dir_or) if by_union else (adj_and, dir_and)
-        denom = g0 + g1 * (1.0 if delta_adj else 0.0) + g2 * (1.0 if delta_dir else 0.0)
+        if by_union:
+            denom = g0 + g1 * (1.0 if n_adj else 0.0) + g2 * (1.0 if n_dir else 0.0)
+        else:
+            denom = g0 + g1 * (1.0 if adj_and else 0.0) + g2 * (1.0 if dir_and else 0.0)
         # denom = 0 only when g0 = 0 and every weighted indicator is 0;
         # a shared disease with nothing to weigh counts as a full match,
         # which keeps self-score at 1 for degenerate weightings.
         summand = numer / denom if denom > 0 else 1.0
-        terms.append(DiseaseTermScore(disease, ji_adj, ji_dir, summand))
-        summands.append(summand)
-    prefactor = 1.0 / (len(di) + len(dj) - len(shared))
-    return ScoreBreakdown(tuple(terms), prefactor, prefactor * sum(summands))
+        terms.append(_new(DiseaseTermScore, (disease, ji_adj, ji_dir, summand)))
+        total += summand
+    return _new(ScoreBreakdown, (tuple(terms), prefactor, prefactor * total))

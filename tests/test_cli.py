@@ -277,6 +277,30 @@ class TestBadHeadsCheckpoint:
         assert "head.image has shape (8, 8), expected (64, 64)" in self._eval(synth_dir, heads, capsys)
 
 
+    @pytest.mark.parametrize(
+        "extra_args, extra_config, message",
+        [
+            (["--seed", "9"], "", "checkpoint records seed = 4; this run has seed = 9"),
+            ([], "[encoder]\ndepth = 1\n", "checkpoint records encoder.depth = 2; this run has encoder.depth = 1"),
+        ],
+        ids=["seed", "encoder_depth"],
+    )
+    @pytest.mark.parametrize(
+        "command", [["eval-retrieval"], ["eval-classify"], ["run", "--stages", "eval"]], ids=["retrieval", "classify", "stage"]
+    )
+    def test_heads_of_another_run_config(self, synth_dir, tmp_path, capsys, command, extra_args, extra_config, message):
+        out = tmp_path / "run"
+        cfg = tmp_path / "run.cfg"
+        body = f"[run]\nseed = 4\nout = {out}\ncorpus = {synth_dir / 'corpus.jsonl'}\n[optimizer]\nepochs = 1\n"
+        cfg.write_text(body + "[miner]\nbatch_size = 12\ntarget = 20\n")
+        assert main(["run", "--config", str(cfg), "--stages", "extract", "mine", "train"]) == EXIT_OK
+        cfg.write_text(body + extra_config)
+        capsys.readouterr()
+        assert main([*command, "--config", str(cfg), *extra_args]) == EXIT_DATA
+        assert capsys.readouterr().err == f"error: {out / 'heads.ckpt'}: {message}\n"
+        assert not (out / "eval_retrieval.json").exists()
+
+
 class TestSynthCommand:
     def test_five_classes(self, tmp_path):
         out = tmp_path / "corpus"

@@ -338,6 +338,17 @@ class TestCheckpoint:
             assert arrays2[name].dtype == arr.dtype
             np.testing.assert_array_equal(arrays2[name], arr)
 
+    def test_shapes_round_trip(self, tmp_path):
+        """A 0-d array keeps shape (); a transposed or big-endian one loads C-ordered and equal."""
+        grid = np.arange(12.0).reshape(3, 4)
+        arrays = {"c": np.array(3.0), "t": grid.T, "b": grid.astype(">f8")}
+        path = tmp_path / "w.ckpt"
+        save_checkpoint(path, {}, arrays)
+        _, loaded = load_checkpoint(path)
+        assert {name: arr.shape for name, arr in loaded.items()} == {"c": (), "t": (4, 3), "b": (3, 4)}
+        for name, arr in arrays.items():
+            np.testing.assert_array_equal(loaded[name], arr)
+
     @pytest.mark.parametrize(
         "entry, message",
         [

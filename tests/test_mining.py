@@ -1,5 +1,6 @@
 """Triplet mining: selection rules, batch invariants, corpus determinism."""
 
+import hashlib
 import re
 
 import numpy as np
@@ -124,6 +125,16 @@ def _random_corpus(n, seed):
     return out
 
 
+# SHA-256 of triplets.jsonl for the corpus and seeds of
+# ``test_triplets_match_golden_digest``, recorded from the mining and scoring
+# code before the score kernel's per-call rewrite: any change to a score's
+# float or to how a tie is broken changes it.
+GOLDEN_TRIPLETS_DIGEST = {
+    "union": "aee357c13820f5fcd360d2efdf5f1929607794ae080d84157a4c5a1c73717803",
+    "intersection": "1b5a836afadc6e780bce48b97b021d5b668cb9c236e1f1e0a9cf252477820315",
+}
+
+
 class TestMineCorpus:
     def test_target_zero(self, tmp_path):
         samples = _random_corpus(20, 3)
@@ -197,6 +208,14 @@ class TestMineCorpus:
             anchor = by_id[t.anchor_id].disease_set()
             negative = by_id[t.negative_id].disease_set()
             assert anchor & negative
+
+    @pytest.mark.parametrize("semantics", ["union", "intersection"])
+    def test_triplets_match_golden_digest(self, tmp_path, semantics):
+        path = tmp_path / "t.jsonl"
+        cfg = MinerConfig(seed=17, semantics=semantics)
+        result = mine_corpus(_random_corpus(90, 31), k=15, target=400, cfg=cfg, out_path=path)
+        assert (len(result.triplets), result.passes) == (400, 5)
+        assert hashlib.sha256(path.read_bytes()).hexdigest() == GOLDEN_TRIPLETS_DIGEST[semantics]
 
     def test_anchor_unique_within_batch(self):
         samples = _random_corpus(30, 15)

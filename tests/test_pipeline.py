@@ -2,6 +2,8 @@
 
 import json
 import os
+import subprocess
+import sys
 from dataclasses import replace
 from pathlib import Path
 
@@ -326,6 +328,20 @@ class TestLockAndSeeds:
             with output_lock(out):
                 pass
         assert (out / ".lock").read_text() == "4242\n"  # another owner's lock is never removed
+
+    def test_lock_error_says_whether_its_pid_runs(self, tmp_path):
+        out = tmp_path / "out"
+        with output_lock(out):
+            with pytest.raises(PipelineError, match=f"held by running pid {os.getpid()} "):
+                with output_lock(out):
+                    pass
+        child = subprocess.Popen([sys.executable, "-c", "pass"])
+        assert child.wait() == 0  # exited and reaped, so its pid no longer runs
+        (out / ".lock").write_text(f"{child.pid}\n")
+        with pytest.raises(PipelineError, match=f"locked by another run: stale: pid {child.pid} is not running"):
+            with output_lock(out):
+                pass
+        assert (out / ".lock").read_text() == f"{child.pid}\n"
 
     def test_stage_seeds_distinct(self):
         seeds = {stage_seed(5, s) for s in ("synth", "extract", "mine", "train", "eval")}
