@@ -9,19 +9,12 @@ retrieval/classification evaluation.
 
 __version__ = "0.1.0"
 
-from .alignment import (
-    LossConfig,
-    OptimizerConfig,
-    TripletEmbeddings,
-    cosine,
-    multimodal_loss,
-    triplet_hinge,
-)
+from .alignment import LossConfig, OptimizerConfig, cosine
 from .encoder import EncoderConfig, ImageSample, TokenSequence
 from .extraction import DiseaseEntry, MetaEntities, Report, extract
 from .mining import Batch, MinerConfig, Triplet, mine_batch, mine_corpus
 from .ontology import Ontology, Synset, default_ontology, load_ontology
-from .scoring import GammaWeights, ScoreBreakdown, jaccard, score
+from .scoring import GammaWeights, ScoreBreakdown, score
 
 __all__ = [
     "__version__",
@@ -40,15 +33,11 @@ __all__ = [
     "Synset",
     "TokenSequence",
     "Triplet",
-    "TripletEmbeddings",
     "cosine",
     "default_ontology",
     "extract",
-    "jaccard",
     "load_ontology",
     "mine_batch",
     "mine_corpus",
-    "multimodal_loss",
     "score",
-    "triplet_hinge",
 ]

@@ -12,9 +12,9 @@ row per sample, plus a (T, 3) array of anchor/positive/negative row
 indices. ``train_heads`` gathers one batch's rows at a time into
 (B, 3, c) blocks, and ``head_gradients`` computes all four terms and
 their analytic gradients for a block with row-wise matrix operations.
-The scalar ``multimodal_loss``/``triplet_hinge`` path is kept, one
-triplet at a time, as the independent oracle behind the central
-finite-difference check (``mean_loss``, ``gradient_report``).
+This is the package's one implementation of the objective; the test
+suite checks it against a scalar, one-triplet-at-a-time transcription
+and central finite differences of it (``tests/oracles.py``).
 
 ``sign_mode`` selects the hinge orientation. The default ``corrected``
 form max(0, cos(A,N) - cos(A,P) + alpha) decreases when the anchor moves
@@ -42,7 +42,7 @@ TERM_NAMES = ("i2t", "t2i", "i2i", "t2t")
 
 
 class DegenerateEmbeddingError(ValueError):
-    """Zero-norm vector where a cosine similarity is required."""
+    """Zero-norm or non-finite vector where a cosine similarity is required."""
 
 
 @dataclass(frozen=True)
@@ -52,24 +52,13 @@ class LossConfig:
     sign_mode: str = "corrected"  # or "as-printed"
 
     def __post_init__(self) -> None:
-        if self.alpha < 0:
-            raise ValueError(f"margin alpha must be nonnegative, got {self.alpha!r}")
+        # A NaN fails every comparison, so "not 0 <= x < inf" rejects it too.
+        if not 0 <= self.alpha < math.inf:
+            raise ValueError(f"margin alpha must be finite and nonnegative, got {self.alpha!r}")
         if not 0.0 <= self.eta <= 1.0:
             raise ValueError(f"eta must lie in [0, 1], got {self.eta!r}")
         if self.sign_mode not in ("corrected", "as-printed"):
             raise ValueError(f"unknown sign_mode {self.sign_mode!r}")
-
-
-@dataclass(frozen=True)
-class TripletEmbeddings:
-    """Image and text embeddings for anchor, positive and negative."""
-
-    ei_a: np.ndarray
-    ei_p: np.ndarray
-    ei_n: np.ndarray
-    et_a: np.ndarray
-    et_p: np.ndarray
-    et_n: np.ndarray
 
 
 def norm(x: np.ndarray) -> float:
@@ -95,29 +84,6 @@ def cosine(u: np.ndarray, v: np.ndarray, nu: float | None = None, nv: float | No
     return float(u.dot(v) / (nu * nv))
 
 
-def triplet_hinge(
-    ea: np.ndarray, ep: np.ndarray, en: np.ndarray, alpha: float, sign_mode: str = "corrected"
-) -> float:
-    """Hinge over the anchor's two cosine similarities; always >= 0."""
-    cos_ap = cosine(ea, ep)
-    cos_an = cosine(ea, en)
-    if sign_mode == "corrected":
-        return max(0.0, cos_an - cos_ap + alpha)
-    return max(0.0, cos_ap - cos_an + alpha)
-
-
-def multimodal_loss(t: TripletEmbeddings, cfg: LossConfig = LossConfig()) -> tuple[float, dict[str, float]]:
-    """Total objective and its four constituent terms for one triplet."""
-    terms = {
-        "i2t": triplet_hinge(t.ei_a, t.et_p, t.et_n, cfg.alpha, cfg.sign_mode),
-        "t2i": triplet_hinge(t.et_a, t.ei_p, t.ei_n, cfg.alpha, cfg.sign_mode),
-        "i2i": triplet_hinge(t.ei_a, t.ei_p, t.ei_n, cfg.alpha, cfg.sign_mode),
-        "t2t": triplet_hinge(t.et_a, t.et_p, t.et_n, cfg.alpha, cfg.sign_mode),
-    }
-    total = cfg.eta * (terms["i2t"] + terms["t2i"]) + (1.0 - cfg.eta) * (terms["i2i"] + terms["t2t"])
-    return total, terms
-
-
 def head_gradients(
     zi: np.ndarray,
     zt: np.ndarray,
@@ -135,8 +101,9 @@ def head_gradients(
     # emb[m, b, r]: modality m (0 image, 1 text), triplet b, role r (0 a, 1 p, 2 n)
     emb = np.stack([zi @ heads[IMAGE].T, zt @ heads[TEXT].T])
     norms = np.linalg.norm(emb, axis=-1, keepdims=True)
-    if not norms.all():
-        raise DegenerateEmbeddingError("cosine of a zero-norm vector is undefined")
+    # A NaN norm is truthy, and its hinge would count as inactive: check finiteness too.
+    if not (norms.all() and np.isfinite(norms).all()):
+        raise DegenerateEmbeddingError("cosine of a zero-norm or non-finite vector is undefined")
     unit = emb / norms
     sign = 1.0 if cfg.sign_mode == "corrected" else -1.0
     grad_unit = np.zeros_like(emb)
@@ -165,60 +132,6 @@ def head_gradients(
     return total, terms, grads
 
 
-def mean_loss(zi: np.ndarray, zt: np.ndarray, heads: dict[str, np.ndarray], cfg: LossConfig) -> float:
-    """Batch-mean loss, one triplet at a time through the scalar ``multimodal_loss``."""
-    total = 0.0
-    for zi_row, zt_row in zip(zi, zt):
-        ei = [heads[IMAGE] @ z for z in zi_row]
-        et = [heads[TEXT] @ z for z in zt_row]
-        total += multimodal_loss(TripletEmbeddings(*ei, *et), cfg)[0]
-    return total / len(zi)
-
-
-def finite_difference_gradients(
-    zi: np.ndarray,
-    zt: np.ndarray,
-    heads: dict[str, np.ndarray],
-    cfg: LossConfig = LossConfig(),
-    step: float = 1e-4,
-) -> dict[str, np.ndarray]:
-    """Central finite differences of the batch-mean loss, element by element."""
-    fd = {}
-    for modality, w in heads.items():
-        g = np.zeros_like(w)
-        for idx in np.ndindex(w.shape):
-            perturbed = {m: (w_.copy() if m == modality else w_) for m, w_ in heads.items()}
-            perturbed[modality][idx] = w[idx] + step
-            up = mean_loss(zi, zt, perturbed, cfg)
-            perturbed[modality][idx] = w[idx] - step
-            down = mean_loss(zi, zt, perturbed, cfg)
-            g[idx] = (up - down) / (2.0 * step)
-        fd[modality] = g
-    return fd
-
-
-def gradient_report(
-    zi: np.ndarray,
-    zt: np.ndarray,
-    heads: dict[str, np.ndarray],
-    cfg: LossConfig = LossConfig(),
-    step: float = 1e-4,
-) -> float:
-    """Max over heads of the max-norm of the analytic minus the finite-difference
-    gradient, divided by the max-norm of the larger of the two."""
-    _, _, analytic = head_gradients(zi, zt, heads, cfg)
-    fd = finite_difference_gradients(zi, zt, heads, cfg, step)
-    worst = 0.0
-    for modality in heads:
-        scale = max(
-            float(np.abs(analytic[modality]).max()),
-            float(np.abs(fd[modality]).max()),
-            1e-12,
-        )
-        worst = max(worst, float(np.abs(analytic[modality] - fd[modality]).max()) / scale)
-    return worst
-
-
 @dataclass(frozen=True)
 class OptimizerConfig:
     learning_rate: float = 0.01
@@ -230,13 +143,13 @@ class OptimizerConfig:
     seed: int = 0
 
     def __post_init__(self) -> None:
-        if self.learning_rate < 0:
-            raise ValueError(f"learning_rate must be nonnegative, got {self.learning_rate!r}")
+        if not 0 <= self.learning_rate < math.inf:
+            raise ValueError(f"learning_rate must be finite and nonnegative, got {self.learning_rate!r}")
         for name, beta in (("beta1", self.beta1), ("beta2", self.beta2)):
             if not 0.0 <= beta < 1.0:
                 raise ValueError(f"{name} must lie in [0, 1), got {beta!r}")
-        if self.eps <= 0:
-            raise ValueError(f"eps must be positive, got {self.eps!r}")
+        if not 0 < self.eps < math.inf:
+            raise ValueError(f"eps must be finite and positive, got {self.eps!r}")
         if self.epochs < 1:
             raise ValueError(f"epochs must be >= 1, got {self.epochs!r}")
         if self.batch_size < 1:
@@ -292,7 +205,9 @@ def train_heads(
     negative row indices into them. Each batch gathers only its own rows.
     The input heads are not mutated; training runs on copies. Loss per
     epoch is the mean over batches of the pre-update batch loss. Each
-    epoch's shuffle is seeded by (seed, epoch number).
+    epoch's shuffle is seeded by (seed, epoch number). A zero-norm or
+    non-finite embedding, or a non-finite loss, is a ``ValueError`` that
+    names the epoch and the batch.
     """
     if len(triplets) == 0:
         raise ValueError("no triplets to train on")
@@ -306,11 +221,13 @@ def train_heads(
         term_sums = dict.fromkeys(TERM_NAMES, 0.0)
         for start in range(0, n, opt_cfg.batch_size):
             rows = triplets[order[start : start + opt_cfg.batch_size]]
-            batch_total, batch_terms, grads = head_gradients(z_img[rows], z_txt[rows], trained, loss_cfg)
+            where = f"epoch {epoch}, batch {start // opt_cfg.batch_size + 1}"
+            try:
+                batch_total, batch_terms, grads = head_gradients(z_img[rows], z_txt[rows], trained, loss_cfg)
+            except DegenerateEmbeddingError as exc:
+                raise DegenerateEmbeddingError(f"{where}: {exc}") from None
             if not np.isfinite(batch_total):
-                raise RuntimeError(
-                    f"non-finite loss at epoch {epoch}, batch starting {start}: {batch_total!r}"
-                )
+                raise ValueError(f"{where}: non-finite loss {batch_total!r}")
             optimizer.step(grads)
             total_sum += batch_total * len(rows)
             for k, v in batch_terms.items():

@@ -13,6 +13,7 @@ head that maps a pooled trunk output to the embedding alignment trains
 from __future__ import annotations
 
 import hashlib
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -43,9 +44,12 @@ class EncoderConfig:
         if self.embed_dim % self.heads != 0:
             raise ValueError(f"embed_dim {self.embed_dim} must be divisible by heads {self.heads}")
         # "not > 0" also rejects NaN.
-        for name in ("mlp_ratio", "ln_epsilon"):
-            if not getattr(self, name) > 0:
-                raise ValueError(f"{name} must be positive, got {getattr(self, name)!r}")
+        for name in ("mlp_ratio", "ln_epsilon", "init_scale"):
+            value = getattr(self, name)
+            if not value > 0:
+                raise ValueError(f"{name} must be positive, got {value!r}")
+            if value == math.inf:
+                raise ValueError(f"{name} must be finite, got {value!r}")
 
 
 @dataclass(frozen=True)

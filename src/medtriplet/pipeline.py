@@ -113,7 +113,11 @@ class RunConfig:
 
 
 def read_sectioned_config(path: str | Path) -> dict[str, dict[str, str]]:
-    """Parse ``[section]`` / ``key = value`` text into nested dicts."""
+    """Parse ``[section]`` / ``key = value`` text into nested dicts.
+
+    A section or a key within a section given twice is an error naming
+    ``file:line``, as configparser's strict mode makes it.
+    """
     sections: dict[str, dict[str, str]] = {}
     current: str | None = None
     for lineno, raw in enumerate(Path(path).read_text(encoding="utf-8").splitlines(), 1):
@@ -122,12 +126,17 @@ def read_sectioned_config(path: str | Path) -> dict[str, dict[str, str]]:
             continue
         if line.startswith("[") and line.endswith("]"):
             current = line[1:-1].strip().lower()
-            sections.setdefault(current, {})
+            if current in sections:
+                raise PipelineError(f"{path}:{lineno}: section [{current}] given twice")
+            sections[current] = {}
             continue
         if current is None or "=" not in line:
             raise PipelineError(f"{path}:{lineno}: expected '[section]' or 'key = value'")
         key, _, value = line.partition("=")
-        sections[current][key.strip().lower()] = value.strip()
+        key = key.strip().lower()
+        if key in sections[current]:
+            raise PipelineError(f"{path}:{lineno}: key {key!r} given twice in [{current}]")
+        sections[current][key] = value.strip()
     return sections
 
 

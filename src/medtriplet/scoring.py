@@ -5,8 +5,9 @@ For samples i and j the score is
     (delta_d / |d_i u d_j|) * sum over shared diseases q of
         (g0 + g1*JI_adj(q) + g2*JI_dir(q)) / (g0 + g1*delta_adj(q) + g2*delta_dir(q))
 
-where JI is the Jaccard index of the per-disease descriptor sets and the
-delta indicators normalize each summand into [0, 1]. Two indicator
+where JI is the Jaccard index of the per-disease descriptor sets (0 when
+both sets are empty, so self-score stays 1) and the delta indicators
+normalize each summand into [0, 1]. Two indicator
 semantics are supported:
 
 * ``union`` (default): delta = 1 iff the union of the two descriptor
@@ -19,8 +20,9 @@ semantics are supported:
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
-from typing import Iterable, Literal, NamedTuple
+from typing import Literal, NamedTuple
 
 from .extraction import MetaEntities
 
@@ -39,8 +41,10 @@ class GammaWeights:
     g2: float = 0.05
 
     def __post_init__(self) -> None:
-        if min(self.g0, self.g1, self.g2) < 0:
-            raise ValueError("gamma weights must be nonnegative")
+        for name in ("g0", "g1", "g2"):
+            # A NaN fails every comparison, so "not 0 <= x < inf" rejects it too.
+            if not 0 <= getattr(self, name) < math.inf:
+                raise ValueError(f"gamma weight {name} must be finite and nonnegative, got {getattr(self, name)!r}")
         if abs(self.g0 + self.g1 + self.g2 - 1.0) > 1e-12:
             raise ValueError(f"gamma weights must sum to 1, got {self.g0 + self.g1 + self.g2!r}")
 
@@ -64,20 +68,6 @@ class ScoreBreakdown(NamedTuple):
 
 _NO_SHARED = ScoreBreakdown((), 0.0, 0.0)
 _new = tuple.__new__
-
-
-def jaccard(a: Iterable[str], b: Iterable[str]) -> float:
-    """|a & b| / |a | b|, with the empty/empty case defined as 0.
-
-    The 0/0 convention keeps indicator and index consistent: when both
-    sets are empty the descriptor term drops from numerator and
-    denominator alike, preserving self-score 1.
-    """
-    sa, sb = set(a), set(b)
-    union = sa | sb
-    if not union:
-        return 0.0
-    return len(sa & sb) / len(union)
 
 
 def score(

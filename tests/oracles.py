@@ -6,7 +6,12 @@ with medtriplet.scoring; keep it that way. The retrieval oracle works
 the same way over plain lists and sets and shares no code with
 medtriplet.evaluation; neither does the AUC oracle, which counts
 pairwise wins instead of ranking. The GELU oracle is the scalar tanh
-formula on Python floats and ``math.tanh``.
+formula on Python floats and ``math.tanh``. The loss oracle takes one
+triplet at a time through four scalar hinges and shares no code with
+medtriplet.alignment; the finite-difference check is built on it.
+
+This module imports nothing from medtriplet: the tests convert its plain
+entity encoding with ``conftest.entities``.
 """
 
 from __future__ import annotations
@@ -14,8 +19,6 @@ from __future__ import annotations
 import math
 
 import numpy as np
-
-from medtriplet.extraction import DiseaseEntry, MetaEntities
 
 # {disease: (adj set, dir set)} is the oracle-side entity encoding.
 PlainEntities = dict
@@ -52,6 +55,67 @@ def oracle_gelu(x: float) -> float:
     return 0.5 * x * (1.0 + math.tanh(math.sqrt(2.0 / math.pi) * (x + 0.044715 * x**3)))
 
 
+def oracle_hinge(a: np.ndarray, p: np.ndarray, n: np.ndarray, alpha: float, sign_mode: str = "corrected") -> float:
+    """Triplet hinge of three 1-D vectors: max(0, cos(a, n) - cos(a, p) + alpha),
+    the two cosines swapped under ``as-printed``."""
+
+    def cos(u, v):
+        return float(u.dot(v) / (math.sqrt(u.dot(u)) * math.sqrt(v.dot(v))))
+
+    cos_ap, cos_an = cos(a, p), cos(a, n)
+    if sign_mode == "corrected":
+        return max(0.0, cos_an - cos_ap + alpha)
+    return max(0.0, cos_ap - cos_an + alpha)
+
+
+def oracle_loss(ei, et, cfg) -> tuple[float, dict[str, float]]:
+    """Four-term loss of one triplet and its terms. ``ei`` and ``et`` hold the
+    image and text embeddings of anchor, positive and negative, in that
+    order; ``cfg`` supplies ``alpha``, ``eta`` and ``sign_mode``."""
+    (i_a, i_p, i_n), (t_a, t_p, t_n) = ei, et
+    terms = {
+        name: oracle_hinge(a, p, n, cfg.alpha, cfg.sign_mode)
+        for name, (a, p, n) in (
+            ("i2t", (i_a, t_p, t_n)),
+            ("t2i", (t_a, i_p, i_n)),
+            ("i2i", (i_a, i_p, i_n)),
+            ("t2t", (t_a, t_p, t_n)),
+        )
+    }
+    total = cfg.eta * (terms["i2t"] + terms["t2i"]) + (1.0 - cfg.eta) * (terms["i2i"] + terms["t2t"])
+    return total, terms
+
+
+def oracle_mean_loss(zi: np.ndarray, zt: np.ndarray, wi: np.ndarray, wt: np.ndarray, cfg) -> float:
+    """Batch-mean loss of (B, 3, c) image and text trunk blocks through heads
+    ``wi`` and ``wt``, one triplet and one matrix-vector product at a time."""
+    total = 0.0
+    for zi_row, zt_row in zip(zi, zt):
+        total += oracle_loss([wi @ z for z in zi_row], [wt @ z for z in zt_row], cfg)[0]
+    return total / len(zi)
+
+
+def oracle_gradient_error(zi, zt, wi, wt, cfg, analytic, step: float = 1e-4) -> float:
+    """Worst relative error of ``analytic``, the (image, text) head gradients
+    of the batch-mean loss, against its central finite differences: over both
+    heads, max |analytic - fd| / max(max |analytic|, max |fd|, 1e-12)."""
+    heads = (wi, wt)
+    worst = 0.0
+    for k, (w, grad) in enumerate(zip(heads, analytic)):
+        fd = np.zeros_like(w)
+        for idx in np.ndindex(w.shape):
+            moved = list(heads)
+            moved[k] = w.copy()
+            moved[k][idx] = w[idx] + step
+            up = oracle_mean_loss(zi, zt, *moved, cfg)
+            moved[k][idx] = w[idx] - step
+            down = oracle_mean_loss(zi, zt, *moved, cfg)
+            fd[idx] = (up - down) / (2.0 * step)
+        scale = max(float(np.abs(grad).max()), float(np.abs(fd).max()), 1e-12)
+        worst = max(worst, float(np.abs(grad - fd).max()) / scale)
+    return worst
+
+
 def oracle_binary_auc(positive: list[bool], scores: list[float]) -> float:
     """One-vs-rest AUC over every positive/negative pair, ranks never formed:
     (wins + ties / 2) / (P * N)."""
@@ -60,15 +124,6 @@ def oracle_binary_auc(positive: list[bool], scores: list[float]) -> float:
     wins = sum(1 for a in pos for b in neg if a > b)
     ties = sum(1 for a in pos for b in neg if a == b)
     return (wins + ties / 2) / (len(pos) * len(neg))
-
-
-def to_meta(plain: PlainEntities) -> MetaEntities:
-    return MetaEntities(
-        tuple(
-            DiseaseEntry(d, frozenset(adj), frozenset(direction))
-            for d, (adj, direction) in sorted(plain.items())
-        )
-    )
 
 
 def enumerate_uniform_entities(

@@ -1,4 +1,8 @@
-"""Alignment objective: hinge values, loss algebra, gradients, training."""
+"""Alignment objective: hinge values, loss algebra, gradients, training.
+
+The hinge and loss-algebra classes check the scalar loss oracle in
+``oracles.py``; the gradient tests then hold ``head_gradients`` to it.
+"""
 
 import numpy as np
 import pytest
@@ -8,17 +12,13 @@ from medtriplet.alignment import (
     DegenerateEmbeddingError,
     LossConfig,
     OptimizerConfig,
-    TripletEmbeddings,
     cosine,
-    gradient_report,
     head_gradients,
-    mean_loss,
-    multimodal_loss,
     norm,
     train_heads,
-    triplet_hinge,
 )
 from medtriplet.encoder import IMAGE, TEXT
+from oracles import oracle_gradient_error, oracle_hinge, oracle_loss, oracle_mean_loss
 
 
 def unit(*values):
@@ -43,6 +43,12 @@ def hinge_arguments(zi, zt, heads, cfg):
         for a, p, n in ((i_a, t_p, t_n), (t_a, i_p, i_n), (i_a, i_p, i_n), (t_a, t_p, t_n)):
             args.append(sign * (cosine(a, n) - cosine(a, p)) + cfg.alpha)
     return args
+
+
+def gradient_error(zi, zt, heads, cfg):
+    """``head_gradients``' worst relative error against central differences of the oracle loss."""
+    _, _, grads = head_gradients(zi, zt, heads, cfg)
+    return oracle_gradient_error(zi, zt, heads[IMAGE], heads[TEXT], cfg, (grads[IMAGE], grads[TEXT]), step=1e-4)
 
 
 def triplet_problem(rng, n, c=8):
@@ -97,60 +103,59 @@ class TestCosine:
 class TestTripletHinge:
     def test_satisfied_margin(self):
         a, p, n = unit(1, 0), unit(1, 0), unit(0, 1)
-        assert triplet_hinge(a, p, n, alpha=0.3) == 0.0
+        assert oracle_hinge(a, p, n, alpha=0.3) == 0.0
 
     def test_equal_similarities_give_alpha(self):
         a, pn = unit(1, 0), unit(1, 1)
-        assert triplet_hinge(a, pn, pn, alpha=0.3) == pytest.approx(0.3)
+        assert oracle_hinge(a, pn, pn, alpha=0.3) == pytest.approx(0.3)
 
     def test_worked_value(self):
         a = unit(1, 0)
         p = np.array([0.2, np.sqrt(1 - 0.04)])
         n = np.array([0.6, 0.8])
-        assert triplet_hinge(a, p, n, alpha=0.3) == pytest.approx(0.7)
+        assert oracle_hinge(a, p, n, alpha=0.3) == pytest.approx(0.7)
 
     def test_nonnegative(self):
         rng = np.random.default_rng(0)
         for _ in range(500):
             a, p, n = (rng.normal(size=5) for _ in range(3))
-            assert triplet_hinge(a, p, n, alpha=float(rng.random())) >= 0.0
+            assert oracle_hinge(a, p, n, alpha=float(rng.random())) >= 0.0
 
     def test_mode_contract(self):
         rng = np.random.default_rng(1)
         for _ in range(1000):
             a, p, n = (rng.normal(size=6) for _ in range(3))
             alpha = float(rng.random())
-            assert triplet_hinge(a, p, n, alpha, "corrected") == pytest.approx(
-                triplet_hinge(a, n, p, alpha, "as-printed"), abs=1e-15
+            assert oracle_hinge(a, p, n, alpha, "corrected") == pytest.approx(
+                oracle_hinge(a, n, p, alpha, "as-printed"), abs=1e-15
             )
 
 
 class TestMultimodalLoss:
     def test_collapsed_embeddings_give_two_alpha(self):
         v = unit(1, 2, 3)
-        t = TripletEmbeddings(v, v, v, v, v, v)
-        total, terms = multimodal_loss(t, LossConfig(alpha=0.3, eta=0.5))
+        total, terms = oracle_loss([v, v, v], [v, v, v], LossConfig(alpha=0.3, eta=0.5))
         assert all(term == pytest.approx(0.3) for term in terms.values())
         assert total == pytest.approx(0.6)
 
     def test_eta_one_drops_within_modal(self):
         rng = np.random.default_rng(2)
-        t = TripletEmbeddings(*[rng.normal(size=4) for _ in range(6)])
-        total, terms = multimodal_loss(t, LossConfig(eta=1.0))
+        ei, et = rng.normal(size=(2, 3, 4))
+        total, terms = oracle_loss(ei, et, LossConfig(eta=1.0))
         assert total == pytest.approx(terms["i2t"] + terms["t2i"], abs=1e-15)
 
     def test_eta_zero_drops_cross_modal(self):
         rng = np.random.default_rng(3)
-        t = TripletEmbeddings(*[rng.normal(size=4) for _ in range(6)])
-        total, terms = multimodal_loss(t, LossConfig(eta=0.0))
+        ei, et = rng.normal(size=(2, 3, 4))
+        total, terms = oracle_loss(ei, et, LossConfig(eta=0.0))
         assert total == pytest.approx(terms["i2i"] + terms["t2t"], abs=1e-15)
 
     def test_recombination_identity(self):
         rng = np.random.default_rng(4)
         for _ in range(300):
-            t = TripletEmbeddings(*[rng.normal(size=5) for _ in range(6)])
+            ei, et = rng.normal(size=(2, 3, 5))
             cfg = LossConfig(alpha=float(rng.random()), eta=float(rng.random()))
-            total, terms = multimodal_loss(t, cfg)
+            total, terms = oracle_loss(ei, et, cfg)
             recombined = cfg.eta * (terms["i2t"] + terms["t2i"]) + (1 - cfg.eta) * (
                 terms["i2i"] + terms["t2t"]
             )
@@ -161,11 +166,11 @@ class TestMultimodalLoss:
         rng = np.random.default_rng(5)
         vecs = [rng.normal(size=6) for _ in range(6)]
         cfg = LossConfig()
-        base, _ = multimodal_loss(TripletEmbeddings(*vecs), cfg)
+        base, _ = oracle_loss(vecs[:3], vecs[3:], cfg)
         for i in range(6):
             scaled = list(vecs)
             scaled[i] = 3.7 * scaled[i]
-            total, _ = multimodal_loss(TripletEmbeddings(*scaled), cfg)
+            total, _ = oracle_loss(scaled[:3], scaled[3:], cfg)
             assert total == pytest.approx(base, abs=1e-12)
 
 
@@ -192,7 +197,7 @@ class TestGradients:
             # the hinge kink; resample draws that land there
             if min(abs(z) for z in hinge_arguments(zi, zt, heads, cfg)) < 5e-3:
                 continue
-            worst = max(worst, gradient_report(zi, zt, heads, cfg, step=1e-4))
+            worst = max(worst, gradient_error(zi, zt, heads, cfg))
             accepted += 1
         assert worst <= 1e-5
 
@@ -203,9 +208,9 @@ class TestGradients:
             zi, zt = random_batch(rng, 16)
             cfg = LossConfig(alpha=0.5, eta=0.3, sign_mode=sign_mode)
             total, terms, _ = head_gradients(zi, zt, heads, cfg)
-            assert total == pytest.approx(mean_loss(zi, zt, heads, cfg), rel=1e-12)
+            assert total == pytest.approx(oracle_mean_loss(zi, zt, heads[IMAGE], heads[TEXT], cfg), rel=1e-12)
             per_row = [
-                multimodal_loss(TripletEmbeddings(*(heads[IMAGE] @ z for z in a), *(heads[TEXT] @ z for z in b)), cfg)[1]
+                oracle_loss([heads[IMAGE] @ z for z in a], [heads[TEXT] @ z for z in b], cfg)[1]
                 for a, b in zip(zi, zt)
             ]
             for name, value in terms.items():
@@ -276,6 +281,22 @@ class TestAdamAndTraining:
         v_hat = v / 0.001
         expected = params["w"] - 0.1 * m_hat / (np.sqrt(v_hat) + 1e-8)
         np.testing.assert_allclose(opt.params["w"], expected, atol=1e-12)
+
+    @pytest.mark.parametrize("modality", [IMAGE, TEXT])
+    def test_nan_head_named_by_epoch_and_batch(self, modality):
+        rng = np.random.default_rng(14)
+        problem = triplet_problem(rng, 16)
+        heads = {IMAGE: rng.normal(0, 0.5, (8, 8)), TEXT: rng.normal(0, 0.5, (8, 8))}
+        heads[modality][3, 5] = np.nan
+        with pytest.raises(DegenerateEmbeddingError, match="^epoch 1, batch 1: .*non-finite"):
+            train_heads(*problem, heads, LossConfig(), OptimizerConfig(epochs=2, batch_size=8))
+
+    def test_overflowing_loss_named_by_epoch_and_batch(self):
+        rng = np.random.default_rng(15)
+        problem = triplet_problem(rng, 16)
+        heads = {IMAGE: rng.normal(0, 0.5, (8, 8)), TEXT: rng.normal(0, 0.5, (8, 8))}
+        with pytest.raises(ValueError, match="^epoch 1, batch 1: non-finite loss inf"), np.errstate(over="ignore"):
+            train_heads(*problem, heads, LossConfig(alpha=1e308), OptimizerConfig(epochs=2, batch_size=8))
 
     def test_input_heads_not_mutated(self):
         rng = np.random.default_rng(10)

@@ -177,6 +177,20 @@ class TestPipelineCommands:
         assert f"{cfg}: {key} must be >= 1, got 0" in capsys.readouterr().err
         assert not out.exists()
 
+    @pytest.mark.parametrize(
+        "setting, message",
+        [("[encoder]\ninit_scale = -1", "init_scale must be positive, got -1.0"),
+         ("[loss]\nalpha = inf", "margin alpha must be finite and nonnegative, got inf")],
+        ids=["init_scale", "alpha"],
+    )
+    def test_non_finite_or_negative_setting_exits_before_any_stage(self, synth_dir, tmp_path, capsys, setting, message):
+        out = tmp_path / "run"
+        cfg = tmp_path / "run.cfg"
+        cfg.write_text(f"[run]\nout = {out}\ncorpus = {synth_dir / 'corpus.jsonl'}\n{setting}\n")
+        assert main(["run", "--config", str(cfg), "--stages", "extract", "mine", "train"]) == EXIT_DATA
+        assert f"{cfg}: {message}" in capsys.readouterr().err
+        assert not out.exists()
+
     def test_miner_bound_exits_before_any_stage(self, synth_dir, tmp_path, capsys):
         out = tmp_path / "run"
         cfg = tmp_path / "run.cfg"

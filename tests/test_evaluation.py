@@ -14,7 +14,7 @@ from medtriplet.evaluation import (
     retrieval_report,
     zero_shot_classify,
 )
-from oracles import oracle_binary_auc, oracle_retrieval_report, random_entities, to_meta
+from oracles import oracle_binary_auc, oracle_retrieval_report, random_entities
 
 CFG = EncoderConfig()
 EMPTY = entities({})
@@ -134,7 +134,7 @@ class TestRetrievalResult:
                 gallery = queries
             plain = [random_entities(rng) for _ in range(n)]
             r_values = (1, 3, 10, 50)[: int(rng.integers(1, 5))]
-            report = retrieval_report(queries, gallery, [to_meta(p) for p in plain], r_values, match_mode)
+            report = retrieval_report(queries, gallery, [entities(p) for p in plain], r_values, match_mode)
             assert report == oracle_retrieval_report(queries.tolist(), gallery.tolist(), plain, r_values, match_mode)
 
 

@@ -19,7 +19,7 @@ from medtriplet.mining import (
     select_positive,
 )
 from medtriplet.scoring import score
-from oracles import random_entities, to_meta
+from oracles import random_entities
 
 # Anchor shares pneumonia+edema with NEAR (score 0.975), pneumonia only
 # with MID (score 0.45, the worked value), nothing with FAR (score 0).
@@ -121,7 +121,7 @@ def _random_corpus(n, seed):
         plain = random_entities(rng)
         while not plain:  # keep every sample mineable in principle
             plain = random_entities(rng)
-        out.append((f"s{i:03d}", to_meta(plain)))
+        out.append((f"s{i:03d}", entities(plain)))
     return out
 
 

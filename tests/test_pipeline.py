@@ -408,10 +408,20 @@ class TestConfigFile:
             ("[miner]\npass_limit = 0\n", "pass_limit must be >= 1, got 0"),
             ("[miner]\ntarget = -1\n", "target must be >= 0, got -1"),
             ("[run]\nseed = -1\n", "seed must be >= 0, got -1"),
+            ("[loss]\nalpha = nan\n", "margin alpha must be finite and nonnegative, got nan"),
+            ("[loss]\nalpha = inf\n", "margin alpha must be finite and nonnegative, got inf"),
+            ("[optimizer]\nlearning_rate = inf\n", "learning_rate must be finite and nonnegative, got inf"),
+            ("[optimizer]\neps = nan\n", "eps must be finite and positive, got nan"),
+            ("[encoder]\ninit_scale = nan\n", "init_scale must be positive, got nan"),
+            ("[encoder]\ninit_scale = -1\n", "init_scale must be positive, got -1.0"),
+            ("[encoder]\ninit_scale = 0\n", "init_scale must be positive, got 0.0"),
+            ("[encoder]\nmlp_ratio = inf\n", "mlp_ratio must be finite, got inf"),
+            ("[scoring]\ngamma0 = nan\n", "gamma weight g0 must be finite and nonnegative, got nan"),
         ],
         ids=[
             "batch_size", "epochs", "beta2", "eta", "depth", "heads", "patch_size", "vocab_size", "mlp_ratio",
-            "miner_batch_size", "pass_limit", "target", "run_seed",
+            "miner_batch_size", "pass_limit", "target", "run_seed", "alpha_nan", "alpha_inf", "learning_rate_inf",
+            "eps_nan", "init_scale_nan", "init_scale_negative", "init_scale_zero", "mlp_ratio_inf", "gamma0_nan",
         ],
     )
     def test_out_of_range_value_names_file_and_value(self, tmp_path, text, message):
@@ -515,3 +525,18 @@ class TestConfigFile:
         path.write_text("[run]\nnonsense\n")
         with pytest.raises(PipelineError, match=":2"):
             config_from_file(path)
+
+    @pytest.mark.parametrize(
+        "text, message",
+        [
+            ("[run]\nseed = 1\nseed = 7\n", ":3: key 'seed' given twice in [run]"),
+            ("[run]\nseed = 1\n[loss]\nalpha = 0.2\n[Run]\nout = r\n", ":5: section [run] given twice"),
+        ],
+        ids=["key", "section"],
+    )
+    def test_repeated_key_or_section_names_line(self, tmp_path, text, message):
+        path = tmp_path / "run.cfg"
+        path.write_text(text)
+        with pytest.raises(PipelineError) as info:
+            config_from_file(path)
+        assert str(info.value) == f"{path}{message}"

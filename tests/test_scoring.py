@@ -6,8 +6,8 @@ import numpy as np
 import pytest
 
 from conftest import entities
-from medtriplet.scoring import GammaWeights, jaccard, score
-from oracles import enumerate_uniform_entities, oracle_score, random_entities, to_meta
+from medtriplet.scoring import GammaWeights, score
+from oracles import enumerate_uniform_entities, oracle_score, random_entities
 
 WORKED_MI = entities({"pneumonia": ({"mild"}, {"left"}), "edema": (set(), set())})
 WORKED_MJ = entities({"pneumonia": ({"mild", "severe"}, {"right"})})
@@ -25,17 +25,6 @@ class TestGammaWeights:
     def test_nonnegative_enforced(self):
         with pytest.raises(ValueError):
             GammaWeights(1.2, -0.1, -0.1)
-
-
-class TestJaccard:
-    def test_partial(self):
-        assert jaccard({"mild"}, {"mild", "severe"}) == 0.5
-
-    def test_identity(self):
-        assert jaccard({"left"}, {"left"}) == 1.0
-
-    def test_both_empty_is_zero(self):
-        assert jaccard(set(), set()) == 0.0
 
 
 class TestWorkedExample:
@@ -101,7 +90,7 @@ def test_breakdown_fields_match_golden_digest():
     digest = hashlib.sha256()
     zero_denoms = 0
     for i in range(1000):
-        mi, mj = to_meta(random_entities(rng)), to_meta(random_entities(rng))
+        mi, mj = entities(random_entities(rng)), entities(random_entities(rng))
         if i % 4 == 0:
             g0, g1 = rng.random() / 2, rng.random() / 2
             weights = GammaWeights(g0, g1, 1.0 - g0 - g1)
@@ -131,7 +120,7 @@ class TestProperties:
         rng = np.random.default_rng(1234)
         for _ in range(2000):
             pi, pj = random_entities(rng), random_entities(rng)
-            mi, mj = to_meta(pi), to_meta(pj)
+            mi, mj = entities(pi), entities(pj)
             w = self._random_weights(rng)
             semantics = "union" if rng.random() < 0.5 else "intersection"
             fwd = score(mi, mj, w, semantics)
@@ -156,10 +145,10 @@ class TestProperties:
                 continue
             disease = shared[int(rng.integers(len(shared)))]
             w = self._random_weights(rng)
-            before = score(to_meta(pi), to_meta(pj), w, "union").total
+            before = score(entities(pi), entities(pj), w, "union").total
             pi[disease][0].add("fresh-adjective")
             pj[disease][0].add("fresh-adjective")
-            after = score(to_meta(pi), to_meta(pj), w, "union").total
+            after = score(entities(pi), entities(pj), w, "union").total
             assert after >= before - 1e-12
             checked += 1
         assert checked > 500
@@ -174,10 +163,10 @@ class TestOracleEquivalence:
         w = GammaWeights()
         for semantics in ("union", "intersection"):
             for pi in universe:
-                mi = to_meta(pi)
+                mi = entities(pi)
                 for pj in universe:
                     expected = oracle_score(pi, pj, w.g0, w.g1, w.g2, semantics)
-                    got = score(mi, to_meta(pj), w, semantics).total
+                    got = score(mi, entities(pj), w, semantics).total
                     assert abs(got - expected) <= 1e-12
 
     def test_random_heterogeneous_pairs(self):
@@ -187,6 +176,6 @@ class TestOracleEquivalence:
             pi, pj = random_entities(rng), random_entities(rng)
             semantics = "union" if rng.random() < 0.5 else "intersection"
             expected = oracle_score(pi, pj, w.g0, w.g1, w.g2, semantics)
-            assert score(to_meta(pi), to_meta(pj), w, semantics).total == pytest.approx(
+            assert score(entities(pi), entities(pj), w, semantics).total == pytest.approx(
                 expected, abs=1e-12
             )

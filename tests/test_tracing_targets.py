@@ -11,12 +11,13 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+from conftest import entities
 from medtriplet import alignment, evaluation, mining, pipeline
 from medtriplet.corpus import ingest
 from medtriplet.encoder import IMAGE, TEXT, init_head
 from medtriplet.mining import Batch, MinerConfig
 from medtriplet.synthetic import SyntheticSpec, synthesize
-from oracles import random_entities, to_meta
+from oracles import random_entities
 
 TRACING = Path(__file__).resolve().parents[1] / "benchmarks" / "tracing.py"
 
@@ -90,7 +91,7 @@ def test_mine_batch_scores_each_ordered_pair_three_times(monkeypatch):
     rng = np.random.default_rng(3)
     k = 9
     plain = [{"d1": (set(), set()), **random_entities(rng)} for _ in range(k)]
-    batch = Batch(tuple((f"s{i}", to_meta(p)) for i, p in enumerate(plain)))
+    batch = Batch(tuple((f"s{i}", entities(p)) for i, p in enumerate(plain)))
     calls = _counting(monkeypatch, mining, "score")
     mining.mine_batch(batch, MinerConfig(), np.random.default_rng(0))
     assert len(calls) == 3 * k * (k - 1)
