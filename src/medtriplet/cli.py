@@ -109,7 +109,6 @@ def _cmd_stages(args: argparse.Namespace) -> int:
     keys = ("batch_size", "target", "tau_min", "tau_max")
     overrides = {key: value for key in keys if (value := getattr(args, key, None)) is not None}
     cfg = replace(cfg, mining=replace(cfg.mining, **overrides))
-    cfg.miner_config()  # checks the tau band before any stage runs
     stages = tuple(args.stages or STAGES) if args.command == "run" else (args.command,)
     for stage, path in run_pipeline(cfg, stages=stages, force=args.force).items():
         print(f"{stage}: {path}")

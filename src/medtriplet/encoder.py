@@ -4,10 +4,14 @@ Images are cut into non-overlapping patches and linearly projected; text
 tokens index a hashed embedding table. Learnable position encodings are
 added, the sequence runs through pre-norm attention/MLP blocks with
 residual connections, and the final hidden states are mean-pooled into a
-single vector. ``init_head`` seeds the per-modality square projection
-head that maps a pooled trunk output to the embedding alignment trains
-(the pipeline applies it to whole trunk matrices); the trunk itself, a
-``{name: array}`` dict, stays frozen at its seeded random initialization.
+single vector. Every step works on the last two axes, so one code path
+takes one sample, giving a (c,) vector, or a stack of N same-shape images
+or equal-length token sequences, giving (N, c) rows with the same bits as
+encoding each sample alone. ``init_head`` seeds the per-modality square
+projection head that maps a pooled trunk output to the embedding
+alignment trains (the pipeline applies it to whole trunk matrices); the
+trunk itself, a ``{name: array}`` dict, stays frozen at its seeded
+random initialization.
 """
 
 from __future__ import annotations
@@ -54,25 +58,29 @@ class EncoderConfig:
 
 @dataclass(frozen=True)
 class ImageSample:
-    """H x W grid of intensities in [0, 1]."""
+    """H x W grid of intensities in [0, 1], or a stack of N such grids of one shape, (N, H, W)."""
 
     pixels: np.ndarray
 
     def __post_init__(self) -> None:
-        if self.pixels.ndim != 2:
-            raise ValueError(f"expected a 2-D intensity grid, got shape {self.pixels.shape}")
+        if self.pixels.ndim not in (2, 3):
+            raise ValueError(f"expected a 2-D intensity grid or a 3-D stack of them, got shape {self.pixels.shape}")
 
 
 @dataclass(frozen=True)
 class TokenSequence:
-    """Hashed token ids, truncated to the configured maximum length."""
+    """Hashed token ids, truncated to the configured maximum length; or a
+    stack of N sequences of one length, as a tuple of N id tuples."""
 
-    ids: tuple[int, ...]
+    ids: tuple[int, ...] | tuple[tuple[int, ...], ...]
 
     def __post_init__(self) -> None:
-        if len(self.ids) < 1:
+        rows = self.ids if self.ids and isinstance(self.ids[0], tuple) else (self.ids,)
+        if any(not isinstance(row, tuple) or len(row) != len(rows[0]) for row in rows[1:]):
+            raise ValueError("a stack of token sequences must hold id tuples of one length")
+        if len(rows[0]) < 1:
             raise ValueError("token sequence must be non-empty")
-        if any(i < 0 for i in self.ids):
+        if any(i < 0 for row in rows for i in row):
             raise ValueError("token ids must be nonnegative")
 
 
@@ -141,18 +149,33 @@ def init_head(cfg: EncoderConfig, modality: str) -> np.ndarray:
     return rng.normal(0.0, cfg.init_scale, (cfg.embed_dim, cfg.embed_dim))
 
 
-def patchify(image: ImageSample, patch_size: int) -> np.ndarray:
-    """Row-major non-overlapping patches, each flattened row-major."""
-    h, w = image.pixels.shape
+def _patch_grid(h: int, w: int, patch_size: int) -> tuple[int, int]:
+    """Patch rows and columns of an h x w image; sides the patch does not divide are an error."""
     if h % patch_size or w % patch_size:
         raise ValueError(f"image {h}x{w} not divisible by patch size {patch_size}")
-    rows, cols = h // patch_size, w // patch_size
-    patches = (
-        image.pixels.reshape(rows, patch_size, cols, patch_size)
-        .transpose(0, 2, 1, 3)
-        .reshape(rows * cols, patch_size * patch_size)
+    return h // patch_size, w // patch_size
+
+
+def _check_length(n: int, cfg: EncoderConfig) -> None:
+    if n > cfg.max_seq_len:
+        raise ValueError(f"sequence length {n} exceeds max_seq_len {cfg.max_seq_len}")
+
+
+def check_image(image: ImageSample, cfg: EncoderConfig) -> None:
+    """Raise the error the image trunk would raise for ``image``, without encoding it."""
+    rows, cols = _patch_grid(*image.pixels.shape[-2:], cfg.patch_size)
+    _check_length(rows * cols, cfg)
+
+
+def patchify(image: ImageSample, patch_size: int) -> np.ndarray:
+    """Row-major non-overlapping patches, each flattened row-major: (..., patches, patch_size**2)."""
+    *lead, h, w = image.pixels.shape
+    rows, cols = _patch_grid(h, w, patch_size)
+    return (
+        image.pixels.reshape(*lead, rows, patch_size, cols, patch_size)
+        .swapaxes(-3, -2)
+        .reshape(*lead, rows * cols, patch_size * patch_size)
     )
-    return patches
 
 
 def _layer_norm(x: np.ndarray, g: np.ndarray, b: np.ndarray, cfg: EncoderConfig) -> np.ndarray:
@@ -175,25 +198,25 @@ def _gelu(x: np.ndarray) -> np.ndarray:
 
 
 def _attention(x: np.ndarray, p: dict[str, np.ndarray], prefix: str, cfg: EncoderConfig) -> np.ndarray:
-    """Softmax attention matrices from the already layer-normed block input ``x``."""
+    """Softmax attention matrices (..., heads, n, n) from the already layer-normed block input ``x``."""
     q = x @ p[prefix + "attn.wq"] + p[prefix + "attn.bq"]
     k = x @ p[prefix + "attn.wk"] + p[prefix + "attn.bk"]
-    n, c = x.shape
+    *lead, n, c = x.shape
     head_dim = c // cfg.heads
-    q = q.reshape(n, cfg.heads, head_dim).transpose(1, 0, 2)
-    k = k.reshape(n, cfg.heads, head_dim).transpose(1, 0, 2)
-    return _softmax(q @ k.transpose(0, 2, 1) / np.sqrt(head_dim))
+    q = q.reshape(*lead, n, cfg.heads, head_dim).swapaxes(-3, -2)
+    k = k.reshape(*lead, n, cfg.heads, head_dim).swapaxes(-3, -2)
+    return _softmax(q @ k.swapaxes(-1, -2) / np.sqrt(head_dim))
 
 
 def transformer_block(h: np.ndarray, p: dict[str, np.ndarray], block: int, cfg: EncoderConfig) -> np.ndarray:
-    """Pre-norm multi-head self-attention and MLP, each with a residual."""
+    """Pre-norm multi-head self-attention and MLP, each with a residual, on (..., n, c) hidden states."""
     prefix = f"block{block}."
     x = _layer_norm(h, p[prefix + "ln1.g"], p[prefix + "ln1.b"], cfg)
-    n, c = h.shape
+    *lead, n, c = h.shape
     head_dim = c // cfg.heads
-    v = (x @ p[prefix + "attn.wv"] + p[prefix + "attn.bv"]).reshape(n, cfg.heads, head_dim).transpose(1, 0, 2)
+    v = (x @ p[prefix + "attn.wv"] + p[prefix + "attn.bv"]).reshape(*lead, n, cfg.heads, head_dim).swapaxes(-3, -2)
     attn = _attention(x, p, prefix, cfg)
-    mixed = (attn @ v).transpose(1, 0, 2).reshape(n, c)
+    mixed = (attn @ v).swapaxes(-3, -2).reshape(*lead, n, c)
     h = h + mixed @ p[prefix + "attn.wo"] + p[prefix + "attn.bo"]
     x = _layer_norm(h, p[prefix + "ln2.g"], p[prefix + "ln2.b"], cfg)
     mlp = _gelu(x @ p[prefix + "mlp.w1"] + p[prefix + "mlp.b1"]) @ p[prefix + "mlp.w2"] + p[prefix + "mlp.b2"]
@@ -201,7 +224,7 @@ def transformer_block(h: np.ndarray, p: dict[str, np.ndarray], block: int, cfg: 
 
 
 def embed_input(sample: ImageSample | TokenSequence, trunk: dict[str, np.ndarray], cfg: EncoderConfig) -> np.ndarray:
-    """Initial hidden sequence: learnable linear map plus position encodings."""
+    """Initial hidden sequences (..., n, c): learnable linear map plus position encodings."""
     if isinstance(sample, ImageSample):
         patches = patchify(sample, cfg.patch_size)
         projected = patches @ trunk["input.w"] + trunk["input.b"]
@@ -210,15 +233,18 @@ def embed_input(sample: ImageSample | TokenSequence, trunk: dict[str, np.ndarray
         if ids.max(initial=0) >= trunk["table"].shape[0]:
             raise ValueError("token id outside the embedding table")
         projected = trunk["table"][ids]
-    n = projected.shape[0]
-    if n > cfg.max_seq_len:
-        raise ValueError(f"sequence length {n} exceeds max_seq_len {cfg.max_seq_len}")
+    n = projected.shape[-2]
+    _check_length(n, cfg)
     return projected + trunk["pos"][:n]
 
 
 def trunk_encode(sample: ImageSample | TokenSequence, trunk: dict[str, np.ndarray], cfg: EncoderConfig) -> np.ndarray:
-    """Frozen-trunk forward pass, mean-pooled over sequence positions."""
+    """Frozen-trunk forward pass, mean-pooled over sequence positions.
+
+    One sample gives a (c,) vector; a stack of N gives (N, c), each row
+    bit-identical to encoding that sample alone.
+    """
     h = embed_input(sample, trunk, cfg)
     for i in range(cfg.depth):
         h = transformer_block(h, trunk, i, cfg)
-    return h.mean(axis=0)
+    return h.mean(axis=-2)

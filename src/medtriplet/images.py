@@ -16,10 +16,12 @@ from .encoder import ImageSample
 
 def read_pgm(path: str | Path) -> ImageSample:
     path = Path(path)
-    tokens: list[str] = []
-    for line in path.read_text(encoding="ascii").splitlines():
-        body = line.split("#", 1)[0]
-        tokens.extend(body.split())
+    text = path.read_text(encoding="ascii")
+    # Every line break is whitespace to str.split, so without comments one split gives the same tokens.
+    if "#" in text:
+        tokens = [token for line in text.splitlines() for token in line.split("#", 1)[0].split()]
+    else:
+        tokens = text.split()
     if not tokens or tokens[0] != "P2":
         raise ValueError(f"{path}: not a plain (P2) graymap")
     if len(tokens) < 4:
@@ -46,9 +48,8 @@ def write_pgm(path: str | Path, pixels: np.ndarray, maxval: int = 255) -> None:
     """Quantize a [0, 1] grid to integers and write a plain graymap."""
     grid = np.clip(np.rint(np.asarray(pixels, dtype=np.float64) * maxval), 0, maxval).astype(int)
     height, width = grid.shape
-    lines = ["P2", f"{width} {height}", str(maxval)]
-    lines.extend(" ".join(map(str, row)) for row in grid.tolist())
-    Path(path).write_text("\n".join(lines) + "\n", encoding="ascii")
+    template = "\n".join(["P2", f"{width} {height}", str(maxval), *[" ".join(["%d"] * width)] * height]) + "\n"
+    Path(path).write_text(template % tuple(grid.ravel().tolist()), encoding="ascii")
 
 
 def load_image(path: str | Path) -> ImageSample:

@@ -7,6 +7,7 @@ import numpy as np
 import pytest
 
 from medtriplet.checkpoint import MAGIC, load_checkpoint, save_checkpoint
+from medtriplet.corpus import CorpusRecord
 from medtriplet.encoder import (
     IMAGE,
     TEXT,
@@ -27,7 +28,7 @@ from medtriplet.encoder import (
     trunk_encode,
 )
 from medtriplet.images import load_image, read_pgm, write_pgm
-from medtriplet.pipeline import _project
+from medtriplet.pipeline import TRUNK_CHUNK, FrozenTrunks, PipelineError, _project
 from oracles import oracle_gelu
 
 CFG = EncoderConfig(patch_size=8, embed_dim=64, depth=2, heads=4, max_seq_len=64, seed=0)
@@ -255,6 +256,75 @@ class TestEncode:
         assert _project(pooled[None], init_head(CFG, TEXT)).shape == (1, CFG.embed_dim)
 
 
+class TestStacks:
+    """A stack of rows through a trunk gives each row's own single-sample bits."""
+
+    def test_stacked_samples_validated(self):
+        with pytest.raises(ValueError, match="one length"):
+            TokenSequence(((1, 2), (3,)))
+        with pytest.raises(ValueError, match="one length"):
+            TokenSequence(((1, 2), 3))
+        with pytest.raises(ValueError, match="nonnegative"):
+            TokenSequence(((1, 2), (3, -4)))
+        with pytest.raises(ValueError, match="non-empty"):
+            TokenSequence(((), ()))
+        with pytest.raises(ValueError, match="3-D stack"):
+            ImageSample(np.zeros((2, 2, 8, 8)))
+
+    def test_trunk_stacks_match_single_samples(self):
+        rng = np.random.default_rng(15)
+        image_trunk, text_trunk = init_image_trunk(CFG), init_text_trunk(CFG)
+        for size in (16, 32):
+            grids = rng.random((9, size, size))
+            stacked = trunk_encode(ImageSample(grids), image_trunk, CFG)
+            assert stacked.shape == (9, CFG.embed_dim)
+            for grid, row in zip(grids, stacked):
+                assert np.array_equal(row, trunk_encode(ImageSample(grid), image_trunk, CFG))
+        for length in range(1, 7):
+            seqs = tuple(tuple(int(i) for i in rng.integers(0, CFG.vocab_size, length)) for _ in range(5))
+            stacked = trunk_encode(TokenSequence(seqs), text_trunk, CFG)
+            for seq, row in zip(seqs, stacked):
+                assert np.array_equal(row, trunk_encode(TokenSequence(seq), text_trunk, CFG))
+
+    @pytest.mark.parametrize("n", [TRUNK_CHUNK * k + d for k in (1, 2) for d in (-1, 0, 1)])
+    def test_frozen_trunks_match_single_samples(self, tmp_path, n):
+        """``n`` rows of each image size and of each token count from 1 to 6."""
+        rng = np.random.default_rng(n)
+        records = []
+        for i, size in enumerate([32] * n + [16] * n + [32]):
+            path = tmp_path / f"{i}.npy"
+            np.save(path, rng.random((size, size)))
+            records.append(CorpusRecord(f"r{i}", "", path))
+        texts = [" ".join(f"w{j}" for j in rng.integers(0, 10**9, length)) for _ in range(n) for length in range(1, 7)]
+        texts += texts[:2]  # repeats take the row their first copy got
+        trunks = FrozenTrunks(CFG)
+        images = trunks.encode_images(records)
+        assert images.shape == (len(records), CFG.embed_dim)
+        for rec, row in zip(records, images):
+            assert np.array_equal(row, trunk_encode(load_image(rec.image), trunks.image, CFG))
+        encoded = trunks.encode_texts(texts)
+        assert encoded.shape == (len(texts), CFG.embed_dim)
+        for text, row in zip(texts, encoded):
+            assert np.array_equal(row, trunk_encode(tokenize_text(text, CFG), trunks.text, CFG))
+
+    def test_first_failing_record_named_within_a_chunk(self, tmp_path):
+        good, bad_shape, unreadable = tmp_path / "good.npy", tmp_path / "bad.npy", tmp_path / "broken.pgm"
+        np.save(good, np.zeros((32, 32)))
+        np.save(bad_shape, np.zeros((30, 32)))
+        unreadable.write_text("P5\n2 2\n255\n")
+        records = [CorpusRecord("r0", "", good), CorpusRecord("r1", "", bad_shape), CorpusRecord("r2", "", unreadable)]
+        with pytest.raises(PipelineError, match=re.escape(f"record 'r1', image {bad_shape}: image 30x32 not divisible")):
+            FrozenTrunks(CFG).encode_images(records)
+        with pytest.raises(ValueError, match="P2"):
+            FrozenTrunks(CFG).encode_images([records[0], records[2], records[1]])
+
+    def test_overlong_image_named(self, tmp_path):
+        path = tmp_path / "big.npy"
+        np.save(path, np.zeros((72, 64)))  # 9 x 8 patches, past max_seq_len 64
+        with pytest.raises(PipelineError, match="record 'r0', .*sequence length 72 exceeds max_seq_len 64"):
+            FrozenTrunks(CFG).encode_images([CorpusRecord("r0", "", path)])
+
+
 class TestImagesIO:
     def test_pgm_round_trip(self, tmp_path):
         rng = np.random.default_rng(11)
@@ -295,6 +365,13 @@ class TestImagesIO:
         path.write_text(text)
         with pytest.raises(ValueError, match=f"^{re.escape(str(path))}: .*{message}"):
             read_pgm(path)
+
+    def test_pgm_comments_parse_like_plain_files(self, tmp_path):
+        plain, commented = tmp_path / "plain.pgm", tmp_path / "commented.pgm"
+        plain.write_text("P2\n3 2\n9\n0 1 2\n3 4 9\n")
+        commented.write_text("P2 # magic\n# whole-line comment\n3 2\n9#no space\n0 1 2 # row one\n3\t4 9\n")
+        np.testing.assert_array_equal(read_pgm(commented).pixels, read_pgm(plain).pixels)
+        np.testing.assert_array_equal(read_pgm(plain).pixels, np.array([[0, 1, 2], [3, 4, 9]]) / 9)
 
     def test_pgm_written_bytes_pinned(self, tmp_path):
         rng = np.random.default_rng(14)

@@ -114,6 +114,19 @@ class TestIngest:
         assert str(info.value) == f"{path}:3: 'entries' must be a list, got 'edema'"
 
 
+def _encoded_rows(monkeypatch) -> list:
+    """Record each row of every stack ``pipeline.trunk_encode`` encodes: an id tuple per text, a pixel grid per image."""
+    rows = []
+    encode = pipeline.trunk_encode
+
+    def counting(stack, *args):
+        rows.extend(stack.ids if hasattr(stack, "ids") else stack.pixels)
+        return encode(stack, *args)
+
+    monkeypatch.setattr(pipeline, "trunk_encode", counting)
+    return rows
+
+
 class TestStages:
     def test_extract_counts(self, small_world):
         artifacts = run_pipeline(small_world, stages=("extract",))
@@ -232,13 +245,11 @@ class TestStages:
         write_corpus(repeated, [replace(rec, text=records[i % 3].text) for i, rec in enumerate(records)])
         cfg = with_seed_defaults(small_world)
         heads = {IMAGE: init_head(cfg.encoder, IMAGE), TEXT: init_head(cfg.encoder, TEXT)}
-        calls = []
-        encode = pipeline.trunk_encode
-        monkeypatch.setattr(pipeline, "trunk_encode", lambda sample, *a: calls.append(sample) or encode(sample, *a))
+        rows = _encoded_rows(monkeypatch)
         evaluate_retrieval_tasks(cfg, heads, repeated)
-        texts = [tuple(sample.ids) for sample in calls if hasattr(sample, "ids")]
+        texts = [row for row in rows if isinstance(row, tuple)]
         assert len(texts) == len(set(texts)) == 3
-        assert len(calls) - len(texts) == len(records)
+        assert len(rows) - len(texts) == len(records)
 
     def test_empty_eval_corpus_named(self, small_world, tmp_path):
         empty = tmp_path / "empty.jsonl"
@@ -287,12 +298,20 @@ class TestStages:
         ents = [extract(rec.report(), ont) for rec in ingest(small_world.eval_corpus)]
         single = [m for m in ents if len(m.entries) == 1]
         classes = {m.entries[0].disease for m in single}
-        calls = []
-        encode = pipeline.trunk_encode
-        monkeypatch.setattr(pipeline, "trunk_encode", lambda *a: calls.append(1) or encode(*a))
+        rows = _encoded_rows(monkeypatch)
         report = evaluate_classification(with_seed_defaults(small_world), heads, small_world.eval_corpus)
         assert report["samples"] == len(single)
-        assert len(calls) == len(single) + len(classes) < 2 * len(ents)
+        assert len(rows) == len(single) + len(classes) < 2 * len(ents)
+
+    def test_bad_tau_band_fails_before_extract_writes(self, small_world):
+        with pytest.raises(ValueError, match=r"need 0 <= tau_min <= tau_max <= 1, got \[0.9, 0.2\]"):
+            run_pipeline(replace(small_world, mining=MiningSettings(tau_min=0.9, tau_max=0.2)))
+        assert not (small_world.out / "entities.jsonl").exists()
+
+    def test_unknown_semantics_fails_before_extract_writes(self, small_world):
+        with pytest.raises(ValueError, match="unknown semantics 'bogus'"):
+            run_pipeline(replace(small_world, semantics="bogus"))
+        assert not (small_world.out / "entities.jsonl").exists()
 
     def test_byte_identical_artifact_trees(self, small_world, tmp_path):
         cfg_a = replace(small_world, out=tmp_path / "out_a")

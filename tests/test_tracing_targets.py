@@ -118,3 +118,27 @@ def test_traced_wraps_every_patch_and_restores_it(monkeypatch):
         inside = [getattr(obj, attr) for obj, attr in targets]
     assert all(now is not before for now, before in zip(inside, originals)), targets
     assert all(getattr(obj, attr) is before for (obj, attr), before in zip(targets, originals)), targets
+
+
+def test_traced_stages_run_and_record_trunk_calls(tmp_path, monkeypatch):
+    """Every observer in LAYER_PATCHES accepts the arguments the stages pass it,
+    stacked trunk inputs among them."""
+    tracing = _load_tracing(monkeypatch)
+    train = synthesize(SyntheticSpec(n_classes=3, per_class=6, overlap_rate=0.4, seed=5), tmp_path / "train")
+    evalc = synthesize(SyntheticSpec(n_classes=3, per_class=3, overlap_rate=0.0, seed=6, id_prefix="e"), tmp_path / "eval")
+    cfg = pipeline.RunConfig(
+        out=tmp_path / "run",
+        corpus=train.corpus_path,
+        eval_corpus=evalc.corpus_path,
+        mining=pipeline.MiningSettings(batch_size=6, target=12, pass_limit=10),
+    )
+    tracer = tracing.Tracer()
+    with tracing.traced(tracer):
+        artifacts = pipeline.run_pipeline(cfg)
+        _, heads = pipeline.load_heads(artifacts["train"])
+        report = pipeline.evaluate_classification(pipeline.with_seed_defaults(cfg), heads, cfg.eval_corpus)
+    assert set(artifacts) == set(pipeline.STAGES) and all(path.exists() for path in artifacts.values())
+    assert report["samples"] > 0
+    assert not tracer.errors
+    assert tracer.calls("encoder.trunk_encode") > 0
+    assert tracer.useful_ratio("encoder.trunk_encode") > 0
