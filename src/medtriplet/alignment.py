@@ -135,9 +135,6 @@ def head_gradients(
 @dataclass(frozen=True)
 class OptimizerConfig:
     learning_rate: float = 0.01
-    beta1: float = 0.9
-    beta2: float = 0.999
-    eps: float = 1e-8
     epochs: int = 20
     batch_size: int = 64
     seed: int = 0
@@ -145,15 +142,14 @@ class OptimizerConfig:
     def __post_init__(self) -> None:
         if not 0 <= self.learning_rate < math.inf:
             raise ValueError(f"learning_rate must be finite and nonnegative, got {self.learning_rate!r}")
-        for name, beta in (("beta1", self.beta1), ("beta2", self.beta2)):
-            if not 0.0 <= beta < 1.0:
-                raise ValueError(f"{name} must lie in [0, 1), got {beta!r}")
-        if not 0 < self.eps < math.inf:
-            raise ValueError(f"eps must be finite and positive, got {self.eps!r}")
         if self.epochs < 1:
             raise ValueError(f"epochs must be >= 1, got {self.epochs!r}")
         if self.batch_size < 1:
             raise ValueError(f"batch_size must be >= 1, got {self.batch_size!r}")
+
+
+# Adam's moment decay rates and denominator guard, at their usual values.
+BETA1, BETA2, EPS = 0.9, 0.999, 1e-8
 
 
 class Adam:
@@ -167,14 +163,13 @@ class Adam:
         self.v = {k: np.zeros_like(v) for k, v in params.items()}
 
     def step(self, grads: dict[str, np.ndarray]) -> None:
-        c = self.cfg
         self.t += 1
         for key, g in grads.items():
-            self.m[key] = c.beta1 * self.m[key] + (1.0 - c.beta1) * g
-            self.v[key] = c.beta2 * self.v[key] + (1.0 - c.beta2) * g**2
-            m_hat = self.m[key] / (1.0 - c.beta1**self.t)
-            v_hat = self.v[key] / (1.0 - c.beta2**self.t)
-            self.params[key] -= c.learning_rate * m_hat / (np.sqrt(v_hat) + c.eps)
+            self.m[key] = BETA1 * self.m[key] + (1.0 - BETA1) * g
+            self.v[key] = BETA2 * self.v[key] + (1.0 - BETA2) * g**2
+            m_hat = self.m[key] / (1.0 - BETA1**self.t)
+            v_hat = self.v[key] / (1.0 - BETA2**self.t)
+            self.params[key] -= self.cfg.learning_rate * m_hat / (np.sqrt(v_hat) + EPS)
 
 
 @dataclass(frozen=True)

@@ -17,6 +17,7 @@ from pathlib import Path
 
 from .alignment import DegenerateEmbeddingError
 from .corpus import DataError
+from .evaluation import MATCH_MODES
 from .extraction import MetaEntities
 from .ontology import OntologyError, default_ontology, load_ontology, save_ontology, serialize_ontology
 from .pipeline import (
@@ -168,9 +169,8 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("score", help="score two meta-entity records")
     p.add_argument("first", type=Path)
     p.add_argument("second", type=Path)
-    p.add_argument("--gamma0", type=float, default=0.85)
-    p.add_argument("--gamma1", type=float, default=0.10)
-    p.add_argument("--gamma2", type=float, default=0.05)
+    for i, default in enumerate((GammaWeights.g0, GammaWeights.g1, GammaWeights.g2)):
+        p.add_argument(f"--gamma{i}", type=float, default=default)
     p.add_argument("--semantics", choices=SEMANTICS, default=DEFAULT_SEMANTICS)
     p.set_defaults(func=_cmd_score)
 
@@ -192,7 +192,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--corpus", type=Path)
     p.add_argument("--eval-corpus", type=Path, dest="eval_corpus")
     p.add_argument("--heads", type=Path, help="heads checkpoint (default: <out>/heads.ckpt)")
-    p.add_argument("--match-mode", choices=("mean", "exact"), default="mean")
+    p.add_argument("--match-mode", choices=MATCH_MODES, default="mean")
     p.set_defaults(func=_cmd_eval)
 
     p = sub.add_parser("eval-classify", help="zero-shot classification over an eval corpus")
@@ -204,11 +204,11 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("synth", help="generate a synthetic corpus")
     _add_common(p)
-    p.add_argument("--classes", type=int, default=4)
-    p.add_argument("--per-class", type=int, default=50, dest="per_class")
-    p.add_argument("--image-size", type=int, default=32, dest="image_size")
-    p.add_argument("--overlap", type=float, default=0.3)
-    p.add_argument("--id-prefix", default="s", dest="id_prefix")
+    p.add_argument("--classes", type=int, default=SyntheticSpec.n_classes)
+    p.add_argument("--per-class", type=int, default=SyntheticSpec.per_class, dest="per_class")
+    p.add_argument("--image-size", type=int, default=SyntheticSpec.image_size, dest="image_size")
+    p.add_argument("--overlap", type=float, default=SyntheticSpec.overlap_rate)
+    p.add_argument("--id-prefix", default=SyntheticSpec.id_prefix, dest="id_prefix")
     p.set_defaults(func=_cmd_synth)
 
     p = sub.add_parser("run", help="run pipeline stages")

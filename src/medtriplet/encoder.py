@@ -17,7 +17,6 @@ random initialization.
 from __future__ import annotations
 
 import hashlib
-import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -27,6 +26,12 @@ from .lemma import SENTENCE_BREAK, lemmatize
 IMAGE = "image"
 TEXT = "text"
 
+# Fixed numerics of the toy trunks and heads; not settings of the method.
+MLP_RATIO = 4  # MLP hidden width per embedding dimension
+LN_EPSILON = 1e-5
+VOCAB_SIZE = 4096  # rows of the hashed text embedding table
+INIT_SCALE = 0.02  # standard deviation of every random init draw
+
 
 @dataclass(frozen=True)
 class EncoderConfig:
@@ -34,26 +39,15 @@ class EncoderConfig:
     embed_dim: int = 64
     depth: int = 2
     heads: int = 4
-    mlp_ratio: float = 4.0
-    ln_epsilon: float = 1e-5
     max_seq_len: int = 64
-    vocab_size: int = 4096
-    init_scale: float = 0.02
     seed: int = 0
 
     def __post_init__(self) -> None:
-        for name in ("patch_size", "embed_dim", "depth", "heads", "max_seq_len", "vocab_size"):
+        for name in ("patch_size", "embed_dim", "depth", "heads", "max_seq_len"):
             if getattr(self, name) < 1:
                 raise ValueError(f"{name} must be >= 1, got {getattr(self, name)}")
         if self.embed_dim % self.heads != 0:
             raise ValueError(f"embed_dim {self.embed_dim} must be divisible by heads {self.heads}")
-        # "not > 0" also rejects NaN.
-        for name in ("mlp_ratio", "ln_epsilon", "init_scale"):
-            value = getattr(self, name)
-            if not value > 0:
-                raise ValueError(f"{name} must be positive, got {value!r}")
-            if value == math.inf:
-                raise ValueError(f"{name} must be finite, got {value!r}")
 
 
 @dataclass(frozen=True)
@@ -84,10 +78,10 @@ class TokenSequence:
             raise ValueError("token ids must be nonnegative")
 
 
-def hash_token(token: str, vocab_size: int) -> int:
+def hash_token(token: str) -> int:
     """Stable token id: SHA-256 of the token modulo the vocabulary size."""
     digest = hashlib.sha256(token.encode("utf-8")).digest()
-    return int.from_bytes(digest[:8], "big") % vocab_size
+    return int.from_bytes(digest[:8], "big") % VOCAB_SIZE
 
 
 def tokenize_text(text: str, cfg: EncoderConfig) -> TokenSequence:
@@ -97,26 +91,26 @@ def tokenize_text(text: str, cfg: EncoderConfig) -> TokenSequence:
     alphanumeric content maps to the single reserved id 0.
     """
     words = [t for t in lemmatize(text) if t != SENTENCE_BREAK]
-    ids = [hash_token(w, cfg.vocab_size) for w in words[: cfg.max_seq_len]]
+    ids = [hash_token(w) for w in words[: cfg.max_seq_len]]
     return TokenSequence(tuple(ids) if ids else (0,))
 
 
 def _init_blocks(rng: np.random.Generator, cfg: EncoderConfig) -> dict[str, np.ndarray]:
     c = cfg.embed_dim
-    hidden = int(round(cfg.mlp_ratio * c))
+    hidden = MLP_RATIO * c
     params: dict[str, np.ndarray] = {}
     for i in range(cfg.depth):
         p = f"block{i}."
         params[p + "ln1.g"] = np.ones(c)
         params[p + "ln1.b"] = np.zeros(c)
         for name in ("wq", "wk", "wv", "wo"):
-            params[p + f"attn.{name}"] = rng.normal(0.0, cfg.init_scale, (c, c))
+            params[p + f"attn.{name}"] = rng.normal(0.0, INIT_SCALE, (c, c))
             params[p + f"attn.b{name[1]}"] = np.zeros(c)
         params[p + "ln2.g"] = np.ones(c)
         params[p + "ln2.b"] = np.zeros(c)
-        params[p + "mlp.w1"] = rng.normal(0.0, cfg.init_scale, (c, hidden))
+        params[p + "mlp.w1"] = rng.normal(0.0, INIT_SCALE, (c, hidden))
         params[p + "mlp.b1"] = np.zeros(hidden)
-        params[p + "mlp.w2"] = rng.normal(0.0, cfg.init_scale, (hidden, c))
+        params[p + "mlp.w2"] = rng.normal(0.0, INIT_SCALE, (hidden, c))
         params[p + "mlp.b2"] = np.zeros(c)
     return params
 
@@ -125,9 +119,9 @@ def init_image_trunk(cfg: EncoderConfig) -> dict[str, np.ndarray]:
     rng = np.random.default_rng((cfg.seed, 0))
     patch_dim = cfg.patch_size * cfg.patch_size
     params = {
-        "input.w": rng.normal(0.0, cfg.init_scale, (patch_dim, cfg.embed_dim)),
+        "input.w": rng.normal(0.0, INIT_SCALE, (patch_dim, cfg.embed_dim)),
         "input.b": np.zeros(cfg.embed_dim),
-        "pos": rng.normal(0.0, cfg.init_scale, (cfg.max_seq_len, cfg.embed_dim)),
+        "pos": rng.normal(0.0, INIT_SCALE, (cfg.max_seq_len, cfg.embed_dim)),
     }
     params.update(_init_blocks(rng, cfg))
     return params
@@ -136,8 +130,8 @@ def init_image_trunk(cfg: EncoderConfig) -> dict[str, np.ndarray]:
 def init_text_trunk(cfg: EncoderConfig) -> dict[str, np.ndarray]:
     rng = np.random.default_rng((cfg.seed, 1))
     params = {
-        "table": rng.normal(0.0, cfg.init_scale, (cfg.vocab_size, cfg.embed_dim)),
-        "pos": rng.normal(0.0, cfg.init_scale, (cfg.max_seq_len, cfg.embed_dim)),
+        "table": rng.normal(0.0, INIT_SCALE, (VOCAB_SIZE, cfg.embed_dim)),
+        "pos": rng.normal(0.0, INIT_SCALE, (cfg.max_seq_len, cfg.embed_dim)),
     }
     params.update(_init_blocks(rng, cfg))
     return params
@@ -146,7 +140,7 @@ def init_text_trunk(cfg: EncoderConfig) -> dict[str, np.ndarray]:
 def init_head(cfg: EncoderConfig, modality: str) -> np.ndarray:
     """Trainable c x c projection head, seeded per modality."""
     rng = np.random.default_rng((cfg.seed, 2 if modality == IMAGE else 3))
-    return rng.normal(0.0, cfg.init_scale, (cfg.embed_dim, cfg.embed_dim))
+    return rng.normal(0.0, INIT_SCALE, (cfg.embed_dim, cfg.embed_dim))
 
 
 def _patch_grid(h: int, w: int, patch_size: int) -> tuple[int, int]:
@@ -178,11 +172,11 @@ def patchify(image: ImageSample, patch_size: int) -> np.ndarray:
     )
 
 
-def _layer_norm(x: np.ndarray, g: np.ndarray, b: np.ndarray, cfg: EncoderConfig) -> np.ndarray:
+def _layer_norm(x: np.ndarray, g: np.ndarray, b: np.ndarray) -> np.ndarray:
     # Center once and reuse it for the variance: bit-identical to x.var(), without its second mean pass.
     centered = x - x.mean(axis=-1, keepdims=True)
     var = (centered * centered).sum(axis=-1, keepdims=True) / x.shape[-1]
-    return centered / np.sqrt(var + cfg.ln_epsilon) * g + b
+    return centered / np.sqrt(var + LN_EPSILON) * g + b
 
 
 def _softmax(x: np.ndarray) -> np.ndarray:
@@ -211,14 +205,14 @@ def _attention(x: np.ndarray, p: dict[str, np.ndarray], prefix: str, cfg: Encode
 def transformer_block(h: np.ndarray, p: dict[str, np.ndarray], block: int, cfg: EncoderConfig) -> np.ndarray:
     """Pre-norm multi-head self-attention and MLP, each with a residual, on (..., n, c) hidden states."""
     prefix = f"block{block}."
-    x = _layer_norm(h, p[prefix + "ln1.g"], p[prefix + "ln1.b"], cfg)
+    x = _layer_norm(h, p[prefix + "ln1.g"], p[prefix + "ln1.b"])
     *lead, n, c = h.shape
     head_dim = c // cfg.heads
     v = (x @ p[prefix + "attn.wv"] + p[prefix + "attn.bv"]).reshape(*lead, n, cfg.heads, head_dim).swapaxes(-3, -2)
     attn = _attention(x, p, prefix, cfg)
     mixed = (attn @ v).swapaxes(-3, -2).reshape(*lead, n, c)
     h = h + mixed @ p[prefix + "attn.wo"] + p[prefix + "attn.bo"]
-    x = _layer_norm(h, p[prefix + "ln2.g"], p[prefix + "ln2.b"], cfg)
+    x = _layer_norm(h, p[prefix + "ln2.g"], p[prefix + "ln2.b"])
     mlp = _gelu(x @ p[prefix + "mlp.w1"] + p[prefix + "mlp.b1"]) @ p[prefix + "mlp.w2"] + p[prefix + "mlp.b2"]
     return h + mlp
 

@@ -34,19 +34,18 @@ PROMPT_TEMPLATE = "This is an X-Ray image of {disease}."
 
 ENTITY_KINDS = ("disease", "adjective", "direction")
 MATCH_MODES = ("mean", "exact")
+# Retrieval depths P@R is reported at, where the eval corpus is deep enough.
+R_VALUES = (1, 10, 20, 50)
 
 
-def rank(query: np.ndarray, gallery: np.ndarray, exclude: int, norms: Sequence[float] | None = None) -> np.ndarray:
+def rank(query: np.ndarray, gallery: np.ndarray, exclude: int, norms: Sequence[float]) -> np.ndarray:
     """Gallery row indices other than ``exclude``, by descending cosine
     similarity to ``query``; ties go to the lower row.
 
-    ``norms`` are the gallery rows' norms as ``norm`` computes them; a
-    caller that ranks many queries against one gallery passes them in,
-    and without them they are computed here. Either way ``cosine`` is
-    called once per ranked row with the same floats.
+    ``norms`` are the gallery rows' norms as ``norm`` computes them, so a
+    caller that ranks many queries against one gallery computes them once.
+    ``cosine`` is called once per ranked row.
     """
-    if norms is None:
-        norms = [norm(row) for row in gallery]
     nq = norm(query)
     rows = np.delete(np.arange(len(gallery)), exclude)
     sims = np.array([cosine(query, gallery[j], nq, norms[j]) for j in rows.tolist()])
@@ -81,26 +80,6 @@ def _consistency(query: np.ndarray, items: np.ndarray, match_mode: str) -> np.nd
     inter = np.count_nonzero(items & query, axis=-1)
     union = np.count_nonzero(items | query, axis=-1)
     return np.divide(inter, union, out=np.zeros(inter.shape), where=union > 0)
-
-
-def precision_at_r(
-    query: MetaEntities,
-    retrieved: Sequence[MetaEntities],
-    kind: str,
-    match_mode: str = "mean",
-) -> float:
-    """Mean consistency of retrieved items with the query, as a percentage.
-
-    ``mean`` averages Jaccard indices (two empty sets score 0); ``exact``
-    counts only identical label sets (empty query and retrieved sets
-    count as a match there).
-    """
-    if not retrieved:
-        raise ValueError("retrieved list must be non-empty")
-    if match_mode not in MATCH_MODES:
-        raise ValueError(f"unknown match_mode {match_mode!r}")
-    labels = _label_matrix([query, *retrieved], kind)
-    return 100.0 * float(np.mean(_consistency(labels[0], labels[1:], match_mode)))
 
 
 def prompt_text(disease: str, ont: Ontology) -> str:
@@ -203,7 +182,7 @@ def retrieval_report(
     queries: np.ndarray,
     gallery: np.ndarray,
     entities: Sequence[MetaEntities],
-    r_values: Sequence[int] = (1, 10, 20, 50),
+    r_values: Sequence[int] = R_VALUES,
     match_mode: str = "mean",
 ) -> dict[str, dict[int, float]]:
     """Mean P@R per entity kind; row i of both matrices is record i.

@@ -13,6 +13,8 @@ import numpy as np
 
 from .encoder import ImageSample
 
+MAXVAL = 255  # the maxval ``write_pgm`` quantizes to and declares
+
 
 def read_pgm(path: str | Path) -> ImageSample:
     path = Path(path)
@@ -44,11 +46,11 @@ def read_pgm(path: str | Path) -> ImageSample:
     return ImageSample(grid / maxval)
 
 
-def write_pgm(path: str | Path, pixels: np.ndarray, maxval: int = 255) -> None:
-    """Quantize a [0, 1] grid to integers and write a plain graymap."""
-    grid = np.clip(np.rint(np.asarray(pixels, dtype=np.float64) * maxval), 0, maxval).astype(int)
+def write_pgm(path: str | Path, pixels: np.ndarray) -> None:
+    """Quantize a [0, 1] grid to integers in [0, MAXVAL] and write a plain graymap."""
+    grid = np.clip(np.rint(np.asarray(pixels, dtype=np.float64) * MAXVAL), 0, MAXVAL).astype(int)
     height, width = grid.shape
-    template = "\n".join(["P2", f"{width} {height}", str(maxval), *[" ".join(["%d"] * width)] * height]) + "\n"
+    template = "\n".join(["P2", f"{width} {height}", str(MAXVAL), *[" ".join(["%d"] * width)] * height]) + "\n"
     Path(path).write_text(template % tuple(grid.ravel().tolist()), encoding="ascii")
 
 

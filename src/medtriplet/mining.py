@@ -155,14 +155,6 @@ def mine_batch(batch: Batch, cfg: MinerConfig, rng: np.random.Generator) -> list
     return triplets
 
 
-@dataclass
-class MiningResult:
-    triplets: list[Triplet]
-    passes: int
-    reached_target: bool
-    manifest: dict
-
-
 def _batches(
     samples: Sequence[tuple[str, MetaEntities]], k: int, rng: np.random.Generator
 ) -> Iterator[Batch]:
@@ -179,11 +171,12 @@ def mine_corpus(
     cfg: MinerConfig,
     out_path: str | Path | None = None,
     pass_limit: int = 100,
-) -> MiningResult:
+) -> tuple[dict, list[Triplet]]:
     """Mine up to `target` unique triplets over repeated corpus passes.
 
     Each pass shuffles the corpus into disjoint batches of size k.
     Triplets deduplicate on the (anchor, positive, negative) id tuple.
+    Returns the manifest and the triplets, as ``read_triplets`` does.
     Output is canonically sorted, so reruns with the same inputs are
     byte-identical.
     """
@@ -222,20 +215,19 @@ def mine_corpus(
         "passes": passes,
         "reached_target": reached,
     }
-    result = MiningResult(triplets, passes, reached, manifest)
     if out_path is not None:
-        write_triplets(result, out_path)
-    return result
+        write_triplets(out_path, manifest, triplets)
+    return manifest, triplets
 
 
 _TRIPLET_FIELDS = ("anchor_id", "positive_id", "negative_id", "score_ap", "score_an")
 _triplet_values = itemgetter(*_TRIPLET_FIELDS)
 
 
-def write_triplets(result: MiningResult, path: str | Path) -> None:
+def write_triplets(path: str | Path, manifest: dict, triplets: Sequence[Triplet]) -> None:
     """Manifest record first, keys sorted, then one sorted triplet record per line."""
-    rows = ({name: getattr(t, name) for name in _TRIPLET_FIELDS} for t in result.triplets)
-    write_jsonl(path, chain([dict(sorted(result.manifest.items()))], rows))
+    rows = ({name: getattr(t, name) for name in _TRIPLET_FIELDS} for t in triplets)
+    write_jsonl(path, chain([dict(sorted(manifest.items()))], rows))
 
 
 def read_triplets(path: str | Path) -> tuple[dict, list[Triplet]]:

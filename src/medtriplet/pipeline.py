@@ -46,7 +46,7 @@ from .encoder import (
     tokenize_text,
     trunk_encode,
 )
-from .evaluation import classification_metrics, prompt_text, retrieval_report, zero_shot_classify
+from .evaluation import R_VALUES, classification_metrics, prompt_text, retrieval_report, zero_shot_classify
 from .extraction import MetaEntities, extract
 from .images import load_image
 from .mining import MinerConfig, mine_corpus, read_triplets
@@ -56,8 +56,6 @@ from .scoring import GammaWeights
 logger = logging.getLogger(__name__)
 
 STAGES = ("extract", "mine", "train", "eval")
-# Retrieval depths P@R is reported at, where the eval corpus is deep enough.
-R_VALUES = (1, 10, 20, 50)
 _STAGE_INDEX = {"synth": 1, "extract": 2, "mine": 3, "train": 4, "eval": 5}
 
 
@@ -153,8 +151,8 @@ def _parse(section: str, key: str, raw: str, kind: type):
 
 
 def _coerce(dataclass_obj, name: str, section: dict[str, str]):
-    """Overlay string key/values from config section ``name`` onto a dataclass."""
-    _reject_unknown(f"config key in [{name}]", section, [f.name for f in fields(dataclass_obj)])
+    """Overlay string key/values from config section ``name`` onto a dataclass; its ``seed`` is not settable."""
+    _reject_unknown(f"config key in [{name}]", section, [f.name for f in fields(dataclass_obj) if f.name != "seed"])
     updates = {key: _parse(name, key, raw, type(getattr(dataclass_obj, key))) for key, raw in section.items()}
     return replace(dataclass_obj, **updates)
 
@@ -498,9 +496,9 @@ def load_heads(path: str | Path, cfg: RunConfig | None = None) -> tuple[dict, di
     shape; other arrays in the file are ignored.
 
     With ``cfg`` (seed defaults applied), the heads must be (embed_dim,
-    embed_dim) and the checkpoint must record ``cfg``'s seed and encoder
-    config, else the first field that differs is named. Each error names
-    the file.
+    embed_dim) and the checkpoint must record exactly ``cfg``'s seed and
+    encoder config: the first field that differs, or that only one side
+    has, is named. Each error names the file.
     """
     config, arrays = load_checkpoint(path)
     heads = {}
@@ -515,10 +513,12 @@ def load_heads(path: str | Path, cfg: RunConfig | None = None) -> tuple[dict, di
             raise PipelineError(f"{path}: head.{modality} has shape {head.shape}, expected {(dim, dim)}")
     if cfg is not None:
         got = _flat_record(config if isinstance(config, dict) else {})
-        for name, want in _flat_record(_heads_record(cfg)).items():
-            if name not in got or got[name] != want:
-                recorded = f"{name} = {got[name]!r}" if name in got else f"no {name}"
-                raise PipelineError(f"{path}: checkpoint records {recorded}; this run has {name} = {want!r}")
+        want = _flat_record(_heads_record(cfg))
+        absent = object()
+        for name in {**want, **got}:  # the run's fields in order, then any only the checkpoint has
+            if got.get(name, absent) != want.get(name, absent):
+                recorded, has = (f"{name} = {r[name]!r}" if name in r else f"no {name}" for r in (got, want))
+                raise PipelineError(f"{path}: checkpoint records {recorded}; this run has {has}")
     return config, heads
 
 

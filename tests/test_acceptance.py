@@ -17,7 +17,7 @@ import pytest
 from conftest import entities
 from medtriplet.alignment import LossConfig
 from medtriplet.encoder import IMAGE, TEXT, init_head
-from medtriplet.evaluation import classification_metrics, precision_at_r
+from medtriplet.evaluation import classification_metrics
 from medtriplet.extraction import MetaEntities, Report, extract
 from medtriplet.mining import MinerConfig, mine_corpus
 from medtriplet.pipeline import (
@@ -87,13 +87,13 @@ def test_criterion_3_miner_invariants(tmp_path, ontology):
     samples = [(rec.id, extract(rec.report(), ontology)) for rec in ingest(synth.corpus_path)]
     cfg = MinerConfig(seed=31)
     p1, p2 = tmp_path / "t1.jsonl", tmp_path / "t2.jsonl"
-    result = mine_corpus(samples, k=64, target=1000, cfg=cfg, out_path=p1)
+    manifest, triplets = mine_corpus(samples, k=64, target=1000, cfg=cfg, out_path=p1)
     mine_corpus(samples, k=64, target=1000, cfg=cfg, out_path=p2)
-    assert len(result.triplets) == 1000
-    keys = {t.key() for t in result.triplets}
+    assert len(triplets) == 1000
+    keys = {t.key() for t in triplets}
     assert len(keys) == 1000
     by_id = dict(samples)
-    for t in result.triplets:
+    for t in triplets:
         assert len({t.anchor_id, t.positive_id, t.negative_id}) == 3
         assert t.score_ap >= t.score_an
         assert cfg.tau_min <= t.score_an <= cfg.tau_max
@@ -101,7 +101,7 @@ def test_criterion_3_miner_invariants(tmp_path, ontology):
     assert p1.read_bytes() == p2.read_bytes()
     elapsed = time.time() - start
     assert elapsed < 30.0
-    print(f"\n[criterion 3] PASS — 1000 unique triplets, {result.passes} passes, byte-identical rerun, {elapsed:.1f}s")
+    print(f"\n[criterion 3] PASS — 1000 unique triplets, {manifest['passes']} passes, byte-identical rerun, {elapsed:.1f}s")
 
 
 def test_criterion_4_gradient_check():
@@ -273,13 +273,15 @@ def test_criterion_8_ablation_directions(tmp_path):
 
 def test_criterion_9_metric_units():
     """P@R and ACC/F1/AUC worked examples plus AUC monotone invariance."""
+    from test_evaluation import p_at_all
+
     q = entities({"edema": (set(), set())})
     other = entities({"pneumonia": (set(), set())})
-    assert precision_at_r(q, [q, q], "disease") == 100.0
-    assert precision_at_r(q, [q, other], "disease") == 50.0
+    assert p_at_all([q, q, q]) == 100.0
+    assert p_at_all([q, q, other]) == pytest.approx((50.0 + 50.0 + 0.0) / 3)
     two = entities({"a-disease": (set(), set()), "b-disease": (set(), set())})
     one = entities({"a-disease": (set(), set())})
-    assert precision_at_r(two, [one], "disease") == 50.0
+    assert p_at_all([two, one]) == 50.0
 
     ab = ["a", "b"]
     perfect = classification_metrics(["a", "b"], ["a", "b"], np.array([[0.9, 0.1], [0.1, 0.9]]), ab)

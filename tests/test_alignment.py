@@ -321,11 +321,11 @@ class TestLossConfig:
 class TestOptimizerConfig:
     @pytest.mark.parametrize(
         "field, value",
-        [("batch_size", 0), ("epochs", 0), ("learning_rate", -0.01), ("beta1", 1.0), ("beta2", -0.1), ("eps", 0.0)],
+        [("batch_size", 0), ("epochs", 0), ("learning_rate", -0.01)],
     )
     def test_out_of_range_rejected(self, field, value):
         with pytest.raises(ValueError, match=f"{field}.*got {value!r}"):
             OptimizerConfig(**{field: value})
 
     def test_boundary_values_accepted(self):
-        OptimizerConfig(learning_rate=0.0, beta1=0.0, beta2=0.0, epochs=1, batch_size=1)
+        OptimizerConfig(learning_rate=0.0, epochs=1, batch_size=1)

@@ -1,12 +1,14 @@
 """CLI subcommands, exit codes, and artifact wiring."""
 
 import json
+from dataclasses import asdict
 
 import numpy as np
 import pytest
 
 from medtriplet.checkpoint import save_checkpoint
 from medtriplet.cli import EXIT_DATA, EXIT_OK, EXIT_USAGE, main
+from medtriplet.encoder import EncoderConfig
 from medtriplet.pipeline import output_lock
 
 
@@ -168,7 +170,7 @@ class TestPipelineCommands:
         assert "batch_size must be >= 1, got 0" in capsys.readouterr().err
         assert not out.exists()
 
-    @pytest.mark.parametrize("key", ["heads", "patch_size", "vocab_size"])
+    @pytest.mark.parametrize("key", ["heads", "patch_size", "embed_dim"])
     def test_encoder_bound_exits_before_any_stage(self, synth_dir, tmp_path, capsys, key):
         out = tmp_path / "run"
         cfg = tmp_path / "run.cfg"
@@ -179,9 +181,9 @@ class TestPipelineCommands:
 
     @pytest.mark.parametrize(
         "setting, message",
-        [("[encoder]\ninit_scale = -1", "init_scale must be positive, got -1.0"),
+        [("[optimizer]\nlearning_rate = -1", "learning_rate must be finite and nonnegative, got -1.0"),
          ("[loss]\nalpha = inf", "margin alpha must be finite and nonnegative, got inf")],
-        ids=["init_scale", "alpha"],
+        ids=["learning_rate", "alpha"],
     )
     def test_non_finite_or_negative_setting_exits_before_any_stage(self, synth_dir, tmp_path, capsys, setting, message):
         out = tmp_path / "run"
@@ -289,6 +291,16 @@ class TestBadHeadsCheckpoint:
     def test_heads_of_another_embed_dim(self, synth_dir, tmp_path, capsys):
         heads = self._heads(tmp_path, dim=8)
         assert "head.image has shape (8, 8), expected (64, 64)" in self._eval(synth_dir, heads, capsys)
+
+    @pytest.mark.parametrize("field, value", [("use_layer_norm", False), ("mlp_ratio", 2.0)])
+    def test_heads_recording_a_field_this_run_lacks(self, synth_dir, tmp_path, capsys, field, value):
+        """Every field this run records matches, but the checkpoint records one more: it fits another trunk."""
+        heads = tmp_path / "heads.ckpt"
+        rng = np.random.default_rng(0)
+        record = {"encoder": {**asdict(EncoderConfig()), field: value}, "seed": 0}
+        save_checkpoint(heads, record, {name: rng.normal(size=(64, 64)) for name in ("head.image", "head.text")})
+        err = self._eval(synth_dir, heads, capsys)
+        assert err == f"error: {heads}: checkpoint records encoder.{field} = {value!r}; this run has no encoder.{field}\n"
 
 
     @pytest.mark.parametrize(

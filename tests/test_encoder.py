@@ -10,7 +10,9 @@ from medtriplet.checkpoint import MAGIC, load_checkpoint, save_checkpoint
 from medtriplet.corpus import CorpusRecord
 from medtriplet.encoder import (
     IMAGE,
+    LN_EPSILON,
     TEXT,
+    VOCAB_SIZE,
     EncoderConfig,
     ImageSample,
     TokenSequence,
@@ -47,8 +49,9 @@ class TestConfig:
     def test_depth_and_epsilon(self):
         with pytest.raises(ValueError):
             EncoderConfig(depth=0)
-        with pytest.raises(ValueError):
-            EncoderConfig(ln_epsilon=0.0)
+        # The fixed epsilon keeps a zero-variance row finite: it normalizes to the bias.
+        b = np.arange(4.0)
+        np.testing.assert_array_equal(_layer_norm(np.full((1, 4), 3.0), np.ones(4), b), b[None])
 
     @pytest.mark.parametrize(
         "name, value, message",
@@ -57,12 +60,9 @@ class TestConfig:
             ("heads", -4, "heads must be >= 1, got -4"),
             ("embed_dim", 0, "embed_dim must be >= 1, got 0"),
             ("patch_size", 0, "patch_size must be >= 1, got 0"),
-            ("vocab_size", 0, "vocab_size must be >= 1, got 0"),
             ("max_seq_len", 0, "max_seq_len must be >= 1, got 0"),
-            ("mlp_ratio", 0.0, "mlp_ratio must be positive, got 0.0"),
-            ("mlp_ratio", float("nan"), "mlp_ratio must be positive, got nan"),
         ],
-        ids=["heads", "heads_negative", "embed_dim", "patch_size", "vocab_size", "max_seq_len", "mlp_ratio", "mlp_ratio_nan"],
+        ids=["heads", "heads_negative", "embed_dim", "patch_size", "max_seq_len"],
     )
     def test_bounds_name_the_value(self, name, value, message):
         with pytest.raises(ValueError) as info:
@@ -100,9 +100,9 @@ class TestPatchify:
 class TestTokenization:
     def test_hash_stable_and_in_range(self):
         for token in ("edema", "effusion", "x"):
-            i = hash_token(token, 4096)
-            assert 0 <= i < 4096
-            assert hash_token(token, 4096) == i
+            i = hash_token(token)
+            assert 0 <= i < VOCAB_SIZE
+            assert hash_token(token) == i
 
     def test_truncation(self):
         text = " ".join(["edema"] * 100)
@@ -158,15 +158,14 @@ class TestEmbedInput:
 class TestLayerNormAndGelu:
     def test_layer_norm_bitwise_equal_to_numpy_var_formula(self):
         rng = np.random.default_rng(43)
-        for trial in range(300):
+        for _ in range(300):
             n, c = int(rng.integers(1, 70)), int(rng.integers(1, 130))
             scale, offset = 10.0 ** rng.uniform(-6, 3, size=2)
             x = rng.standard_normal((n, c)) * scale + offset * rng.standard_normal()
             g, b = rng.standard_normal(c), rng.standard_normal(c)
-            cfg = CFG if trial % 2 else EncoderConfig(ln_epsilon=10.0 ** rng.uniform(-12, -1))
             mean, var = x.mean(axis=-1, keepdims=True), x.var(axis=-1, keepdims=True)
-            expected = (x - mean) / np.sqrt(var + cfg.ln_epsilon) * g + b
-            assert (_layer_norm(x, g, b, cfg) == expected).all()
+            expected = (x - mean) / np.sqrt(var + LN_EPSILON) * g + b
+            assert (_layer_norm(x, g, b) == expected).all()
 
     def test_gelu_matches_scalar_oracle(self):
         rng = np.random.default_rng(44)
@@ -200,7 +199,7 @@ class TestTransformerBlock:
         trunk = init_image_trunk(SMALL)
         h = np.random.default_rng(5).normal(size=(7, 16))
         p = trunk
-        attn = _attention(_layer_norm(h, p["block0.ln1.g"], p["block0.ln1.b"], SMALL), p, "block0.", SMALL)
+        attn = _attention(_layer_norm(h, p["block0.ln1.g"], p["block0.ln1.b"]), p, "block0.", SMALL)
         assert attn.shape == (SMALL.heads, 7, 7)
         np.testing.assert_allclose(attn.sum(axis=-1), 1.0, atol=1e-9)
 
@@ -211,7 +210,7 @@ class TestTransformerBlock:
         p["block0.mlp.b2"] = np.zeros_like(p["block0.mlp.b2"])
         h = np.random.default_rng(6).normal(size=(1, 16))
         # One position attends only to itself: the block adds the value path of the layer-normed input.
-        x = _layer_norm(h, p["block0.ln1.g"], p["block0.ln1.b"], cfg)
+        x = _layer_norm(h, p["block0.ln1.g"], p["block0.ln1.b"])
         v = x @ p["block0.attn.wv"] + p["block0.attn.bv"]
         expected = h + v @ p["block0.attn.wo"] + p["block0.attn.bo"]
         np.testing.assert_allclose(transformer_block(h, p, 0, cfg), expected, atol=1e-12)
@@ -281,7 +280,7 @@ class TestStacks:
             for grid, row in zip(grids, stacked):
                 assert np.array_equal(row, trunk_encode(ImageSample(grid), image_trunk, CFG))
         for length in range(1, 7):
-            seqs = tuple(tuple(int(i) for i in rng.integers(0, CFG.vocab_size, length)) for _ in range(5))
+            seqs = tuple(tuple(int(i) for i in rng.integers(0, VOCAB_SIZE, length)) for _ in range(5))
             stacked = trunk_encode(TokenSequence(seqs), text_trunk, CFG)
             for seq, row in zip(seqs, stacked):
                 assert np.array_equal(row, trunk_encode(TokenSequence(seq), text_trunk, CFG))

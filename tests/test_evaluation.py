@@ -8,7 +8,6 @@ from medtriplet.alignment import DegenerateEmbeddingError, cosine, norm
 from medtriplet.encoder import EncoderConfig, tokenize_text
 from medtriplet.evaluation import (
     classification_metrics,
-    precision_at_r,
     prompt_text,
     rank,
     retrieval_report,
@@ -30,38 +29,51 @@ def rows(*vectors):
     return np.array(vectors, dtype=np.float64)
 
 
+def ranked(query, gallery, exclude):
+    """``rank`` with the gallery norms computed as ``retrieval_report`` computes them."""
+    return rank(query, gallery, exclude, [norm(row) for row in gallery])
+
+
+def p_at_all(ents, kind="disease", match_mode="mean"):
+    """P@R at R = n - 1 over n rows: every query averages its consistency with all other rows,
+    so the embeddings do not matter."""
+    r = len(ents) - 1
+    g = np.ones((len(ents), 2))
+    return retrieval_report(g, g, ents, (r,), match_mode)[kind][r]
+
+
 class TestRetrieve:
     """``rank``: other gallery rows by descending cosine, ties to the lower row."""
 
     def test_duplicate_of_query_ranks_first(self):
         g = rows((1.0, 0.0), (0.2, 0.9), (1.0, 0.0), (0.5, 0.5))
-        assert rank(g[0], g, exclude=0)[0] == 2
+        assert ranked(g[0], g, exclude=0)[0] == 2
 
     def test_top_one_of_two(self):
         g = rows((1.0, 0.0), (0.1, np.sqrt(1 - 0.01)), (0.9, np.sqrt(1 - 0.81)))
-        assert list(rank(g[0], g, exclude=0)) == [2, 1]
+        assert list(ranked(g[0], g, exclude=0)) == [2, 1]
 
     def test_full_tie_ascending_ids(self):
         g = rows((1.0, 0.0), (0.0, 1.0), (0.0, 1.0), (0.0, 1.0))
-        assert list(rank(g[0], g, exclude=0)) == [1, 2, 3]
+        assert list(ranked(g[0], g, exclude=0)) == [1, 2, 3]
 
     def test_query_id_excluded(self):
         g = rows((1.0, 0.0), (0.9, 0.1))
-        assert list(rank(g[0], g, exclude=0)) == [1]
-        assert list(rank(g[0], g, exclude=1)) == [0]
+        assert list(ranked(g[0], g, exclude=0)) == [1]
+        assert list(ranked(g[0], g, exclude=1)) == [0]
 
     def test_rescaled_gallery_entry_same_ranking(self):
         rng = np.random.default_rng(0)
         g1 = rng.normal(size=(7, 4))
         g2 = g1.copy()
         g2[3] *= 5.0
-        assert list(rank(g1[0], g1, exclude=0)) == list(rank(g1[0], g2, exclude=0))
+        assert list(ranked(g1[0], g1, exclude=0)) == list(ranked(g1[0], g2, exclude=0))
 
     def test_similarity_non_increasing(self):
         rng = np.random.default_rng(1)
         g = rng.normal(size=(12, 5))
         query = rng.normal(size=5)
-        sims = [query @ g[j] / (np.linalg.norm(query) * np.linalg.norm(g[j])) for j in rank(query, g, exclude=4)]
+        sims = [query @ g[j] / (np.linalg.norm(query) * np.linalg.norm(g[j])) for j in ranked(query, g, exclude=4)]
         assert sims == sorted(sims, reverse=True)
         assert len(sims) == 11
 
@@ -75,7 +87,9 @@ class TestRetrieve:
             g[rng.integers(0, n, size=n // 3)] = 3.0 * g[-1]
             norms = [norm(row) for row in g]
             for i in range(n):
-                np.testing.assert_array_equal(rank(g[i], g, i, norms), rank(g[i], g, i))
+                # cosine computes each norm itself here: given norms must give the same floats.
+                expected = sorted((j for j in range(n) if j != i), key=lambda j: (-cosine(g[i], g[j]), j))
+                assert list(rank(g[i], g, i, norms)) == expected
 
 
 class TestRetrievalResult:
@@ -83,7 +97,7 @@ class TestRetrievalResult:
 
     def test_ranking_non_increasing_and_consistency_recorded(self):
         g = rows((1.0, 0.0), (0.8, 0.6), (0.0, 1.0))
-        assert [list(rank(g[i], g, exclude=i)) for i in range(3)] == [[1, 2], [0, 2], [1, 0]]
+        assert [list(ranked(g[i], g, exclude=i)) for i in range(3)] == [[1, 2], [0, 2], [1, 0]]
         report = retrieval_report(g, g, [EDEMA, EDEMA, PNEUMONIA], r_values=(1, 2))
         # Every query's top-1 is an edema row; top-2 adds the pneumonia row to the edema queries.
         assert report["disease"][1] == pytest.approx(100.0 * 2 / 3)
@@ -118,8 +132,6 @@ class TestRetrievalResult:
             retrieval_report(g, g, [EDEMA, EDEMA], match_mode="median")
         with pytest.raises(ValueError, match="one row per record"):
             retrieval_report(g, g, [EDEMA])
-        with pytest.raises(ValueError, match=">= 1"):
-            retrieval_report(g, g, [EDEMA, EDEMA], r_values=(0, 1))
 
     @pytest.mark.parametrize("match_mode", ["mean", "exact"])
     def test_matches_plain_python_oracle(self, match_mode):
@@ -139,39 +151,40 @@ class TestRetrievalResult:
 
 
 class TestPrecisionAtR:
+    """P@R worked examples as two- and three-row ``retrieval_report`` inputs: the mean over
+    queries of each one's mean consistency, as a percentage."""
+
     def test_all_identical_hundred(self):
-        q = entities({"edema": (set(), set())})
-        assert precision_at_r(q, [q, q, q], "disease") == 100.0
+        assert p_at_all([EDEMA, EDEMA, EDEMA]) == 100.0
 
     def test_half_match_half_disjoint(self):
-        q = entities({"edema": (set(), set())})
-        other = entities({"pneumonia": (set(), set())})
-        assert precision_at_r(q, [q, other], "disease") == 50.0
+        # Each edema query retrieves one edema and one pneumonia row; the pneumonia query, two edema rows.
+        assert p_at_all([EDEMA, EDEMA, PNEUMONIA]) == pytest.approx((50.0 + 50.0 + 0.0) / 3)
 
     def test_partial_jaccard(self):
-        q = entities({"edema": (set(), set()), "pneumonia": (set(), set())})
-        item = entities({"edema": (set(), set())})
-        assert precision_at_r(q, [item], "disease") == 50.0
+        both = entities({"edema": (set(), set()), "pneumonia": (set(), set())})
+        assert p_at_all([both, EDEMA]) == 50.0
 
     def test_adjective_kind_uses_descriptor_union(self):
         q = entities({"edema": ({"mild"}, set()), "pneumonia": ({"severe"}, set())})
         item = entities({"fracture": ({"mild", "severe"}, set())})
-        assert precision_at_r(q, [item], "adjective") == 100.0
+        assert p_at_all([q, item], "adjective") == 100.0
+        assert p_at_all([q, item], "disease") == 0.0
 
     def test_exact_mode(self):
-        q = entities({"edema": (set(), set()), "pneumonia": (set(), set())})
-        partial = entities({"edema": (set(), set())})
-        assert precision_at_r(q, [q, partial], "disease", match_mode="exact") == 50.0
+        both = entities({"edema": (set(), set()), "pneumonia": (set(), set())})
+        assert p_at_all([both, both, EDEMA], match_mode="exact") == pytest.approx((50.0 + 50.0 + 0.0) / 3)
+        assert p_at_all([both, both, EDEMA]) == pytest.approx((75.0 + 75.0 + 50.0) / 3)
+        assert p_at_all([EMPTY, EMPTY], match_mode="exact") == 100.0  # empty sets match exactly
 
     def test_range_and_empty_sets(self):
-        q = entities({})
-        item = entities({"edema": (set(), set())})
-        assert precision_at_r(q, [item], "disease") == 0.0
-        assert precision_at_r(q, [q], "disease") == 0.0  # empty/empty Jaccard is 0
+        assert p_at_all([EMPTY, EDEMA]) == 0.0
+        assert p_at_all([EMPTY, EMPTY]) == 0.0  # empty/empty Jaccard is 0
 
     def test_empty_retrieved_rejected(self):
-        with pytest.raises(ValueError):
-            precision_at_r(EMPTY, [], "disease")
+        g = rows((1.0, 0.0), (0.0, 1.0))
+        with pytest.raises(ValueError, match=">= 1"):
+            retrieval_report(g, g, [EDEMA, EDEMA], r_values=(0, 1))
 
 
 class TestPrompts:

@@ -139,9 +139,9 @@ class TestMineCorpus:
     def test_target_zero(self, tmp_path):
         samples = _random_corpus(20, 3)
         path = tmp_path / "t.jsonl"
-        result = mine_corpus(samples, k=10, target=0, cfg=MinerConfig(seed=1), out_path=path)
-        assert result.triplets == []
+        returned = mine_corpus(samples, k=10, target=0, cfg=MinerConfig(seed=1), out_path=path)
         manifest, triplets = read_triplets(path)
+        assert returned == (manifest, triplets)
         assert triplets == [] and manifest["target"] == 0
 
     @pytest.mark.parametrize(
@@ -161,8 +161,8 @@ class TestMineCorpus:
 
     def test_unique_and_exact_count(self, tmp_path):
         samples = _random_corpus(60, 4)
-        result = mine_corpus(samples, k=16, target=150, cfg=MinerConfig(seed=2))
-        keys = [t.key() for t in result.triplets]
+        _, triplets = mine_corpus(samples, k=16, target=150, cfg=MinerConfig(seed=2))
+        keys = [t.key() for t in triplets]
         assert len(keys) == len(set(keys)) == 150
 
     def test_same_seed_byte_identical(self, tmp_path):
@@ -180,17 +180,17 @@ class TestMineCorpus:
         # three identical samples: nothing in band, target unreachable
         samples = [("a", NEAR), ("b", NEAR), ("c", NEAR)]
         path = tmp_path / "t.jsonl"
-        result = mine_corpus(samples, k=3, target=10, cfg=MinerConfig(seed=0), out_path=path, pass_limit=4)
-        assert not result.reached_target
+        returned = mine_corpus(samples, k=3, target=10, cfg=MinerConfig(seed=0), out_path=path, pass_limit=4)
         manifest, triplets = read_triplets(path)
-        assert manifest["reached_target"] is False and triplets == []
+        assert returned == (manifest, triplets)
+        assert manifest["reached_target"] is False and manifest["passes"] == 3 and triplets == []
 
     def test_mined_invariants_hold(self):
         cfg = MinerConfig(seed=11)
         samples = _random_corpus(80, 12)
-        result = mine_corpus(samples, k=20, target=200, cfg=cfg)
+        _, triplets = mine_corpus(samples, k=20, target=200, cfg=cfg)
         by_id = dict(samples)
-        for t in result.triplets:
+        for t in triplets:
             assert len({t.anchor_id, t.positive_id, t.negative_id}) == 3
             assert t.score_ap >= t.score_an
             assert cfg.tau_min <= t.score_an <= cfg.tau_max
@@ -203,8 +203,8 @@ class TestMineCorpus:
         cfg = MinerConfig(seed=13)
         samples = _random_corpus(60, 14)
         by_id = dict(samples)
-        result = mine_corpus(samples, k=15, target=100, cfg=cfg)
-        for t in result.triplets:
+        _, triplets = mine_corpus(samples, k=15, target=100, cfg=cfg)
+        for t in triplets:
             anchor = by_id[t.anchor_id].disease_set()
             negative = by_id[t.negative_id].disease_set()
             assert anchor & negative
@@ -213,8 +213,9 @@ class TestMineCorpus:
     def test_triplets_match_golden_digest(self, tmp_path, semantics):
         path = tmp_path / "t.jsonl"
         cfg = MinerConfig(seed=17, semantics=semantics)
-        result = mine_corpus(_random_corpus(90, 31), k=15, target=400, cfg=cfg, out_path=path)
-        assert (len(result.triplets), result.passes) == (400, 5)
+        manifest, triplets = mine_corpus(_random_corpus(90, 31), k=15, target=400, cfg=cfg, out_path=path)
+        assert (len(triplets), manifest["passes"], manifest["reached_target"]) == (400, 5, True)
+        assert read_triplets(path) == (manifest, triplets)
         assert hashlib.sha256(path.read_bytes()).hexdigest() == GOLDEN_TRIPLETS_DIGEST[semantics]
 
     def test_anchor_unique_within_batch(self):
