@@ -10,7 +10,7 @@ retrieval/classification evaluation.
 __version__ = "0.1.0"
 
 from .alignment import LossConfig, OptimizerConfig, cosine
-from .encoder import EncoderConfig, ImageSample, TokenSequence
+from .encoder import ImageSample, TokenSequence
 from .extraction import DiseaseEntry, MetaEntities, Report, extract
 from .mining import Batch, MinerConfig, Triplet, mine_batch, mine_corpus
 from .ontology import Ontology, Synset, default_ontology, load_ontology
@@ -20,7 +20,6 @@ __all__ = [
     "__version__",
     "Batch",
     "DiseaseEntry",
-    "EncoderConfig",
     "GammaWeights",
     "ImageSample",
     "LossConfig",

@@ -67,18 +67,15 @@ def norm(x: np.ndarray) -> float:
     return math.sqrt(x.dot(x))
 
 
-def cosine(u: np.ndarray, v: np.ndarray, nu: float | None = None, nv: float | None = None) -> float:
+def cosine(u: np.ndarray, v: np.ndarray, nu: float, nv: float) -> float:
     """Cosine of two 1-D float vectors; retrieval calls it once per ordered pair.
 
     Kernel contract: the benchmark's traced run counts those calls. ``nu``
     and ``nv`` are the norms of ``u`` and ``v`` as ``norm`` computes them;
     a caller that ranks many pairs computes each row's once and passes it
-    in, and a missing one is computed here, so the floats are the same
-    either way. ``u.dot(v)`` is the dot product ``u @ v`` makes, without
-    the dispatch.
+    in. ``u.dot(v)`` is the dot product ``u @ v`` makes, without the
+    dispatch.
     """
-    nu = norm(u) if nu is None else nu
-    nv = norm(v) if nv is None else nv
     if nu == 0.0 or nv == 0.0:
         raise DegenerateEmbeddingError("cosine of a zero-norm vector is undefined")
     return float(u.dot(v) / (nu * nv))

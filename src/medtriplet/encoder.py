@@ -26,28 +26,17 @@ from .lemma import SENTENCE_BREAK, lemmatize
 IMAGE = "image"
 TEXT = "text"
 
-# Fixed numerics of the toy trunks and heads; not settings of the method.
+# Fixed shape and numerics of the toy trunks and heads; not settings of the method.
+PATCH_SIZE = 8  # side of the square image patches
+EMBED_DIM = 64  # trunk width and head size
+DEPTH = 2  # transformer blocks per trunk
+HEADS = 4  # attention heads per block
+HEAD_DIM = EMBED_DIM // HEADS  # width of each head; HEADS divides EMBED_DIM
+MAX_SEQ_LEN = 64  # most image patches or text tokens a trunk takes
 MLP_RATIO = 4  # MLP hidden width per embedding dimension
 LN_EPSILON = 1e-5
 VOCAB_SIZE = 4096  # rows of the hashed text embedding table
 INIT_SCALE = 0.02  # standard deviation of every random init draw
-
-
-@dataclass(frozen=True)
-class EncoderConfig:
-    patch_size: int = 8
-    embed_dim: int = 64
-    depth: int = 2
-    heads: int = 4
-    max_seq_len: int = 64
-    seed: int = 0
-
-    def __post_init__(self) -> None:
-        for name in ("patch_size", "embed_dim", "depth", "heads", "max_seq_len"):
-            if getattr(self, name) < 1:
-                raise ValueError(f"{name} must be >= 1, got {getattr(self, name)}")
-        if self.embed_dim % self.heads != 0:
-            raise ValueError(f"embed_dim {self.embed_dim} must be divisible by heads {self.heads}")
 
 
 @dataclass(frozen=True)
@@ -63,8 +52,8 @@ class ImageSample:
 
 @dataclass(frozen=True)
 class TokenSequence:
-    """Hashed token ids, truncated to the configured maximum length; or a
-    stack of N sequences of one length, as a tuple of N id tuples."""
+    """Hashed token ids, truncated to ``MAX_SEQ_LEN``; or a stack of N
+    sequences of one length, as a tuple of N id tuples."""
 
     ids: tuple[int, ...] | tuple[tuple[int, ...], ...]
 
@@ -84,22 +73,22 @@ def hash_token(token: str) -> int:
     return int.from_bytes(digest[:8], "big") % VOCAB_SIZE
 
 
-def tokenize_text(text: str, cfg: EncoderConfig) -> TokenSequence:
+def tokenize_text(text: str) -> TokenSequence:
     """Lemmatize, hash, and truncate report text into a TokenSequence.
 
     Sentence-break tokens carry no content and are dropped. Text with no
     alphanumeric content maps to the single reserved id 0.
     """
     words = [t for t in lemmatize(text) if t != SENTENCE_BREAK]
-    ids = [hash_token(w) for w in words[: cfg.max_seq_len]]
+    ids = [hash_token(w) for w in words[:MAX_SEQ_LEN]]
     return TokenSequence(tuple(ids) if ids else (0,))
 
 
-def _init_blocks(rng: np.random.Generator, cfg: EncoderConfig) -> dict[str, np.ndarray]:
-    c = cfg.embed_dim
+def _init_blocks(rng: np.random.Generator) -> dict[str, np.ndarray]:
+    c = EMBED_DIM
     hidden = MLP_RATIO * c
     params: dict[str, np.ndarray] = {}
-    for i in range(cfg.depth):
+    for i in range(DEPTH):
         p = f"block{i}."
         params[p + "ln1.g"] = np.ones(c)
         params[p + "ln1.b"] = np.zeros(c)
@@ -115,50 +104,51 @@ def _init_blocks(rng: np.random.Generator, cfg: EncoderConfig) -> dict[str, np.n
     return params
 
 
-def init_image_trunk(cfg: EncoderConfig) -> dict[str, np.ndarray]:
-    rng = np.random.default_rng((cfg.seed, 0))
-    patch_dim = cfg.patch_size * cfg.patch_size
+def init_image_trunk(seed: int) -> dict[str, np.ndarray]:
+    rng = np.random.default_rng((seed, 0))
     params = {
-        "input.w": rng.normal(0.0, INIT_SCALE, (patch_dim, cfg.embed_dim)),
-        "input.b": np.zeros(cfg.embed_dim),
-        "pos": rng.normal(0.0, INIT_SCALE, (cfg.max_seq_len, cfg.embed_dim)),
+        "input.w": rng.normal(0.0, INIT_SCALE, (PATCH_SIZE * PATCH_SIZE, EMBED_DIM)),
+        "input.b": np.zeros(EMBED_DIM),
+        "pos": rng.normal(0.0, INIT_SCALE, (MAX_SEQ_LEN, EMBED_DIM)),
     }
-    params.update(_init_blocks(rng, cfg))
+    params.update(_init_blocks(rng))
     return params
 
 
-def init_text_trunk(cfg: EncoderConfig) -> dict[str, np.ndarray]:
-    rng = np.random.default_rng((cfg.seed, 1))
+def init_text_trunk(seed: int) -> dict[str, np.ndarray]:
+    rng = np.random.default_rng((seed, 1))
     params = {
-        "table": rng.normal(0.0, INIT_SCALE, (VOCAB_SIZE, cfg.embed_dim)),
-        "pos": rng.normal(0.0, INIT_SCALE, (cfg.max_seq_len, cfg.embed_dim)),
+        "table": rng.normal(0.0, INIT_SCALE, (VOCAB_SIZE, EMBED_DIM)),
+        "pos": rng.normal(0.0, INIT_SCALE, (MAX_SEQ_LEN, EMBED_DIM)),
     }
-    params.update(_init_blocks(rng, cfg))
+    params.update(_init_blocks(rng))
     return params
 
 
-def init_head(cfg: EncoderConfig, modality: str) -> np.ndarray:
+def init_head(seed: int, modality: str) -> np.ndarray:
     """Trainable c x c projection head, seeded per modality."""
-    rng = np.random.default_rng((cfg.seed, 2 if modality == IMAGE else 3))
-    return rng.normal(0.0, INIT_SCALE, (cfg.embed_dim, cfg.embed_dim))
+    rng = np.random.default_rng((seed, 2 if modality == IMAGE else 3))
+    return rng.normal(0.0, INIT_SCALE, (EMBED_DIM, EMBED_DIM))
 
 
 def _patch_grid(h: int, w: int, patch_size: int) -> tuple[int, int]:
-    """Patch rows and columns of an h x w image; sides the patch does not divide are an error."""
+    """Patch rows and columns of an h x w image; an empty one, or sides the patch does not divide, are an error."""
+    if not h or not w:
+        raise ValueError(f"image {h}x{w} has no pixels")
     if h % patch_size or w % patch_size:
         raise ValueError(f"image {h}x{w} not divisible by patch size {patch_size}")
     return h // patch_size, w // patch_size
 
 
-def _check_length(n: int, cfg: EncoderConfig) -> None:
-    if n > cfg.max_seq_len:
-        raise ValueError(f"sequence length {n} exceeds max_seq_len {cfg.max_seq_len}")
+def _check_length(n: int) -> None:
+    if n > MAX_SEQ_LEN:
+        raise ValueError(f"sequence length {n} exceeds max_seq_len {MAX_SEQ_LEN}")
 
 
-def check_image(image: ImageSample, cfg: EncoderConfig) -> None:
+def check_image(image: ImageSample) -> None:
     """Raise the error the image trunk would raise for ``image``, without encoding it."""
-    rows, cols = _patch_grid(*image.pixels.shape[-2:], cfg.patch_size)
-    _check_length(rows * cols, cfg)
+    rows, cols = _patch_grid(*image.pixels.shape[-2:], PATCH_SIZE)
+    _check_length(rows * cols)
 
 
 def patchify(image: ImageSample, patch_size: int) -> np.ndarray:
@@ -191,25 +181,22 @@ def _gelu(x: np.ndarray) -> np.ndarray:
     return 0.5 * x * (1.0 + np.tanh(np.sqrt(2.0 / np.pi) * (x + 0.044715 * (x * x * x))))
 
 
-def _attention(x: np.ndarray, p: dict[str, np.ndarray], prefix: str, cfg: EncoderConfig) -> np.ndarray:
+def _attention(x: np.ndarray, p: dict[str, np.ndarray], prefix: str) -> np.ndarray:
     """Softmax attention matrices (..., heads, n, n) from the already layer-normed block input ``x``."""
     q = x @ p[prefix + "attn.wq"] + p[prefix + "attn.bq"]
     k = x @ p[prefix + "attn.wk"] + p[prefix + "attn.bk"]
-    *lead, n, c = x.shape
-    head_dim = c // cfg.heads
-    q = q.reshape(*lead, n, cfg.heads, head_dim).swapaxes(-3, -2)
-    k = k.reshape(*lead, n, cfg.heads, head_dim).swapaxes(-3, -2)
-    return _softmax(q @ k.swapaxes(-1, -2) / np.sqrt(head_dim))
+    q = q.reshape(*x.shape[:-1], HEADS, HEAD_DIM).swapaxes(-3, -2)
+    k = k.reshape(*x.shape[:-1], HEADS, HEAD_DIM).swapaxes(-3, -2)
+    return _softmax(q @ k.swapaxes(-1, -2) / np.sqrt(HEAD_DIM))
 
 
-def transformer_block(h: np.ndarray, p: dict[str, np.ndarray], block: int, cfg: EncoderConfig) -> np.ndarray:
+def transformer_block(h: np.ndarray, p: dict[str, np.ndarray], block: int) -> np.ndarray:
     """Pre-norm multi-head self-attention and MLP, each with a residual, on (..., n, c) hidden states."""
     prefix = f"block{block}."
     x = _layer_norm(h, p[prefix + "ln1.g"], p[prefix + "ln1.b"])
     *lead, n, c = h.shape
-    head_dim = c // cfg.heads
-    v = (x @ p[prefix + "attn.wv"] + p[prefix + "attn.bv"]).reshape(*lead, n, cfg.heads, head_dim).swapaxes(-3, -2)
-    attn = _attention(x, p, prefix, cfg)
+    v = (x @ p[prefix + "attn.wv"] + p[prefix + "attn.bv"]).reshape(*lead, n, HEADS, HEAD_DIM).swapaxes(-3, -2)
+    attn = _attention(x, p, prefix)
     mixed = (attn @ v).swapaxes(-3, -2).reshape(*lead, n, c)
     h = h + mixed @ p[prefix + "attn.wo"] + p[prefix + "attn.bo"]
     x = _layer_norm(h, p[prefix + "ln2.g"], p[prefix + "ln2.b"])
@@ -217,10 +204,10 @@ def transformer_block(h: np.ndarray, p: dict[str, np.ndarray], block: int, cfg: 
     return h + mlp
 
 
-def embed_input(sample: ImageSample | TokenSequence, trunk: dict[str, np.ndarray], cfg: EncoderConfig) -> np.ndarray:
+def embed_input(sample: ImageSample | TokenSequence, trunk: dict[str, np.ndarray]) -> np.ndarray:
     """Initial hidden sequences (..., n, c): learnable linear map plus position encodings."""
     if isinstance(sample, ImageSample):
-        patches = patchify(sample, cfg.patch_size)
+        patches = patchify(sample, PATCH_SIZE)
         projected = patches @ trunk["input.w"] + trunk["input.b"]
     else:
         ids = np.asarray(sample.ids, dtype=np.int64)
@@ -228,17 +215,17 @@ def embed_input(sample: ImageSample | TokenSequence, trunk: dict[str, np.ndarray
             raise ValueError("token id outside the embedding table")
         projected = trunk["table"][ids]
     n = projected.shape[-2]
-    _check_length(n, cfg)
+    _check_length(n)
     return projected + trunk["pos"][:n]
 
 
-def trunk_encode(sample: ImageSample | TokenSequence, trunk: dict[str, np.ndarray], cfg: EncoderConfig) -> np.ndarray:
+def trunk_encode(sample: ImageSample | TokenSequence, trunk: dict[str, np.ndarray]) -> np.ndarray:
     """Frozen-trunk forward pass, mean-pooled over sequence positions.
 
     One sample gives a (c,) vector; a stack of N gives (N, c), each row
     bit-identical to encoding that sample alone.
     """
-    h = embed_input(sample, trunk, cfg)
-    for i in range(cfg.depth):
-        h = transformer_block(h, trunk, i, cfg)
+    h = embed_input(sample, trunk)
+    for i in range(DEPTH):
+        h = transformer_block(h, trunk, i)
     return h.mean(axis=-2)

@@ -2,7 +2,8 @@
 
 ``.pgm`` files must be plain (P2) graymaps; intensities are divided by
 the declared maxval so pixels land in [0, 1]. ``.npy`` files hold the
-row-major float grid directly and are clipped to [0, 1] on load.
+row-major float grid directly and are clipped to [0, 1] on load; a NaN
+or infinite pixel is an error.
 """
 
 from __future__ import annotations
@@ -62,5 +63,8 @@ def load_image(path: str | Path) -> ImageSample:
         grid = np.load(path, allow_pickle=False)
         if grid.ndim != 2:
             raise ValueError(f"{path}: expected a 2-D grid, got shape {grid.shape}")
-        return ImageSample(np.clip(grid.astype(np.float64), 0.0, 1.0))
+        grid = grid.astype(np.float64)
+        if not np.isfinite(grid).all():
+            raise ValueError(f"{path}: pixel values must be finite")
+        return ImageSample(np.clip(grid, 0.0, 1.0))
     raise ValueError(f"{path}: unsupported image format {path.suffix!r} (want .pgm or .npy)")

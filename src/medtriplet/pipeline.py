@@ -3,11 +3,12 @@
 Stages (extract, mine, train, eval) execute in order inside a locked
 output directory. Every artifact gets a sibling ``<name>.manifest.json``
 recording the tool version, the stage seed, the effective stage config
-(plus its hash), and the content hashes of all inputs, the ontology
-file among them, and of files a stage writes beside its artifact (the
-loss curve beside ``heads.ckpt``). A re-run skips any stage whose manifest still matches,
-unless forced. A stage reads an earlier stage's artifact only when that
-artifact matches its own manifest. Manifests carry no timestamps, so
+(plus its hash), and the content hashes of all inputs (the ontology
+file and the images a corpus names among them) and of files a stage
+writes beside its artifact (the loss curve beside ``heads.ckpt``). A
+re-run skips any stage whose manifest still matches, unless forced. A
+stage reads an earlier stage's artifact only when that artifact matches
+its own manifest. Manifests carry no timestamps, so
 identical inputs and config produce byte-identical artifact trees.
 
 The single global seed fans out to per-stage seeds as
@@ -36,7 +37,7 @@ from .corpus import CorpusRecord, atomic_write, ingest, read_entities, write_ent
 from .encoder import (
     IMAGE,
     TEXT,
-    EncoderConfig,
+    EMBED_DIM,
     ImageSample,
     TokenSequence,
     check_image,
@@ -92,7 +93,6 @@ class RunConfig:
     gammas: GammaWeights = field(default_factory=GammaWeights)
     semantics: str = "union"
     mining: MiningSettings = field(default_factory=MiningSettings)
-    encoder: EncoderConfig = field(default_factory=EncoderConfig)
     loss: LossConfig = field(default_factory=LossConfig)
     optimizer: OptimizerConfig = field(default_factory=OptimizerConfig)
 
@@ -160,7 +160,7 @@ def _coerce(dataclass_obj, name: str, section: dict[str, str]):
 _RUN_KEYS = ("out", "seed", "ontology", "corpus", "eval_corpus")
 _SCORING_KEYS = ("gamma0", "gamma1", "gamma2", "semantics")
 # Sections overlaid onto a RunConfig dataclass field: section name -> field name.
-_DATACLASS_SECTIONS = {"miner": "mining", "encoder": "encoder", "loss": "loss", "optimizer": "optimizer"}
+_DATACLASS_SECTIONS = {"miner": "mining", "loss": "loss", "optimizer": "optimizer"}
 
 
 def _reject_unknown(what: str, names, allowed) -> None:
@@ -176,9 +176,8 @@ def config_from_file(path: str | Path) -> RunConfig:
         _reject_unknown("config section", sections, ("run", "scoring", *_DATACLASS_SECTIONS))
         run = sections.get("run", {})
         _reject_unknown("config key in [run]", run, _RUN_KEYS)
-        for section in ("encoder", "optimizer"):
-            if "seed" in sections.get(section, {}):
-                raise PipelineError(f"[{section}] seed is not read; every stage seed derives from [run] seed")
+        if "seed" in sections.get("optimizer", {}):
+            raise PipelineError("[optimizer] seed is not read; every stage seed derives from [run] seed")
         cfg = RunConfig(
             out=Path(run.get("out", "run")),
             seed=_parse("run", "seed", run.get("seed", "0"), int),
@@ -204,13 +203,9 @@ def config_from_file(path: str | Path) -> RunConfig:
 
 
 def with_seed_defaults(cfg: RunConfig) -> RunConfig:
-    """Fan the global seed out: the encoder gets it as is, the optimizer the train stage seed.
-
-    Both always replace whatever seed the nested configs carry.
-    """
-    encoder = replace(cfg.encoder, seed=cfg.seed)
-    optimizer = replace(cfg.optimizer, seed=stage_seed(cfg.seed, "train"))
-    return replace(cfg, encoder=encoder, optimizer=optimizer)
+    """Fan the global seed out to the optimizer, which gets the train stage seed whatever seed it
+    carries; the trunks and heads take the global seed itself."""
+    return replace(cfg, optimizer=replace(cfg.optimizer, seed=stage_seed(cfg.seed, "train")))
 
 
 def sha256_file(path: Path) -> str:
@@ -227,6 +222,14 @@ def _config_hash(payload: dict) -> str:
 
 def _manifest_path(artifact: Path) -> Path:
     return artifact.with_name(artifact.name + ".manifest.json")
+
+
+def _images_hash(corpus: Path) -> str:
+    """One digest over the bytes of every image ``corpus`` names, in corpus order."""
+    digest = hashlib.sha256()
+    for rec in ingest(corpus, require_images=True):
+        digest.update(hashlib.sha256(rec.image.read_bytes()).digest())
+    return digest.hexdigest()
 
 
 def _side_hashes(side_outputs: tuple[Path, ...]) -> dict[str, str]:
@@ -323,17 +326,16 @@ class FrozenTrunks:
     gives the same floats as one row at a time.
     """
 
-    def __init__(self, cfg: EncoderConfig) -> None:
-        self.cfg = cfg
-        self.image = init_image_trunk(cfg)
-        self.text = init_text_trunk(cfg)
+    def __init__(self, seed: int) -> None:
+        self.image = init_image_trunk(seed)
+        self.text = init_text_trunk(seed)
 
     def encode_texts(self, texts: list[str]) -> np.ndarray:
         """(len(texts), c) pooled text-trunk outputs; each distinct text is encoded once.
 
         Stacks hold texts of one token count.
         """
-        ids = {t: tokenize_text(t, self.cfg).ids for t in dict.fromkeys(texts)}
+        ids = {t: tokenize_text(t).ids for t in dict.fromkeys(texts)}
         by_length: dict[int, list[str]] = {}
         for t, seq in ids.items():
             by_length.setdefault(len(seq), []).append(t)
@@ -342,7 +344,7 @@ class FrozenTrunks:
             for start in range(0, len(group), TRUNK_CHUNK):
                 chunk = group[start : start + TRUNK_CHUNK]
                 stack = TokenSequence(tuple(ids[t] for t in chunk))
-                pooled.update(zip(chunk, trunk_encode(stack, self.text, self.cfg)))
+                pooled.update(zip(chunk, trunk_encode(stack, self.text)))
         return np.array([pooled[t] for t in texts])
 
     def encode_images(self, records: list[CorpusRecord]) -> np.ndarray:
@@ -358,15 +360,15 @@ class FrozenTrunks:
         for rec in records:
             image = load_image(rec.image)
             try:
-                check_image(image, self.cfg)
+                check_image(image)
             except ValueError as exc:
                 raise PipelineError(f"record {rec.id!r}, image {rec.image}: {exc}") from None
             if stack and (len(stack) == TRUNK_CHUNK or stack[0].shape != image.pixels.shape):
-                rows.extend(trunk_encode(ImageSample(np.array(stack)), self.image, self.cfg))
+                rows.extend(trunk_encode(ImageSample(np.array(stack)), self.image))
                 stack = []
             stack.append(image.pixels)
         if stack:
-            rows.extend(trunk_encode(ImageSample(np.array(stack)), self.image, self.cfg))
+            rows.extend(trunk_encode(ImageSample(np.array(stack)), self.image))
         return np.array(rows)
 
     def encode_records(self, records: list[CorpusRecord]) -> tuple[np.ndarray, np.ndarray]:
@@ -392,7 +394,8 @@ def _run_stage(
 
     An input that an earlier stage wrote must match its own manifest, so a
     partial artifact left by a killed run is never read. Each input is
-    hashed once; the manifest is written last. ``side_outputs`` are files
+    hashed once, an ``images`` input by the bytes of the images its corpus
+    names; the manifest is written last. ``side_outputs`` are files
     the build writes besides the artifact; a missing or changed one makes
     the stage stale too.
     """
@@ -404,7 +407,7 @@ def _run_stage(
         manifest = _read_manifest(path) if earlier else None
         if earlier and manifest is None:
             raise PipelineError(f"{stage} stage needs {path.name}; run {earlier} first")
-        input_hashes[name] = sha256_file(path)
+        input_hashes[name] = _images_hash(path) if name == "images" else sha256_file(path)
         if earlier and manifest.get("output_hash") != input_hashes[name]:
             raise PipelineError(f"{path} does not match its manifest; run {earlier} again before {stage}")
     if not force and _up_to_date(artifact, cfg_payload, input_hashes, side_outputs):
@@ -461,44 +464,32 @@ def stage_train(cfg: RunConfig, force: bool = False) -> Path:
         missing = [i for i in ids if i not in corpus]
         if missing:
             raise PipelineError(f"triplet ids missing from corpus: {missing[:5]}")
-        z_img, z_txt = FrozenTrunks(cfg.encoder).encode_records([corpus[i] for i in ids])
+        z_img, z_txt = FrozenTrunks(cfg.seed).encode_records([corpus[i] for i in ids])
         row = {sample_id: r for r, sample_id in enumerate(ids)}
         index = np.array([[row[i] for i in t.key()] for t in triplets], dtype=np.int64)
-        heads = {IMAGE: init_head(cfg.encoder, IMAGE), TEXT: init_head(cfg.encoder, TEXT)}
+        heads = {IMAGE: init_head(cfg.seed, IMAGE), TEXT: init_head(cfg.seed, TEXT)}
         result = train_heads(z_img, z_txt, index, heads, cfg.loss, cfg.optimizer)
         write_loss_curve(curve_path, result.curve)
         arrays = {"head.image": result.heads[IMAGE], "head.text": result.heads[TEXT]}
         save_checkpoint(artifact, _heads_record(cfg), arrays)
 
-    cfg_payload = {
-        "encoder": asdict(cfg.encoder),
-        "loss": asdict(cfg.loss),
-        "optimizer": asdict(cfg.optimizer),
-    }
-    inputs = {"triplets": triplets_path, "corpus": cfg.corpus}
+    cfg_payload = {"seed": cfg.seed, "loss": asdict(cfg.loss), "optimizer": asdict(cfg.optimizer)}
+    inputs = {"triplets": triplets_path, "corpus": cfg.corpus, "images": cfg.corpus}
     return _run_stage(cfg, "train", force, artifact, cfg_payload, inputs, build, side_outputs=(curve_path,))
 
 
 def _heads_record(cfg: RunConfig) -> dict:
-    """What ``heads.ckpt`` records of the run that trained it: the heads fit those frozen trunks only."""
-    return {"encoder": asdict(cfg.encoder), "seed": cfg.seed}
-
-
-def _flat_record(record: dict) -> dict:
-    """``{"seed": 4, "encoder": {"depth": 2}}`` as ``{"seed": 4, "encoder.depth": 2}``."""
-    encoder = record.get("encoder")
-    nested = encoder.items() if isinstance(encoder, dict) else ()
-    return {**{k: v for k, v in record.items() if k != "encoder"}, **{f"encoder.{k}": v for k, v in nested}}
+    """What ``heads.ckpt`` records of the run that trained it: the heads fit that seed's frozen trunks only."""
+    return {"seed": cfg.seed}
 
 
 def load_heads(path: str | Path, cfg: RunConfig | None = None) -> tuple[dict, dict[str, np.ndarray]]:
     """A checkpoint's config and its two projection heads, square and of one
     shape; other arrays in the file are ignored.
 
-    With ``cfg`` (seed defaults applied), the heads must be (embed_dim,
-    embed_dim) and the checkpoint must record exactly ``cfg``'s seed and
-    encoder config: the first field that differs, or that only one side
-    has, is named. Each error names the file.
+    The heads must be (EMBED_DIM, EMBED_DIM). With ``cfg``, the checkpoint
+    must record exactly ``cfg``'s seed: the first field that differs, or
+    that only one side has, is named. Each error names the file.
     """
     config, arrays = load_checkpoint(path)
     heads = {}
@@ -507,13 +498,12 @@ def load_heads(path: str | Path, cfg: RunConfig | None = None) -> tuple[dict, di
         if name not in arrays:
             raise PipelineError(f"{path}: checkpoint has no {name!r} array")
         heads[modality] = arrays[name]
-    dim = cfg.encoder.embed_dim if cfg is not None else next(iter(heads[IMAGE].shape), 0)
     for modality, head in heads.items():
-        if head.shape != (dim, dim):
-            raise PipelineError(f"{path}: head.{modality} has shape {head.shape}, expected {(dim, dim)}")
+        if head.shape != (EMBED_DIM, EMBED_DIM):
+            raise PipelineError(f"{path}: head.{modality} has shape {head.shape}, expected {(EMBED_DIM, EMBED_DIM)}")
     if cfg is not None:
-        got = _flat_record(config if isinstance(config, dict) else {})
-        want = _flat_record(_heads_record(cfg))
+        got = config if isinstance(config, dict) else {}
+        want = _heads_record(cfg)
         absent = object()
         for name in {**want, **got}:  # the run's fields in order, then any only the checkpoint has
             if got.get(name, absent) != want.get(name, absent):
@@ -546,7 +536,7 @@ def evaluate_retrieval_tasks(
 ) -> dict:
     """P@R tables for the four retrieval tasks over an evaluation corpus."""
     records, ents, _ = _eval_records(cfg, eval_corpus_path)
-    z_img, z_txt = FrozenTrunks(cfg.encoder).encode_records(records)
+    z_img, z_txt = FrozenTrunks(cfg.seed).encode_records(records)
     images, texts = _project(z_img, heads[IMAGE]), _project(z_txt, heads[TEXT])
     r_values = [r for r in R_VALUES if r <= max(1, len(records) - 1)] or [1]
     return {
@@ -574,7 +564,7 @@ def evaluate_classification(
     classes = sorted(set(truths))
     if len(classes) < 2:
         raise PipelineError(f"eval corpus {eval_corpus_path} needs single-disease records of 2 or more classes")
-    trunks = FrozenTrunks(cfg.encoder)
+    trunks = FrozenTrunks(cfg.seed)
     images = _project(trunks.encode_images([rec for rec, _ in labelled]), heads[IMAGE])
     prompts = _project(trunks.encode_texts([prompt_text(label, ont) for label in classes]), heads[TEXT])
     predictions, scores = zero_shot_classify(images, prompts, classes)
@@ -601,8 +591,8 @@ def stage_eval(cfg: RunConfig, force: bool = False) -> Path:
         with atomic_write(artifact) as fh:
             fh.write(json.dumps(report, indent=2, sort_keys=True) + "\n")
 
-    cfg_payload = {"encoder": asdict(cfg.encoder), "r_values": list(R_VALUES)}
-    inputs = {"heads": heads_path, "eval_corpus": eval_corpus}
+    cfg_payload = {"seed": cfg.seed, "r_values": list(R_VALUES)}
+    inputs = {"heads": heads_path, "eval_corpus": eval_corpus, "images": eval_corpus}
     inputs["ontology"] = cfg.ontology or DEFAULT_ONTOLOGY_FILE
     return _run_stage(cfg, "eval", force, artifact, cfg_payload, inputs, build)
 

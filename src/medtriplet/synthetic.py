@@ -17,6 +17,7 @@ from pathlib import Path
 import numpy as np
 
 from .corpus import CorpusRecord, write_corpus, write_jsonl
+from .encoder import ImageSample, check_image
 from .images import write_pgm
 
 TRUTH_SCHEMA = "truth/v1"
@@ -71,6 +72,10 @@ class SyntheticSpec:
             raise ValueError("overlap_rate must lie in [0, 1]")
         if self.seed < 0:
             raise ValueError(f"seed must be >= 0, got {self.seed}")
+        try:  # the trunk's own shape rule, on a stack of no images of this size
+            check_image(ImageSample(np.empty((0, self.image_size, self.image_size))))
+        except ValueError as exc:
+            raise ValueError(f"image_size {self.image_size}: {exc}") from None
 
 
 @dataclass

@@ -203,7 +203,7 @@ def test_criterion_7_end_to_end_alignment(tmp_path):
     assert curve[-1]["total"] < curve[0]["total"]
     cfg = with_seed_defaults(cfg)
     _, trained = load_heads(cfg.out / "heads.ckpt")
-    baseline_heads = {IMAGE: init_head(cfg.encoder, IMAGE), TEXT: init_head(cfg.encoder, TEXT)}
+    baseline_heads = {IMAGE: init_head(cfg.seed, IMAGE), TEXT: init_head(cfg.seed, TEXT)}
     trained_rep = evaluate_retrieval_tasks(cfg, trained, evalc.corpus_path)
     baseline_rep = evaluate_retrieval_tasks(cfg, baseline_heads, evalc.corpus_path)
     elapsed = time.time() - start

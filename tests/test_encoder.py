@@ -9,11 +9,16 @@ import pytest
 from medtriplet.checkpoint import MAGIC, load_checkpoint, save_checkpoint
 from medtriplet.corpus import CorpusRecord
 from medtriplet.encoder import (
+    DEPTH,
+    EMBED_DIM,
+    HEAD_DIM,
+    HEADS,
     IMAGE,
     LN_EPSILON,
+    MAX_SEQ_LEN,
+    PATCH_SIZE,
     TEXT,
     VOCAB_SIZE,
-    EncoderConfig,
     ImageSample,
     TokenSequence,
     _attention,
@@ -33,41 +38,23 @@ from medtriplet.images import load_image, read_pgm, write_pgm
 from medtriplet.pipeline import TRUNK_CHUNK, FrozenTrunks, PipelineError, _project
 from oracles import oracle_gelu
 
-CFG = EncoderConfig(patch_size=8, embed_dim=64, depth=2, heads=4, max_seq_len=64, seed=0)
-SMALL = EncoderConfig(patch_size=4, embed_dim=16, depth=2, heads=4, max_seq_len=8, seed=1)
-
-
 def random_image(rng, size=32):
     return ImageSample(rng.random((size, size)))
 
 
 class TestConfig:
     def test_divisibility_enforced(self):
-        with pytest.raises(ValueError):
-            EncoderConfig(embed_dim=10, heads=4)
+        # The fixed shape splits the width evenly across the attention heads.
+        assert HEAD_DIM * HEADS == EMBED_DIM
 
     def test_depth_and_epsilon(self):
-        with pytest.raises(ValueError):
-            EncoderConfig(depth=0)
+        trunk = init_image_trunk(0)
+        assert sorted({name.split(".")[0] for name in trunk if name.startswith("block")}) == [
+            f"block{i}" for i in range(DEPTH)
+        ]
         # The fixed epsilon keeps a zero-variance row finite: it normalizes to the bias.
         b = np.arange(4.0)
         np.testing.assert_array_equal(_layer_norm(np.full((1, 4), 3.0), np.ones(4), b), b[None])
-
-    @pytest.mark.parametrize(
-        "name, value, message",
-        [
-            ("heads", 0, "heads must be >= 1, got 0"),
-            ("heads", -4, "heads must be >= 1, got -4"),
-            ("embed_dim", 0, "embed_dim must be >= 1, got 0"),
-            ("patch_size", 0, "patch_size must be >= 1, got 0"),
-            ("max_seq_len", 0, "max_seq_len must be >= 1, got 0"),
-        ],
-        ids=["heads", "heads_negative", "embed_dim", "patch_size", "max_seq_len"],
-    )
-    def test_bounds_name_the_value(self, name, value, message):
-        with pytest.raises(ValueError) as info:
-            EncoderConfig(**{name: value})
-        assert str(info.value) == message
 
 
 class TestPatchify:
@@ -106,15 +93,15 @@ class TestTokenization:
 
     def test_truncation(self):
         text = " ".join(["edema"] * 100)
-        seq = tokenize_text(text, CFG)
-        assert len(seq.ids) == CFG.max_seq_len
+        seq = tokenize_text(text)
+        assert len(seq.ids) == MAX_SEQ_LEN
 
     def test_empty_text_reserved_id(self):
-        assert tokenize_text("...", CFG).ids == (0,)
+        assert tokenize_text("...").ids == (0,)
 
     def test_sentence_breaks_dropped(self):
-        a = tokenize_text("mild edema. small effusion.", CFG)
-        b = tokenize_text("mild edema small effusion", CFG)
+        a = tokenize_text("mild edema. small effusion.")
+        b = tokenize_text("mild edema small effusion")
         assert a.ids == b.ids
 
     def test_sequence_validation(self):
@@ -126,32 +113,31 @@ class TestTokenization:
 
 class TestEmbedInput:
     def test_zero_weights_zero_pe(self):
-        trunk = init_image_trunk(SMALL)
+        trunk = init_image_trunk(1)
         trunk["input.w"] = np.zeros_like(trunk["input.w"])
         trunk["input.b"] = np.zeros_like(trunk["input.b"])
         trunk["pos"] = np.zeros_like(trunk["pos"])
         img = ImageSample(np.random.default_rng(0).random((8, 8)))
-        assert np.all(embed_input(img, trunk, SMALL) == 0.0)
+        assert np.all(embed_input(img, trunk) == 0.0)
 
     def test_identity_map_single_patch(self):
-        cfg = EncoderConfig(patch_size=4, embed_dim=16, heads=4, max_seq_len=4, seed=0)
-        trunk = init_image_trunk(cfg)
-        trunk["input.w"] = np.eye(16)
-        trunk["input.b"] = np.zeros(16)
+        trunk = init_image_trunk(0)
+        trunk["input.w"] = np.eye(PATCH_SIZE * PATCH_SIZE, EMBED_DIM)
+        trunk["input.b"] = np.zeros(EMBED_DIM)
         trunk["pos"] = np.zeros_like(trunk["pos"])
-        img = ImageSample(np.random.default_rng(1).random((4, 4)))
-        np.testing.assert_array_equal(embed_input(img, trunk, cfg)[0], img.pixels.ravel())
+        img = ImageSample(np.random.default_rng(1).random((PATCH_SIZE, PATCH_SIZE)))
+        np.testing.assert_array_equal(embed_input(img, trunk)[0], img.pixels.ravel())
 
     def test_overlong_sequence_error(self):
-        trunk = init_text_trunk(SMALL)
-        seq = TokenSequence(tuple(range(SMALL.max_seq_len + 1)))
+        trunk = init_text_trunk(1)
+        seq = TokenSequence(tuple(range(MAX_SEQ_LEN + 1)))
         with pytest.raises(ValueError, match="max_seq_len"):
-            embed_input(seq, trunk, SMALL)
+            embed_input(seq, trunk)
 
     def test_bit_identical_across_runs(self):
         img = ImageSample(np.random.default_rng(2).random((8, 8)))
-        h1 = embed_input(img, init_image_trunk(SMALL), SMALL)
-        h2 = embed_input(img, init_image_trunk(SMALL), SMALL)
+        h1 = embed_input(img, init_image_trunk(1))
+        h2 = embed_input(img, init_image_trunk(1))
         np.testing.assert_array_equal(h1, h2)
 
 
@@ -179,41 +165,40 @@ class TestLayerNormAndGelu:
 
 class TestTransformerBlock:
     def test_zero_output_weights_identity(self):
-        trunk = init_image_trunk(SMALL)
-        for i in range(SMALL.depth):
-            trunk[f"block{i}.attn.wo"] = np.zeros((16, 16))
+        trunk = init_image_trunk(1)
+        for i in range(DEPTH):
+            trunk[f"block{i}.attn.wo"] = np.zeros((EMBED_DIM, EMBED_DIM))
             trunk[f"block{i}.mlp.w2"] = np.zeros_like(trunk[f"block{i}.mlp.w2"])
-        h = np.random.default_rng(3).normal(size=(5, 16))
-        np.testing.assert_array_equal(transformer_block(h, trunk, 0, SMALL), h)
+        h = np.random.default_rng(3).normal(size=(5, EMBED_DIM))
+        np.testing.assert_array_equal(transformer_block(h, trunk, 0), h)
 
     def test_permutation_equivariance(self):
-        trunk = init_image_trunk(SMALL)
+        trunk = init_image_trunk(1)
         rng = np.random.default_rng(4)
-        h = rng.normal(size=(6, 16))
+        h = rng.normal(size=(6, EMBED_DIM))
         perm = rng.permutation(6)
-        out = transformer_block(h, trunk, 0, SMALL)
-        out_perm = transformer_block(h[perm], trunk, 0, SMALL)
+        out = transformer_block(h, trunk, 0)
+        out_perm = transformer_block(h[perm], trunk, 0)
         np.testing.assert_allclose(out_perm, out[perm], atol=1e-12)
 
     def test_attention_rows_sum_to_one(self):
-        trunk = init_image_trunk(SMALL)
-        h = np.random.default_rng(5).normal(size=(7, 16))
+        trunk = init_image_trunk(1)
+        h = np.random.default_rng(5).normal(size=(7, EMBED_DIM))
         p = trunk
-        attn = _attention(_layer_norm(h, p["block0.ln1.g"], p["block0.ln1.b"]), p, "block0.", SMALL)
-        assert attn.shape == (SMALL.heads, 7, 7)
+        attn = _attention(_layer_norm(h, p["block0.ln1.g"], p["block0.ln1.b"]), p, "block0.")
+        assert attn.shape == (HEADS, 7, 7)
         np.testing.assert_allclose(attn.sum(axis=-1), 1.0, atol=1e-9)
 
     def test_single_position_reduces_to_value_path(self):
-        cfg = EncoderConfig(patch_size=4, embed_dim=16, heads=4, max_seq_len=4, seed=2)
-        p = init_image_trunk(cfg)
+        p = init_image_trunk(2)
         p["block0.mlp.w2"] = np.zeros_like(p["block0.mlp.w2"])
         p["block0.mlp.b2"] = np.zeros_like(p["block0.mlp.b2"])
-        h = np.random.default_rng(6).normal(size=(1, 16))
+        h = np.random.default_rng(6).normal(size=(1, EMBED_DIM))
         # One position attends only to itself: the block adds the value path of the layer-normed input.
         x = _layer_norm(h, p["block0.ln1.g"], p["block0.ln1.b"])
         v = x @ p["block0.attn.wv"] + p["block0.attn.bv"]
         expected = h + v @ p["block0.attn.wo"] + p["block0.attn.bo"]
-        np.testing.assert_allclose(transformer_block(h, p, 0, cfg), expected, atol=1e-12)
+        np.testing.assert_allclose(transformer_block(h, p, 0), expected, atol=1e-12)
 
 
 class TestEncode:
@@ -221,38 +206,37 @@ class TestEncode:
 
     def test_output_length(self):
         rng = np.random.default_rng(7)
-        pooled = trunk_encode(random_image(rng), init_image_trunk(CFG), CFG)
-        assert _project(pooled[None], init_head(CFG, IMAGE)).shape == (1, CFG.embed_dim)
+        pooled = trunk_encode(random_image(rng), init_image_trunk(0))
+        assert _project(pooled[None], init_head(0, IMAGE)).shape == (1, EMBED_DIM)
 
     def test_purity(self):
         rng = np.random.default_rng(8)
         img = random_image(rng)
-        trunk, head = init_image_trunk(CFG), init_head(CFG, IMAGE)
+        trunk, head = init_image_trunk(0), init_head(0, IMAGE)
         np.testing.assert_array_equal(
-            _project(trunk_encode(img, trunk, CFG)[None], head), _project(trunk_encode(img, trunk, CFG)[None], head)
+            _project(trunk_encode(img, trunk)[None], head), _project(trunk_encode(img, trunk)[None], head)
         )
 
     def test_head_linearity(self):
         rng = np.random.default_rng(9)
-        pooled = trunk_encode(random_image(rng), init_image_trunk(CFG), CFG)[None]
-        e1 = _project(pooled, np.eye(CFG.embed_dim))
-        e2 = _project(pooled, 2.0 * np.eye(CFG.embed_dim))
+        pooled = trunk_encode(random_image(rng), init_image_trunk(0))[None]
+        e1 = _project(pooled, np.eye(EMBED_DIM))
+        e2 = _project(pooled, 2.0 * np.eye(EMBED_DIM))
         np.testing.assert_allclose(e2, 2.0 * e1, atol=1e-12)
 
     def test_residual_identity_full_path(self):
-        cfg = EncoderConfig(patch_size=4, embed_dim=16, heads=4, max_seq_len=8, seed=3)
-        trunk = init_image_trunk(cfg)
-        for i in range(cfg.depth):
-            trunk[f"block{i}.attn.wo"] = np.zeros((16, 16))
+        trunk = init_image_trunk(3)
+        for i in range(DEPTH):
+            trunk[f"block{i}.attn.wo"] = np.zeros((EMBED_DIM, EMBED_DIM))
             trunk[f"block{i}.mlp.w2"] = np.zeros_like(trunk[f"block{i}.mlp.w2"])
-        img = ImageSample(np.random.default_rng(10).random((8, 8)))
-        pooled = trunk_encode(img, trunk, cfg)
-        np.testing.assert_array_equal(pooled, embed_input(img, trunk, cfg).mean(axis=0))
+        img = ImageSample(np.random.default_rng(10).random((2 * PATCH_SIZE, 2 * PATCH_SIZE)))
+        pooled = trunk_encode(img, trunk)
+        np.testing.assert_array_equal(pooled, embed_input(img, trunk).mean(axis=0))
 
     def test_text_encoding(self):
-        seq = tokenize_text("Mild left pleural effusion.", CFG)
-        pooled = trunk_encode(seq, init_text_trunk(CFG), CFG)
-        assert _project(pooled[None], init_head(CFG, TEXT)).shape == (1, CFG.embed_dim)
+        seq = tokenize_text("Mild left pleural effusion.")
+        pooled = trunk_encode(seq, init_text_trunk(0))
+        assert _project(pooled[None], init_head(0, TEXT)).shape == (1, EMBED_DIM)
 
 
 class TestStacks:
@@ -272,18 +256,18 @@ class TestStacks:
 
     def test_trunk_stacks_match_single_samples(self):
         rng = np.random.default_rng(15)
-        image_trunk, text_trunk = init_image_trunk(CFG), init_text_trunk(CFG)
+        image_trunk, text_trunk = init_image_trunk(0), init_text_trunk(0)
         for size in (16, 32):
             grids = rng.random((9, size, size))
-            stacked = trunk_encode(ImageSample(grids), image_trunk, CFG)
-            assert stacked.shape == (9, CFG.embed_dim)
+            stacked = trunk_encode(ImageSample(grids), image_trunk)
+            assert stacked.shape == (9, EMBED_DIM)
             for grid, row in zip(grids, stacked):
-                assert np.array_equal(row, trunk_encode(ImageSample(grid), image_trunk, CFG))
+                assert np.array_equal(row, trunk_encode(ImageSample(grid), image_trunk))
         for length in range(1, 7):
             seqs = tuple(tuple(int(i) for i in rng.integers(0, VOCAB_SIZE, length)) for _ in range(5))
-            stacked = trunk_encode(TokenSequence(seqs), text_trunk, CFG)
+            stacked = trunk_encode(TokenSequence(seqs), text_trunk)
             for seq, row in zip(seqs, stacked):
-                assert np.array_equal(row, trunk_encode(TokenSequence(seq), text_trunk, CFG))
+                assert np.array_equal(row, trunk_encode(TokenSequence(seq), text_trunk))
 
     @pytest.mark.parametrize("n", [TRUNK_CHUNK * k + d for k in (1, 2) for d in (-1, 0, 1)])
     def test_frozen_trunks_match_single_samples(self, tmp_path, n):
@@ -296,15 +280,15 @@ class TestStacks:
             records.append(CorpusRecord(f"r{i}", "", path))
         texts = [" ".join(f"w{j}" for j in rng.integers(0, 10**9, length)) for _ in range(n) for length in range(1, 7)]
         texts += texts[:2]  # repeats take the row their first copy got
-        trunks = FrozenTrunks(CFG)
+        trunks = FrozenTrunks(0)
         images = trunks.encode_images(records)
-        assert images.shape == (len(records), CFG.embed_dim)
+        assert images.shape == (len(records), EMBED_DIM)
         for rec, row in zip(records, images):
-            assert np.array_equal(row, trunk_encode(load_image(rec.image), trunks.image, CFG))
+            assert np.array_equal(row, trunk_encode(load_image(rec.image), trunks.image))
         encoded = trunks.encode_texts(texts)
-        assert encoded.shape == (len(texts), CFG.embed_dim)
+        assert encoded.shape == (len(texts), EMBED_DIM)
         for text, row in zip(texts, encoded):
-            assert np.array_equal(row, trunk_encode(tokenize_text(text, CFG), trunks.text, CFG))
+            assert np.array_equal(row, trunk_encode(tokenize_text(text), trunks.text))
 
     def test_first_failing_record_named_within_a_chunk(self, tmp_path):
         good, bad_shape, unreadable = tmp_path / "good.npy", tmp_path / "bad.npy", tmp_path / "broken.pgm"
@@ -313,15 +297,15 @@ class TestStacks:
         unreadable.write_text("P5\n2 2\n255\n")
         records = [CorpusRecord("r0", "", good), CorpusRecord("r1", "", bad_shape), CorpusRecord("r2", "", unreadable)]
         with pytest.raises(PipelineError, match=re.escape(f"record 'r1', image {bad_shape}: image 30x32 not divisible")):
-            FrozenTrunks(CFG).encode_images(records)
+            FrozenTrunks(0).encode_images(records)
         with pytest.raises(ValueError, match="P2"):
-            FrozenTrunks(CFG).encode_images([records[0], records[2], records[1]])
+            FrozenTrunks(0).encode_images([records[0], records[2], records[1]])
 
     def test_overlong_image_named(self, tmp_path):
         path = tmp_path / "big.npy"
         np.save(path, np.zeros((72, 64)))  # 9 x 8 patches, past max_seq_len 64
         with pytest.raises(PipelineError, match="record 'r0', .*sequence length 72 exceeds max_seq_len 64"):
-            FrozenTrunks(CFG).encode_images([CorpusRecord("r0", "", path)])
+            FrozenTrunks(0).encode_images([CorpusRecord("r0", "", path)])
 
 
 class TestImagesIO:
@@ -389,6 +373,15 @@ class TestImagesIO:
         path = tmp_path / "img.npy"
         np.save(path, grid)
         np.testing.assert_allclose(load_image(path).pixels, grid, atol=1e-15)
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf], ids=["nan", "inf", "negative_inf"])
+    def test_npy_non_finite_pixels_rejected(self, tmp_path, bad):
+        grid = np.zeros((8, 8))
+        grid[3, 5] = bad
+        path = tmp_path / "img.npy"
+        np.save(path, grid)
+        with pytest.raises(ValueError, match=f"^{re.escape(str(path))}: pixel values must be finite$"):
+            load_image(path)
 
     def test_unknown_extension(self, tmp_path):
         path = tmp_path / "img.jpeg"

@@ -13,8 +13,9 @@ import pytest
 from medtriplet import pipeline
 from medtriplet.checkpoint import load_checkpoint, save_checkpoint
 from medtriplet.corpus import CorpusRecord, DataError, ingest, read_entities, write_corpus, write_jsonl
-from medtriplet.encoder import IMAGE, TEXT, init_head
+from medtriplet.encoder import EMBED_DIM, IMAGE, TEXT, init_head
 from medtriplet.extraction import extract
+from medtriplet.images import load_image, write_pgm
 from medtriplet.ontology import default_ontology, save_ontology
 from medtriplet.pipeline import (
     MiningSettings,
@@ -138,6 +139,33 @@ class TestStages:
         with pytest.raises(PipelineError, match="run extract first"):
             run_pipeline(small_world, stages=("mine",))
 
+    def test_changed_images_make_train_and_eval_stale(self, small_world, caplog):
+        """The corpus files are stage inputs; the images they name count too."""
+
+        def rerun_after_inverting(corpus: Path) -> list[str]:
+            for image in (corpus.parent / "images").glob("*.pgm"):
+                write_pgm(image, 1.0 - load_image(image).pixels)
+            caplog.clear()
+            with caplog.at_level("INFO"):
+                run_pipeline(small_world)
+            return [r.message.split(":")[0] for r in caplog.records if "skipping" in r.message]
+
+        run_pipeline(small_world)
+        heads = (small_world.out / "heads.ckpt").read_bytes()
+        assert rerun_after_inverting(small_world.corpus) == ["extract", "mine"]
+        assert (small_world.out / "heads.ckpt").read_bytes() != heads
+        assert rerun_after_inverting(small_world.eval_corpus) == ["extract", "mine", "train"]
+
+    def test_changed_seed_rebuilds_all_but_extract(self, small_world, caplog):
+        run_pipeline(small_world)
+        reseeded = replace(small_world, seed=small_world.seed + 1)
+        with caplog.at_level("INFO"):
+            run_pipeline(reseeded)
+        assert [r.message for r in caplog.records if "skipping" in r.message] == ["extract: up to date, skipping"]
+        for artifact in ("heads.ckpt", "eval_retrieval.json"):
+            manifest = json.loads((small_world.out / f"{artifact}.manifest.json").read_text())
+            assert manifest["config"]["seed"] == reseeded.seed
+
     def test_rerun_skips(self, small_world, caplog):
         run_pipeline(small_world, stages=("extract", "mine"))
         with caplog.at_level("INFO"):
@@ -198,8 +226,9 @@ class TestStages:
 
     def test_checkpoint_with_optimizer_state_still_loads(self, tmp_path):
         rng = np.random.default_rng(0)
-        heads = {"head.image": rng.normal(size=(4, 4)), "head.text": rng.normal(size=(4, 4))}
-        extra = {f"adam.{m}.{k}": rng.normal(size=(4, 4)) for m in "mv" for k in (IMAGE, TEXT)}
+        c = EMBED_DIM
+        heads = {"head.image": rng.normal(size=(c, c)), "head.text": rng.normal(size=(c, c))}
+        extra = {f"adam.{m}.{k}": rng.normal(size=(c, c)) for m in "mv" for k in (IMAGE, TEXT)}
         extra["adam.t"] = extra["adam.epoch"] = np.array([3], dtype=np.int64)
         path = tmp_path / "heads.ckpt"
         save_checkpoint(path, {"seed": 0}, {**heads, **extra})
@@ -231,7 +260,7 @@ class TestStages:
 
     def test_non_finite_head_named(self, small_world):
         cfg = with_seed_defaults(small_world)
-        heads = {IMAGE: init_head(cfg.encoder, IMAGE), TEXT: init_head(cfg.encoder, TEXT)}
+        heads = {IMAGE: init_head(cfg.seed, IMAGE), TEXT: init_head(cfg.seed, TEXT)}
         for modality in (IMAGE, TEXT):
             broken = {**heads, modality: heads[modality].copy()}
             broken[modality][0, 0] = np.nan
@@ -244,7 +273,7 @@ class TestStages:
         repeated = tmp_path / "repeated.jsonl"
         write_corpus(repeated, [replace(rec, text=records[i % 3].text) for i, rec in enumerate(records)])
         cfg = with_seed_defaults(small_world)
-        heads = {IMAGE: init_head(cfg.encoder, IMAGE), TEXT: init_head(cfg.encoder, TEXT)}
+        heads = {IMAGE: init_head(cfg.seed, IMAGE), TEXT: init_head(cfg.seed, TEXT)}
         rows = _encoded_rows(monkeypatch)
         evaluate_retrieval_tasks(cfg, heads, repeated)
         texts = [row for row in rows if isinstance(row, tuple)]
@@ -374,7 +403,6 @@ class TestConfigFile:
             "[run]\nseed = 9\nout = myrun\n"
             "[scoring]\ngamma0 = 0.8\ngamma1 = 0.15\ngamma2 = 0.05\nsemantics = intersection\n"
             "[miner]\ntau_min = 0.3\ntau_max = 0.5\ntarget = 123\n"
-            "[encoder]\nembed_dim = 32\nheads = 2\n"
             "[loss]\nalpha = 0.2\neta = 0.7\n"
             "[optimizer]\nlearning_rate = 0.005\nepochs = 3\n"
         )
@@ -382,7 +410,6 @@ class TestConfigFile:
         assert cfg.seed == 9 and cfg.out == Path("myrun")
         assert cfg.gammas.g0 == 0.8 and cfg.semantics == "intersection"
         assert cfg.mining.tau_min == 0.3 and cfg.mining.target == 123
-        assert cfg.encoder.embed_dim == 32 and cfg.encoder.heads == 2
         assert cfg.loss.alpha == 0.2 and cfg.loss.eta == 0.7
         assert cfg.optimizer.learning_rate == 0.005 and cfg.optimizer.epochs == 3
 
@@ -417,9 +444,6 @@ class TestConfigFile:
             ("[optimizer]\nbatch_size = 0\n", "batch_size must be >= 1, got 0"),
             ("[optimizer]\nepochs = 0\n", "epochs must be >= 1, got 0"),
             ("[loss]\neta = 1.5\n", "eta must lie in [0, 1], got 1.5"),
-            ("[encoder]\ndepth = 0\n", "depth must be >= 1, got 0"),
-            ("[encoder]\nheads = 0\n", "heads must be >= 1, got 0"),
-            ("[encoder]\npatch_size = 0\n", "patch_size must be >= 1, got 0"),
             ("[miner]\nbatch_size = 2\n", "batch_size must be >= 3, got 2"),
             ("[miner]\npass_limit = 0\n", "pass_limit must be >= 1, got 0"),
             ("[miner]\ntarget = -1\n", "target must be >= 0, got -1"),
@@ -430,8 +454,8 @@ class TestConfigFile:
             ("[scoring]\ngamma0 = nan\n", "gamma weight g0 must be finite and nonnegative, got nan"),
         ],
         ids=[
-            "batch_size", "epochs", "eta", "depth", "heads", "patch_size", "miner_batch_size", "pass_limit",
-            "target", "run_seed", "alpha_nan", "alpha_inf", "learning_rate_inf", "gamma0_nan",
+            "batch_size", "epochs", "eta", "miner_batch_size", "pass_limit", "target", "run_seed", "alpha_nan",
+            "alpha_inf", "learning_rate_inf", "gamma0_nan",
         ],
     )
     def test_out_of_range_value_names_file_and_value(self, tmp_path, text, message):
@@ -451,8 +475,6 @@ class TestConfigFile:
             ("scoring", "semantics"): "intersection",
             ("miner", "batch_size"): "32", ("miner", "target"): "10", ("miner", "pass_limit"): "5",
             ("miner", "tau_min"): "0.3", ("miner", "tau_max"): "0.5",
-            ("encoder", "patch_size"): "4", ("encoder", "embed_dim"): "32", ("encoder", "depth"): "1",
-            ("encoder", "heads"): "2", ("encoder", "max_seq_len"): "32",
             ("loss", "alpha"): "0.2", ("loss", "eta"): "0.4", ("loss", "sign_mode"): "as-printed",
             ("optimizer", "learning_rate"): "0.001", ("optimizer", "epochs"): "3", ("optimizer", "batch_size"): "16",
         }
@@ -470,9 +492,9 @@ class TestConfigFile:
         for (section, key), value in settable.items():
             path.write_text(f"[{section}]\n{key} = {value}\n")
             config_from_file(path)  # raises if the pair is not settable
-        assert len(settable) == 25
+        assert len(settable) == 20
 
-    @pytest.mark.parametrize("section", ["encoder", "optimizer"])
+    @pytest.mark.parametrize("section", ["optimizer"])
     def test_stage_seed_keys_rejected(self, tmp_path, section):
         path = tmp_path / "run.cfg"
         path.write_text(f"[run]\nseed = 1\n[{section}]\nseed = 7\n")
@@ -502,7 +524,7 @@ class TestConfigFile:
             ("[run]\neval_corpos = e.jsonl\n", "unknown config key in [run] 'eval_corpos'"),
             ("[scoring]\ngamma_0 = 0.8\n", "unknown config key in [scoring] 'gamma_0'"),
             ("[loss]\nalfa = 0.2\n", "unknown config key in [loss] 'alfa'"),
-            ("[encoder]\n__post_init__ = 1\n", "unknown config key in [encoder] '__post_init__'"),
+            ("[encoder]\n__post_init__ = 1\n", "unknown config section 'encoder'"),
             ("[optimizer]\nepochs = abc\n", "[optimizer] epochs = 'abc' is not a valid int"),
         ],
         ids=["section", "run_key", "scoring_key", "loss_key", "encoder_method", "value"],

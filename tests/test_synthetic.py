@@ -5,8 +5,10 @@ import json
 import pytest
 
 from medtriplet.corpus import ingest
+from medtriplet.encoder import EMBED_DIM
 from medtriplet.extraction import extract
 from medtriplet.images import load_image
+from medtriplet.pipeline import FrozenTrunks
 from medtriplet.synthetic import SyntheticSpec, synthesize
 
 
@@ -79,3 +81,23 @@ class TestSynthesize:
             SyntheticSpec(per_class=0)
         with pytest.raises(ValueError, match=r"seed must be >= 0, got -1"):
             SyntheticSpec(seed=-1)
+
+    def test_image_sizes_the_trunk_takes(self, tmp_path):
+        trunks = FrozenTrunks(0)
+        for size in range(8, 65, 8):
+            result = synthesize(SyntheticSpec(n_classes=2, per_class=1, image_size=size), tmp_path / str(size))
+            assert trunks.encode_images(ingest(result.corpus_path, require_images=True)).shape == (2, EMBED_DIM)
+
+    @pytest.mark.parametrize(
+        "size, message",
+        [
+            (0, "image 0x0 has no pixels"),
+            (30, "image 30x30 not divisible by patch size 8"),
+            (72, "sequence length 81 exceeds max_seq_len 64"),
+        ],
+        ids=["0", "30", "72"],
+    )
+    def test_image_sizes_the_trunk_cannot_take(self, size, message):
+        with pytest.raises(ValueError) as info:
+            SyntheticSpec(image_size=size)
+        assert str(info.value) == f"image_size {size}: {message}"

@@ -2,6 +2,7 @@
 existing, the call counts its traced run checks must hold, and the calls
 the benchmark makes into the package must keep working."""
 
+import ast
 import importlib
 import importlib.util
 import os
@@ -73,6 +74,27 @@ def test_layer_patch_targets_resolve(monkeypatch):
         assert callable(getattr(importlib.import_module(module_name), attr, None)), (module_name, attr, span)
 
 
+def _resolves(module_name: str, name: str) -> bool:
+    """``from module_name import name`` works: an attribute, or a submodule of a package."""
+    module = importlib.import_module(module_name)
+    return hasattr(module, name) or (
+        hasattr(module, "__path__") and importlib.util.find_spec(f"{module_name}.{name}") is not None
+    )
+
+
+def test_benchmark_imports_resolve():
+    """Every ``medtriplet`` name the benchmark files import, at module level or inside a function, exists."""
+    imported = [
+        (path.name, node.module, alias.name)
+        for path in sorted(TRACING.parent.glob("*.py"))
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8")))
+        if isinstance(node, ast.ImportFrom) and (node.module or "").split(".")[0] == "medtriplet"
+        for alias in node.names
+    ]
+    assert ("bench.py", "medtriplet.pipeline", "with_seed_defaults") in imported
+    assert [entry for entry in imported if not _resolves(*entry[1:])] == []
+
+
 def test_stage_dispatch_table_matches_stages():
     assert tuple(pipeline._STAGE_FUNCS) == pipeline.STAGES
 
@@ -101,7 +123,7 @@ def test_retrieval_makes_one_cosine_call_per_ordered_pair_and_task(tmp_path, mon
     """The benchmark's traced run checks 4*n*(n-1) ``evaluation.cosine`` calls during eval."""
     world = synthesize(SyntheticSpec(n_classes=3, per_class=3, overlap_rate=0.3, seed=4), tmp_path / "eval")
     cfg = pipeline.with_seed_defaults(pipeline.RunConfig(out=tmp_path / "run"))
-    heads = {IMAGE: init_head(cfg.encoder, IMAGE), TEXT: init_head(cfg.encoder, TEXT)}
+    heads = {IMAGE: init_head(cfg.seed, IMAGE), TEXT: init_head(cfg.seed, TEXT)}
     calls = _counting(monkeypatch, evaluation, "cosine")
     pipeline.evaluate_retrieval_tasks(cfg, heads, world.corpus_path)
     n = 9
