@@ -12,7 +12,7 @@ __version__ = "0.1.0"
 from .alignment import LossConfig, OptimizerConfig, cosine
 from .encoder import ImageSample, TokenSequence
 from .extraction import DiseaseEntry, MetaEntities, Report, extract
-from .mining import Batch, MinerConfig, Triplet, mine_batch, mine_corpus
+from .mining import Batch, MiningSettings, Triplet, mine_batch, mine_corpus
 from .ontology import Ontology, Synset, default_ontology, load_ontology
 from .scoring import GammaWeights, ScoreBreakdown, score
 
@@ -24,7 +24,7 @@ __all__ = [
     "ImageSample",
     "LossConfig",
     "MetaEntities",
-    "MinerConfig",
+    "MiningSettings",
     "Ontology",
     "OptimizerConfig",
     "Report",

@@ -30,7 +30,6 @@ from .pipeline import (
     load_heads,
     run_pipeline,
     stage_seed,
-    with_seed_defaults,
 )
 from .scoring import DEFAULT_SEMANTICS, SEMANTICS, GammaWeights, score
 from .synthetic import SyntheticSpec, synthesize
@@ -118,7 +117,7 @@ def _cmd_stages(args: argparse.Namespace) -> int:
 
 def _cmd_eval(args: argparse.Namespace) -> int:
     """``eval-retrieval`` and ``eval-classify``: print one report for an eval corpus."""
-    cfg = with_seed_defaults(_build_config(args))
+    cfg = _build_config(args)
     _, heads = load_heads(args.heads or (cfg.out / "heads.ckpt"), cfg)
     eval_corpus = cfg.eval_corpus or cfg.corpus
     if eval_corpus is None:

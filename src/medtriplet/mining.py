@@ -63,7 +63,12 @@ class Batch:
 
 
 @dataclass(frozen=True)
-class MinerConfig:
+class MiningSettings:
+    """Every input of one mining run; ``seed`` orders its batches and anchors."""
+
+    batch_size: int = 64
+    target: int = 1000
+    pass_limit: int = 100
     tau_min: float = 0.25
     tau_max: float = 0.60
     gammas: GammaWeights = field(default_factory=GammaWeights)
@@ -71,6 +76,10 @@ class MinerConfig:
     seed: int = 0
 
     def __post_init__(self) -> None:
+        # A batch needs an anchor, a positive and a negative.
+        for name, low in (("batch_size", 3), ("pass_limit", 1), ("target", 0)):
+            if getattr(self, name) < low:
+                raise ValueError(f"{name} must be >= {low}, got {getattr(self, name)}")
         if not (0.0 <= self.tau_min <= self.tau_max <= 1.0):
             raise ValueError(f"need 0 <= tau_min <= tau_max <= 1, got [{self.tau_min}, {self.tau_max}]")
         if self.semantics not in SEMANTICS:
@@ -99,7 +108,7 @@ def _others(items: tuple, anchor_index: int) -> tuple:
     return items[:anchor_index] + items[anchor_index + 1 :]
 
 
-def _anchor_scores(anchor_index: int, batch: Batch, cfg: MinerConfig) -> list[float]:
+def _anchor_scores(anchor_index: int, batch: Batch, cfg: MiningSettings) -> list[float]:
     """The anchor's score against every other sample, in batch order.
 
     ``score`` is looked up in this module at each call, never bound early,
@@ -110,7 +119,7 @@ def _anchor_scores(anchor_index: int, batch: Batch, cfg: MinerConfig) -> list[fl
     return [score(anchor, m, gammas, semantics).total for m in _others(batch.structures, anchor_index)]
 
 
-def select_positive(anchor_index: int, batch: Batch, cfg: MinerConfig) -> str:
+def select_positive(anchor_index: int, batch: Batch, cfg: MiningSettings) -> str:
     """Id of the non-anchor sample with maximum similarity to the anchor; ties go to the lowest id."""
     if len(batch) < 2:
         raise ValueError("batch must hold at least 2 samples")
@@ -120,7 +129,7 @@ def select_positive(anchor_index: int, batch: Batch, cfg: MinerConfig) -> str:
 
 
 def select_negative(
-    anchor_index: int, batch: Batch, cfg: MinerConfig, exclude: str
+    anchor_index: int, batch: Batch, cfg: MiningSettings, exclude: str
 ) -> str | None:
     """Id of the in-band minimum-similarity sample, or None if band empty.
 
@@ -135,7 +144,7 @@ def select_negative(
     return min(band)[1] if band else None
 
 
-def mine_batch(batch: Batch, cfg: MinerConfig, rng: np.random.Generator) -> list[Triplet]:
+def mine_batch(batch: Batch, cfg: MiningSettings, rng: np.random.Generator) -> list[Triplet]:
     """Mine one triplet attempt per batch element, anchors in the order ``rng`` draws."""
     if len(batch) < 3:
         return []
@@ -165,29 +174,23 @@ def _batches(
 
 
 def mine_corpus(
-    samples: Sequence[tuple[str, MetaEntities]],
-    k: int,
-    target: int,
-    cfg: MinerConfig,
-    out_path: str | Path | None = None,
-    pass_limit: int = 100,
+    samples: Sequence[tuple[str, MetaEntities]], cfg: MiningSettings, out_path: str | Path | None = None
 ) -> tuple[dict, list[Triplet]]:
-    """Mine up to `target` unique triplets over repeated corpus passes.
+    """Mine up to ``cfg.target`` unique triplets over repeated corpus passes.
 
-    Each pass shuffles the corpus into disjoint batches of size k.
+    Each pass shuffles the corpus into disjoint batches of ``cfg.batch_size``.
     Triplets deduplicate on the (anchor, positive, negative) id tuple.
     Returns the manifest and the triplets, as ``read_triplets`` does.
     Output is canonically sorted, so reruns with the same inputs are
     byte-identical.
     """
-    if target < 0:
-        raise ValueError("target must be nonnegative")
+    k, target = cfg.batch_size, cfg.target
     if len(samples) < k:
         raise ValueError(f"corpus holds {len(samples)} samples, need at least k={k}")
     rng = np.random.default_rng(cfg.seed)
     unique: dict[tuple[str, str, str], Triplet] = {}
     passes = 0
-    while len(unique) < target and passes < pass_limit:
+    while len(unique) < target and passes < cfg.pass_limit:
         passes += 1
         for batch in _batches(samples, k, rng):
             for t in mine_batch(batch, cfg, rng):

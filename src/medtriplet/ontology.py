@@ -174,7 +174,9 @@ def serialize_ontology(ont: Ontology) -> str:
 
 
 def save_ontology(ont: Ontology, path: str | Path) -> None:
-    Path(path).write_text(serialize_ontology(ont), encoding="utf-8")
+    from .corpus import atomic_write  # corpus imports this module, through extraction
+    with atomic_write(path) as fh:  # whole or not at all: a failed write keeps the old bytes
+        fh.write(serialize_ontology(ont))
 
 
 @lru_cache(maxsize=1)

@@ -19,12 +19,13 @@ seed directly so train and eval see identical trunks.
 
 from __future__ import annotations
 
+import functools
 import hashlib
 import json
 import logging
 import os
 from contextlib import contextmanager
-from dataclasses import asdict, dataclass, field, fields, replace
+from dataclasses import asdict, dataclass, field, replace
 from pathlib import Path
 from typing import Callable
 
@@ -50,7 +51,7 @@ from .encoder import (
 from .evaluation import R_VALUES, classification_metrics, prompt_text, retrieval_report, zero_shot_classify
 from .extraction import MetaEntities, extract
 from .images import load_image
-from .mining import MinerConfig, mine_corpus, read_triplets
+from .mining import MiningSettings, mine_corpus, read_triplets
 from .ontology import DEFAULT_ONTOLOGY_FILE, Ontology, default_ontology, load_ontology
 from .scoring import GammaWeights
 
@@ -69,29 +70,12 @@ def stage_seed(global_seed: int, stage: str) -> int:
 
 
 @dataclass(frozen=True)
-class MiningSettings:
-    batch_size: int = 64
-    target: int = 1000
-    pass_limit: int = 100
-    tau_min: float = 0.25
-    tau_max: float = 0.60
-
-    def __post_init__(self) -> None:
-        # A batch needs an anchor, a positive and a negative.
-        for name, low in (("batch_size", 3), ("pass_limit", 1), ("target", 0)):
-            if getattr(self, name) < low:
-                raise ValueError(f"{name} must be >= {low}, got {getattr(self, name)}")
-
-
-@dataclass(frozen=True)
 class RunConfig:
     out: Path = Path("run")
     seed: int = 0
     ontology: Path | None = None
     corpus: Path | None = None
     eval_corpus: Path | None = None
-    gammas: GammaWeights = field(default_factory=GammaWeights)
-    semantics: str = "union"
     mining: MiningSettings = field(default_factory=MiningSettings)
     loss: LossConfig = field(default_factory=LossConfig)
     optimizer: OptimizerConfig = field(default_factory=OptimizerConfig)
@@ -99,19 +83,13 @@ class RunConfig:
     def __post_init__(self) -> None:
         if self.seed < 0:
             raise ValueError(f"seed must be >= 0, got {self.seed}")
-        self.miner_config()  # the tau band and semantics fail here, before any stage writes
 
     def load_ontology(self) -> Ontology:
         return default_ontology() if self.ontology is None else load_ontology(self.ontology)
 
-    def miner_config(self) -> MinerConfig:
-        return MinerConfig(
-            tau_min=self.mining.tau_min,
-            tau_max=self.mining.tau_max,
-            gammas=self.gammas,
-            semantics=self.semantics,
-            seed=stage_seed(self.seed, "mine"),
-        )
+    # Read-only views of the score settings, which benchmarks/bench.py reads off a run config.
+    gammas = property(lambda self: self.mining.gammas)
+    semantics = property(lambda self: self.mining.semantics)
 
 
 def read_sectioned_config(path: str | Path) -> dict[str, dict[str, str]]:
@@ -150,17 +128,23 @@ def _parse(section: str, key: str, raw: str, kind: type):
         raise PipelineError(f"[{section}] {key} = {raw!r} is not a valid {kind.__name__}") from None
 
 
-def _coerce(dataclass_obj, name: str, section: dict[str, str]):
-    """Overlay string key/values from config section ``name`` onto a dataclass; its ``seed`` is not settable."""
-    _reject_unknown(f"config key in [{name}]", section, [f.name for f in fields(dataclass_obj) if f.name != "seed"])
+def _coerce(dataclass_obj, name: str, section: dict[str, str], keys: tuple[str, ...]):
+    """Overlay string values of the ``keys`` that config section ``name`` may set onto a dataclass."""
+    if "seed" in section:
+        raise PipelineError(f"[{name}] seed is not read; every stage seed derives from [run] seed")
+    _reject_unknown(f"config key in [{name}]", section, keys)
     updates = {key: _parse(name, key, raw, type(getattr(dataclass_obj, key))) for key, raw in section.items()}
     return replace(dataclass_obj, **updates)
 
 
 _RUN_KEYS = ("out", "seed", "ontology", "corpus", "eval_corpus")
 _SCORING_KEYS = ("gamma0", "gamma1", "gamma2", "semantics")
-# Sections overlaid onto a RunConfig dataclass field: section name -> field name.
-_DATACLASS_SECTIONS = {"miner": "mining", "loss": "loss", "optimizer": "optimizer"}
+# Sections overlaid onto a RunConfig dataclass field: section name -> (field name, the keys a file may set).
+_DATACLASS_SECTIONS = {
+    "miner": ("mining", ("batch_size", "target", "pass_limit", "tau_min", "tau_max")),
+    "loss": ("loss", ("alpha", "eta", "sign_mode")),
+    "optimizer": ("optimizer", ("learning_rate", "epochs", "batch_size")),
+}
 
 
 def _reject_unknown(what: str, names, allowed) -> None:
@@ -176,8 +160,6 @@ def config_from_file(path: str | Path) -> RunConfig:
         _reject_unknown("config section", sections, ("run", "scoring", *_DATACLASS_SECTIONS))
         run = sections.get("run", {})
         _reject_unknown("config key in [run]", run, _RUN_KEYS)
-        if "seed" in sections.get("optimizer", {}):
-            raise PipelineError("[optimizer] seed is not read; every stage seed derives from [run] seed")
         cfg = RunConfig(
             out=Path(run.get("out", "run")),
             seed=_parse("run", "seed", run.get("seed", "0"), int),
@@ -188,24 +170,25 @@ def config_from_file(path: str | Path) -> RunConfig:
         scoring = sections.get("scoring", {})
         _reject_unknown("config key in [scoring]", scoring, _SCORING_KEYS)
         if scoring:
-            g = cfg.gammas
+            m = cfg.mining
             gammas = GammaWeights(*(
                 _parse("scoring", key, scoring[key], float) if key in scoring else default
-                for key, default in (("gamma0", g.g0), ("gamma1", g.g1), ("gamma2", g.g2))
+                for key, default in (("gamma0", m.gammas.g0), ("gamma1", m.gammas.g1), ("gamma2", m.gammas.g2))
             ))
-            cfg = replace(cfg, gammas=gammas, semantics=scoring.get("semantics", cfg.semantics))
-        for section, name in _DATACLASS_SECTIONS.items():
+            cfg = replace(cfg, mining=replace(m, gammas=gammas, semantics=scoring.get("semantics", m.semantics)))
+        for section, (name, keys) in _DATACLASS_SECTIONS.items():
             if section in sections:
-                cfg = replace(cfg, **{name: _coerce(getattr(cfg, name), section, sections[section])})
+                cfg = replace(cfg, **{name: _coerce(getattr(cfg, name), section, sections[section], keys)})
     except (PipelineError, ValueError) as exc:
         raise PipelineError(f"{path}: {exc}") from None
     return cfg
 
 
 def with_seed_defaults(cfg: RunConfig) -> RunConfig:
-    """Fan the global seed out to the optimizer, which gets the train stage seed whatever seed it
-    carries; the trunks and heads take the global seed itself."""
-    return replace(cfg, optimizer=replace(cfg.optimizer, seed=stage_seed(cfg.seed, "train")))
+    """Fan the global seed out to the miner and the optimizer, which get the mine and train stage
+    seeds whatever seeds they carry; the trunks and heads take the global seed itself."""
+    mining = replace(cfg.mining, seed=stage_seed(cfg.seed, "mine"))
+    return replace(cfg, mining=mining, optimizer=replace(cfg.optimizer, seed=stage_seed(cfg.seed, "train")))
 
 
 def sha256_file(path: Path) -> str:
@@ -224,10 +207,10 @@ def _manifest_path(artifact: Path) -> Path:
     return artifact.with_name(artifact.name + ".manifest.json")
 
 
-def _images_hash(corpus: Path) -> str:
-    """One digest over the bytes of every image ``corpus`` names, in corpus order."""
+def _images_hash(records: list[CorpusRecord]) -> str:
+    """One digest over the bytes of every record's image, in record order."""
     digest = hashlib.sha256()
-    for rec in ingest(corpus, require_images=True):
+    for rec in records:
         digest.update(hashlib.sha256(rec.image.read_bytes()).digest())
     return digest.hexdigest()
 
@@ -386,7 +369,7 @@ def _run_stage(
     force: bool,
     artifact: Path,
     cfg_payload: dict,
-    inputs: dict[str, Path | None],
+    inputs: dict[str, Path | None | Callable[[], list[CorpusRecord]]],
     build: Callable[[], None],
     side_outputs: tuple[Path, ...] = (),
 ) -> Path:
@@ -394,10 +377,10 @@ def _run_stage(
 
     An input that an earlier stage wrote must match its own manifest, so a
     partial artifact left by a killed run is never read. Each input is
-    hashed once, an ``images`` input by the bytes of the images its corpus
-    names; the manifest is written last. ``side_outputs`` are files
-    the build writes besides the artifact; a missing or changed one makes
-    the stage stale too.
+    hashed once; an ``images`` input returns the records the build reads,
+    and is hashed by the bytes of their images. The manifest is written
+    last. ``side_outputs`` are files the build writes besides the artifact;
+    a missing or changed one makes the stage stale too.
     """
     input_hashes = {}
     for name, path in inputs.items():
@@ -407,7 +390,7 @@ def _run_stage(
         manifest = _read_manifest(path) if earlier else None
         if earlier and manifest is None:
             raise PipelineError(f"{stage} stage needs {path.name}; run {earlier} first")
-        input_hashes[name] = _images_hash(path) if name == "images" else sha256_file(path)
+        input_hashes[name] = _images_hash(path()) if name == "images" else sha256_file(path)
         if earlier and manifest.get("output_hash") != input_hashes[name]:
             raise PipelineError(f"{path} does not match its manifest; run {earlier} again before {stage}")
     if not force and _up_to_date(artifact, cfg_payload, input_hashes, side_outputs):
@@ -433,33 +416,24 @@ def stage_extract(cfg: RunConfig, force: bool = False) -> Path:
 def stage_mine(cfg: RunConfig, force: bool = False) -> Path:
     entities_path = cfg.out / "entities.jsonl"
     artifact = cfg.out / "triplets.jsonl"
-    miner_cfg = cfg.miner_config()
 
     def build() -> None:
-        mine_corpus(
-            read_entities(entities_path),
-            k=cfg.mining.batch_size,
-            target=cfg.mining.target,
-            cfg=miner_cfg,
-            out_path=artifact,
-            pass_limit=cfg.mining.pass_limit,
-        )
+        mine_corpus(read_entities(entities_path), cfg.mining, out_path=artifact)
 
-    cfg_payload = {"miner": asdict(miner_cfg), "k": cfg.mining.batch_size, "target": cfg.mining.target,
-                   "pass_limit": cfg.mining.pass_limit}
-    return _run_stage(cfg, "mine", force, artifact, cfg_payload, {"entities": entities_path}, build)
+    return _run_stage(cfg, "mine", force, artifact, asdict(cfg.mining), {"entities": entities_path}, build)
 
 
 def stage_train(cfg: RunConfig, force: bool = False) -> Path:
     triplets_path = cfg.out / "triplets.jsonl"
     artifact = cfg.out / "heads.ckpt"
     curve_path = cfg.out / "loss_curve.jsonl"
+    records = functools.cache(lambda: ingest(cfg.corpus, require_images=True))  # hashed, then read by build
 
     def build() -> None:
         _, triplets = read_triplets(triplets_path)
         if not triplets:
             raise PipelineError("triplet file holds no triplets; nothing to train on")
-        corpus = {rec.id: rec for rec in ingest(cfg.corpus, require_images=True)}
+        corpus = {rec.id: rec for rec in records()}
         ids = sorted({sample_id for t in triplets for sample_id in t.key()})
         missing = [i for i in ids if i not in corpus]
         if missing:
@@ -474,7 +448,7 @@ def stage_train(cfg: RunConfig, force: bool = False) -> Path:
         save_checkpoint(artifact, _heads_record(cfg), arrays)
 
     cfg_payload = {"seed": cfg.seed, "loss": asdict(cfg.loss), "optimizer": asdict(cfg.optimizer)}
-    inputs = {"triplets": triplets_path, "corpus": cfg.corpus, "images": cfg.corpus}
+    inputs = {"triplets": triplets_path, "corpus": cfg.corpus, "images": records}
     return _run_stage(cfg, "train", force, artifact, cfg_payload, inputs, build, side_outputs=(curve_path,))
 
 
@@ -513,11 +487,12 @@ def load_heads(path: str | Path, cfg: RunConfig | None = None) -> tuple[dict, di
 
 
 def _eval_records(
-    cfg: RunConfig, eval_corpus_path: Path
+    cfg: RunConfig, eval_corpus_path: Path, records: list[CorpusRecord] | None = None
 ) -> tuple[list[CorpusRecord], list[MetaEntities], Ontology]:
-    """The eval corpus's records sorted by id, their extracted entities, and the ontology."""
+    """The eval corpus's records sorted by id, their extracted entities, and the ontology; ``records``,
+    if given, are the corpus's records as already ingested."""
     ont = cfg.load_ontology()
-    records = sorted(ingest(eval_corpus_path, require_images=True), key=lambda r: r.id)
+    records = sorted(ingest(eval_corpus_path, require_images=True) if records is None else records, key=lambda r: r.id)
     if not records:
         raise PipelineError(f"eval corpus {eval_corpus_path} holds no records")
     return records, [extract(rec.report(), ont) for rec in records], ont
@@ -532,10 +507,11 @@ def _project(z: np.ndarray, head: np.ndarray) -> np.ndarray:
 
 
 def evaluate_retrieval_tasks(
-    cfg: RunConfig, heads: dict[str, np.ndarray], eval_corpus_path: Path, match_mode: str = "mean"
+    cfg: RunConfig, heads: dict[str, np.ndarray], eval_corpus_path: Path, match_mode: str = "mean",
+    records: list[CorpusRecord] | None = None,
 ) -> dict:
-    """P@R tables for the four retrieval tasks over an evaluation corpus."""
-    records, ents, _ = _eval_records(cfg, eval_corpus_path)
+    """P@R tables for the four retrieval tasks over an evaluation corpus, whose ``records`` may be given."""
+    records, ents, _ = _eval_records(cfg, eval_corpus_path, records)
     z_img, z_txt = FrozenTrunks(cfg.seed).encode_records(records)
     images, texts = _project(z_img, heads[IMAGE]), _project(z_txt, heads[TEXT])
     r_values = [r for r in R_VALUES if r <= max(1, len(records) - 1)] or [1]
@@ -584,15 +560,16 @@ def stage_eval(cfg: RunConfig, force: bool = False) -> Path:
     heads_path = cfg.out / "heads.ckpt"
     eval_corpus = cfg.eval_corpus or cfg.corpus
     artifact = cfg.out / "eval_retrieval.json"
+    records = functools.cache(lambda: ingest(eval_corpus, require_images=True))  # hashed, then read by build
 
     def build() -> None:
         _, heads = load_heads(heads_path, cfg)
-        report = evaluate_retrieval_tasks(cfg, heads, eval_corpus)
+        report = evaluate_retrieval_tasks(cfg, heads, eval_corpus, records=records())
         with atomic_write(artifact) as fh:
             fh.write(json.dumps(report, indent=2, sort_keys=True) + "\n")
 
     cfg_payload = {"seed": cfg.seed, "r_values": list(R_VALUES)}
-    inputs = {"heads": heads_path, "eval_corpus": eval_corpus, "images": eval_corpus}
+    inputs = {"heads": heads_path, "eval_corpus": eval_corpus, "images": records}
     inputs["ontology"] = cfg.ontology or DEFAULT_ONTOLOGY_FILE
     return _run_stage(cfg, "eval", force, artifact, cfg_payload, inputs, build)
 

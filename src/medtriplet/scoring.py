@@ -85,8 +85,8 @@ def score(
     add left to right into a running total, the plain float addition that
     ``sum`` did before Python 3.12 made it compensated. The named tuples are
     built with ``tuple.__new__``, as their own ``_make`` does, which skips a
-    Python frame per tuple. Mining calls this once per ordered pair, and the
-    benchmark's traced run counts those calls, so the kernel keeps no memo.
+    Python frame per tuple. Mining calls this three times per ordered pair, and
+    the benchmark's traced run counts those calls, so the kernel keeps no memo.
     """
     if semantics not in SEMANTICS:
         raise ValueError(f"unknown indicator semantics {semantics!r}; expected one of: {', '.join(SEMANTICS)}")

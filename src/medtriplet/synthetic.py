@@ -159,7 +159,7 @@ def synthesize(spec: SyntheticSpec, out_dir: str | Path) -> SynthResult:
         classes_named = [classes[primary]]
         adj_named = [adjective]
         dir_named = [direction]
-        if spec.n_classes >= 2 and rng.random() < spec.overlap_rate:
+        if rng.random() < spec.overlap_rate:
             secondary = int((primary + 1 + rng.integers(spec.n_classes - 1)) % spec.n_classes)
             adj2 = adjectives[int(rng.integers(len(adjectives)))]
             dir2 = DIRECTIONS[int(rng.integers(len(DIRECTIONS)))]

@@ -19,9 +19,8 @@ from medtriplet.alignment import LossConfig
 from medtriplet.encoder import IMAGE, TEXT, init_head
 from medtriplet.evaluation import classification_metrics
 from medtriplet.extraction import MetaEntities, Report, extract
-from medtriplet.mining import MinerConfig, mine_corpus
+from medtriplet.mining import MiningSettings, mine_corpus
 from medtriplet.pipeline import (
-    MiningSettings,
     RunConfig,
     evaluate_retrieval_tasks,
     load_heads,
@@ -85,10 +84,10 @@ def test_criterion_3_miner_invariants(tmp_path, ontology):
     from medtriplet.corpus import ingest
 
     samples = [(rec.id, extract(rec.report(), ontology)) for rec in ingest(synth.corpus_path)]
-    cfg = MinerConfig(seed=31)
+    cfg = MiningSettings(batch_size=64, target=1000, seed=31)
     p1, p2 = tmp_path / "t1.jsonl", tmp_path / "t2.jsonl"
-    manifest, triplets = mine_corpus(samples, k=64, target=1000, cfg=cfg, out_path=p1)
-    mine_corpus(samples, k=64, target=1000, cfg=cfg, out_path=p2)
+    manifest, triplets = mine_corpus(samples, cfg, out_path=p1)
+    mine_corpus(samples, cfg, out_path=p2)
     assert len(triplets) == 1000
     keys = {t.key() for t in triplets}
     assert len(keys) == 1000
@@ -173,8 +172,7 @@ def _train_and_eval(tmp: Path, seed: int, gammas: GammaWeights, band: tuple[floa
         seed=seed,
         corpus=train.corpus_path,
         eval_corpus=evalc.corpus_path,
-        gammas=gammas,
-        mining=MiningSettings(batch_size=64, target=target, tau_min=band[0], tau_max=band[1]),
+        mining=MiningSettings(batch_size=64, target=target, tau_min=band[0], tau_max=band[1], gammas=gammas),
     )
     run_pipeline(cfg, stages=("extract", "mine", "train"), force=True)
     cfg = with_seed_defaults(cfg)

@@ -10,7 +10,7 @@ from conftest import entities
 from medtriplet.corpus import DataError
 from medtriplet.mining import (
     Batch,
-    MinerConfig,
+    MiningSettings,
     Triplet,
     mine_batch,
     mine_corpus,
@@ -43,42 +43,42 @@ class TestScoresBehindTheScenarios:
 class TestSelectPositive:
     def test_argmax_wins(self):
         batch = batch_of(("a", ANCHOR), ("near", NEAR), ("mid", MID), ("far", FAR))
-        assert select_positive(0, batch, MinerConfig()) == "near"
+        assert select_positive(0, batch, MiningSettings()) == "near"
 
     def test_unique_nonzero(self):
         batch = batch_of(("a", ANCHOR), ("far", FAR), ("mid", MID))
-        assert select_positive(0, batch, MinerConfig()) == "mid"
+        assert select_positive(0, batch, MiningSettings()) == "mid"
 
     def test_tie_lowest_id(self):
         batch = batch_of(("a", ANCHOR), ("x2", MID), ("x1", MID))
-        assert select_positive(0, batch, MinerConfig()) == "x1"
+        assert select_positive(0, batch, MiningSettings()) == "x1"
 
 
 class TestSelectNegative:
     def test_argmin_in_band(self):
         batch = batch_of(("a", ANCHOR), ("near", NEAR), ("mid", MID), ("far", FAR))
-        assert select_negative(0, batch, MinerConfig(), exclude="near") == "mid"
+        assert select_negative(0, batch, MiningSettings(), exclude="near") == "mid"
 
     def test_band_empty_returns_none(self):
         batch = batch_of(("a", ANCHOR), ("near", NEAR), ("far", FAR))
-        assert select_negative(0, batch, MinerConfig(), exclude="near") is None
+        assert select_negative(0, batch, MiningSettings(), exclude="near") is None
 
     def test_bounds_inclusive(self):
         batch = batch_of(("a", ANCHOR), ("near", NEAR), ("mid", MID))
-        cfg = MinerConfig(tau_min=0.45, tau_max=0.45)
+        cfg = MiningSettings(tau_min=0.45, tau_max=0.45)
         assert select_negative(0, batch, cfg, exclude="near") == "mid"
 
 
 class TestMineBatch:
     def test_identical_entities_yield_nothing(self):
         batch = batch_of(("a", NEAR), ("b", NEAR), ("c", NEAR))  # pairwise 1.0
-        assert mine_batch(batch, MinerConfig(), np.random.default_rng(0)) == []
+        assert mine_batch(batch, MiningSettings(), np.random.default_rng(0)) == []
 
     def test_three_sample_enumeration(self):
         # Pairwise: (a,b)=1.0, (a,c)=(b,c)=0.45.
         twin = entities({"pneumonia": ({"mild"}, {"left"}), "edema": (set(), set())})
         batch = batch_of(("a", ANCHOR), ("b", twin), ("c", MID))
-        triplets = {t.anchor_id: t for t in mine_batch(batch, MinerConfig(), np.random.default_rng(0))}
+        triplets = {t.anchor_id: t for t in mine_batch(batch, MiningSettings(), np.random.default_rng(0))}
         assert triplets["a"].positive_id == "b" and triplets["a"].negative_id == "c"
         assert triplets["b"].positive_id == "a" and triplets["b"].negative_id == "c"
         # anchor c: positives tie at 0.45, lowest id wins; the other twin
@@ -87,21 +87,21 @@ class TestMineBatch:
         assert triplets["c"].score_ap == triplets["c"].score_an == pytest.approx(0.45)
 
     def test_empty_and_small_batches(self):
-        assert mine_batch(Batch(()), MinerConfig(), np.random.default_rng(0)) == []
-        assert mine_batch(batch_of(("a", ANCHOR), ("b", MID)), MinerConfig(), np.random.default_rng(0)) == []
+        assert mine_batch(Batch(()), MiningSettings(), np.random.default_rng(0)) == []
+        assert mine_batch(batch_of(("a", ANCHOR), ("b", MID)), MiningSettings(), np.random.default_rng(0)) == []
 
     def test_zero_score_positive_skips_anchor(self):
         other = entities({"fracture": (set(), set())})
         batch = batch_of(("a", ANCHOR), ("b", FAR), ("c", other))
-        triplets = mine_batch(batch, MinerConfig(), np.random.default_rng(0))
+        triplets = mine_batch(batch, MiningSettings(), np.random.default_rng(0))
         assert all(t.anchor_id != "a" for t in triplets)
 
 
-class TestMinerConfig:
+class TestMiningSettings:
     @pytest.mark.parametrize("field", ["semantics"])
     def test_unknown_value_rejected(self, field):
         with pytest.raises(ValueError, match="'bogus'"):
-            MinerConfig(**{field: "bogus"})
+            MiningSettings(**{field: "bogus"})
 
 
 class TestTripletInvariants:
@@ -139,7 +139,7 @@ class TestMineCorpus:
     def test_target_zero(self, tmp_path):
         samples = _random_corpus(20, 3)
         path = tmp_path / "t.jsonl"
-        returned = mine_corpus(samples, k=10, target=0, cfg=MinerConfig(seed=1), out_path=path)
+        returned = mine_corpus(samples, MiningSettings(batch_size=10, target=0, seed=1), out_path=path)
         manifest, triplets = read_triplets(path)
         assert returned == (manifest, triplets)
         assert triplets == [] and manifest["target"] == 0
@@ -154,41 +154,42 @@ class TestMineCorpus:
     )
     def test_bad_triplet_record_names_file_and_line(self, tmp_path, line, message):
         path = tmp_path / "t.jsonl"
-        mine_corpus(_random_corpus(20, 3), k=10, target=0, cfg=MinerConfig(seed=1), out_path=path)
+        mine_corpus(_random_corpus(20, 3), MiningSettings(batch_size=10, target=0, seed=1), out_path=path)
         path.write_text(path.read_text() + line + "\n")
         with pytest.raises(DataError, match=f"^{re.escape(str(path))}:2: .*{message}"):
             read_triplets(path)
 
     def test_unique_and_exact_count(self, tmp_path):
         samples = _random_corpus(60, 4)
-        _, triplets = mine_corpus(samples, k=16, target=150, cfg=MinerConfig(seed=2))
+        _, triplets = mine_corpus(samples, MiningSettings(batch_size=16, target=150, seed=2))
         keys = [t.key() for t in triplets]
         assert len(keys) == len(set(keys)) == 150
 
     def test_same_seed_byte_identical(self, tmp_path):
         samples = _random_corpus(40, 5)
         p1, p2 = tmp_path / "a.jsonl", tmp_path / "b.jsonl"
-        mine_corpus(samples, k=12, target=60, cfg=MinerConfig(seed=9), out_path=p1)
-        mine_corpus(samples, k=12, target=60, cfg=MinerConfig(seed=9), out_path=p2)
+        cfg = MiningSettings(batch_size=12, target=60, seed=9)
+        mine_corpus(samples, cfg, out_path=p1)
+        mine_corpus(samples, cfg, out_path=p2)
         assert p1.read_bytes() == p2.read_bytes()
 
     def test_corpus_too_small(self):
         with pytest.raises(ValueError, match="need at least"):
-            mine_corpus(_random_corpus(5, 6), k=10, target=5, cfg=MinerConfig())
+            mine_corpus(_random_corpus(5, 6), MiningSettings(batch_size=10, target=5))
 
     def test_unreachable_target_keeps_partial(self, tmp_path, caplog):
         # three identical samples: nothing in band, target unreachable
         samples = [("a", NEAR), ("b", NEAR), ("c", NEAR)]
         path = tmp_path / "t.jsonl"
-        returned = mine_corpus(samples, k=3, target=10, cfg=MinerConfig(seed=0), out_path=path, pass_limit=4)
+        returned = mine_corpus(samples, MiningSettings(batch_size=3, target=10, pass_limit=4), out_path=path)
         manifest, triplets = read_triplets(path)
         assert returned == (manifest, triplets)
         assert manifest["reached_target"] is False and manifest["passes"] == 3 and triplets == []
 
     def test_mined_invariants_hold(self):
-        cfg = MinerConfig(seed=11)
+        cfg = MiningSettings(batch_size=20, target=200, seed=11)
         samples = _random_corpus(80, 12)
-        _, triplets = mine_corpus(samples, k=20, target=200, cfg=cfg)
+        _, triplets = mine_corpus(samples, cfg)
         by_id = dict(samples)
         for t in triplets:
             assert len({t.anchor_id, t.positive_id, t.negative_id}) == 3
@@ -200,10 +201,10 @@ class TestMineCorpus:
 
     def test_semi_hard_negatives_share_a_disease(self):
         # tau_min > 0 forces a non-empty disease intersection with the anchor
-        cfg = MinerConfig(seed=13)
+        cfg = MiningSettings(batch_size=15, target=100, seed=13)
         samples = _random_corpus(60, 14)
         by_id = dict(samples)
-        _, triplets = mine_corpus(samples, k=15, target=100, cfg=cfg)
+        _, triplets = mine_corpus(samples, cfg)
         for t in triplets:
             anchor = by_id[t.anchor_id].disease_set()
             negative = by_id[t.negative_id].disease_set()
@@ -212,8 +213,8 @@ class TestMineCorpus:
     @pytest.mark.parametrize("semantics", ["union", "intersection"])
     def test_triplets_match_golden_digest(self, tmp_path, semantics):
         path = tmp_path / "t.jsonl"
-        cfg = MinerConfig(seed=17, semantics=semantics)
-        manifest, triplets = mine_corpus(_random_corpus(90, 31), k=15, target=400, cfg=cfg, out_path=path)
+        cfg = MiningSettings(batch_size=15, target=400, semantics=semantics, seed=17)
+        manifest, triplets = mine_corpus(_random_corpus(90, 31), cfg, out_path=path)
         assert (len(triplets), manifest["passes"], manifest["reached_target"]) == (400, 5, True)
         assert read_triplets(path) == (manifest, triplets)
         assert hashlib.sha256(path.read_bytes()).hexdigest() == GOLDEN_TRIPLETS_DIGEST[semantics]
@@ -221,6 +222,6 @@ class TestMineCorpus:
     def test_anchor_unique_within_batch(self):
         samples = _random_corpus(30, 15)
         batch = Batch(tuple(samples[:12]))
-        triplets = mine_batch(batch, MinerConfig(seed=3), np.random.default_rng(3))
+        triplets = mine_batch(batch, MiningSettings(seed=3), np.random.default_rng(3))
         anchors = [t.anchor_id for t in triplets]
         assert len(anchors) == len(set(anchors))

@@ -2,6 +2,7 @@
 
 import pytest
 
+from medtriplet import ontology as ontology_module
 from medtriplet.lemma import lemmatize
 from medtriplet.ontology import (
     OntologyError,
@@ -92,6 +93,17 @@ class TestRoundTrip:
         path = tmp_path / "ont.txt"
         save_ontology(ontology, path)
         assert load_ontology(path) == ontology
+
+    def test_failed_save_keeps_the_old_file(self, ontology, tmp_path, monkeypatch):
+        path = tmp_path / "ont.txt"
+        save_ontology(ontology, path)
+        before = path.read_bytes()
+        # A lone surrogate cannot be encoded as UTF-8, so the write fails part way.
+        monkeypatch.setattr(ontology_module, "serialize_ontology", lambda ont: "[diseases]\n\udcff\n")
+        with pytest.raises(UnicodeEncodeError):
+            save_ontology(ontology, path)
+        assert path.read_bytes() == before
+        assert [p.name for p in tmp_path.iterdir()] == ["ont.txt"]
 
     def test_serialization_is_canonical(self, ontology):
         text = serialize_ontology(ontology)

@@ -129,6 +129,21 @@ def _encoded_rows(monkeypatch) -> list:
 
 
 class TestStages:
+    def test_each_stage_ingests_its_corpus_once(self, small_world, monkeypatch):
+        calls = []
+        original = pipeline.ingest
+        monkeypatch.setattr(pipeline, "ingest", lambda path, **kwargs: calls.append(path) or original(path, **kwargs))
+        run_pipeline(small_world)
+        assert calls == [small_world.corpus, small_world.corpus, small_world.eval_corpus]
+
+    def test_missing_earlier_artifact_named_before_image_errors(self, small_world):
+        run_pipeline(small_world, stages=("extract",))
+        next((small_world.corpus.parent / "images").iterdir()).unlink()
+        with pytest.raises(PipelineError, match="needs triplets.jsonl; run mine first"):
+            run_pipeline(small_world, stages=("train",))
+        with pytest.raises(PipelineError, match="needs heads.ckpt; run train first"):
+            run_pipeline(replace(small_world, eval_corpus=small_world.corpus), stages=("eval",))
+
     def test_extract_counts(self, small_world):
         artifacts = run_pipeline(small_world, stages=("extract",))
         lines = artifacts["extract"].read_text().splitlines()
@@ -165,6 +180,8 @@ class TestStages:
         for artifact in ("heads.ckpt", "eval_retrieval.json"):
             manifest = json.loads((small_world.out / f"{artifact}.manifest.json").read_text())
             assert manifest["config"]["seed"] == reseeded.seed
+        header = json.loads((small_world.out / "triplets.jsonl").read_text().splitlines()[0])
+        assert header["seed"] == stage_seed(reseeded.seed, "mine")
 
     def test_rerun_skips(self, small_world, caplog):
         run_pipeline(small_world, stages=("extract", "mine"))
@@ -339,7 +356,7 @@ class TestStages:
 
     def test_unknown_semantics_fails_before_extract_writes(self, small_world):
         with pytest.raises(ValueError, match="unknown semantics 'bogus'"):
-            run_pipeline(replace(small_world, semantics="bogus"))
+            run_pipeline(replace(small_world, mining=replace(small_world.mining, semantics="bogus")))
         assert not (small_world.out / "entities.jsonl").exists()
 
     def test_byte_identical_artifact_trees(self, small_world, tmp_path):
@@ -408,7 +425,7 @@ class TestConfigFile:
         )
         cfg = config_from_file(path)
         assert cfg.seed == 9 and cfg.out == Path("myrun")
-        assert cfg.gammas.g0 == 0.8 and cfg.semantics == "intersection"
+        assert cfg.mining.gammas.g0 == 0.8 and cfg.mining.semantics == "intersection"
         assert cfg.mining.tau_min == 0.3 and cfg.mining.target == 123
         assert cfg.loss.alpha == 0.2 and cfg.loss.eta == 0.7
         assert cfg.optimizer.learning_rate == 0.005 and cfg.optimizer.epochs == 3
@@ -494,7 +511,7 @@ class TestConfigFile:
             config_from_file(path)  # raises if the pair is not settable
         assert len(settable) == 20
 
-    @pytest.mark.parametrize("section", ["optimizer"])
+    @pytest.mark.parametrize("section", ["miner", "optimizer"])
     def test_stage_seed_keys_rejected(self, tmp_path, section):
         path = tmp_path / "run.cfg"
         path.write_text(f"[run]\nseed = 1\n[{section}]\nseed = 7\n")

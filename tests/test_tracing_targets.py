@@ -16,7 +16,7 @@ from conftest import entities
 from medtriplet import alignment, evaluation, mining, pipeline
 from medtriplet.corpus import ingest
 from medtriplet.encoder import IMAGE, TEXT, init_head
-from medtriplet.mining import Batch, MinerConfig
+from medtriplet.mining import Batch, MiningSettings
 from medtriplet.synthetic import SyntheticSpec, synthesize
 from oracles import random_entities
 
@@ -60,6 +60,12 @@ def test_bench_builds_run_configs_and_specs(bench, tmp_path):
         train, evaluation_spec = bench.specs(workload, 1)
         assert isinstance(train, SyntheticSpec) and isinstance(evaluation_spec, SyntheticSpec)
         assert (train.per_class, evaluation_spec.per_class) == (workload.train_per_class, workload.eval_per_class)
+
+
+def test_bench_reads_score_settings_off_run_configs(bench, tmp_path):
+    """The benchmark checks each mined triplet's scores with a run config's ``gammas`` and ``semantics``."""
+    cfg = bench.run_config(bench.WORKLOADS["desk"], 1, tmp_path / "out", tmp_path / "train.jsonl", tmp_path / "eval.jsonl")
+    assert (cfg.gammas, cfg.semantics) == (cfg.mining.gammas, cfg.mining.semantics)
 
 
 def test_bench_counts_ingested_records(bench, tmp_path):
@@ -115,7 +121,7 @@ def test_mine_batch_scores_each_ordered_pair_three_times(monkeypatch):
     plain = [{"d1": (set(), set()), **random_entities(rng)} for _ in range(k)]
     batch = Batch(tuple((f"s{i}", entities(p)) for i, p in enumerate(plain)))
     calls = _counting(monkeypatch, mining, "score")
-    mining.mine_batch(batch, MinerConfig(), np.random.default_rng(0))
+    mining.mine_batch(batch, MiningSettings(), np.random.default_rng(0))
     assert len(calls) == 3 * k * (k - 1)
 
 
