@@ -11,7 +11,9 @@ encoding each sample alone. ``init_head`` seeds the per-modality square
 projection head that maps a pooled trunk output to the embedding
 alignment trains (the pipeline applies it to whole trunk matrices); the
 trunk itself, a ``{name: array}`` dict, stays frozen at its seeded
-random initialization.
+random initialization. So it holds only the random weight matrices:
+layer norms have no affine and projections no biases, which frozen at
+ones and zeros would leave every bit of the output as it is.
 """
 
 from __future__ import annotations
@@ -90,17 +92,10 @@ def _init_blocks(rng: np.random.Generator) -> dict[str, np.ndarray]:
     params: dict[str, np.ndarray] = {}
     for i in range(DEPTH):
         p = f"block{i}."
-        params[p + "ln1.g"] = np.ones(c)
-        params[p + "ln1.b"] = np.zeros(c)
         for name in ("wq", "wk", "wv", "wo"):
             params[p + f"attn.{name}"] = rng.normal(0.0, INIT_SCALE, (c, c))
-            params[p + f"attn.b{name[1]}"] = np.zeros(c)
-        params[p + "ln2.g"] = np.ones(c)
-        params[p + "ln2.b"] = np.zeros(c)
         params[p + "mlp.w1"] = rng.normal(0.0, INIT_SCALE, (c, hidden))
-        params[p + "mlp.b1"] = np.zeros(hidden)
         params[p + "mlp.w2"] = rng.normal(0.0, INIT_SCALE, (hidden, c))
-        params[p + "mlp.b2"] = np.zeros(c)
     return params
 
 
@@ -108,7 +103,6 @@ def init_image_trunk(seed: int) -> dict[str, np.ndarray]:
     rng = np.random.default_rng((seed, 0))
     params = {
         "input.w": rng.normal(0.0, INIT_SCALE, (PATCH_SIZE * PATCH_SIZE, EMBED_DIM)),
-        "input.b": np.zeros(EMBED_DIM),
         "pos": rng.normal(0.0, INIT_SCALE, (MAX_SEQ_LEN, EMBED_DIM)),
     }
     params.update(_init_blocks(rng))
@@ -162,11 +156,11 @@ def patchify(image: ImageSample, patch_size: int) -> np.ndarray:
     )
 
 
-def _layer_norm(x: np.ndarray, g: np.ndarray, b: np.ndarray) -> np.ndarray:
+def _layer_norm(x: np.ndarray) -> np.ndarray:
     # Center once and reuse it for the variance: bit-identical to x.var(), without its second mean pass.
     centered = x - x.mean(axis=-1, keepdims=True)
     var = (centered * centered).sum(axis=-1, keepdims=True) / x.shape[-1]
-    return centered / np.sqrt(var + LN_EPSILON) * g + b
+    return centered / np.sqrt(var + LN_EPSILON)
 
 
 def _softmax(x: np.ndarray) -> np.ndarray:
@@ -183,32 +177,28 @@ def _gelu(x: np.ndarray) -> np.ndarray:
 
 def _attention(x: np.ndarray, p: dict[str, np.ndarray], prefix: str) -> np.ndarray:
     """Softmax attention matrices (..., heads, n, n) from the already layer-normed block input ``x``."""
-    q = x @ p[prefix + "attn.wq"] + p[prefix + "attn.bq"]
-    k = x @ p[prefix + "attn.wk"] + p[prefix + "attn.bk"]
-    q = q.reshape(*x.shape[:-1], HEADS, HEAD_DIM).swapaxes(-3, -2)
-    k = k.reshape(*x.shape[:-1], HEADS, HEAD_DIM).swapaxes(-3, -2)
+    q = (x @ p[prefix + "attn.wq"]).reshape(*x.shape[:-1], HEADS, HEAD_DIM).swapaxes(-3, -2)
+    k = (x @ p[prefix + "attn.wk"]).reshape(*x.shape[:-1], HEADS, HEAD_DIM).swapaxes(-3, -2)
     return _softmax(q @ k.swapaxes(-1, -2) / np.sqrt(HEAD_DIM))
 
 
 def transformer_block(h: np.ndarray, p: dict[str, np.ndarray], block: int) -> np.ndarray:
     """Pre-norm multi-head self-attention and MLP, each with a residual, on (..., n, c) hidden states."""
     prefix = f"block{block}."
-    x = _layer_norm(h, p[prefix + "ln1.g"], p[prefix + "ln1.b"])
+    x = _layer_norm(h)
     *lead, n, c = h.shape
-    v = (x @ p[prefix + "attn.wv"] + p[prefix + "attn.bv"]).reshape(*lead, n, HEADS, HEAD_DIM).swapaxes(-3, -2)
+    v = (x @ p[prefix + "attn.wv"]).reshape(*lead, n, HEADS, HEAD_DIM).swapaxes(-3, -2)
     attn = _attention(x, p, prefix)
     mixed = (attn @ v).swapaxes(-3, -2).reshape(*lead, n, c)
-    h = h + mixed @ p[prefix + "attn.wo"] + p[prefix + "attn.bo"]
-    x = _layer_norm(h, p[prefix + "ln2.g"], p[prefix + "ln2.b"])
-    mlp = _gelu(x @ p[prefix + "mlp.w1"] + p[prefix + "mlp.b1"]) @ p[prefix + "mlp.w2"] + p[prefix + "mlp.b2"]
-    return h + mlp
+    h = h + mixed @ p[prefix + "attn.wo"]
+    return h + _gelu(_layer_norm(h) @ p[prefix + "mlp.w1"]) @ p[prefix + "mlp.w2"]
 
 
 def embed_input(sample: ImageSample | TokenSequence, trunk: dict[str, np.ndarray]) -> np.ndarray:
     """Initial hidden sequences (..., n, c): learnable linear map plus position encodings."""
     if isinstance(sample, ImageSample):
         patches = patchify(sample, PATCH_SIZE)
-        projected = patches @ trunk["input.w"] + trunk["input.b"]
+        projected = patches @ trunk["input.w"]
     else:
         ids = np.asarray(sample.ids, dtype=np.int64)
         if ids.max(initial=0) >= trunk["table"].shape[0]:

@@ -8,6 +8,7 @@ or infinite pixel is an error.
 
 from __future__ import annotations
 
+import warnings
 from pathlib import Path
 
 import numpy as np
@@ -19,27 +20,32 @@ MAXVAL = 255  # the maxval ``write_pgm`` quantizes to and declares
 
 def read_pgm(path: str | Path) -> ImageSample:
     path = Path(path)
-    text = path.read_text(encoding="ascii")
-    # Every line break is whitespace to str.split, so without comments one split gives the same tokens.
+    try:
+        text = path.read_text(encoding="ascii")
+    except UnicodeDecodeError as exc:
+        byte = exc.object[exc.start]
+        raise ValueError(f"{path}: not a P2 graymap: byte {byte:#04x} at offset {exc.start} is not ASCII") from None
     if "#" in text:
-        tokens = [token for line in text.splitlines() for token in line.split("#", 1)[0].split()]
-    else:
-        tokens = text.split()
-    if not tokens or tokens[0] != "P2":
+        text = "\n".join(line.split("#", 1)[0] for line in text.splitlines())
+    # Magic, width, height, maxval, then the body, which split starts at a non-space (np.fromstring reads "  " as 0).
+    fields = text.split(maxsplit=4)
+    if not fields or fields[0] != "P2":
         raise ValueError(f"{path}: not a plain (P2) graymap")
-    if len(tokens) < 4:
+    if len(fields) < 4:
         raise ValueError(f"{path}: truncated graymap header")
-    sizes = tokens[1:4]
+    sizes = fields[1:4]
     if not all(token.isdecimal() and int(token) >= 1 for token in sizes):
         raise ValueError(f"{path}: width, height and maxval must be integers >= 1, got {' '.join(sizes)}")
     width, height, maxval = map(int, sizes)
-    values = tokens[4:]
-    if len(values) != width * height:
-        raise ValueError(f"{path}: expected {width * height} pixels, found {len(values)}")
     try:
-        grid = np.array(values, dtype=np.int64)
-    except (ValueError, OverflowError):
+        with warnings.catch_warnings():
+            # Older numpy only warns, and stops reading, at a token that is not an integer.
+            warnings.simplefilter("error", DeprecationWarning)
+            grid = np.fromstring("".join(fields[4:]), dtype=np.int64, sep=" ")
+    except (ValueError, DeprecationWarning):
         raise ValueError(f"{path}: pixel values must be integers") from None
+    if grid.size != width * height:
+        raise ValueError(f"{path}: expected {width * height} pixels, found {grid.size}")
     grid = grid.reshape(height, width)
     outside = grid[(grid < 0) | (grid > maxval)]
     if outside.size:

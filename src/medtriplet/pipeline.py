@@ -186,7 +186,8 @@ def config_from_file(path: str | Path) -> RunConfig:
 
 def with_seed_defaults(cfg: RunConfig) -> RunConfig:
     """Fan the global seed out to the miner and the optimizer, which get the mine and train stage
-    seeds whatever seeds they carry; the trunks and heads take the global seed itself."""
+    seeds whatever seeds they carry; the trunks and heads take the global seed itself. The mine
+    and train stages apply it themselves, so each uses the seed its manifest records."""
     mining = replace(cfg.mining, seed=stage_seed(cfg.seed, "mine"))
     return replace(cfg, mining=mining, optimizer=replace(cfg.optimizer, seed=stage_seed(cfg.seed, "train")))
 
@@ -396,6 +397,7 @@ def _run_stage(
     if not force and _up_to_date(artifact, cfg_payload, input_hashes, side_outputs):
         logger.info("%s: up to date, skipping", stage)
         return artifact
+    artifact.parent.mkdir(parents=True, exist_ok=True)
     build()
     _write_manifest(artifact, stage, stage_seed(cfg.seed, stage), cfg_payload, input_hashes, side_outputs)
     return artifact
@@ -414,6 +416,7 @@ def stage_extract(cfg: RunConfig, force: bool = False) -> Path:
 
 
 def stage_mine(cfg: RunConfig, force: bool = False) -> Path:
+    cfg = with_seed_defaults(cfg)
     entities_path = cfg.out / "entities.jsonl"
     artifact = cfg.out / "triplets.jsonl"
 
@@ -424,6 +427,7 @@ def stage_mine(cfg: RunConfig, force: bool = False) -> Path:
 
 
 def stage_train(cfg: RunConfig, force: bool = False) -> Path:
+    cfg = with_seed_defaults(cfg)
     triplets_path = cfg.out / "triplets.jsonl"
     artifact = cfg.out / "heads.ckpt"
     curve_path = cfg.out / "loss_curve.jsonl"
@@ -587,7 +591,6 @@ def run_pipeline(cfg: RunConfig, stages: tuple[str, ...] = STAGES, force: bool =
     unknown = [s for s in stages if s not in STAGES]
     if unknown:
         raise PipelineError(f"unknown stages: {unknown}")
-    cfg = with_seed_defaults(cfg)
     artifacts: dict[str, Path] = {}
     with output_lock(cfg.out):
         for stage in STAGES:

@@ -8,7 +8,10 @@ medtriplet.evaluation; neither does the AUC oracle, which counts
 pairwise wins instead of ranking. The GELU oracle is the scalar tanh
 formula on Python floats and ``math.tanh``. The loss oracle takes one
 triplet at a time through four scalar hinges and shares no code with
-medtriplet.alignment; the finite-difference check is built on it.
+medtriplet.alignment; the finite-difference check is built on it. The
+graymap oracle is the token-by-token P2 parse, one Python string per
+pixel. The trunk oracle runs the frozen forward pass with the layer-norm
+affine and every bias written out as ones and zeros.
 
 This module imports nothing from medtriplet: the tests convert its plain
 entity encoding with ``conftest.entities``.
@@ -17,6 +20,7 @@ entity encoding with ``conftest.entities``.
 from __future__ import annotations
 
 import math
+from pathlib import Path
 
 import numpy as np
 
@@ -209,3 +213,73 @@ def oracle_retrieval_report(
                 per_query.append(100.0 * float(np.mean([consistency(labels[i], labels[j]) for _, j in ranked[:r]])))
             out[kind][r] = float(np.mean(per_query))
     return out
+
+
+def oracle_read_pgm(path) -> np.ndarray:
+    """Pixels in [0, 1] of an ASCII plain (P2) graymap, parsed token by token;
+    each format error is a ValueError that starts with the path."""
+    path = Path(path)
+    text = path.read_text(encoding="ascii")
+    tokens = [token for line in text.splitlines() for token in line.split("#", 1)[0].split()]
+    if not tokens or tokens[0] != "P2":
+        raise ValueError(f"{path}: not a plain (P2) graymap")
+    if len(tokens) < 4:
+        raise ValueError(f"{path}: truncated graymap header")
+    sizes = tokens[1:4]
+    if not all(token.isdecimal() and int(token) >= 1 for token in sizes):
+        raise ValueError(f"{path}: width, height and maxval must be integers >= 1, got {' '.join(sizes)}")
+    width, height, maxval = map(int, sizes)
+    values = tokens[4:]
+    if len(values) != width * height:
+        raise ValueError(f"{path}: expected {width * height} pixels, found {len(values)}")
+    try:
+        grid = np.array(values, dtype=np.int64)
+    except (ValueError, OverflowError):
+        raise ValueError(f"{path}: pixel values must be integers") from None
+    grid = grid.reshape(height, width)
+    outside = grid[(grid < 0) | (grid > maxval)]
+    if outside.size:
+        raise ValueError(f"{path}: pixel value {outside[0]} outside [0, {maxval}]")
+    return grid / maxval
+
+
+def oracle_trunk_encode(
+    trunk: dict, depth: int, heads: int, epsilon: float, pixels=None, patch_size: int = 0, ids=None
+) -> np.ndarray:
+    """Mean-pooled trunk output of (..., H, W) ``pixels`` cut into square
+    patches, or of (..., n) token ``ids``: ``depth`` pre-norm blocks, each
+    layer norm with a ones/zeros affine and each projection, the input one
+    too, with a zero bias; the layer norm takes numpy's ``var``."""
+    c = trunk["pos"].shape[1]
+    ones, zeros, zeros_mlp = np.ones(c), np.zeros(c), np.zeros(trunk["block0.mlp.w1"].shape[1])
+    if pixels is not None:
+        *lead, rows, cols = pixels.shape
+        patches = [
+            pixels[..., r : r + patch_size, s : s + patch_size].reshape(*lead, patch_size * patch_size)
+            for r in range(0, rows, patch_size)
+            for s in range(0, cols, patch_size)
+        ]
+        projected = np.stack(patches, axis=-2) @ trunk["input.w"] + zeros
+    else:
+        projected = trunk["table"][np.asarray(ids)]
+    h = projected + trunk["pos"][: projected.shape[-2]]
+
+    def layer_norm(x):
+        mean, var = x.mean(axis=-1, keepdims=True), x.var(axis=-1, keepdims=True)
+        return (x - mean) / np.sqrt(var + epsilon) * ones + zeros
+
+    def split(x):
+        return x.reshape(*x.shape[:-1], heads, c // heads).swapaxes(-3, -2)
+
+    for i in range(depth):
+        w = {name[len(f"block{i}."):]: arr for name, arr in trunk.items() if name.startswith(f"block{i}.")}
+        x = layer_norm(h)
+        q, k, v = (split(x @ w[f"attn.w{name}"] + zeros) for name in "qkv")
+        scores = q @ k.swapaxes(-1, -2) / np.sqrt(c // heads)
+        e = np.exp(scores - scores.max(axis=-1, keepdims=True))
+        mixed = (e / e.sum(axis=-1, keepdims=True) @ v).swapaxes(-3, -2).reshape(h.shape)
+        h = h + mixed @ w["attn.wo"] + zeros
+        u = layer_norm(h) @ w["mlp.w1"] + zeros_mlp
+        gelu = 0.5 * u * (1.0 + np.tanh(np.sqrt(2.0 / np.pi) * (u + 0.044715 * (u * u * u))))
+        h = h + (gelu @ w["mlp.w2"] + zeros)
+    return h.mean(axis=-2)

@@ -36,7 +36,7 @@ from medtriplet.encoder import (
 )
 from medtriplet.images import load_image, read_pgm, write_pgm
 from medtriplet.pipeline import TRUNK_CHUNK, FrozenTrunks, PipelineError, _project
-from oracles import oracle_gelu
+from oracles import oracle_gelu, oracle_read_pgm, oracle_trunk_encode
 
 def random_image(rng, size=32):
     return ImageSample(rng.random((size, size)))
@@ -52,9 +52,15 @@ class TestConfig:
         assert sorted({name.split(".")[0] for name in trunk if name.startswith("block")}) == [
             f"block{i}" for i in range(DEPTH)
         ]
-        # The fixed epsilon keeps a zero-variance row finite: it normalizes to the bias.
-        b = np.arange(4.0)
-        np.testing.assert_array_equal(_layer_norm(np.full((1, 4), 3.0), np.ones(4), b), b[None])
+        # The fixed epsilon keeps a zero-variance row finite: it normalizes to zeros.
+        np.testing.assert_array_equal(_layer_norm(np.full((1, 4), 3.0)), np.zeros((1, 4)))
+
+    def test_trunks_hold_only_random_weights(self):
+        """No trunk array is a constant: frozen ones and zeros are left out, not stored."""
+        for trunk in (init_image_trunk(0), init_text_trunk(0)):
+            assert len(trunk) == 2 + 6 * DEPTH
+            for name, arr in trunk.items():
+                assert arr.std() > 0, name
 
 
 class TestPatchify:
@@ -115,7 +121,6 @@ class TestEmbedInput:
     def test_zero_weights_zero_pe(self):
         trunk = init_image_trunk(1)
         trunk["input.w"] = np.zeros_like(trunk["input.w"])
-        trunk["input.b"] = np.zeros_like(trunk["input.b"])
         trunk["pos"] = np.zeros_like(trunk["pos"])
         img = ImageSample(np.random.default_rng(0).random((8, 8)))
         assert np.all(embed_input(img, trunk) == 0.0)
@@ -123,7 +128,6 @@ class TestEmbedInput:
     def test_identity_map_single_patch(self):
         trunk = init_image_trunk(0)
         trunk["input.w"] = np.eye(PATCH_SIZE * PATCH_SIZE, EMBED_DIM)
-        trunk["input.b"] = np.zeros(EMBED_DIM)
         trunk["pos"] = np.zeros_like(trunk["pos"])
         img = ImageSample(np.random.default_rng(1).random((PATCH_SIZE, PATCH_SIZE)))
         np.testing.assert_array_equal(embed_input(img, trunk)[0], img.pixels.ravel())
@@ -148,10 +152,9 @@ class TestLayerNormAndGelu:
             n, c = int(rng.integers(1, 70)), int(rng.integers(1, 130))
             scale, offset = 10.0 ** rng.uniform(-6, 3, size=2)
             x = rng.standard_normal((n, c)) * scale + offset * rng.standard_normal()
-            g, b = rng.standard_normal(c), rng.standard_normal(c)
             mean, var = x.mean(axis=-1, keepdims=True), x.var(axis=-1, keepdims=True)
-            expected = (x - mean) / np.sqrt(var + LN_EPSILON) * g + b
-            assert (_layer_norm(x, g, b) == expected).all()
+            expected = (x - mean) / np.sqrt(var + LN_EPSILON)
+            assert _layer_norm(x).tobytes() == expected.tobytes()
 
     def test_gelu_matches_scalar_oracle(self):
         rng = np.random.default_rng(44)
@@ -184,20 +187,16 @@ class TestTransformerBlock:
     def test_attention_rows_sum_to_one(self):
         trunk = init_image_trunk(1)
         h = np.random.default_rng(5).normal(size=(7, EMBED_DIM))
-        p = trunk
-        attn = _attention(_layer_norm(h, p["block0.ln1.g"], p["block0.ln1.b"]), p, "block0.")
+        attn = _attention(_layer_norm(h), trunk, "block0.")
         assert attn.shape == (HEADS, 7, 7)
         np.testing.assert_allclose(attn.sum(axis=-1), 1.0, atol=1e-9)
 
     def test_single_position_reduces_to_value_path(self):
         p = init_image_trunk(2)
         p["block0.mlp.w2"] = np.zeros_like(p["block0.mlp.w2"])
-        p["block0.mlp.b2"] = np.zeros_like(p["block0.mlp.b2"])
         h = np.random.default_rng(6).normal(size=(1, EMBED_DIM))
         # One position attends only to itself: the block adds the value path of the layer-normed input.
-        x = _layer_norm(h, p["block0.ln1.g"], p["block0.ln1.b"])
-        v = x @ p["block0.attn.wv"] + p["block0.attn.bv"]
-        expected = h + v @ p["block0.attn.wo"] + p["block0.attn.bo"]
+        expected = h + _layer_norm(h) @ p["block0.attn.wv"] @ p["block0.attn.wo"]
         np.testing.assert_allclose(transformer_block(h, p, 0), expected, atol=1e-12)
 
 
@@ -237,6 +236,33 @@ class TestEncode:
         seq = tokenize_text("Mild left pleural effusion.")
         pooled = trunk_encode(seq, init_text_trunk(0))
         assert _project(pooled[None], init_head(0, TEXT)).shape == (1, EMBED_DIM)
+
+
+class TestTrunkOracle:
+    """The trunks drop the frozen layer-norm affine and biases; with them written out as ones and zeros,
+    the forward pass keeps every bit."""
+
+    def test_image_stacks_match_oracle_bitwise(self):
+        rng = np.random.default_rng(17)
+        for seed in (0, 3):
+            trunk = init_image_trunk(seed)
+            for shape in ((8, 8), (16, 32), (4, 32, 32), (3, 16, 16)):
+                pixels = rng.random(shape)
+                want = oracle_trunk_encode(trunk, DEPTH, HEADS, LN_EPSILON, pixels=pixels, patch_size=PATCH_SIZE)
+                assert trunk_encode(ImageSample(pixels), trunk).tobytes() == want.tobytes()
+
+    def test_text_stacks_match_oracle_bitwise(self):
+        rng = np.random.default_rng(18)
+        for seed in (0, 3):
+            trunk = init_text_trunk(seed)
+            for rows, length in ((1, 1), (1, 9), (4, 3), (4, MAX_SEQ_LEN), (2, 17)):
+                ids = rng.integers(0, VOCAB_SIZE, (rows, length))
+                seq = TokenSequence(tuple(tuple(int(i) for i in row) for row in ids))
+                want = oracle_trunk_encode(trunk, DEPTH, HEADS, LN_EPSILON, ids=ids)
+                assert trunk_encode(seq, trunk).tobytes() == want.tobytes()
+            single = TokenSequence((5, 9, 11))
+            want = oracle_trunk_encode(trunk, DEPTH, HEADS, LN_EPSILON, ids=[5, 9, 11])
+            assert trunk_encode(single, trunk).tobytes() == want.tobytes()
 
 
 class TestStacks:
@@ -340,12 +366,18 @@ class TestImagesIO:
             ("P2\n-2 -2\n255\n0 255 7 7\n", "must be integers >= 1, got -2 -2 255"),
             ("P2\n2 x\n255\n0 255 7 7\n", "must be integers >= 1, got 2 x 255"),
             ("P2\n2 2\n0\n0 0 0 0\n", "must be integers >= 1, got 2 2 0"),
+            ("P2\n2 2\n255\n0 255 1_0 7\n", "integers"),
+            ("P2\n2 2\n255\n0 255 99999999999999999999 7\n", "(integers|outside)"),
+            ("P2\n2 2\n255\n0 \xe9 0 0\n", "byte 0xe9 at offset 13 is not ASCII"),
         ],
-        ids=["above_maxval", "negative", "not_integer", "zero_size", "negative_size", "size_not_integer", "zero_maxval"],
+        ids=[
+            "above_maxval", "negative", "not_integer", "zero_size", "negative_size", "size_not_integer",
+            "zero_maxval", "digit_separator", "twenty_digits", "non_ascii",
+        ],
     )
     def test_pgm_pixel_values_checked(self, tmp_path, text, message):
         path = tmp_path / "img.pgm"
-        path.write_text(text)
+        path.write_bytes(text.encode("latin-1"))
         with pytest.raises(ValueError, match=f"^{re.escape(str(path))}: .*{message}"):
             read_pgm(path)
 
@@ -355,6 +387,45 @@ class TestImagesIO:
         commented.write_text("P2 # magic\n# whole-line comment\n3 2\n9#no space\n0 1 2 # row one\n3\t4 9\n")
         np.testing.assert_array_equal(read_pgm(commented).pixels, read_pgm(plain).pixels)
         np.testing.assert_array_equal(read_pgm(plain).pixels, np.array([[0, 1, 2], [3, 4, 9]]) / 9)
+
+    def test_pgm_decoder_matches_token_oracle(self, tmp_path):
+        """Random graymaps, and copies with one token or byte broken: ``read_pgm`` and the token-by-token
+        oracle read the same pixels, or both reject the file with an error that names it."""
+        rng = np.random.default_rng(19)
+        spaces = [" ", "  ", "\t", "\v", "\f", "\r\n", "\n", " \n# comment 7 7\n"]
+        breaks = ["", "x", "1.5", "-3", "+4", "0x1", "1e2", "99999999999999999999", "#", "P2", " 0", "\x00", "9,"]
+        texts = []
+        for k in range(240):
+            height, width = (int(n) for n in rng.integers(1, 7, 2))
+            maxval = (1, 255, 65535)[k % 3]
+            grid = rng.integers(0, maxval + 1, (height, width))
+            header = ["P2", str(width), str(height), str(maxval)]
+            tokens = header + [str(v) for v in grid.ravel()]
+            if k % 2:  # break one token: drop it, or append to or replace it
+                i = int(rng.integers(0, len(tokens)))
+                broken = str(rng.choice(breaks))
+                tokens[i] = (broken, tokens[i] + broken, "")[k % 3] if i else tokens[i] + broken
+            seps = [str(s) for s in rng.choice(spaces, len(tokens))]
+            text = "".join(token + sep for token, sep in zip(tokens, seps))
+            if k % 4 == 0:
+                text = "# made by hand\n" + text
+            texts.append(text.rstrip() if k % 5 == 0 else text)
+        outcomes = {"same pixels": 0, "both rejected": 0}
+        for k, text in enumerate(texts):
+            path = tmp_path / f"{k}.pgm"
+            path.write_bytes(text.encode("ascii"))
+            try:
+                want = oracle_read_pgm(path)
+            except ValueError as exc:
+                assert str(exc).startswith(f"{path}: ")
+                with pytest.raises(ValueError, match=f"^{re.escape(str(path))}: "):
+                    read_pgm(path)
+                outcomes["both rejected"] += 1
+                continue
+            got = read_pgm(path).pixels
+            assert got.tobytes() == want.tobytes() and got.shape == want.shape, text
+            outcomes["same pixels"] += 1
+        assert min(outcomes.values()) >= 60, outcomes
 
     def test_pgm_written_bytes_pinned(self, tmp_path):
         rng = np.random.default_rng(14)

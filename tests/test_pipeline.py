@@ -183,6 +183,17 @@ class TestStages:
         header = json.loads((small_world.out / "triplets.jsonl").read_text().splitlines()[0])
         assert header["seed"] == stage_seed(reseeded.seed, "mine")
 
+    def test_stages_called_directly_use_the_seeds_they_record(self, small_world, tmp_path):
+        """Each stage function derives its own stage seeds and makes the output dir, as run_pipeline does."""
+        for stage in ("extract", "mine", "train"):
+            getattr(pipeline, f"stage_{stage}")(small_world)
+        header = json.loads((small_world.out / "triplets.jsonl").read_text().splitlines()[0])
+        manifest = json.loads((small_world.out / "triplets.jsonl.manifest.json").read_text())
+        assert header["seed"] == manifest["config"]["seed"] == stage_seed(small_world.seed, "mine")
+        piped = run_pipeline(replace(small_world, out=tmp_path / "piped"), stages=("extract", "mine", "train"))
+        for name in ("triplets.jsonl", "heads.ckpt", "loss_curve.jsonl"):
+            assert (small_world.out / name).read_bytes() == (piped["train"].parent / name).read_bytes(), name
+
     def test_rerun_skips(self, small_world, caplog):
         run_pipeline(small_world, stages=("extract", "mine"))
         with caplog.at_level("INFO"):
