@@ -12,7 +12,6 @@ import json
 import logging
 import sys
 import traceback
-from dataclasses import replace
 from pathlib import Path
 
 from .alignment import DegenerateEmbeddingError
@@ -21,6 +20,7 @@ from .evaluation import MATCH_MODES
 from .extraction import MetaEntities
 from .ontology import OntologyError, default_ontology, load_ontology, save_ontology, serialize_ontology
 from .pipeline import (
+    SETTINGS,
     STAGES,
     PipelineError,
     RunConfig,
@@ -30,6 +30,7 @@ from .pipeline import (
     load_heads,
     run_pipeline,
     stage_seed,
+    with_settings,
 )
 from .scoring import DEFAULT_SEMANTICS, SEMANTICS, GammaWeights, score
 from .synthetic import SyntheticSpec, synthesize
@@ -59,10 +60,10 @@ def _add_common(parser: argparse.ArgumentParser) -> None:
 
 def _build_config(args: argparse.Namespace) -> RunConfig:
     cfg = config_from_file(args.config) if args.config else RunConfig()
-    # A command-line value overrides the config file's.
-    for name in ("seed", "out", "ontology", "corpus", "eval_corpus"):
-        if getattr(args, name, None) is not None:
-            cfg = replace(cfg, **{name: getattr(args, name)})
+    # A command-line value overrides the config file's; only ``mine`` has [miner] flags.
+    for section in ("run", "miner"):
+        values = {key: value for key in SETTINGS[section] if (value := getattr(args, key, None)) is not None}
+        cfg = with_settings(cfg, section, values)
     return cfg
 
 
@@ -106,9 +107,6 @@ def _cmd_score(args: argparse.Namespace) -> int:
 def _cmd_stages(args: argparse.Namespace) -> int:
     """``extract``, ``mine``, ``train`` and ``run``: the named stages through ``run_pipeline``."""
     cfg = _build_config(args)
-    keys = ("batch_size", "target", "tau_min", "tau_max")
-    overrides = {key: value for key in keys if (value := getattr(args, key, None)) is not None}
-    cfg = replace(cfg, mining=replace(cfg.mining, **overrides))
     stages = tuple(args.stages or STAGES) if args.command == "run" else (args.command,)
     for stage, path in run_pipeline(cfg, stages=stages, force=args.force).items():
         print(f"{stage}: {path}")

@@ -7,7 +7,7 @@ for the other line-delimited artifacts (triplets, loss curve, truth).
 ``atomic_write`` writes each run-dir artifact and manifest whole or not
 at all, so a crash mid-write leaves the previous file in place.
 
-corpus/v1 record:   {"id": ..., "text": ..., "image": path-or-null}
+corpus/v1 record:   {"id": string, "text": string, "image": path string or null}
 entities/v1 record: {"id": ..., "entries": [{"disease", "adj", "dir"}]}
 """
 
@@ -100,7 +100,7 @@ def write_jsonl(path: str | Path, records: Iterable[dict]) -> None:
 
 
 def ingest(path: str | Path, require_images: bool = False) -> list[CorpusRecord]:
-    """Load and validate a corpus file; records in file order, ids unique."""
+    """Load and validate a corpus file; records in file order, ids unique, fields of the schema's types."""
     path = Path(path)
     records: list[CorpusRecord] = []
     seen: set[str] = set()
@@ -108,13 +108,17 @@ def ingest(path: str | Path, require_images: bool = False) -> list[CorpusRecord]
         for field_name in ("id", "text"):
             if field_name not in rec:
                 raise DataError(f"{path}:{lineno}: record missing {field_name!r} field")
-        sample_id = str(rec["id"])
+            if not isinstance(rec[field_name], str):
+                raise DataError(f"{path}:{lineno}: {field_name!r} must be a string, got {rec[field_name]!r}")
+        sample_id = rec["id"]
         if sample_id in seen:
             raise DataError(f"{path}:{lineno}: duplicate id {sample_id!r}")
         seen.add(sample_id)
-        if not str(rec["text"]).strip():
+        if not rec["text"].strip():
             raise DataError(f"{path}:{lineno}: empty text for id {sample_id!r}")
         image = rec.get("image")
+        if not (image is None or isinstance(image, str)):
+            raise DataError(f"{path}:{lineno}: 'image' must be a string or null, got {image!r}")
         # A relative image path is relative to the corpus file; joining keeps an absolute one as is.
         image_path = None if image is None else path.parent / image
         if require_images:
@@ -122,7 +126,7 @@ def ingest(path: str | Path, require_images: bool = False) -> list[CorpusRecord]
                 raise DataError(f"{path}:{lineno}: id {sample_id!r} has no image")
             if not image_path.exists():
                 raise DataError(f"{path}:{lineno}: missing image for id {sample_id!r}: {image_path}")
-        records.append(CorpusRecord(sample_id, str(rec["text"]), image_path))
+        records.append(CorpusRecord(sample_id, rec["text"], image_path))
     return records
 
 

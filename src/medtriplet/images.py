@@ -2,8 +2,8 @@
 
 ``.pgm`` files must be plain (P2) graymaps; intensities are divided by
 the declared maxval so pixels land in [0, 1]. ``.npy`` files hold the
-row-major float grid directly and are clipped to [0, 1] on load; a NaN
-or infinite pixel is an error.
+row-major grid directly, of a bool, integer or float dtype, and are
+clipped to [0, 1] on load; a NaN or infinite pixel is an error.
 """
 
 from __future__ import annotations
@@ -66,7 +66,13 @@ def load_image(path: str | Path) -> ImageSample:
     if path.suffix == ".pgm":
         return read_pgm(path)
     if path.suffix == ".npy":
-        grid = np.load(path, allow_pickle=False)
+        try:
+            with open(path, "rb") as fh:  # read_array, unlike np.load, takes no .npz archive or pickle
+                grid = np.lib.format.read_array(fh, allow_pickle=False)
+        except ValueError as exc:
+            raise ValueError(f"{path}: {exc}") from None
+        if grid.dtype.kind not in "biuf":
+            raise ValueError(f"{path}: pixel dtype {grid.dtype} is not bool, integer or float")
         if grid.ndim != 2:
             raise ValueError(f"{path}: expected a 2-D grid, got shape {grid.shape}")
         grid = grid.astype(np.float64)

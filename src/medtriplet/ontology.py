@@ -22,7 +22,9 @@ File format (UTF-8, human-editable)::
 
 Synset sections take ``canonical = [variant, ...]`` entries; splitter and
 deleter sections take one bare token per line. Section order is free;
-missing sections mean empty categories.
+missing sections mean empty categories. Within a section, a variant (or
+canonical) may be listed under one canonical only, so each resolves to
+one label.
 """
 
 from __future__ import annotations
@@ -81,14 +83,17 @@ def _lemma_phrase(raw: str, where: str) -> str:
 
 
 def _build_synsets(entries: list[tuple[str, list[str]]], section: str) -> tuple[Synset, ...]:
+    """A section's synsets, sorted by canonical; a variant (a canonical among them) may belong to one only."""
     synsets: dict[str, set[str]] = {}
+    owner: dict[str, str] = {}  # variant -> the canonical listing it
     for canonical_raw, variants_raw in entries:
         canonical = _lemma_phrase(canonical_raw, section)
         if canonical in synsets:
             raise OntologyError(f"duplicate canonical {canonical!r} in [{section}]")
-        variants = {canonical}
-        for v in variants_raw:
-            variants.add(_lemma_phrase(v, f"[{section}] {canonical}"))
+        variants = {canonical, *(_lemma_phrase(v, f"[{section}] {canonical}") for v in variants_raw)}
+        for v in sorted(variants):
+            if owner.setdefault(v, canonical) != canonical:
+                raise OntologyError(f"variant {v!r} listed under both {owner[v]!r} and {canonical!r} in [{section}]")
         synsets[canonical] = variants
     return tuple(
         Synset(canonical, frozenset(variants))

@@ -25,7 +25,7 @@ import json
 import logging
 import os
 from contextlib import contextmanager
-from dataclasses import asdict, dataclass, field, replace
+from dataclasses import asdict, astuple, dataclass, field, replace
 from pathlib import Path
 from typing import Callable
 
@@ -120,31 +120,24 @@ def read_sectioned_config(path: str | Path) -> dict[str, dict[str, str]]:
     return sections
 
 
-def _parse(section: str, key: str, raw: str, kind: type):
-    """One config value as ``kind``; a value that is not one names its section and key."""
+def _parse(section: str, key: str, raw, kind: type):
+    """One setting's value as ``kind``; a value that is not one names its section and key."""
     try:
         return kind(raw)
     except ValueError:
         raise PipelineError(f"[{section}] {key} = {raw!r} is not a valid {kind.__name__}") from None
 
 
-def _coerce(dataclass_obj, name: str, section: dict[str, str], keys: tuple[str, ...]):
-    """Overlay string values of the ``keys`` that config section ``name`` may set onto a dataclass."""
-    if "seed" in section:
-        raise PipelineError(f"[{name}] seed is not read; every stage seed derives from [run] seed")
-    _reject_unknown(f"config key in [{name}]", section, keys)
-    updates = {key: _parse(name, key, raw, type(getattr(dataclass_obj, key))) for key, raw in section.items()}
-    return replace(dataclass_obj, **updates)
-
-
-_RUN_KEYS = ("out", "seed", "ontology", "corpus", "eval_corpus")
-_SCORING_KEYS = ("gamma0", "gamma1", "gamma2", "semantics")
-# Sections overlaid onto a RunConfig dataclass field: section name -> (field name, the keys a file may set).
-_DATACLASS_SECTIONS = {
-    "miner": ("mining", ("batch_size", "target", "pass_limit", "tau_min", "tau_max")),
-    "loss": ("loss", ("alpha", "eta", "sign_mode")),
-    "optimizer": ("optimizer", ("learning_rate", "epochs", "batch_size")),
+# Every key a run may set, by config section, with the type its value parses to.
+SETTINGS: dict[str, dict[str, type]] = {
+    "run": {"out": Path, "seed": int, "ontology": Path, "corpus": Path, "eval_corpus": Path},
+    "scoring": {"gamma0": float, "gamma1": float, "gamma2": float, "semantics": str},
+    "miner": {"batch_size": int, "target": int, "pass_limit": int, "tau_min": float, "tau_max": float},
+    "loss": {"alpha": float, "eta": float, "sign_mode": str},
+    "optimizer": {"learning_rate": float, "epochs": int, "batch_size": int},
 }
+# The RunConfig field a stage section sets; [run] sets RunConfig's own fields, [scoring] those of its mining.
+_SECTION_FIELD = {"miner": "mining", "loss": "loss", "optimizer": "optimizer"}
 
 
 def _reject_unknown(what: str, names, allowed) -> None:
@@ -153,32 +146,36 @@ def _reject_unknown(what: str, names, allowed) -> None:
         raise PipelineError(f"unknown {what} {unknown[0]!r}; expected one of: {', '.join(allowed)}")
 
 
+def with_settings(cfg: RunConfig, section: str, values: dict) -> RunConfig:
+    """``cfg`` with one ``SETTINGS`` section's ``values`` applied.
+
+    A value is a config file's string or already of its key's type. The
+    three gamma weights build one ``GammaWeights``, so its sum-to-one check
+    sees them together.
+    """
+    if section in _SECTION_FIELD and "seed" in values:
+        raise PipelineError(f"[{section}] seed is not read; every stage seed derives from [run] seed")
+    kinds = SETTINGS[section]
+    _reject_unknown(f"config key in [{section}]", values, kinds)
+    updates = {key: _parse(section, key, raw, kinds[key]) for key, raw in values.items()}
+    if section == "run":
+        return replace(cfg, **updates)
+    if section == "scoring":
+        m = cfg.mining
+        gammas = GammaWeights(*(updates.get(f"gamma{i}", g) for i, g in enumerate(astuple(m.gammas))))
+        return replace(cfg, mining=replace(m, gammas=gammas, semantics=updates.get("semantics", m.semantics)))
+    name = _SECTION_FIELD[section]
+    return replace(cfg, **{name: replace(getattr(cfg, name), **updates)})
+
+
 def config_from_file(path: str | Path) -> RunConfig:
     """Parse and validate a run config file; every error it raises names the file."""
     sections = read_sectioned_config(path)
     try:
-        _reject_unknown("config section", sections, ("run", "scoring", *_DATACLASS_SECTIONS))
-        run = sections.get("run", {})
-        _reject_unknown("config key in [run]", run, _RUN_KEYS)
-        cfg = RunConfig(
-            out=Path(run.get("out", "run")),
-            seed=_parse("run", "seed", run.get("seed", "0"), int),
-            ontology=Path(run["ontology"]) if "ontology" in run else None,
-            corpus=Path(run["corpus"]) if "corpus" in run else None,
-            eval_corpus=Path(run["eval_corpus"]) if "eval_corpus" in run else None,
-        )
-        scoring = sections.get("scoring", {})
-        _reject_unknown("config key in [scoring]", scoring, _SCORING_KEYS)
-        if scoring:
-            m = cfg.mining
-            gammas = GammaWeights(*(
-                _parse("scoring", key, scoring[key], float) if key in scoring else default
-                for key, default in (("gamma0", m.gammas.g0), ("gamma1", m.gammas.g1), ("gamma2", m.gammas.g2))
-            ))
-            cfg = replace(cfg, mining=replace(m, gammas=gammas, semantics=scoring.get("semantics", m.semantics)))
-        for section, (name, keys) in _DATACLASS_SECTIONS.items():
-            if section in sections:
-                cfg = replace(cfg, **{name: _coerce(getattr(cfg, name), section, sections[section], keys)})
+        _reject_unknown("config section", sections, SETTINGS)
+        cfg = RunConfig()
+        for section in SETTINGS:
+            cfg = with_settings(cfg, section, sections.get(section, {}))
     except (PipelineError, ValueError) as exc:
         raise PipelineError(f"{path}: {exc}") from None
     return cfg
@@ -494,11 +491,13 @@ def _eval_records(
     cfg: RunConfig, eval_corpus_path: Path, records: list[CorpusRecord] | None = None
 ) -> tuple[list[CorpusRecord], list[MetaEntities], Ontology]:
     """The eval corpus's records sorted by id, their extracted entities, and the ontology; ``records``,
-    if given, are the corpus's records as already ingested."""
+    if given, are the corpus's records as already ingested. A query needs another record to retrieve,
+    so the corpus must hold 2 or more."""
     ont = cfg.load_ontology()
     records = sorted(ingest(eval_corpus_path, require_images=True) if records is None else records, key=lambda r: r.id)
-    if not records:
-        raise PipelineError(f"eval corpus {eval_corpus_path} holds no records")
+    if len(records) < 2:
+        held = "holds no records" if not records else "holds 1 record"
+        raise PipelineError(f"eval corpus {eval_corpus_path} {held}; evaluation needs 2 or more")
     return records, [extract(rec.report(), ont) for rec in records], ont
 
 
@@ -518,9 +517,9 @@ def evaluate_retrieval_tasks(
     records, ents, _ = _eval_records(cfg, eval_corpus_path, records)
     z_img, z_txt = FrozenTrunks(cfg.seed).encode_records(records)
     images, texts = _project(z_img, heads[IMAGE]), _project(z_txt, heads[TEXT])
-    r_values = [r for r in R_VALUES if r <= max(1, len(records) - 1)] or [1]
+    r_values = [r for r in R_VALUES if r < len(records)]
     return {
-        "r_values": list(r_values),
+        "r_values": r_values,
         "match_mode": match_mode,
         "tasks": {
             "i2i": retrieval_report(images, images, ents, r_values, match_mode),

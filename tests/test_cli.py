@@ -29,6 +29,12 @@ class TestExitCodes:
         missing = tmp_path / "nope.jsonl"
         assert main(["extract", "--corpus", str(missing), "--out", str(tmp_path)]) == EXIT_DATA
 
+    def test_non_string_corpus_field_is_data_error(self, tmp_path, capsys):
+        corpus = tmp_path / "c.jsonl"
+        corpus.write_text('{"schema": "corpus/v1"}\n{"id": "a", "text": "Edema.", "image": 5}\n')
+        assert main(["extract", "--corpus", str(corpus), "--out", str(tmp_path / "run")]) == EXIT_DATA
+        assert f"error: {corpus}:2: 'image' must be a string or null, got 5" in capsys.readouterr().err
+
     def test_config_typo_is_data_error(self, tmp_path, capsys):
         cfg = tmp_path / "run.cfg"
         cfg.write_text("[run]\neval_corpos = e.jsonl\n")

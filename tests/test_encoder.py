@@ -454,6 +454,45 @@ class TestImagesIO:
         with pytest.raises(ValueError, match=f"^{re.escape(str(path))}: pixel values must be finite$"):
             load_image(path)
 
+    @pytest.mark.parametrize(
+        "cut, message",
+        [(40, "EOF: reading array header"), (140, "Failed to read all data"), (0, "EOF: reading magic string")],
+        ids=["header", "body", "empty"],
+    )
+    def test_truncated_npy_names_file(self, tmp_path, cut, message):
+        path = tmp_path / "img.npy"
+        np.save(path, np.zeros((8, 8)))
+        path.write_bytes(path.read_bytes()[:cut])
+        with pytest.raises(ValueError, match=f"^{re.escape(str(path))}: {message}"):
+            load_image(path)
+
+    def test_npz_archive_named_npy_names_file(self, tmp_path):
+        path = tmp_path / "img.npy"
+        with open(path, "wb") as fh:
+            np.savez(fh, pixels=np.zeros((8, 8)))
+        with pytest.raises(ValueError, match=f"^{re.escape(str(path))}: the magic string is not correct"):
+            load_image(path)
+
+    @pytest.mark.parametrize(
+        "grid", [np.full((8, 8), "a"), np.full((8, 8), 0.5 + 0.5j), np.zeros((8, 8), dtype="datetime64[s]")],
+        ids=["string", "complex", "datetime"],
+    )
+    def test_npy_non_numeric_dtype_names_file(self, tmp_path, grid):
+        path = tmp_path / "img.npy"
+        np.save(path, grid)
+        message = f"{path}: pixel dtype {grid.dtype} is not bool, integer or float"
+        with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+            load_image(path)
+
+    @pytest.mark.parametrize("dtype", [bool, np.uint8, np.int32, np.float32])
+    def test_npy_numeric_dtypes_load_as_float(self, tmp_path, dtype):
+        grid = np.eye(8, dtype=dtype)
+        path = tmp_path / "img.npy"
+        np.save(path, grid)
+        pixels = load_image(path).pixels
+        assert pixels.dtype == np.float64
+        np.testing.assert_array_equal(pixels, np.eye(8))
+
     def test_unknown_extension(self, tmp_path):
         path = tmp_path / "img.jpeg"
         path.write_bytes(b"xx")

@@ -1,5 +1,7 @@
 """Ontology loading, validation, defaults, and round-tripping."""
 
+import re
+
 import pytest
 
 from medtriplet import ontology as ontology_module
@@ -33,6 +35,37 @@ class TestParsing:
         text = "[diseases]\nedema = [edema]\nedemas = [edemas]\n"
         with pytest.raises(OntologyError, match="edema"):
             parse_ontology(text)
+
+    @pytest.mark.parametrize(
+        "text, message",
+        [
+            (
+                "[adjectives]\nmild = [mild]\nsevere = [mild]\n",
+                "variant 'mild' listed under both 'mild' and 'severe' in [adjectives]",
+            ),
+            (
+                "[diseases]\npleural effusion = [effusion]\npericardial effusion = [effusion]\n",
+                "variant 'effusion' listed under both 'pleural effusion' and 'pericardial effusion' in [diseases]",
+            ),
+            # the same variant after lemmatization, one of them a canonical
+            (
+                "[diseases]\nedema = [oedemas]\noedema = [fluid]\n",
+                "variant 'oedema' listed under both 'edema' and 'oedema' in [diseases]",
+            ),
+        ],
+        ids=["adjective", "disease", "canonical"],
+    )
+    def test_variant_under_two_canonicals_named(self, text, message):
+        with pytest.raises(OntologyError, match=re.escape(message)):
+            parse_ontology(text)
+
+    def test_variant_repeated_in_one_synset_is_one_variant(self):
+        (synset,) = parse_ontology("[diseases]\nedema = [edema, oedema, oedema]\n").diseases
+        assert synset.variants == {"edema", "oedema"}
+
+    def test_variant_may_recur_across_sections(self):
+        ont = parse_ontology("[adjectives]\nleft = [left]\n[directions]\nleft = [left]\n")
+        assert ont.adjectives[0].variants == ont.directions[0].variants == {"left"}
 
     def test_unknown_section(self):
         with pytest.raises(OntologyError, match="unknown section"):

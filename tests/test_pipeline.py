@@ -2,6 +2,8 @@
 
 import json
 import os
+import re
+import signal
 import subprocess
 import sys
 from dataclasses import replace
@@ -11,6 +13,7 @@ import numpy as np
 import pytest
 
 from medtriplet import pipeline
+from medtriplet.alignment import OptimizerConfig
 from medtriplet.checkpoint import load_checkpoint, save_checkpoint
 from medtriplet.corpus import CorpusRecord, DataError, ingest, read_entities, write_corpus, write_jsonl
 from medtriplet.encoder import EMBED_DIM, IMAGE, TEXT, init_head
@@ -30,7 +33,9 @@ from medtriplet.pipeline import (
     sha256_file,
     stage_seed,
     with_seed_defaults,
+    with_settings,
 )
+from medtriplet.scoring import GammaWeights
 from medtriplet.synthetic import SyntheticSpec, synthesize
 
 
@@ -106,6 +111,26 @@ class TestIngest:
         path = tmp_path / "c.jsonl"
         write_corpus(path, [CorpusRecord("b", "Edema."), CorpusRecord("a", "Effusion.")])
         assert ingest(path) == [CorpusRecord("b", "Edema."), CorpusRecord("a", "Effusion.")]
+
+    @pytest.mark.parametrize(
+        "record, message",
+        [
+            ('{"id": "a", "text": "x", "image": 5}', "'image' must be a string or null, got 5"),
+            ('{"id": "a", "text": "x", "image": ["i.pgm"]}', "'image' must be a string or null, got ['i.pgm']"),
+            ('{"id": "a", "text": ["Mild left edema."]}', "'text' must be a string, got ['Mild left edema.']"),
+            ('{"id": "a", "text": null}', "'text' must be a string, got None"),
+            ('{"id": {"a": 1}, "text": "x"}', "'id' must be a string, got {'a': 1}"),
+            ('{"id": 7, "text": "x"}', "'id' must be a string, got 7"),
+            ('{"id": true, "text": "x"}', "'id' must be a string, got True"),
+        ],
+        ids=["image_number", "image_array", "text_array", "text_null", "id_object", "id_number", "id_boolean"],
+    )
+    def test_non_string_field_names_file_line_and_field(self, tmp_path, record, message):
+        path = tmp_path / "c.jsonl"
+        path.write_text('{"schema": "corpus/v1"}\n{"id": "ok", "text": "Edema."}\n' + record + "\n")
+        with pytest.raises(DataError) as info:
+            ingest(path)
+        assert str(info.value) == f"{path}:3: {message}"
 
     def test_malformed_entity_record_names_file_and_line(self, tmp_path):
         path = tmp_path / "entities.jsonl"
@@ -315,6 +340,24 @@ class TestStages:
         with pytest.raises(PipelineError, match="holds no records"):
             run_pipeline(replace(small_world, eval_corpus=empty), stages=("eval",))
 
+    def test_one_record_eval_corpus_named(self, small_world, tmp_path):
+        # One record leaves each query nothing to retrieve; its P@R would be NaN, which JSON cannot hold.
+        single = tmp_path / "single.jsonl"
+        write_corpus(single, ingest(small_world.eval_corpus)[:1])
+        run_pipeline(small_world, stages=("extract", "mine", "train"))
+        with pytest.raises(PipelineError, match=f"eval corpus {single} holds 1 record; evaluation needs 2 or more"):
+            run_pipeline(replace(small_world, eval_corpus=single), stages=("eval",))
+        assert not (small_world.out / "eval_retrieval.json").exists()
+
+    def test_two_record_eval_corpus_ranks_at_one(self, small_world, tmp_path):
+        pair = tmp_path / "pair.jsonl"
+        write_corpus(pair, ingest(small_world.eval_corpus)[:2])
+        run_pipeline(replace(small_world, eval_corpus=pair))
+        report = json.loads((small_world.out / "eval_retrieval.json").read_text())
+        assert report["r_values"] == [1]
+        values = [p for task in report["tasks"].values() for kind in task.values() for p in kind.values()]
+        assert len(values) == 12 and all(0.0 <= p <= 100.0 for p in values)  # NaN fails the comparison
+
     def test_ontology_edit_reruns_eval(self, small_world, tmp_path, caplog):
         ontology = tmp_path / "ontology.txt"
         save_ontology(default_ontology(), ontology)
@@ -424,6 +467,59 @@ class TestLockAndSeeds:
         assert len(seeds) == 5
 
 
+# Runs the pipeline of the config file named by argv[1], and SIGKILLs itself as soon as
+# heads.ckpt is in place: after train's build, before train writes its manifest.
+KILL_AFTER_CHECKPOINT = """
+import os, signal, sys
+from medtriplet import pipeline
+
+save = pipeline.save_checkpoint
+
+def save_then_die(*args, **kwargs):
+    save(*args, **kwargs)
+    os.kill(os.getpid(), signal.SIGKILL)
+
+pipeline.save_checkpoint = save_then_die
+pipeline.run_pipeline(pipeline.config_from_file(sys.argv[1]))
+"""
+
+
+@pytest.mark.skipif(os.name != "posix", reason="SIGKILL and the lock's pid check are POSIX")
+class TestKilledRun:
+    def test_killed_run_is_rebuilt(self, small_world, tmp_path, caplog):
+        cfg, m = small_world, small_world.mining
+        cfg_file = tmp_path / "run.cfg"
+        cfg_file.write_text(
+            f"[run]\nseed = {cfg.seed}\nout = {cfg.out}\ncorpus = {cfg.corpus}\neval_corpus = {cfg.eval_corpus}\n"
+            f"[miner]\nbatch_size = {m.batch_size}\ntarget = {m.target}\npass_limit = {m.pass_limit}\n"
+        )
+        assert config_from_file(cfg_file) == cfg
+        env = {**os.environ, "PYTHONPATH": str(Path(pipeline.__file__).parents[1])}
+        child = subprocess.Popen(
+            [sys.executable, "-c", KILL_AFTER_CHECKPOINT, str(cfg_file)], env=env, stderr=subprocess.PIPE, text=True
+        )
+        _, stderr = child.communicate(timeout=120)
+        assert child.returncode == -signal.SIGKILL, stderr
+        assert (cfg.out / "heads.ckpt").exists() and not (cfg.out / "heads.ckpt.manifest.json").exists()
+
+        lock = cfg.out / ".lock"
+        stale = f"stale: pid {child.pid} is not running (remove {lock} to go on)"
+        with pytest.raises(PipelineError, match=re.escape(stale)):
+            run_pipeline(cfg)
+        lock.unlink()
+        with caplog.at_level("INFO"):
+            run_pipeline(cfg)
+        skipped = [r.message for r in caplog.records if "skipping" in r.message]
+        assert skipped == ["extract: up to date, skipping", "mine: up to date, skipping"]
+
+        clean = replace(cfg, out=tmp_path / "clean")
+        run_pipeline(clean)
+        names = sorted(str(path.relative_to(clean.out)) for path in clean.out.rglob("*"))
+        assert sorted(str(path.relative_to(cfg.out)) for path in cfg.out.rglob("*")) == names
+        for name in names:
+            assert (cfg.out / name).read_bytes() == (clean.out / name).read_bytes(), name
+
+
 class TestConfigFile:
     def test_round_trip_values(self, tmp_path):
         path = tmp_path / "run.cfg"
@@ -521,6 +617,18 @@ class TestConfigFile:
             path.write_text(f"[{section}]\n{key} = {value}\n")
             config_from_file(path)  # raises if the pair is not settable
         assert len(settable) == 20
+
+    def test_with_settings_takes_strings_or_typed_values(self):
+        from_text = with_settings(RunConfig(), "miner", {"batch_size": "32", "tau_min": "0.3"})
+        assert from_text == with_settings(RunConfig(), "miner", {"batch_size": 32, "tau_min": 0.3})
+        assert from_text.mining.batch_size == 32 and from_text.optimizer.batch_size == OptimizerConfig.batch_size
+        assert with_settings(RunConfig(), "run", {"out": "r", "seed": "4"}) == RunConfig(out=Path("r"), seed=4)
+
+    def test_gamma_weights_checked_together(self):
+        cfg = with_settings(RunConfig(), "scoring", {"gamma0": "0.5", "gamma1": "0.3", "gamma2": "0.2"})
+        assert cfg.mining.gammas == GammaWeights(0.5, 0.3, 0.2)
+        with pytest.raises(ValueError, match="gamma weights must sum to 1"):
+            with_settings(RunConfig(), "scoring", {"gamma0": "0.5"})
 
     @pytest.mark.parametrize("section", ["miner", "optimizer"])
     def test_stage_seed_keys_rejected(self, tmp_path, section):
