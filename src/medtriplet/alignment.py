@@ -16,6 +16,12 @@ This is the package's one implementation of the objective; the test
 suite checks it against a scalar, one-triplet-at-a-time transcription
 and central finite differences of it (``tests/oracles.py``).
 
+Each term builds and adds gradient rows only for its active hinges
+(argument above 0); the two head products still run over all rows. The
+bits equal the dense oracle's, which adds every row: an inactive row
+adds ±0.0 to a buffer that starts at +0.0 and never holds -0.0, since
+x + (-x) rounds to +0.0, so no entry changes.
+
 ``sign_mode`` selects the hinge orientation. The default ``corrected``
 form max(0, cos(A,N) - cos(A,P) + alpha) decreases when the anchor moves
 toward the positive; the ``as-printed`` form swaps the two cosines and
@@ -114,11 +120,14 @@ def head_gradients(
         z = sign * (cos_an - cos_ap) + cfg.alpha
         active = z > 0.0  # subgradient 0 at the kink and in the flat region
         terms[name] = float(np.where(active, z, 0.0).mean())
+        # Only active rows get gradient work; see the module docstring for why the bits hold.
+        rows = np.flatnonzero(active)
+        a, p, n, cos_ap, cos_an = a[rows], p[rows], n[rows], cos_ap[rows], cos_an[rows]
+        coef = weight * sign
         # d cos(u, v) / du = (v_hat - cos * u_hat) / |u|; the 1/|u| is applied below
-        coef = np.where(active, weight * sign, 0.0)
-        grad_unit[ma, :, 0] += coef * ((n - cos_an * a) - (p - cos_ap * a))
-        grad_unit[mo, :, 1] -= coef * (a - cos_ap * p)
-        grad_unit[mo, :, 2] += coef * (a - cos_an * n)
+        grad_unit[ma, rows, 0] += coef * ((n - cos_an * a) - (p - cos_ap * a))
+        grad_unit[mo, rows, 1] -= coef * (a - cos_ap * p)
+        grad_unit[mo, rows, 2] += coef * (a - cos_an * n)
     grad_emb = grad_unit / norms
     b, c = zi.shape[0], zi.shape[-1]
     grads = {

@@ -54,8 +54,14 @@ def read_pgm(path: str | Path) -> ImageSample:
 
 
 def write_pgm(path: str | Path, pixels: np.ndarray) -> None:
-    """Quantize a [0, 1] grid to integers in [0, MAXVAL] and write a plain graymap."""
-    grid = np.clip(np.rint(np.asarray(pixels, dtype=np.float64) * MAXVAL), 0, MAXVAL).astype(int)
+    """Quantize a [0, 1] grid to integers in [0, MAXVAL] and write a plain graymap;
+    a grid that is not 2-D or not finite is an error, and nothing is written."""
+    grid = np.asarray(pixels, dtype=np.float64)
+    if grid.ndim != 2:
+        raise ValueError(f"{path}: expected a 2-D grid, got shape {grid.shape}")
+    if not np.isfinite(grid).all():
+        raise ValueError(f"{path}: pixel values must be finite")
+    grid = np.clip(np.rint(grid * MAXVAL), 0, MAXVAL).astype(int)
     height, width = grid.shape
     template = "\n".join(["P2", f"{width} {height}", str(MAXVAL), *[" ".join(["%d"] * width)] * height]) + "\n"
     Path(path).write_text(template % tuple(grid.ravel().tolist()), encoding="ascii")

@@ -113,7 +113,8 @@ def _build_tokens(entries: list[str], section: str) -> frozenset[str]:
 
 def parse_ontology(text: str, source: str = "<string>") -> Ontology:
     """Parse the sectioned text format, then lemmatize, validate and freeze
-    the five categories; parse errors carry line numbers."""
+    the five categories; every error names ``source``, parse errors with a
+    line number too."""
     entries: dict[str, list] = {s: [] for s in SECTIONS}
     section: str | None = None
     for lineno, raw_line in enumerate(text.splitlines(), start=1):
@@ -141,16 +142,19 @@ def parse_ontology(text: str, source: str = "<string>") -> Ontology:
             if "=" in line:
                 raise OntologyError(f"{source}:{lineno}: [{section}] takes bare tokens")
             entries[section].append(line)
-    ont = Ontology(
-        diseases=_build_synsets(entries["diseases"], "diseases"),
-        adjectives=_build_synsets(entries["adjectives"], "adjectives"),
-        directions=_build_synsets(entries["directions"], "directions"),
-        splitters=_build_tokens(entries["splitters"], "splitters"),
-        deleters=_build_tokens(entries["deleters"], "deleters"),
-    )
-    clash = ont.splitters & ont.deleters
-    if clash:
-        raise OntologyError(f"token in both [splitters] and [deleters]: {sorted(clash)[0]!r}")
+    try:
+        ont = Ontology(
+            diseases=_build_synsets(entries["diseases"], "diseases"),
+            adjectives=_build_synsets(entries["adjectives"], "adjectives"),
+            directions=_build_synsets(entries["directions"], "directions"),
+            splitters=_build_tokens(entries["splitters"], "splitters"),
+            deleters=_build_tokens(entries["deleters"], "deleters"),
+        )
+        clash = ont.splitters & ont.deleters
+        if clash:
+            raise OntologyError(f"token in both [splitters] and [deleters]: {sorted(clash)[0]!r}")
+    except OntologyError as exc:  # raised after parsing, so without a line number
+        raise OntologyError(f"{source}: {exc}") from None
     return ont
 
 

@@ -9,9 +9,12 @@ pairwise wins instead of ranking. The GELU oracle is the scalar tanh
 formula on Python floats and ``math.tanh``. The loss oracle takes one
 triplet at a time through four scalar hinges and shares no code with
 medtriplet.alignment; the finite-difference check is built on it. The
-graymap oracle is the token-by-token P2 parse, one Python string per
-pixel. The trunk oracle runs the frozen forward pass with the layer-norm
-affine and every bias written out as ones and zeros.
+dense head-gradient oracle is the batched gradient with every row's
+hinge coefficient, zero or not, accumulated: the bits the active-row
+gradient must reproduce. The graymap oracle is the token-by-token P2
+parse, one Python string per pixel. The trunk oracle runs the frozen
+forward pass with the layer-norm affine and every bias written out as
+ones and zeros.
 
 This module imports nothing from medtriplet: the tests convert its plain
 entity encoding with ``conftest.entities``.
@@ -97,6 +100,38 @@ def oracle_mean_loss(zi: np.ndarray, zt: np.ndarray, wi: np.ndarray, wt: np.ndar
     for zi_row, zt_row in zip(zi, zt):
         total += oracle_loss([wi @ z for z in zi_row], [wt @ z for z in zt_row], cfg)[0]
     return total / len(zi)
+
+
+def oracle_head_gradients(zi: np.ndarray, zt: np.ndarray, wi: np.ndarray, wt: np.ndarray, cfg):
+    """Mean loss, mean terms and (image, text) head gradients of (B, 3, c)
+    trunk blocks, each term's gradient built and accumulated for every row,
+    an inactive row's with a zero coefficient."""
+    emb = np.stack([zi @ wi.T, zt @ wt.T])
+    norms = np.linalg.norm(emb, axis=-1, keepdims=True)
+    unit = emb / norms
+    sign = 1.0 if cfg.sign_mode == "corrected" else -1.0
+    grad_unit = np.zeros_like(emb)
+    terms = {}
+    for name, (ma, mo) in zip(("i2t", "t2i", "i2i", "t2t"), ((0, 1), (1, 0), (0, 0), (1, 1))):
+        weight = cfg.eta if ma != mo else 1.0 - cfg.eta
+        a, p, n = unit[ma, :, 0], unit[mo, :, 1], unit[mo, :, 2]
+        cos_ap = np.einsum("bc,bc->b", a, p)[:, None]
+        cos_an = np.einsum("bc,bc->b", a, n)[:, None]
+        z = sign * (cos_an - cos_ap) + cfg.alpha
+        active = z > 0.0
+        terms[name] = float(np.where(active, z, 0.0).mean())
+        coef = np.where(active, weight * sign, 0.0)
+        grad_unit[ma, :, 0] += coef * ((n - cos_an * a) - (p - cos_ap * a))
+        grad_unit[mo, :, 1] -= coef * (a - cos_ap * p)
+        grad_unit[mo, :, 2] += coef * (a - cos_an * n)
+    grad_emb = grad_unit / norms
+    b, c = zi.shape[0], zi.shape[-1]
+    grads = (
+        grad_emb[0].reshape(-1, c).T @ zi.reshape(-1, c) / b,
+        grad_emb[1].reshape(-1, c).T @ zt.reshape(-1, c) / b,
+    )
+    total = cfg.eta * (terms["i2t"] + terms["t2i"]) + (1.0 - cfg.eta) * (terms["i2i"] + terms["t2t"])
+    return total, terms, grads
 
 
 def oracle_gradient_error(zi, zt, wi, wt, cfg, analytic, step: float = 1e-4) -> float:

@@ -1,13 +1,17 @@
 """Alignment objective: hinge values, loss algebra, gradients, training.
 
 The hinge and loss-algebra classes check the scalar loss oracle in
-``oracles.py``; the gradient tests then hold ``head_gradients`` to it.
+``oracles.py``; the gradient tests then hold ``head_gradients`` to it,
+and to the bits of the dense head-gradient oracle.
 """
+
+import hashlib
 
 import numpy as np
 import pytest
 
 from medtriplet.alignment import (
+    TERM_NAMES,
     Adam,
     DegenerateEmbeddingError,
     LossConfig,
@@ -18,7 +22,7 @@ from medtriplet.alignment import (
     train_heads,
 )
 from medtriplet.encoder import IMAGE, TEXT
-from oracles import oracle_gradient_error, oracle_hinge, oracle_loss, oracle_mean_loss
+from oracles import oracle_gradient_error, oracle_head_gradients, oracle_hinge, oracle_loss, oracle_mean_loss
 
 
 def cos(u, v):
@@ -244,7 +248,106 @@ class TestGradients:
             head_gradients(zi, zt, heads, LossConfig())
 
 
+def assert_bits_match_dense_oracle(zi, zt, heads, cfg):
+    """``head_gradients``' total, terms and grads carry the dense oracle's bits."""
+    total, terms, grads = head_gradients(zi, zt, heads, cfg)
+    dense_total, dense_terms, dense_grads = oracle_head_gradients(zi, zt, heads[IMAGE], heads[TEXT], cfg)
+    assert np.float64(total).tobytes() == np.float64(dense_total).tobytes()
+    for name in TERM_NAMES:
+        assert np.float64(terms[name]).tobytes() == np.float64(dense_terms[name]).tobytes(), name
+    assert grads[IMAGE].tobytes() == dense_grads[0].tobytes()
+    assert grads[TEXT].tobytes() == dense_grads[1].tobytes()
+
+
+SIGN_MODES = ("corrected", "as-printed")
+
+
+class TestActiveRowGradients:
+    """Gradient rows are built for active hinges only, with the dense bits."""
+
+    @pytest.mark.parametrize("sign_mode", SIGN_MODES)
+    @pytest.mark.parametrize("eta", [0.0, 1.0, 0.4])
+    def test_single_triplet(self, sign_mode, eta):
+        rng = np.random.default_rng(51)
+        for alpha in (0.0, 0.3, 2.5):
+            heads = {IMAGE: rng.normal(0, 0.5, (8, 8)), TEXT: rng.normal(0, 0.5, (8, 8))}
+            assert_bits_match_dense_oracle(*random_batch(rng, 1), heads, LossConfig(alpha, eta, sign_mode))
+
+    @pytest.mark.parametrize("sign_mode", SIGN_MODES)
+    @pytest.mark.parametrize("eta", [0.0, 1.0, 0.4])
+    def test_all_inactive_at_zero_margin(self, sign_mode, eta):
+        # With the negative equal to the positive and alpha = 0, every hinge argument is exactly 0: inactive.
+        rng = np.random.default_rng(52)
+        heads = {IMAGE: rng.normal(0, 0.5, (8, 8)), TEXT: rng.normal(0, 0.5, (8, 8))}
+        zi, zt = random_batch(rng, 12)
+        zi[:, 2], zt[:, 2] = zi[:, 1], zt[:, 1]
+        cfg = LossConfig(alpha=0.0, eta=eta, sign_mode=sign_mode)
+        total, terms, grads = head_gradients(zi, zt, heads, cfg)
+        assert total == 0.0 and all(value == 0.0 for value in terms.values())
+        assert not grads[IMAGE].any() and not grads[TEXT].any()
+        assert_bits_match_dense_oracle(zi, zt, heads, cfg)
+
+    @pytest.mark.parametrize("sign_mode", SIGN_MODES)
+    @pytest.mark.parametrize("eta", [0.0, 1.0, 0.4])
+    def test_all_active_beyond_the_cosine_range(self, sign_mode, eta):
+        # A hinge argument is alpha plus a difference of two cosines, so alpha > 2 makes every hinge active.
+        rng = np.random.default_rng(53)
+        heads = {IMAGE: rng.normal(0, 0.5, (8, 8)), TEXT: rng.normal(0, 0.5, (8, 8))}
+        zi, zt = random_batch(rng, 12)
+        cfg = LossConfig(alpha=2.5, eta=eta, sign_mode=sign_mode)
+        assert min(hinge_arguments(zi, zt, heads, cfg)) > 0.0
+        assert_bits_match_dense_oracle(zi, zt, heads, cfg)
+
+    def test_random_and_near_kink_batches(self):
+        rng = np.random.default_rng(54)
+        kinks = 0
+        for trial in range(400):
+            b, c = int(rng.integers(1, 33)), int(rng.integers(2, 10))
+            heads = {IMAGE: rng.normal(0, 0.5, (c, c)), TEXT: rng.normal(0, 0.5, (c, c))}
+            zi, zt = random_batch(rng, b, c)
+            sign_mode = SIGN_MODES[trial % 2]
+            eta = (0.0, 1.0, float(rng.random()))[trial % 3]
+            if trial % 4 == 0:
+                # Set alpha to minus one triplet's pre-margin argument, so that its hinge
+                # lands within rounding of the kink, on either side of it or at 0.
+                shifts = [-x for x in hinge_arguments(zi, zt, heads, LossConfig(0.0, eta, sign_mode)) if x < 0.0]
+                if not shifts:
+                    continue
+                alpha = shifts[int(rng.integers(len(shifts)))]
+                kinks += 1
+            else:
+                alpha = float(rng.uniform(0.0, 0.6))
+            assert_bits_match_dense_oracle(zi, zt, heads, LossConfig(alpha, eta, sign_mode))
+        assert kinks >= 90
+
+
+# SHA-256 of the trained head bytes and the loss-curve floats of
+# ``test_trained_heads_match_golden_digest``, recorded from the dense
+# gradient accumulation, before gradient rows were built for active hinges
+# only: any change to a gradient's, a head's or a loss's bits changes it.
+# The head products go through BLAS; the digests were recorded with the
+# OpenBLAS that numpy 2.4.6 bundles, on x86_64.
+GOLDEN_HEADS_DIGEST = {
+    ("corrected", 0.5): "c1a08f29cbc97b2c95404b09501bd064d823ebc39f2e2493028eb7b1a1efa98f",
+    ("corrected", 0.0): "01d5a737bd765025eef800e642ab2602a9a588b680813fdf7010e77d49938a93",
+    ("as-printed", 0.5): "70694b174d0234941917263835b7b1e97298444f2e125eb85a93c67fd226fc18",
+    ("as-printed", 0.0): "31c371d32590f9f4f70ff642090064f223078cf59e05a35e8fb14eedfd315fe9",
+}
+
+
 class TestAdamAndTraining:
+    @pytest.mark.parametrize("sign_mode, eta", sorted(GOLDEN_HEADS_DIGEST))
+    def test_trained_heads_match_golden_digest(self, sign_mode, eta):
+        rng = np.random.default_rng(20)
+        z_img, z_txt = rng.normal(size=(2, 90, 16))
+        triplets = np.stack([rng.permutation(90)[:3] for _ in range(200)])
+        heads = {IMAGE: rng.normal(0, 0.5, (16, 16)), TEXT: rng.normal(0, 0.5, (16, 16))}
+        result = train_heads(z_img, z_txt, triplets, heads, LossConfig(alpha=0.3, eta=eta, sign_mode=sign_mode),
+                             OptimizerConfig(learning_rate=0.01, epochs=20, batch_size=32, seed=5))
+        curve = np.array([[e.total, *(e.terms[k] for k in TERM_NAMES)] for e in result.curve])
+        digest = hashlib.sha256(result.heads[IMAGE].tobytes() + result.heads[TEXT].tobytes() + curve.tobytes())
+        assert digest.hexdigest() == GOLDEN_HEADS_DIGEST[(sign_mode, eta)]
+
     def test_zero_learning_rate_is_identity(self):
         rng = np.random.default_rng(7)
         problem = triplet_problem(rng, 32)

@@ -356,3 +356,22 @@ class TestOntologyCommand:
         path = tmp_path / "ont.txt"
         assert main(["dump-ontology", "--output", str(path)]) == EXIT_OK
         assert main(["dump-ontology", "--ontology", str(path)]) == EXIT_OK
+
+    @pytest.mark.parametrize(
+        "text, message",
+        [
+            ("[diseases]\nedema = [edema]\nedema = [oedema]\n", "duplicate canonical 'edema' in [diseases]"),
+            ("[adjectives]\nmild = [mild]\nsevere = [mild]\n",
+             "variant 'mild' listed under both 'mild' and 'severe' in [adjectives]"),
+            ("[diseases]\nedema = [edema, fluid. gas]\n",
+             "sentence punctuation inside entry in [diseases] edema: 'fluid. gas'"),
+            ("[splitters]\nand then\n", "multi-word token in [splitters]: 'and then'"),
+            ("[splitters]\nand\n[deleters]\nand\n", "token in both [splitters] and [deleters]: 'and'"),
+        ],
+        ids=["duplicate_canonical", "variant_clash", "punctuation", "multi_word_token", "splitter_deleter_clash"],
+    )
+    def test_error_after_parsing_names_file(self, tmp_path, capsys, text, message):
+        path = tmp_path / "bad.txt"
+        path.write_text(text)
+        assert main(["dump-ontology", "--ontology", str(path)]) == EXIT_DATA
+        assert capsys.readouterr().err.strip() == f"error: {path}: {message}"

@@ -438,6 +438,23 @@ class TestImagesIO:
         expected = "\n".join(["P2", "7 9", "255", *(" ".join(str(v) for v in row) for row in ints)]) + "\n"
         assert path.read_bytes() == expected.encode("ascii")
 
+    @pytest.mark.parametrize(
+        "grid, message",
+        [
+            (np.array([[0.5, np.nan]]), "pixel values must be finite"),
+            (np.array([[0.5, np.inf]]), "pixel values must be finite"),
+            (np.array([[-np.inf, 0.5]]), "pixel values must be finite"),
+            (np.array([0.5, 0.25]), "expected a 2-D grid, got shape (2,)"),
+            (np.zeros((2, 2, 2)), "expected a 2-D grid, got shape (2, 2, 2)"),
+        ],
+        ids=["nan", "inf", "negative_inf", "1d", "3d"],
+    )
+    def test_pgm_writer_rejects_bad_grid_before_writing(self, tmp_path, grid, message):
+        path = tmp_path / "img.pgm"
+        with pytest.raises(ValueError, match=f"^{re.escape(f'{path}: {message}')}$"):
+            write_pgm(path, grid)
+        assert not path.exists()
+
     def test_npy_round_trip(self, tmp_path):
         rng = np.random.default_rng(12)
         grid = rng.random((6, 6))
