@@ -80,11 +80,12 @@ def cosine(u: np.ndarray, v: np.ndarray, nu: float, nv: float) -> float:
     and ``nv`` are the norms of ``u`` and ``v`` as ``norm`` computes them;
     a caller that ranks many pairs computes each row's once and passes it
     in. ``u.dot(v)`` is the dot product ``u @ v`` makes, without the
-    dispatch.
+    dispatch. Dividing it as a Python float gives the same bits as dividing
+    the numpy scalar: both are one IEEE division of the same two doubles.
     """
     if nu == 0.0 or nv == 0.0:
         raise DegenerateEmbeddingError("cosine of a zero-norm vector is undefined")
-    return float(u.dot(v) / (nu * nv))
+    return float(u.dot(v)) / (nu * nv)
 
 
 def head_gradients(

@@ -2,8 +2,11 @@
 
 Retrieval takes (n, c) query and gallery matrices whose row i is record
 i, rows in ascending id order. Each query ranks every other gallery row
-by cosine similarity, ties going to the lower row (the lower id); each
-gallery row's norm is computed once per call, not once per pair.
+by cosine similarity, ties going to the lower row (the lower id). The
+gallery is split into a list of row views and a list of norms once per
+call, so each query's loop is only ``cosine`` calls over those lists with
+the query's own row sliced out; a stable sort of the similarities and a
+monotonic shift of positions past the excluded row keep the tie order.
 Consistency per entity kind compares the query's label set with a
 retrieved item's, both rows of one multi-hot matrix per kind: their
 Jaccard index, or under ``match_mode="exact"`` 1 only when they are
@@ -20,6 +23,7 @@ from __future__ import annotations
 
 import logging
 from dataclasses import dataclass
+from itertools import repeat
 from typing import Sequence
 
 import numpy as np
@@ -44,12 +48,21 @@ def rank(query: np.ndarray, gallery: np.ndarray, exclude: int, norms: Sequence[f
 
     ``norms`` are the gallery rows' norms as ``norm`` computes them, so a
     caller that ranks many queries against one gallery computes them once.
-    ``cosine`` is called once per ranked row.
+    ``cosine`` is called once per ranked row. This is the one-query view of
+    the ranking ``retrieval_report`` does.
     """
-    nq = norm(query)
-    rows = np.delete(np.arange(len(gallery)), exclude)
-    sims = np.array([cosine(query, gallery[j], nq, norms[j]) for j in rows.tolist()])
-    return rows[np.argsort(-sims, kind="stable")]
+    if not 0 <= exclude < len(gallery):
+        raise IndexError(f"excluded row {exclude} is not a row of a {len(gallery)}-row gallery")
+    return _ranked(query, list(gallery), list(norms), exclude)
+
+
+def _ranked(query: np.ndarray, rows: list, norms: list, exclude: int, depth: int | None = None) -> np.ndarray:
+    """``rank``'s first ``depth`` (default all) rows, the gallery given as lists of row views and norms."""
+    others, other_norms = rows[:exclude] + rows[exclude + 1:], norms[:exclude] + norms[exclude + 1:]
+    sims = np.fromiter(map(cosine, repeat(query), others, repeat(norm(query)), other_norms), np.float64, len(others))
+    order = np.argsort(-sims, kind="stable")[:depth]
+    # Positions past the excluded row shift up by one; the map is monotonic, so ties keep the lower row.
+    return order + (order >= exclude)
 
 
 def entity_label_set(entities: MetaEntities, kind: str) -> frozenset[str]:
@@ -199,10 +212,11 @@ def retrieval_report(
         raise ValueError("r values must be >= 1")
     if len(gallery) < 2:
         return {kind: dict.fromkeys(r_values, float("nan")) for kind in ENTITY_KINDS}
-    norms = [norm(row) for row in gallery]
+    rows = list(gallery)
+    norms = [norm(row) for row in rows]
     depth = max(r_values)
     # top[i]: query i's top-depth gallery rows, best first
-    top = np.array([rank(query, gallery, i, norms)[:depth] for i, query in enumerate(queries)])
+    top = np.array([_ranked(query, rows, norms, i, depth) for i, query in enumerate(queries)])
     report = {}
     for kind in ENTITY_KINDS:
         labels = _label_matrix(entities, kind)

@@ -30,7 +30,7 @@ one label.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import lru_cache
+from functools import cached_property, lru_cache
 from pathlib import Path
 
 from .lemma import SENTENCE_BREAK, lemmatize
@@ -71,6 +71,14 @@ class Ontology:
     @property
     def disease_labels(self) -> frozenset[str]:
         return frozenset(s.canonical for s in self.diseases)
+
+    def __hash__(self) -> int:
+        # The dataclass hash, computed once: extraction looks its matchers up by ontology per sentence.
+        return self._hash
+
+    @cached_property
+    def _hash(self) -> int:
+        return hash((self.diseases, self.adjectives, self.directions, self.splitters, self.deleters))
 
 
 def _lemma_phrase(raw: str, where: str) -> str:
@@ -160,7 +168,11 @@ def parse_ontology(text: str, source: str = "<string>") -> Ontology:
 
 def load_ontology(path: str | Path) -> Ontology:
     path = Path(path)
-    return parse_ontology(path.read_text(encoding="utf-8"), source=str(path))
+    try:
+        text = path.read_text(encoding="utf-8")
+    except UnicodeDecodeError as exc:
+        raise OntologyError(f"{path}: not UTF-8: byte {exc.object[exc.start]:#04x} at offset {exc.start}") from None
+    return parse_ontology(text, source=str(path))
 
 
 def serialize_ontology(ont: Ontology) -> str:

@@ -98,9 +98,13 @@ def read_sectioned_config(path: str | Path) -> dict[str, dict[str, str]]:
     A section or a key within a section given twice is an error naming
     ``file:line``, as configparser's strict mode makes it.
     """
+    try:
+        text = Path(path).read_text(encoding="utf-8")
+    except UnicodeDecodeError as exc:
+        raise PipelineError(f"{path}: not UTF-8: byte {exc.object[exc.start]:#04x} at offset {exc.start}") from None
     sections: dict[str, dict[str, str]] = {}
     current: str | None = None
-    for lineno, raw in enumerate(Path(path).read_text(encoding="utf-8").splitlines(), 1):
+    for lineno, raw in enumerate(text.splitlines(), 1):
         line = raw.strip()
         if not line or line.startswith("#"):
             continue

@@ -41,6 +41,22 @@ class TestExitCodes:
         assert main(["run", "--config", str(cfg)]) == EXIT_DATA
         assert "'eval_corpos'" in capsys.readouterr().err
 
+    @pytest.mark.parametrize(
+        "command, flag, text",
+        [
+            ("dump-ontology", "--ontology", "[diseases]\nedema = [edema]\n"),
+            ("run", "--config", "[run]\nseed = 1\n"),
+            ("extract", "--corpus", '{"schema": "corpus/v1"}\n{"id": "a", "text": "Edema."}\n'),
+        ],
+        ids=["ontology", "config", "corpus"],
+    )
+    def test_non_utf8_file_names_it(self, tmp_path, capsys, command, flag, text):
+        path = tmp_path / "bad.txt"
+        path.write_bytes(text.encode() + b"\xff\n")
+        args = [command, flag, str(path)] + (["--out", str(tmp_path / "run")] if command == "extract" else [])
+        assert main(args) == EXIT_DATA
+        assert capsys.readouterr().err.strip() == f"error: {path}: not UTF-8: byte 0xff at offset {len(text)}"
+
 
 # `medtriplet score` output for the worked example under each semantics,
 # recorded before the score kernel's per-call rewrite.

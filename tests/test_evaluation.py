@@ -1,5 +1,8 @@
 """Retrieval ranking, consistency metrics, prompts, classification metrics."""
 
+import hashlib
+import json
+
 import numpy as np
 import pytest
 
@@ -41,6 +44,32 @@ def p_at_all(ents, kind="disease", match_mode="mean"):
     return retrieval_report(g, g, ents, (r,), match_mode)[kind][r]
 
 
+def golden_retrieval_reports():
+    """``retrieval_report`` over seeded random matrices in both match modes, at
+    n in {2, 3, 17} and every R from 1 to n + 1. Rows i - 1 and i + 1 around
+    excluded rows i tie exactly: one is a duplicate of the other, or the other
+    times 4.0, which scales the dot product and the norm without rounding."""
+    rng = np.random.default_rng(21)
+    for match_mode in ("mean", "exact"):
+        for n in (2, 3, 17):
+            for shared in (False, True):
+                queries, gallery = rng.normal(size=(2, n, 5))
+                if shared:
+                    gallery = queries
+                for i in range(1, n - 1, 3):
+                    gallery[i + 1] = gallery[i - 1] if i % 2 else 4.0 * gallery[i - 1]
+                ents = [entities(random_entities(rng)) for _ in range(n)]
+                yield retrieval_report(queries, gallery, ents, tuple(range(1, n + 2)), match_mode)
+
+
+# SHA-256 of the JSON of every report ``golden_retrieval_reports`` yields,
+# recorded while each query still ranked through ``np.delete`` and
+# per-pair ndarray indexing: any change to a similarity's bits or to the
+# tie order changes it. The dot products go through BLAS; the digest was
+# recorded with the OpenBLAS that numpy 2.4.6 bundles, on x86_64.
+GOLDEN_RETRIEVAL_DIGEST = "abd7ef91178562123e9bf25441e9ab298d88056e32da31d6d93f92e77b7524b3"
+
+
 class TestRetrieve:
     """``rank``: other gallery rows by descending cosine, ties to the lower row."""
 
@@ -60,6 +89,12 @@ class TestRetrieve:
         g = rows((1.0, 0.0), (0.9, 0.1))
         assert list(ranked(g[0], g, exclude=0)) == [1]
         assert list(ranked(g[0], g, exclude=1)) == [0]
+
+    @pytest.mark.parametrize("exclude", [-1, 2])
+    def test_exclude_outside_gallery_rejected(self, exclude):
+        g = rows((1.0, 0.0), (0.9, 0.1))
+        with pytest.raises(IndexError, match="2-row gallery"):
+            ranked(g[0], g, exclude)
 
     def test_rescaled_gallery_entry_same_ranking(self):
         rng = np.random.default_rng(0)
@@ -150,6 +185,12 @@ class TestRetrievalResult:
             r_values = (1, 3, 10, 50)[: int(rng.integers(1, 5))]
             report = retrieval_report(queries, gallery, [entities(p) for p in plain], r_values, match_mode)
             assert report == oracle_retrieval_report(queries.tolist(), gallery.tolist(), plain, r_values, match_mode)
+
+    def test_reports_match_golden_digest(self):
+        digest = hashlib.sha256()
+        for report in golden_retrieval_reports():
+            digest.update(json.dumps(report, sort_keys=True).encode())
+        assert digest.hexdigest() == GOLDEN_RETRIEVAL_DIGEST
 
 
 class TestPrecisionAtR:

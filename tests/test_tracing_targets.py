@@ -136,6 +136,23 @@ def test_retrieval_makes_one_cosine_call_per_ordered_pair_and_task(tmp_path, mon
     assert len(calls) == 4 * n * (n - 1)
 
 
+def test_rank_makes_one_cosine_call_per_other_row_and_matches_report_ranking(monkeypatch):
+    """``rank`` calls ``evaluation.cosine`` through the module attribute, n - 1 times per
+    query, and orders rows as the ranking ``retrieval_report`` uses does."""
+    rng = np.random.default_rng(8)
+    n = 11
+    gallery = rng.normal(size=(n, 4))
+    gallery[[3, 5]] = gallery[1]  # exact ties on both sides of excluded row 4
+    norms = [alignment.norm(row) for row in gallery]
+    calls = _counting(monkeypatch, evaluation, "cosine")
+    for i in range(n):
+        before = len(calls)
+        ranked = evaluation.rank(gallery[i], gallery, i, norms)
+        assert len(calls) - before == n - 1
+        assert list(ranked) == list(evaluation._ranked(gallery[i], list(gallery), norms, i))
+        assert sorted(ranked) == [j for j in range(n) if j != i]
+
+
 def test_traced_wraps_every_patch_and_restores_it(monkeypatch):
     """``traced`` wraps each LAYER_PATCHES name and ``Adam.step`` inside the block only."""
     tracing = _load_tracing(monkeypatch)
