@@ -149,7 +149,9 @@ def read_entities(path: str | Path) -> list[tuple[str, MetaEntities]]:
     for lineno, rec in read_jsonl(path, ENTITIES_SCHEMA)[1]:
         if "id" not in rec or "entries" not in rec:
             raise DataError(f"{path}:{lineno}: record missing 'id' or 'entries'")
-        sample_id = str(rec["id"])
+        sample_id = rec["id"]
+        if not isinstance(sample_id, str):
+            raise DataError(f"{path}:{lineno}: 'id' must be a string, got {sample_id!r}")
         if sample_id in seen:
             raise DataError(f"{path}:{lineno}: duplicate id {sample_id!r}")
         seen.add(sample_id)

@@ -5,11 +5,14 @@ output directory. Every artifact gets a sibling ``<name>.manifest.json``
 recording the tool version, the stage seed, the effective stage config
 (plus its hash), and the content hashes of all inputs (the ontology
 file and the images a corpus names among them) and of files a stage
-writes beside its artifact (the loss curve beside ``heads.ckpt``). A
-re-run skips any stage whose manifest still matches, unless forced. A
-stage reads an earlier stage's artifact only when that artifact matches
-its own manifest. Manifests carry no timestamps, so
-identical inputs and config produce byte-identical artifact trees.
+writes beside its artifact (the loss curve beside ``heads.ckpt``). The
+eval stage encodes the eval corpus once and writes two files: retrieval
+P@R to ``eval_retrieval.json`` and, beside it, zero-shot classification
+to ``eval_classification.json``. A re-run skips any stage whose manifest
+still matches, unless forced. A stage reads an earlier stage's artifact
+only when that artifact matches its own manifest. Manifests carry no
+timestamps, so identical inputs and config produce byte-identical
+artifact trees.
 
 The single global seed fans out to per-stage seeds as
 ``seed + 1000 * stage_index`` with stage indices synth=1, extract=2,
@@ -217,9 +220,9 @@ def _images_hash(records: list[CorpusRecord]) -> str:
     return digest.hexdigest()
 
 
-def _side_hashes(side_outputs: tuple[Path, ...]) -> dict[str, str]:
-    """Content hash of each file a stage writes beside its artifact; a missing one is left out."""
-    return {path.name: sha256_file(path) for path in side_outputs if path.exists()}
+def _side_hashes(side_outputs: tuple[Path, ...]) -> dict[str, str | None]:
+    """Content hash of each file a stage writes beside its artifact; a missing one hashes to None."""
+    return {path.name: sha256_file(path) if path.exists() else None for path in side_outputs}
 
 
 def _write_manifest(
@@ -243,14 +246,15 @@ def _write_manifest(
 
 
 def _read_manifest(artifact: Path) -> dict | None:
-    """The artifact's manifest, or None when the artifact or a readable manifest is missing."""
+    """The artifact's manifest, or None when the artifact or a readable manifest (a JSON object) is missing."""
     manifest_path = _manifest_path(artifact)
     if not (artifact.exists() and manifest_path.exists()):
         return None
     try:
-        return json.loads(manifest_path.read_text(encoding="utf-8"))
-    except json.JSONDecodeError:
+        manifest = json.loads(manifest_path.read_text(encoding="utf-8"))
+    except ValueError:  # not UTF-8, or not JSON
         return None
+    return manifest if isinstance(manifest, dict) else None
 
 
 def _up_to_date(artifact: Path, cfg_payload: dict, input_hashes: dict[str, str], side: tuple[Path, ...]) -> bool:
@@ -365,6 +369,24 @@ class FrozenTrunks:
 _WRITTEN_BY = {"entities": "extract", "triplets": "mine", "heads": "train"}
 
 
+def _input_hashes(stage: str, inputs: dict) -> dict[str, str]:
+    """The content hash of each of a stage's inputs. An input that an earlier stage wrote must match
+    its own manifest, so a partial artifact left by a killed run is never read. An ``images`` input
+    returns the records the build reads, and is hashed by the bytes of their images."""
+    input_hashes = {}
+    for name, path in inputs.items():
+        if path is None:
+            raise PipelineError(f"{stage} stage needs a path for {name}")
+        earlier = _WRITTEN_BY.get(name)
+        manifest = _read_manifest(path) if earlier else None
+        if earlier and manifest is None:
+            raise PipelineError(f"{stage} stage needs {path.name}; run {earlier} first")
+        input_hashes[name] = _images_hash(path()) if name == "images" else sha256_file(path)
+        if earlier and manifest.get("output_hash") != input_hashes[name]:
+            raise PipelineError(f"{path} does not match its manifest; run {earlier} again before {stage}")
+    return input_hashes
+
+
 def _run_stage(
     cfg: RunConfig,
     stage: str,
@@ -377,24 +399,11 @@ def _run_stage(
 ) -> Path:
     """Check a stage's inputs, skip it if its artifact is current, else build it.
 
-    An input that an earlier stage wrote must match its own manifest, so a
-    partial artifact left by a killed run is never read. Each input is
-    hashed once; an ``images`` input returns the records the build reads,
-    and is hashed by the bytes of their images. The manifest is written
-    last. ``side_outputs`` are files the build writes besides the artifact;
-    a missing or changed one makes the stage stale too.
+    Each input is hashed once. The manifest is written last. ``side_outputs``
+    are files the build writes besides the artifact; a missing or changed
+    one makes the stage stale too.
     """
-    input_hashes = {}
-    for name, path in inputs.items():
-        if path is None:
-            raise PipelineError(f"{stage} stage needs a path for {name}")
-        earlier = _WRITTEN_BY.get(name)
-        manifest = _read_manifest(path) if earlier else None
-        if earlier and manifest is None:
-            raise PipelineError(f"{stage} stage needs {path.name}; run {earlier} first")
-        input_hashes[name] = _images_hash(path()) if name == "images" else sha256_file(path)
-        if earlier and manifest.get("output_hash") != input_hashes[name]:
-            raise PipelineError(f"{path} does not match its manifest; run {earlier} again before {stage}")
+    input_hashes = _input_hashes(stage, inputs)
     if not force and _up_to_date(artifact, cfg_payload, input_hashes, side_outputs):
         logger.info("%s: up to date, skipping", stage)
         return artifact
@@ -513,15 +522,9 @@ def _project(z: np.ndarray, head: np.ndarray) -> np.ndarray:
     return embeddings
 
 
-def evaluate_retrieval_tasks(
-    cfg: RunConfig, heads: dict[str, np.ndarray], eval_corpus_path: Path, match_mode: str = "mean",
-    records: list[CorpusRecord] | None = None,
-) -> dict:
-    """P@R tables for the four retrieval tasks over an evaluation corpus, whose ``records`` may be given."""
-    records, ents, _ = _eval_records(cfg, eval_corpus_path, records)
-    z_img, z_txt = FrozenTrunks(cfg.seed).encode_records(records)
-    images, texts = _project(z_img, heads[IMAGE]), _project(z_txt, heads[TEXT])
-    r_values = [r for r in R_VALUES if r < len(records)]
+def _retrieval_tasks(images: np.ndarray, texts: np.ndarray, ents: list[MetaEntities], match_mode: str) -> dict:
+    """P@R tables for the four retrieval tasks over projected image and text rows."""
+    r_values = [r for r in R_VALUES if r < len(ents)]
     return {
         "r_values": r_values,
         "match_mode": match_mode,
@@ -534,21 +537,28 @@ def evaluate_retrieval_tasks(
     }
 
 
-def evaluate_classification(
-    cfg: RunConfig, heads: dict[str, np.ndarray], eval_corpus_path: Path
+def evaluate_retrieval_tasks(
+    cfg: RunConfig, heads: dict[str, np.ndarray], eval_corpus_path: Path, match_mode: str = "mean"
 ) -> dict:
-    """Zero-shot disease classification over single-disease eval records.
+    """P@R tables for the four retrieval tasks over an evaluation corpus."""
+    records, ents, _ = _eval_records(cfg, eval_corpus_path)
+    z_img, z_txt = FrozenTrunks(cfg.seed).encode_records(records)
+    return _retrieval_tasks(_project(z_img, heads[IMAGE]), _project(z_txt, heads[TEXT]), ents, match_mode)
 
-    Only the labelled records' images and the class prompts are encoded.
-    """
-    records, ents, ont = _eval_records(cfg, eval_corpus_path)
-    labelled = [(rec, m.entries[0].disease) for rec, m in zip(records, ents) if len(m.entries) == 1]
-    truths = [disease for _, disease in labelled]
+
+def _classification(
+    trunks: FrozenTrunks, heads: dict[str, np.ndarray], records: list[CorpusRecord], ents: list[MetaEntities],
+    ont: Ontology, eval_corpus_path: Path, z_img: np.ndarray | None = None,
+) -> dict:
+    """Zero-shot classification of the single-disease records, from their rows of ``z_img`` (every record's
+    image-trunk row) if given, else encoding their images; ``{"skipped": reason}`` under 2 classes."""
+    labelled = [i for i, m in enumerate(ents) if len(m.entries) == 1]
+    truths = [ents[i].entries[0].disease for i in labelled]
     classes = sorted(set(truths))
     if len(classes) < 2:
-        raise PipelineError(f"eval corpus {eval_corpus_path} needs single-disease records of 2 or more classes")
-    trunks = FrozenTrunks(cfg.seed)
-    images = _project(trunks.encode_images([rec for rec, _ in labelled]), heads[IMAGE])
+        return {"skipped": f"eval corpus {eval_corpus_path} needs single-disease records of 2 or more classes"}
+    z = trunks.encode_images([records[i] for i in labelled]) if z_img is None else z_img[labelled]
+    images = _project(z, heads[IMAGE])
     prompts = _project(trunks.encode_texts([prompt_text(label, ont) for label in classes]), heads[TEXT])
     predictions, scores = zero_shot_classify(images, prompts, classes)
     metrics = classification_metrics(predictions, truths, scores, classes)
@@ -563,22 +573,61 @@ def evaluate_classification(
     }
 
 
-def stage_eval(cfg: RunConfig, force: bool = False) -> Path:
-    heads_path = cfg.out / "heads.ckpt"
+def _eval_stage(cfg: RunConfig) -> tuple[dict, dict]:
+    """The eval stage's config payload and inputs; ``images`` ingests the eval corpus once."""
     eval_corpus = cfg.eval_corpus or cfg.corpus
-    artifact = cfg.out / "eval_retrieval.json"
     records = functools.cache(lambda: ingest(eval_corpus, require_images=True))  # hashed, then read by build
+    inputs = {"heads": cfg.out / "heads.ckpt", "eval_corpus": eval_corpus, "images": records}
+    inputs["ontology"] = cfg.ontology or DEFAULT_ONTOLOGY_FILE
+    return {"seed": cfg.seed, "r_values": list(R_VALUES)}, inputs
+
+
+def _current_classification(cfg: RunConfig, heads: dict[str, np.ndarray], eval_corpus_path: Path) -> dict | None:
+    """The eval stage's classification result if it is current for exactly these heads and this corpus."""
+    cfg_payload, inputs = _eval_stage(cfg)
+    artifact, side = cfg.out / "eval_retrieval.json", cfg.out / "eval_classification.json"
+    if Path(eval_corpus_path) != inputs["eval_corpus"] or _read_manifest(artifact) is None:
+        return None
+    try:
+        if not _up_to_date(artifact, cfg_payload, _input_hashes("eval", inputs), (side,)):
+            return None
+    except PipelineError:  # heads.ckpt missing, or not the one train wrote
+        return None
+    _, stored = load_heads(inputs["heads"])
+    passed, current = ([(h[m].dtype, h[m].shape, h[m].tobytes()) for m in (IMAGE, TEXT)] for h in (heads, stored))
+    return json.loads(side.read_text(encoding="utf-8")) if passed == current else None
+
+
+def evaluate_classification(cfg: RunConfig, heads: dict[str, np.ndarray], eval_corpus_path: Path) -> dict:
+    """Zero-shot disease classification over single-disease eval records: the eval stage's result
+    while it is current for these heads and this corpus, else computed by encoding only the labelled
+    records' images and the class prompts."""
+    report = _current_classification(cfg, heads, eval_corpus_path)
+    if report is None:
+        records, ents, ont = _eval_records(cfg, eval_corpus_path)
+        report = _classification(FrozenTrunks(cfg.seed), heads, records, ents, ont, eval_corpus_path)
+    if "skipped" in report:
+        raise PipelineError(report["skipped"])
+    return report
+
+
+def stage_eval(cfg: RunConfig, force: bool = False) -> Path:
+    artifact, classification_path = cfg.out / "eval_retrieval.json", cfg.out / "eval_classification.json"
+    cfg_payload, inputs = _eval_stage(cfg)
 
     def build() -> None:
-        _, heads = load_heads(heads_path, cfg)
-        report = evaluate_retrieval_tasks(cfg, heads, eval_corpus, records=records())
-        with atomic_write(artifact) as fh:
-            fh.write(json.dumps(report, indent=2, sort_keys=True) + "\n")
+        _, heads = load_heads(inputs["heads"], cfg)
+        records, ents, ont = _eval_records(cfg, inputs["eval_corpus"], inputs["images"]())
+        trunks = FrozenTrunks(cfg.seed)
+        z_img, z_txt = trunks.encode_records(records)
+        classification = _classification(trunks, heads, records, ents, ont, inputs["eval_corpus"], z_img)
+        del trunks  # its 2 MB of weights would raise the peak RSS that retrieval sets
+        retrieval = _retrieval_tasks(_project(z_img, heads[IMAGE]), _project(z_txt, heads[TEXT]), ents, "mean")
+        for path, report in ((artifact, retrieval), (classification_path, classification)):
+            with atomic_write(path) as fh:
+                fh.write(json.dumps(report, indent=2, sort_keys=True) + "\n")
 
-    cfg_payload = {"seed": cfg.seed, "r_values": list(R_VALUES)}
-    inputs = {"heads": heads_path, "eval_corpus": eval_corpus, "images": records}
-    inputs["ontology"] = cfg.ontology or DEFAULT_ONTOLOGY_FILE
-    return _run_stage(cfg, "eval", force, artifact, cfg_payload, inputs, build)
+    return _run_stage(cfg, "eval", force, artifact, cfg_payload, inputs, build, side_outputs=(classification_path,))
 
 
 _STAGE_FUNCS = {

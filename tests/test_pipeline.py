@@ -15,6 +15,7 @@ import pytest
 from medtriplet import pipeline
 from medtriplet.alignment import OptimizerConfig
 from medtriplet.checkpoint import load_checkpoint, save_checkpoint
+from medtriplet.cli import main as cli_main
 from medtriplet.corpus import CorpusRecord, DataError, ingest, read_entities, write_corpus, write_jsonl
 from medtriplet.encoder import EMBED_DIM, IMAGE, TEXT, init_head
 from medtriplet.extraction import extract
@@ -131,6 +132,14 @@ class TestIngest:
         with pytest.raises(DataError) as info:
             ingest(path)
         assert str(info.value) == f"{path}:3: {message}"
+
+    @pytest.mark.parametrize("raw, shown", [("null", "None"), ("5", "5")], ids=["null", "number"])
+    def test_non_string_entity_id_names_file_and_line(self, tmp_path, raw, shown):
+        path = tmp_path / "entities.jsonl"
+        path.write_text('{"schema": "entities/v1"}\n{"id": "a", "entries": []}\n{"id": ' + raw + ', "entries": []}\n')
+        with pytest.raises(DataError) as info:
+            read_entities(path)
+        assert str(info.value) == f"{path}:3: 'id' must be a string, got {shown}"
 
     def test_malformed_entity_record_names_file_and_line(self, tmp_path):
         path = tmp_path / "entities.jsonl"
@@ -391,6 +400,25 @@ class TestStages:
         with pytest.raises(PipelineError, match="needs entities.jsonl; run extract first"):
             run_pipeline(small_world, stages=("mine",))
 
+    @pytest.mark.parametrize("damage", [b"\xff", b"[]"], ids=["not_utf8", "not_object"])
+    def test_unreadable_manifest_reruns_its_stage(self, small_world, caplog, damage):
+        artifacts = run_pipeline(small_world, stages=("extract",))
+        manifest = Path(str(artifacts["extract"]) + ".manifest.json")
+        good = manifest.read_bytes()
+        manifest.write_bytes(good + damage if damage == b"\xff" else damage)
+        with caplog.at_level("INFO"):
+            run_pipeline(small_world, stages=("extract",))
+        assert not [r for r in caplog.records if "skipping" in r.message]
+        assert manifest.read_bytes() == good
+
+    @pytest.mark.parametrize("damage", [b"\xff", b"[]"], ids=["not_utf8", "not_object"])
+    def test_unreadable_input_manifest_asks_for_its_stage(self, small_world, damage):
+        artifacts = run_pipeline(small_world, stages=("extract",))
+        manifest = Path(str(artifacts["extract"]) + ".manifest.json")
+        manifest.write_bytes(manifest.read_bytes() + damage if damage == b"\xff" else damage)
+        with pytest.raises(PipelineError, match="needs entities.jsonl; run extract first"):
+            run_pipeline(small_world, stages=("mine",))
+
     def test_classification_encodes_only_labelled_images_and_prompts(self, small_world, monkeypatch):
         run_pipeline(small_world, stages=("extract", "mine", "train"))
         _, heads = load_heads(small_world.out / "heads.ckpt")
@@ -422,6 +450,108 @@ class TestStages:
         assert names == sorted(p.name for p in cfg_b.out.iterdir() if p.name != ".lock")
         for name in names:
             assert sha256_file(cfg_a.out / name) == sha256_file(cfg_b.out / name), name
+
+
+def _extract_calls(monkeypatch) -> list:
+    """Record the report of every ``pipeline.extract`` call."""
+    calls = []
+    original = pipeline.extract
+    monkeypatch.setattr(pipeline, "extract", lambda report, ont: calls.append(report) or original(report, ont))
+    return calls
+
+
+class TestEvalClassification:
+    """The eval stage writes ``eval_classification.json``; ``evaluate_classification`` reuses it while current."""
+
+    @staticmethod
+    def standalone(cfg, heads, tmp_path) -> dict:
+        """The result computed afresh: a run dir without an eval stage has nothing to reuse."""
+        return evaluate_classification(replace(cfg, out=tmp_path / "elsewhere"), heads, cfg.eval_corpus)
+
+    def test_side_output_equals_standalone_result_and_cli_output(self, small_world, tmp_path, capsys):
+        run_pipeline(small_world)
+        _, heads = load_heads(small_world.out / "heads.ckpt")
+        side = small_world.out / "eval_classification.json"
+        text = side.read_text()
+        assert text == json.dumps(self.standalone(small_world, heads, tmp_path), indent=2, sort_keys=True) + "\n"
+        manifest = json.loads((small_world.out / "eval_retrieval.json.manifest.json").read_text())
+        assert manifest["side_outputs"] == {side.name: sha256_file(side)}
+        capsys.readouterr()
+        args = ["--out", small_world.out, "--seed", small_world.seed, "--eval-corpus", small_world.eval_corpus]
+        assert cli_main(["eval-classify", *map(str, args)]) == 0
+        assert capsys.readouterr().out == text
+
+    def test_second_call_encodes_and_extracts_nothing(self, small_world, monkeypatch):
+        run_pipeline(small_world)
+        _, heads = load_heads(small_world.out / "heads.ckpt")
+        rows, reports = _encoded_rows(monkeypatch), _extract_calls(monkeypatch)
+        report = evaluate_classification(with_seed_defaults(small_world), heads, small_world.eval_corpus)
+        assert rows == [] and reports == []
+        assert report == json.loads((small_world.out / "eval_classification.json").read_text())
+
+    @pytest.mark.parametrize("change", ["heads", "side_output", "image", "manifest"])
+    def test_stale_result_is_computed_afresh(self, small_world, tmp_path, monkeypatch, change):
+        run_pipeline(small_world)
+        _, heads = load_heads(small_world.out / "heads.ckpt")
+        side = small_world.out / "eval_classification.json"
+        if change == "heads":
+            heads = {**heads, IMAGE: heads[IMAGE] * 0.5}
+        elif change == "side_output":
+            side.write_text(side.read_text().replace('"accuracy": ', '"accuracy": 1', 1))
+        elif change == "image":
+            image = sorted((small_world.eval_corpus.parent / "images").glob("*.pgm"))[0]
+            write_pgm(image, 1.0 - load_image(image).pixels)
+        else:
+            Path(str(small_world.out / "eval_retrieval.json") + ".manifest.json").write_text("[]")
+        stale = json.loads(side.read_text())
+        rows, reports = _encoded_rows(monkeypatch), _extract_calls(monkeypatch)
+        report = evaluate_classification(with_seed_defaults(small_world), heads, small_world.eval_corpus)
+        assert rows and reports
+        assert report == self.standalone(small_world, heads, tmp_path)
+        if change == "side_output":
+            assert report != stale
+
+    def test_other_corpus_is_computed_afresh(self, small_world, tmp_path, monkeypatch):
+        run_pipeline(small_world)
+        _, heads = load_heads(small_world.out / "heads.ckpt")
+        copy = tmp_path / "copy.jsonl"
+        write_corpus(copy, ingest(small_world.eval_corpus))
+        rows = _encoded_rows(monkeypatch)
+        report = evaluate_classification(small_world, heads, copy)
+        assert rows and report == json.loads((small_world.out / "eval_classification.json").read_text())
+
+    def test_eval_manifest_without_side_outputs_reruns_eval(self, small_world, caplog):
+        """A run dir made before eval wrote ``eval_classification.json`` re-runs eval once."""
+        run_pipeline(small_world)
+        side = small_world.out / "eval_classification.json"
+        good = side.read_bytes()
+        side.unlink()
+        manifest_path = small_world.out / "eval_retrieval.json.manifest.json"
+        manifest = json.loads(manifest_path.read_text())
+        del manifest["side_outputs"]
+        manifest_path.write_text(json.dumps(manifest, indent=2, sort_keys=True) + "\n")
+        with caplog.at_level("INFO"):
+            run_pipeline(small_world)
+        skipped = [r.message.split(":")[0] for r in caplog.records if "skipping" in r.message]
+        assert skipped == ["extract", "mine", "train"]
+        assert side.read_bytes() == good
+
+    def test_one_class_eval_corpus_records_the_skip(self, small_world, tmp_path):
+        ont = default_ontology()
+        records = ingest(small_world.eval_corpus)
+        diseases = [[e.disease for e in extract(rec.report(), ont).entries] for rec in records]
+        one_class = tmp_path / "one_class.jsonl"
+        write_corpus(one_class, [rec for rec, d in zip(records, diseases) if d == diseases[0]])
+        cfg = replace(small_world, eval_corpus=one_class)
+        run_pipeline(cfg)
+        message = f"eval corpus {one_class} needs single-disease records of 2 or more classes"
+        assert json.loads((cfg.out / "eval_classification.json").read_text()) == {"skipped": message}
+        assert json.loads((cfg.out / "eval_retrieval.json").read_text())["tasks"]
+        _, heads = load_heads(cfg.out / "heads.ckpt")
+        for out in (cfg.out, tmp_path / "elsewhere"):  # the reused skip, then the computed one
+            with pytest.raises(PipelineError) as info:
+                evaluate_classification(replace(cfg, out=out), heads, one_class)
+            assert str(info.value) == message
 
 
 class TestLockAndSeeds:
@@ -483,11 +613,31 @@ pipeline.save_checkpoint = save_then_die
 pipeline.run_pipeline(pipeline.config_from_file(sys.argv[1]))
 """
 
+# The same, but the run dies once eval's build has written eval_classification.json, as the
+# eval stage is about to write its manifest.
+KILL_BEFORE_EVAL_MANIFEST = """
+import os, signal, sys
+from medtriplet import pipeline
+
+write_manifest = pipeline._write_manifest
+
+def die_before_eval_manifest(artifact, stage, *args):
+    if stage == "eval":
+        assert (artifact.parent / "eval_classification.json").exists()
+        os.kill(os.getpid(), signal.SIGKILL)
+    write_manifest(artifact, stage, *args)
+
+pipeline._write_manifest = die_before_eval_manifest
+pipeline.run_pipeline(pipeline.config_from_file(sys.argv[1]))
+"""
+
 
 @pytest.mark.skipif(os.name != "posix", reason="SIGKILL and the lock's pid check are POSIX")
 class TestKilledRun:
-    def test_killed_run_is_rebuilt(self, small_world, tmp_path, caplog):
-        cfg, m = small_world, small_world.mining
+    @staticmethod
+    def killed_child(cfg, tmp_path, script) -> int:
+        """Run ``script`` on ``cfg`` in a child that SIGKILLs itself; its pid."""
+        m = cfg.mining
         cfg_file = tmp_path / "run.cfg"
         cfg_file.write_text(
             f"[run]\nseed = {cfg.seed}\nout = {cfg.out}\ncorpus = {cfg.corpus}\neval_corpus = {cfg.eval_corpus}\n"
@@ -496,28 +646,43 @@ class TestKilledRun:
         assert config_from_file(cfg_file) == cfg
         env = {**os.environ, "PYTHONPATH": str(Path(pipeline.__file__).parents[1])}
         child = subprocess.Popen(
-            [sys.executable, "-c", KILL_AFTER_CHECKPOINT, str(cfg_file)], env=env, stderr=subprocess.PIPE, text=True
+            [sys.executable, "-c", script, str(cfg_file)], env=env, stderr=subprocess.PIPE, text=True
         )
         _, stderr = child.communicate(timeout=120)
         assert child.returncode == -signal.SIGKILL, stderr
-        assert (cfg.out / "heads.ckpt").exists() and not (cfg.out / "heads.ckpt.manifest.json").exists()
+        return child.pid
 
-        lock = cfg.out / ".lock"
-        stale = f"stale: pid {child.pid} is not running (remove {lock} to go on)"
-        with pytest.raises(PipelineError, match=re.escape(stale)):
-            run_pipeline(cfg)
-        lock.unlink()
+    @staticmethod
+    def rerun_equals_clean_run(cfg, tmp_path, caplog) -> list[str]:
+        """Re-run ``cfg`` once its stale lock is gone, check its tree equals a clean run's byte for
+        byte, and return the stages the re-run skipped."""
+        (cfg.out / ".lock").unlink()
         with caplog.at_level("INFO"):
             run_pipeline(cfg)
-        skipped = [r.message for r in caplog.records if "skipping" in r.message]
-        assert skipped == ["extract: up to date, skipping", "mine: up to date, skipping"]
-
         clean = replace(cfg, out=tmp_path / "clean")
         run_pipeline(clean)
         names = sorted(str(path.relative_to(clean.out)) for path in clean.out.rglob("*"))
         assert sorted(str(path.relative_to(cfg.out)) for path in cfg.out.rglob("*")) == names
         for name in names:
             assert (cfg.out / name).read_bytes() == (clean.out / name).read_bytes(), name
+        return [r.message.split(":")[0] for r in caplog.records if "skipping" in r.message]
+
+    def test_killed_run_is_rebuilt(self, small_world, tmp_path, caplog):
+        cfg = small_world
+        pid = self.killed_child(cfg, tmp_path, KILL_AFTER_CHECKPOINT)
+        assert (cfg.out / "heads.ckpt").exists() and not (cfg.out / "heads.ckpt.manifest.json").exists()
+        lock = cfg.out / ".lock"
+        stale = f"stale: pid {pid} is not running (remove {lock} to go on)"
+        with pytest.raises(PipelineError, match=re.escape(stale)):
+            run_pipeline(cfg)
+        assert self.rerun_equals_clean_run(cfg, tmp_path, caplog) == ["extract", "mine"]
+
+    def test_run_killed_before_eval_manifest_rebuilds_eval_only(self, small_world, tmp_path, caplog):
+        cfg = small_world
+        self.killed_child(cfg, tmp_path, KILL_BEFORE_EVAL_MANIFEST)
+        assert (cfg.out / "eval_classification.json").exists()
+        assert not (cfg.out / "eval_retrieval.json.manifest.json").exists()
+        assert self.rerun_equals_clean_run(cfg, tmp_path, caplog) == ["extract", "mine", "train"]
 
 
 class TestConfigFile:
