@@ -18,7 +18,7 @@ from .alignment import DegenerateEmbeddingError
 from .corpus import DataError
 from .evaluation import MATCH_MODES
 from .extraction import MetaEntities
-from .ontology import OntologyError, default_ontology, load_ontology, save_ontology, serialize_ontology
+from .ontology import OntologyError, load_ontology, save_ontology, serialize_ontology
 from .pipeline import (
     SETTINGS,
     STAGES,
@@ -47,15 +47,22 @@ class _Parser(argparse.ArgumentParser):
     # argparse exits with 2 on usage errors; this tool reserves 2 for data errors
     def error(self, message):  # noqa: D102
         self.print_usage(sys.stderr)
+        print(f"{self.prog}: error: {message}", file=sys.stderr)
         raise SystemExit(EXIT_USAGE)
 
 
+def _path(text: str) -> Path:
+    if not text:  # Path("") would be the current directory
+        raise argparse.ArgumentTypeError("empty path")
+    return Path(text)
+
+
 def _add_common(parser: argparse.ArgumentParser) -> None:
-    parser.add_argument("--config", type=Path, help="sectioned config file")
+    parser.add_argument("--config", type=_path, help="sectioned config file")
     parser.add_argument("--seed", type=int, help="global seed (overrides config)")
-    parser.add_argument("--out", type=Path, help="output directory (overrides config)")
+    parser.add_argument("--out", type=_path, help="output directory (overrides config)")
     parser.add_argument("--force", action="store_true", help="rerun stages even if up to date")
-    parser.add_argument("--ontology", type=Path, help="ontology file (default: embedded)")
+    parser.add_argument("--ontology", type=_path, help="ontology file (default: embedded)")
 
 
 def _build_config(args: argparse.Namespace) -> RunConfig:
@@ -83,24 +90,8 @@ def _cmd_score(args: argparse.Namespace) -> int:
     mi = _load_meta_record(args.first)
     mj = _load_meta_record(args.second)
     breakdown = score(mi, mj, weights, args.semantics)
-    print(
-        json.dumps(
-            {
-                "total": breakdown.total,
-                "prefactor": breakdown.prefactor,
-                "shared_diseases": [
-                    {
-                        "disease": t.disease,
-                        "ji_adj": t.ji_adj,
-                        "ji_dir": t.ji_dir,
-                        "summand": t.summand,
-                    }
-                    for t in breakdown.shared_diseases
-                ],
-            },
-            indent=2,
-        )
-    )
+    shared = [term._asdict() for term in breakdown.shared_diseases]
+    print(json.dumps({"total": breakdown.total, "prefactor": breakdown.prefactor, "shared_diseases": shared}, indent=2))
     return EXIT_OK
 
 
@@ -145,7 +136,7 @@ def _cmd_synth(args: argparse.Namespace) -> int:
 
 
 def _cmd_dump_ontology(args: argparse.Namespace) -> int:
-    ont = default_ontology() if args.ontology is None else load_ontology(args.ontology)
+    ont = load_ontology(args.ontology)
     if args.output:
         save_ontology(ont, args.output)
         print(f"wrote ontology -> {args.output}")
@@ -160,12 +151,12 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("extract", help="extract entities from a corpus")
     _add_common(p)
-    p.add_argument("--corpus", type=Path, help="corpus jsonl file")
+    p.add_argument("--corpus", type=_path, help="corpus jsonl file")
     p.set_defaults(func=_cmd_stages)
 
     p = sub.add_parser("score", help="score two meta-entity records")
-    p.add_argument("first", type=Path)
-    p.add_argument("second", type=Path)
+    p.add_argument("first", type=_path)
+    p.add_argument("second", type=_path)
     for i, default in enumerate((GammaWeights.g0, GammaWeights.g1, GammaWeights.g2)):
         p.add_argument(f"--gamma{i}", type=float, default=default)
     p.add_argument("--semantics", choices=SEMANTICS, default=DEFAULT_SEMANTICS)
@@ -181,22 +172,22 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("train", help="train projection heads on mined triplets")
     _add_common(p)
-    p.add_argument("--corpus", type=Path)
+    p.add_argument("--corpus", type=_path)
     p.set_defaults(func=_cmd_stages)
 
     p = sub.add_parser("eval-retrieval", help="retrieval P@R over an eval corpus")
     _add_common(p)
-    p.add_argument("--corpus", type=Path)
-    p.add_argument("--eval-corpus", type=Path, dest="eval_corpus")
-    p.add_argument("--heads", type=Path, help="heads checkpoint (default: <out>/heads.ckpt)")
+    p.add_argument("--corpus", type=_path)
+    p.add_argument("--eval-corpus", type=_path, dest="eval_corpus")
+    p.add_argument("--heads", type=_path, help="heads checkpoint (default: <out>/heads.ckpt)")
     p.add_argument("--match-mode", choices=MATCH_MODES, default="mean")
     p.set_defaults(func=_cmd_eval)
 
     p = sub.add_parser("eval-classify", help="zero-shot classification over an eval corpus")
     _add_common(p)
-    p.add_argument("--corpus", type=Path)
-    p.add_argument("--eval-corpus", type=Path, dest="eval_corpus")
-    p.add_argument("--heads", type=Path)
+    p.add_argument("--corpus", type=_path)
+    p.add_argument("--eval-corpus", type=_path, dest="eval_corpus")
+    p.add_argument("--heads", type=_path)
     p.set_defaults(func=_cmd_eval)
 
     p = sub.add_parser("synth", help="generate a synthetic corpus")
@@ -210,14 +201,14 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("run", help="run pipeline stages")
     _add_common(p)
-    p.add_argument("--corpus", type=Path)
-    p.add_argument("--eval-corpus", type=Path, dest="eval_corpus")
+    p.add_argument("--corpus", type=_path)
+    p.add_argument("--eval-corpus", type=_path, dest="eval_corpus")
     p.add_argument("--stages", nargs="+", choices=STAGES)
     p.set_defaults(func=_cmd_stages)
 
     p = sub.add_parser("dump-ontology", help="print or save the active ontology")
-    p.add_argument("--ontology", type=Path)
-    p.add_argument("--output", type=Path)
+    p.add_argument("--ontology", type=_path)
+    p.add_argument("--output", type=_path)
     p.set_defaults(func=_cmd_dump_ontology)
 
     return parser

@@ -7,7 +7,7 @@ for the other line-delimited artifacts (triplets, loss curve, truth).
 ``atomic_write`` writes each run-dir artifact and manifest whole or not
 at all, so a crash mid-write leaves the previous file in place.
 
-corpus/v1 record:   {"id": string, "text": string, "image": path string or null}
+corpus/v1 record:   {"id": string, "text": string, "image": non-empty path string or null}
 entities/v1 record: {"id": ..., "entries": [{"disease", "adj", "dir"}]}
 """
 
@@ -78,8 +78,8 @@ def atomic_write(path: str | Path, mode: str = "w") -> Iterator[IO]:
     """A handle that writes ``path`` whole or not at all (``mode`` "w" for
     UTF-8 text, "wb" for bytes).
 
-    Writes go to a temp file in the same directory. When the block exits
-    cleanly the temp file is fsynced and renamed over ``path``; when it
+    Writes go to a temp file in the same directory. On a clean exit it is fsynced and renamed over
+    ``path``, then on POSIX the directory is fsynced so the rename is durable too; when the block
     raises, the temp file is removed and ``path`` keeps its old bytes.
     """
     path = Path(path)
@@ -90,6 +90,12 @@ def atomic_write(path: str | Path, mode: str = "w") -> Iterator[IO]:
             fh.flush()
             os.fsync(fh.fileno())
         os.replace(tmp, path)
+        if os.name == "posix":
+            dir_fd = os.open(path.parent, os.O_RDONLY)
+            try:
+                os.fsync(dir_fd)
+            finally:
+                os.close(dir_fd)
     finally:
         tmp.unlink(missing_ok=True)
 
@@ -122,12 +128,14 @@ def ingest(path: str | Path, require_images: bool = False) -> list[CorpusRecord]
         image = rec.get("image")
         if not (image is None or isinstance(image, str)):
             raise DataError(f"{path}:{lineno}: 'image' must be a string or null, got {image!r}")
+        if image == "":  # it would name the corpus's own directory
+            raise DataError(f"{path}:{lineno}: empty image path for id {sample_id!r}")
         # A relative image path is relative to the corpus file; joining keeps an absolute one as is.
         image_path = None if image is None else path.parent / image
         if require_images:
             if image_path is None:
                 raise DataError(f"{path}:{lineno}: id {sample_id!r} has no image")
-            if not image_path.exists():
+            if not image_path.is_file():
                 raise DataError(f"{path}:{lineno}: missing image for id {sample_id!r}: {image_path}")
         records.append(CorpusRecord(sample_id, rec["text"], image_path))
     return records

@@ -36,28 +36,18 @@ logger = logging.getLogger(__name__)
 
 PROMPT_TEMPLATE = "This is an X-Ray image of {disease}."
 
-ENTITY_KINDS = ("disease", "adjective", "direction")
+# Each entity kind's label set of a record, as ``MetaEntities`` gives it.
+_LABEL_SET = {"disease": MetaEntities.disease_set, "adjective": MetaEntities.adj_union,
+              "direction": MetaEntities.dir_union}
+ENTITY_KINDS = tuple(_LABEL_SET)
 MATCH_MODES = ("mean", "exact")
 # Retrieval depths P@R is reported at, where the eval corpus is deep enough.
 R_VALUES = (1, 10, 20, 50)
 
 
-def rank(query: np.ndarray, gallery: np.ndarray, exclude: int, norms: Sequence[float]) -> np.ndarray:
-    """Gallery row indices other than ``exclude``, by descending cosine
-    similarity to ``query``; ties go to the lower row.
-
-    ``norms`` are the gallery rows' norms as ``norm`` computes them, so a
-    caller that ranks many queries against one gallery computes them once.
-    ``cosine`` is called once per ranked row. This is the one-query view of
-    the ranking ``retrieval_report`` does.
-    """
-    if not 0 <= exclude < len(gallery):
-        raise IndexError(f"excluded row {exclude} is not a row of a {len(gallery)}-row gallery")
-    return _ranked(query, list(gallery), list(norms), exclude)
-
-
 def _ranked(query: np.ndarray, rows: list, norms: list, exclude: int, depth: int | None = None) -> np.ndarray:
-    """``rank``'s first ``depth`` (default all) rows, the gallery given as lists of row views and norms."""
+    """The first ``depth`` (default all) gallery rows other than ``exclude``, by descending cosine similarity
+    to ``query``, ties to the lower row; the gallery comes as lists of row views and of their ``norm``s."""
     others, other_norms = rows[:exclude] + rows[exclude + 1:], norms[:exclude] + norms[exclude + 1:]
     sims = np.fromiter(map(cosine, repeat(query), others, repeat(norm(query)), other_norms), np.float64, len(others))
     order = np.argsort(-sims, kind="stable")[:depth]
@@ -65,19 +55,9 @@ def _ranked(query: np.ndarray, rows: list, norms: list, exclude: int, depth: int
     return order + (order >= exclude)
 
 
-def entity_label_set(entities: MetaEntities, kind: str) -> frozenset[str]:
-    if kind == "disease":
-        return entities.disease_set()
-    if kind == "adjective":
-        return entities.adj_union()
-    if kind == "direction":
-        return entities.dir_union()
-    raise ValueError(f"unknown entity kind {kind!r}")
-
-
 def _label_matrix(entities: Sequence[MetaEntities], kind: str) -> np.ndarray:
     """(n, v) multi-hot matrix of each item's ``kind`` labels over their sorted union."""
-    sets = [entity_label_set(e, kind) for e in entities]
+    sets = [_LABEL_SET[kind](e) for e in entities]
     column = {label: j for j, label in enumerate(sorted(set().union(*sets)))}
     matrix = np.zeros((len(sets), len(column)), dtype=bool)
     for i, labels in enumerate(sets):
@@ -142,7 +122,6 @@ class ClassificationMetrics:
     macro_auc: float  # fraction in [0, 1]
     per_class_f1: dict[str, float]
     per_class_auc: dict[str, float]
-    skipped_classes: tuple[str, ...]
 
 
 def classification_metrics(
@@ -155,7 +134,7 @@ def classification_metrics(
 
     ``scores`` is the (n, k) matrix with one row per sample and column j
     for ``classes[j]``. Classes that never occur in the truths are
-    excluded from the macro averages and reported in ``skipped_classes``.
+    excluded from the macro averages, with a logged warning that names them.
     """
     scores = np.asarray(scores, dtype=np.float64)
     if len(predictions) != len(truths) or scores.shape != (len(truths), len(classes)):
@@ -187,7 +166,6 @@ def classification_metrics(
         macro_auc=float(np.mean([auc[c] for c in classes_seen])),
         per_class_f1=f1,
         per_class_auc=auc,
-        skipped_classes=skipped,
     )
 
 

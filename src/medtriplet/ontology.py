@@ -166,7 +166,10 @@ def parse_ontology(text: str, source: str = "<string>") -> Ontology:
     return ont
 
 
-def load_ontology(path: str | Path) -> Ontology:
+def load_ontology(path: str | Path | None) -> Ontology:
+    """The ontology in file ``path``; no path means the embedded default."""
+    if path is None:
+        return default_ontology()
     path = Path(path)
     try:
         text = path.read_text(encoding="utf-8")

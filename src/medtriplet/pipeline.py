@@ -55,7 +55,7 @@ from .evaluation import R_VALUES, classification_metrics, prompt_text, retrieval
 from .extraction import MetaEntities, extract
 from .images import load_image
 from .mining import MiningSettings, mine_corpus, read_triplets
-from .ontology import DEFAULT_ONTOLOGY_FILE, Ontology, default_ontology, load_ontology
+from .ontology import DEFAULT_ONTOLOGY_FILE, Ontology, load_ontology
 from .scoring import GammaWeights
 
 logger = logging.getLogger(__name__)
@@ -86,9 +86,6 @@ class RunConfig:
     def __post_init__(self) -> None:
         if self.seed < 0:
             raise ValueError(f"seed must be >= 0, got {self.seed}")
-
-    def load_ontology(self) -> Ontology:
-        return default_ontology() if self.ontology is None else load_ontology(self.ontology)
 
     # Read-only views of the score settings, which benchmarks/bench.py reads off a run config.
     gammas = property(lambda self: self.mining.gammas)
@@ -128,7 +125,9 @@ def read_sectioned_config(path: str | Path) -> dict[str, dict[str, str]]:
 
 
 def _parse(section: str, key: str, raw, kind: type):
-    """One setting's value as ``kind``; a value that is not one names its section and key."""
+    """One setting's value as ``kind``; a value that is not one, or an empty path, names its section and key."""
+    if kind is Path and raw == "":  # Path("") would be the current directory
+        raise PipelineError(f"[{section}] {key} is empty; give a path")
     try:
         return kind(raw)
     except ValueError:
@@ -417,7 +416,7 @@ def stage_extract(cfg: RunConfig, force: bool = False) -> Path:
     artifact = cfg.out / "entities.jsonl"
 
     def build() -> None:
-        ont = cfg.load_ontology()
+        ont = load_ontology(cfg.ontology)
         write_entities(artifact, [(rec.id, extract(rec.report(), ont)) for rec in ingest(cfg.corpus)])
 
     cfg_payload = {"ontology": "default" if cfg.ontology is None else str(cfg.ontology)}
@@ -506,7 +505,7 @@ def _eval_records(
     """The eval corpus's records sorted by id, their extracted entities, and the ontology; ``records``,
     if given, are the corpus's records as already ingested. A query needs another record to retrieve,
     so the corpus must hold 2 or more."""
-    ont = cfg.load_ontology()
+    ont = load_ontology(cfg.ontology)
     records = sorted(ingest(eval_corpus_path, require_images=True) if records is None else records, key=lambda r: r.id)
     if len(records) < 2:
         held = "holds no records" if not records else "holds 1 record"
@@ -562,15 +561,7 @@ def _classification(
     prompts = _project(trunks.encode_texts([prompt_text(label, ont) for label in classes]), heads[TEXT])
     predictions, scores = zero_shot_classify(images, prompts, classes)
     metrics = classification_metrics(predictions, truths, scores, classes)
-    return {
-        "classes": classes,
-        "samples": len(labelled),
-        "accuracy": metrics.accuracy,
-        "macro_f1": metrics.macro_f1,
-        "macro_auc": metrics.macro_auc,
-        "per_class_f1": metrics.per_class_f1,
-        "per_class_auc": metrics.per_class_auc,
-    }
+    return {"classes": classes, "samples": len(labelled), **asdict(metrics)}
 
 
 def _eval_stage(cfg: RunConfig) -> tuple[dict, dict]:

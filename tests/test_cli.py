@@ -1,6 +1,7 @@
 """CLI subcommands, exit codes, and artifact wiring."""
 
 import json
+import os
 
 import numpy as np
 import pytest
@@ -34,6 +35,26 @@ class TestExitCodes:
         corpus.write_text('{"schema": "corpus/v1"}\n{"id": "a", "text": "Edema.", "image": 5}\n')
         assert main(["extract", "--corpus", str(corpus), "--out", str(tmp_path / "run")]) == EXIT_DATA
         assert f"error: {corpus}:2: 'image' must be a string or null, got 5" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("flag", ["--out", "--corpus", "--eval-corpus", "--ontology", "--config"])
+    def test_empty_path_flag_is_usage_error_naming_it(self, tmp_path, monkeypatch, capsys, flag):
+        monkeypatch.chdir(tmp_path)  # an empty path would have meant this directory
+        corpus = tmp_path / "c.jsonl"
+        corpus.write_text('{"schema": "corpus/v1"}\n{"id": "a", "text": "Edema."}\n')
+        flags = {"--out": str(tmp_path / "run"), "--corpus": str(corpus), flag: ""}
+        assert main(["run", *(x for item in flags.items() for x in item), "--stages", "extract"]) == EXIT_USAGE
+        assert f"argument {flag}: empty path" in capsys.readouterr().err
+        assert os.listdir(tmp_path) == ["c.jsonl"]
+
+    @pytest.mark.parametrize("key", ["out", "corpus"])
+    def test_empty_config_path_exits_before_any_stage(self, tmp_path, monkeypatch, capsys, key):
+        monkeypatch.chdir(tmp_path)
+        (tmp_path / "c.jsonl").write_text('{"schema": "corpus/v1"}\n{"id": "a", "text": "Edema."}\n')
+        cfg = tmp_path / "run.cfg"
+        cfg.write_text({"out": "[run]\nout =\ncorpus = c.jsonl\n", "corpus": "[run]\nout = run\ncorpus =\n"}[key])
+        assert main(["run", "--config", str(cfg), "--stages", "extract"]) == EXIT_DATA
+        assert capsys.readouterr().err.strip() == f"error: {cfg}: [run] {key} is empty; give a path"
+        assert sorted(os.listdir(tmp_path)) == ["c.jsonl", "run.cfg"]
 
     def test_config_typo_is_data_error(self, tmp_path, capsys):
         cfg = tmp_path / "run.cfg"

@@ -1,4 +1,5 @@
-"""The README's config and ontology examples parse, and its key count matches ``SETTINGS``."""
+"""The README's config and ontology examples parse, its library examples run, and its key count
+matches ``SETTINGS``."""
 
 import re
 from pathlib import Path
@@ -33,3 +34,13 @@ def test_file_formats_ontology_parses():
 def test_settable_key_count_stated():
     count = sum(len(keys) for keys in SETTINGS.values())
     assert f"A config file can set {count} keys" in " ".join(_readme().split())
+
+
+def test_library_use_examples_run():
+    """The "Library use" blocks run in order in one namespace, as a reader pasting them would."""
+    section = _readme().split("## Library use", 1)[1].split("\n## ", 1)[0]
+    blocks = re.findall(r"^```python\n(.*?)^```$", section, re.M | re.S)
+    assert len(blocks) == 3
+    namespace: dict = {}
+    for block in blocks:
+        exec(compile(block, "README.md", "exec"), namespace)

@@ -10,9 +10,9 @@ from conftest import entities
 from medtriplet.alignment import DegenerateEmbeddingError, cosine, norm
 from medtriplet.encoder import tokenize_text
 from medtriplet.evaluation import (
+    _ranked,
     classification_metrics,
     prompt_text,
-    rank,
     retrieval_report,
     zero_shot_classify,
 )
@@ -32,8 +32,8 @@ def rows(*vectors):
 
 
 def ranked(query, gallery, exclude):
-    """``rank`` with the gallery norms computed as ``retrieval_report`` computes them."""
-    return rank(query, gallery, exclude, [norm(row) for row in gallery])
+    """``_ranked`` with the gallery lists and norms made as ``retrieval_report`` makes them."""
+    return _ranked(query, list(gallery), [norm(row) for row in gallery], exclude)
 
 
 def p_at_all(ents, kind="disease", match_mode="mean"):
@@ -71,7 +71,7 @@ GOLDEN_RETRIEVAL_DIGEST = "abd7ef91178562123e9bf25441e9ab298d88056e32da31d6d93f9
 
 
 class TestRetrieve:
-    """``rank``: other gallery rows by descending cosine, ties to the lower row."""
+    """``_ranked``: other gallery rows by descending cosine, ties to the lower row."""
 
     def test_duplicate_of_query_ranks_first(self):
         g = rows((1.0, 0.0), (0.2, 0.9), (1.0, 0.0), (0.5, 0.5))
@@ -89,12 +89,6 @@ class TestRetrieve:
         g = rows((1.0, 0.0), (0.9, 0.1))
         assert list(ranked(g[0], g, exclude=0)) == [1]
         assert list(ranked(g[0], g, exclude=1)) == [0]
-
-    @pytest.mark.parametrize("exclude", [-1, 2])
-    def test_exclude_outside_gallery_rejected(self, exclude):
-        g = rows((1.0, 0.0), (0.9, 0.1))
-        with pytest.raises(IndexError, match="2-row gallery"):
-            ranked(g[0], g, exclude)
 
     def test_rescaled_gallery_entry_same_ranking(self):
         rng = np.random.default_rng(0)
@@ -122,11 +116,11 @@ class TestRetrieve:
             norms = [norm(row) for row in g]
             np_norms = [np.linalg.norm(row) for row in g]
             for i in range(n):
-                # numpy's norms here: the norms rank is given must give the same floats.
+                # numpy's norms here: the norms _ranked is given must give the same floats.
                 expected = sorted(
                     (j for j in range(n) if j != i), key=lambda j: (-cosine(g[i], g[j], np_norms[i], np_norms[j]), j)
                 )
-                assert list(rank(g[i], g, i, norms)) == expected
+                assert list(_ranked(g[i], list(g), norms, i)) == expected
 
 
 class TestRetrievalResult:
@@ -338,7 +332,9 @@ class TestClassificationMetrics:
         scores = rows(*[(0.5, 0.3, 0.2)] * 4)
         with caplog.at_level("WARNING"):
             m = classification_metrics(preds, truths, scores, ["a", "b", "c"])
-        assert m.skipped_classes == ("c",)
+        (record,) = [r for r in caplog.records if r.levelname == "WARNING"]
+        assert "classes absent from truths" in record.getMessage() and "('c',)" in record.getMessage()
+        assert set(m.per_class_f1) == set(m.per_class_auc) == {"a", "b"}
 
     def test_ties_count_half(self):
         truths = ["a", "b"]

@@ -4,6 +4,7 @@ import json
 import os
 import re
 import signal
+import stat
 import subprocess
 import sys
 from dataclasses import replace
@@ -77,6 +78,23 @@ class TestAtomicWrites:
         assert sorted(os.listdir(tmp_path)) == ["heads.ckpt"]
         np.testing.assert_array_equal(load_checkpoint(path)[1]["head.image"], np.eye(2))
 
+    @pytest.mark.skipif(os.name != "posix", reason="the directory is fsynced on POSIX only")
+    def test_directory_fsynced_after_the_rename(self, tmp_path, monkeypatch):
+        path = tmp_path / "t.jsonl"
+        path.write_text("old\n")
+        synced = []  # (is the directory, bytes at path then) per fsync
+
+        def fsync(fd):
+            info = os.fstat(fd)
+            is_dir = stat.S_ISDIR(info.st_mode) and info.st_ino == os.stat(tmp_path).st_ino
+            synced.append((is_dir, path.read_bytes()))
+            real_fsync(fd)
+
+        real_fsync = os.fsync
+        monkeypatch.setattr(os, "fsync", fsync)
+        write_jsonl(path, [{"schema": "x"}])
+        assert synced == [(False, b"old\n"), (True, b'{"schema": "x"}\n')]
+
 
 class TestIngest:
     def test_two_records(self, tmp_path):
@@ -107,6 +125,22 @@ class TestIngest:
         path.write_text('{"schema": "corpus/v1"}\n{"id": "a", "text": "x", "image": "nope.pgm"}\n')
         with pytest.raises(DataError, match="missing image"):
             ingest(path, require_images=True)
+
+    def test_image_naming_a_directory_is_missing(self, tmp_path):
+        (tmp_path / "images").mkdir()
+        path = tmp_path / "c.jsonl"
+        path.write_text('{"schema": "corpus/v1"}\n{"id": "a", "text": "x", "image": "images"}\n')
+        with pytest.raises(DataError) as info:
+            ingest(path, require_images=True)
+        assert str(info.value) == f"{path}:2: missing image for id 'a': {tmp_path / 'images'}"
+
+    @pytest.mark.parametrize("require_images", [False, True])
+    def test_empty_image_path_names_file_and_line(self, tmp_path, require_images):
+        path = tmp_path / "c.jsonl"
+        path.write_text('{"schema": "corpus/v1"}\n{"id": "a", "text": "x", "image": ""}\n')
+        with pytest.raises(DataError) as info:
+            ingest(path, require_images=require_images)
+        assert str(info.value) == f"{path}:2: empty image path for id 'a'"
 
     def test_records_in_file_order(self, tmp_path):
         path = tmp_path / "c.jsonl"
@@ -481,6 +515,13 @@ class TestEvalClassification:
         assert cli_main(["eval-classify", *map(str, args)]) == 0
         assert capsys.readouterr().out == text
 
+    def test_report_holds_exactly_its_keys(self, small_world):
+        """No field of ``ClassificationMetrics`` reaches the report unlisted."""
+        heads = {IMAGE: init_head(small_world.seed, IMAGE), TEXT: init_head(small_world.seed, TEXT)}
+        report = evaluate_classification(small_world, heads, small_world.eval_corpus)
+        keys = {"classes", "samples", "accuracy", "macro_f1", "macro_auc", "per_class_f1", "per_class_auc"}
+        assert set(report) == keys
+
     def test_second_call_encodes_and_extracts_nothing(self, small_world, monkeypatch):
         run_pipeline(small_world)
         _, heads = load_heads(small_world.out / "heads.ckpt")
@@ -686,6 +727,14 @@ class TestKilledRun:
 
 
 class TestConfigFile:
+    @pytest.mark.parametrize("key", ["out", "corpus", "eval_corpus", "ontology"])
+    def test_empty_path_names_its_key(self, tmp_path, key):
+        path = tmp_path / "run.cfg"
+        path.write_text(f"[run]\n{key} =\n")
+        with pytest.raises(PipelineError) as info:
+            config_from_file(path)
+        assert str(info.value) == f"{path}: [run] {key} is empty; give a path"
+
     def test_round_trip_values(self, tmp_path):
         path = tmp_path / "run.cfg"
         path.write_text(
