@@ -1,8 +1,8 @@
 """Command-line interface.
 
 Subcommands: extract, score, mine, train, eval-retrieval, eval-classify,
-synth, run. Exit codes: 0 success, 1 usage error, 2 data/validation
-error, 3 internal error.
+synth, run, dump-ontology. Exit codes: 0 success, 1 usage error, 2
+data/validation error, 3 internal error.
 """
 
 from __future__ import annotations
@@ -35,8 +35,6 @@ from .pipeline import (
 from .scoring import DEFAULT_SEMANTICS, SEMANTICS, GammaWeights, score
 from .synthetic import SyntheticSpec, synthesize
 
-logger = logging.getLogger(__name__)
-
 EXIT_OK = 0
 EXIT_USAGE = 1
 EXIT_DATA = 2
@@ -57,12 +55,19 @@ def _path(text: str) -> Path:
     return Path(text)
 
 
-def _add_common(parser: argparse.ArgumentParser) -> None:
-    parser.add_argument("--config", type=_path, help="sectioned config file")
-    parser.add_argument("--seed", type=int, help="global seed (overrides config)")
-    parser.add_argument("--out", type=_path, help="output directory (overrides config)")
-    parser.add_argument("--force", action="store_true", help="rerun stages even if up to date")
-    parser.add_argument("--ontology", type=_path, help="ontology file (default: embedded)")
+_HELP = {
+    "seed": "global seed (overrides config)",
+    "out": "output directory (overrides config)",
+    "ontology": "ontology file (default: embedded)",
+    "corpus": "corpus jsonl file",
+}
+
+
+def _add_settings(parser: argparse.ArgumentParser, section: str, *keys: str) -> None:
+    """A flag per ``SETTINGS[section]`` key: the key with dashes, parsed to the key's type."""
+    for key in keys:
+        kind = SETTINGS[section][key]
+        parser.add_argument(f"--{key.replace('_', '-')}", type=_path if kind is Path else kind, help=_HELP.get(key))
 
 
 def _build_config(args: argparse.Namespace) -> RunConfig:
@@ -130,7 +135,7 @@ def _cmd_synth(args: argparse.Namespace) -> int:
         seed=seed,
         id_prefix=args.id_prefix,
     )
-    result = synthesize(spec, args.out or cfg.out)
+    result = synthesize(spec, cfg.out)
     print(f"wrote {result.records} records -> {result.corpus_path}")
     return EXIT_OK
 
@@ -145,14 +150,22 @@ def _cmd_dump_ontology(args: argparse.Namespace) -> int:
     return EXIT_OK
 
 
+def _run_command(sub, name: str, help_text: str, func, *keys: str) -> argparse.ArgumentParser:
+    """A subcommand that builds a RunConfig: ``--config``, ``--force`` if it runs stages, and [run] flags."""
+    p = sub.add_parser(name, help=help_text)
+    p.set_defaults(func=func)
+    p.add_argument("--config", type=_path, help="sectioned config file")
+    _add_settings(p, "run", "seed", "out", *keys)
+    if func is _cmd_stages:
+        p.add_argument("--force", action="store_true", help="rerun stages even if up to date")
+    return p
+
+
 def build_parser() -> argparse.ArgumentParser:
     parser = _Parser(prog="medtriplet", description=__doc__)
     sub = parser.add_subparsers(dest="command", required=True)
 
-    p = sub.add_parser("extract", help="extract entities from a corpus")
-    _add_common(p)
-    p.add_argument("--corpus", type=_path, help="corpus jsonl file")
-    p.set_defaults(func=_cmd_stages)
+    _run_command(sub, "extract", "extract entities from a corpus", _cmd_stages, "ontology", "corpus")
 
     p = sub.add_parser("score", help="score two meta-entity records")
     p.add_argument("first", type=_path)
@@ -162,52 +175,32 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--semantics", choices=SEMANTICS, default=DEFAULT_SEMANTICS)
     p.set_defaults(func=_cmd_score)
 
-    p = sub.add_parser("mine", help="mine triplets from <out>/entities.jsonl")
-    _add_common(p)
-    p.add_argument("--batch-size", type=int, dest="batch_size")
-    p.add_argument("--target", type=int)
-    p.add_argument("--tau-min", type=float, dest="tau_min")
-    p.add_argument("--tau-max", type=float, dest="tau_max")
-    p.set_defaults(func=_cmd_stages)
+    p = _run_command(sub, "mine", "mine triplets from <out>/entities.jsonl", _cmd_stages)
+    _add_settings(p, "miner", "batch_size", "target", "tau_min", "tau_max")
 
-    p = sub.add_parser("train", help="train projection heads on mined triplets")
-    _add_common(p)
-    p.add_argument("--corpus", type=_path)
-    p.set_defaults(func=_cmd_stages)
+    _run_command(sub, "train", "train projection heads on mined triplets", _cmd_stages, "corpus")
 
-    p = sub.add_parser("eval-retrieval", help="retrieval P@R over an eval corpus")
-    _add_common(p)
-    p.add_argument("--corpus", type=_path)
-    p.add_argument("--eval-corpus", type=_path, dest="eval_corpus")
+    p = _run_command(sub, "eval-retrieval", "retrieval P@R over an eval corpus", _cmd_eval, "ontology", "corpus",
+                     "eval_corpus")
     p.add_argument("--heads", type=_path, help="heads checkpoint (default: <out>/heads.ckpt)")
     p.add_argument("--match-mode", choices=MATCH_MODES, default="mean")
-    p.set_defaults(func=_cmd_eval)
 
-    p = sub.add_parser("eval-classify", help="zero-shot classification over an eval corpus")
-    _add_common(p)
-    p.add_argument("--corpus", type=_path)
-    p.add_argument("--eval-corpus", type=_path, dest="eval_corpus")
+    p = _run_command(sub, "eval-classify", "zero-shot classification over an eval corpus", _cmd_eval, "ontology",
+                     "corpus", "eval_corpus")
     p.add_argument("--heads", type=_path)
-    p.set_defaults(func=_cmd_eval)
 
-    p = sub.add_parser("synth", help="generate a synthetic corpus")
-    _add_common(p)
+    p = _run_command(sub, "synth", "generate a synthetic corpus", _cmd_synth)
     p.add_argument("--classes", type=int, default=SyntheticSpec.n_classes)
     p.add_argument("--per-class", type=int, default=SyntheticSpec.per_class, dest="per_class")
     p.add_argument("--image-size", type=int, default=SyntheticSpec.image_size, dest="image_size")
     p.add_argument("--overlap", type=float, default=SyntheticSpec.overlap_rate)
     p.add_argument("--id-prefix", default=SyntheticSpec.id_prefix, dest="id_prefix")
-    p.set_defaults(func=_cmd_synth)
 
-    p = sub.add_parser("run", help="run pipeline stages")
-    _add_common(p)
-    p.add_argument("--corpus", type=_path)
-    p.add_argument("--eval-corpus", type=_path, dest="eval_corpus")
+    p = _run_command(sub, "run", "run pipeline stages", _cmd_stages, "ontology", "corpus", "eval_corpus")
     p.add_argument("--stages", nargs="+", choices=STAGES)
-    p.set_defaults(func=_cmd_stages)
 
     p = sub.add_parser("dump-ontology", help="print or save the active ontology")
-    p.add_argument("--ontology", type=_path)
+    _add_settings(p, "run", "ontology")
     p.add_argument("--output", type=_path)
     p.set_defaults(func=_cmd_dump_ontology)
 

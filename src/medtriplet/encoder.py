@@ -125,13 +125,13 @@ def init_head(seed: int, modality: str) -> np.ndarray:
     return rng.normal(0.0, INIT_SCALE, (EMBED_DIM, EMBED_DIM))
 
 
-def _patch_grid(h: int, w: int, patch_size: int) -> tuple[int, int]:
+def _patch_grid(h: int, w: int) -> tuple[int, int]:
     """Patch rows and columns of an h x w image; an empty one, or sides the patch does not divide, are an error."""
     if not h or not w:
         raise ValueError(f"image {h}x{w} has no pixels")
-    if h % patch_size or w % patch_size:
-        raise ValueError(f"image {h}x{w} not divisible by patch size {patch_size}")
-    return h // patch_size, w // patch_size
+    if h % PATCH_SIZE or w % PATCH_SIZE:
+        raise ValueError(f"image {h}x{w} not divisible by patch size {PATCH_SIZE}")
+    return h // PATCH_SIZE, w // PATCH_SIZE
 
 
 def _check_length(n: int) -> None:
@@ -141,18 +141,18 @@ def _check_length(n: int) -> None:
 
 def check_image(image: ImageSample) -> None:
     """Raise the error the image trunk would raise for ``image``, without encoding it."""
-    rows, cols = _patch_grid(*image.pixels.shape[-2:], PATCH_SIZE)
+    rows, cols = _patch_grid(*image.pixels.shape[-2:])
     _check_length(rows * cols)
 
 
-def patchify(image: ImageSample, patch_size: int) -> np.ndarray:
-    """Row-major non-overlapping patches, each flattened row-major: (..., patches, patch_size**2)."""
+def patchify(image: ImageSample) -> np.ndarray:
+    """Row-major non-overlapping patches, each flattened row-major: (..., patches, PATCH_SIZE**2)."""
     *lead, h, w = image.pixels.shape
-    rows, cols = _patch_grid(h, w, patch_size)
+    rows, cols = _patch_grid(h, w)
     return (
-        image.pixels.reshape(*lead, rows, patch_size, cols, patch_size)
+        image.pixels.reshape(*lead, rows, PATCH_SIZE, cols, PATCH_SIZE)
         .swapaxes(-3, -2)
-        .reshape(*lead, rows * cols, patch_size * patch_size)
+        .reshape(*lead, rows * cols, PATCH_SIZE * PATCH_SIZE)
     )
 
 
@@ -197,8 +197,7 @@ def transformer_block(h: np.ndarray, p: dict[str, np.ndarray], block: int) -> np
 def embed_input(sample: ImageSample | TokenSequence, trunk: dict[str, np.ndarray]) -> np.ndarray:
     """Initial hidden sequences (..., n, c): learnable linear map plus position encodings."""
     if isinstance(sample, ImageSample):
-        patches = patchify(sample, PATCH_SIZE)
-        projected = patches @ trunk["input.w"]
+        projected = patchify(sample) @ trunk["input.w"]
     else:
         ids = np.asarray(sample.ids, dtype=np.int64)
         if ids.max(initial=0) >= trunk["table"].shape[0]:

@@ -22,6 +22,7 @@ each sweep yields a plain list of totals.
 from __future__ import annotations
 
 import logging
+from collections import Counter
 from dataclasses import dataclass, field
 from functools import cached_property
 from itertools import chain
@@ -47,8 +48,9 @@ class Batch:
     samples: tuple[tuple[str, MetaEntities], ...]
 
     def __post_init__(self) -> None:
-        if len(set(self.ids)) != len(self.ids):
-            raise ValueError("duplicate sample ids in batch")
+        duplicates = [sid for sid, n in Counter(self.ids).items() if n > 1]
+        if duplicates:
+            raise ValueError(f"duplicate sample id {duplicates[0]!r}")
 
     def __len__(self) -> int:
         return len(self.samples)
@@ -128,9 +130,7 @@ def select_positive(anchor_index: int, batch: Batch, cfg: MiningSettings) -> str
     return min(sid for sid, s in zip(_others(batch.ids, anchor_index), scores) if s == best)
 
 
-def select_negative(
-    anchor_index: int, batch: Batch, cfg: MiningSettings, exclude: str
-) -> str | None:
+def select_negative(anchor_index: int, batch: Batch, cfg: MiningSettings, exclude: str) -> str | None:
     """Id of the in-band minimum-similarity sample, or None if band empty.
 
     Ties go to the lowest id. Band bounds are inclusive; the anchor and the
@@ -164,29 +164,25 @@ def mine_batch(batch: Batch, cfg: MiningSettings, rng: np.random.Generator) -> l
     return triplets
 
 
-def _batches(
-    samples: Sequence[tuple[str, MetaEntities]], k: int, rng: np.random.Generator
-) -> Iterator[Batch]:
+def _batches(samples: Sequence[tuple[str, MetaEntities]], k: int, rng: np.random.Generator) -> Iterator[Batch]:
     order = rng.permutation(len(samples))
     for start in range(0, len(samples) - k + 1, k):
-        chosen = [samples[int(i)] for i in order[start : start + k]]
-        yield Batch(tuple(chosen))
+        yield Batch(tuple(samples[int(i)] for i in order[start : start + k]))
 
 
-def mine_corpus(
-    samples: Sequence[tuple[str, MetaEntities]], cfg: MiningSettings, out_path: str | Path | None = None
-) -> tuple[dict, list[Triplet]]:
+def mine_corpus(samples: Sequence[tuple[str, MetaEntities]], cfg: MiningSettings) -> tuple[dict, list[Triplet]]:
     """Mine up to ``cfg.target`` unique triplets over repeated corpus passes.
 
     Each pass shuffles the corpus into disjoint batches of ``cfg.batch_size``.
     Triplets deduplicate on the (anchor, positive, negative) id tuple.
-    Returns the manifest and the triplets, as ``read_triplets`` does.
-    Output is canonically sorted, so reruns with the same inputs are
-    byte-identical.
+    Returns the manifest and the triplets, which ``write_triplets`` writes
+    and ``read_triplets`` returns. Output is canonically sorted, so reruns
+    with the same inputs are byte-identical. Sample ids must be unique.
     """
     k, target = cfg.batch_size, cfg.target
     if len(samples) < k:
         raise ValueError(f"corpus holds {len(samples)} samples, need at least k={k}")
+    Batch(tuple(samples))  # ids must be unique corpus-wide, not only within each batch
     rng = np.random.default_rng(cfg.seed)
     unique: dict[tuple[str, str, str], Triplet] = {}
     passes = 0
@@ -218,8 +214,6 @@ def mine_corpus(
         "passes": passes,
         "reached_target": reached,
     }
-    if out_path is not None:
-        write_triplets(out_path, manifest, triplets)
     return manifest, triplets
 
 

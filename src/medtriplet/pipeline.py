@@ -54,7 +54,7 @@ from .encoder import (
 from .evaluation import R_VALUES, classification_metrics, prompt_text, retrieval_report, zero_shot_classify
 from .extraction import MetaEntities, extract
 from .images import load_image
-from .mining import MiningSettings, mine_corpus, read_triplets
+from .mining import MiningSettings, mine_corpus, read_triplets, write_triplets
 from .ontology import DEFAULT_ONTOLOGY_FILE, Ontology, load_ontology
 from .scoring import GammaWeights
 
@@ -430,7 +430,7 @@ def stage_mine(cfg: RunConfig, force: bool = False) -> Path:
     artifact = cfg.out / "triplets.jsonl"
 
     def build() -> None:
-        mine_corpus(read_entities(entities_path), cfg.mining, out_path=artifact)
+        write_triplets(artifact, *mine_corpus(read_entities(entities_path), cfg.mining))
 
     return _run_stage(cfg, "mine", force, artifact, asdict(cfg.mining), {"entities": entities_path}, build)
 
@@ -564,9 +564,8 @@ def _classification(
     return {"classes": classes, "samples": len(labelled), **asdict(metrics)}
 
 
-def _eval_stage(cfg: RunConfig) -> tuple[dict, dict]:
-    """The eval stage's config payload and inputs; ``images`` ingests the eval corpus once."""
-    eval_corpus = cfg.eval_corpus or cfg.corpus
+def _eval_stage(cfg: RunConfig, eval_corpus: Path) -> tuple[dict, dict]:
+    """The eval stage's config payload and inputs over ``eval_corpus``; ``images`` ingests it once."""
     records = functools.cache(lambda: ingest(eval_corpus, require_images=True))  # hashed, then read by build
     inputs = {"heads": cfg.out / "heads.ckpt", "eval_corpus": eval_corpus, "images": records}
     inputs["ontology"] = cfg.ontology or DEFAULT_ONTOLOGY_FILE
@@ -574,10 +573,10 @@ def _eval_stage(cfg: RunConfig) -> tuple[dict, dict]:
 
 
 def _current_classification(cfg: RunConfig, heads: dict[str, np.ndarray], eval_corpus_path: Path) -> dict | None:
-    """The eval stage's classification result if it is current for exactly these heads and this corpus."""
-    cfg_payload, inputs = _eval_stage(cfg)
+    """The eval stage's classification result if it is current for exactly these heads and this corpus's bytes."""
+    cfg_payload, inputs = _eval_stage(cfg, eval_corpus_path)
     artifact, side = cfg.out / "eval_retrieval.json", cfg.out / "eval_classification.json"
-    if Path(eval_corpus_path) != inputs["eval_corpus"] or _read_manifest(artifact) is None:
+    if _read_manifest(artifact) is None:
         return None
     try:
         if not _up_to_date(artifact, cfg_payload, _input_hashes("eval", inputs), (side,)):
@@ -604,7 +603,7 @@ def evaluate_classification(cfg: RunConfig, heads: dict[str, np.ndarray], eval_c
 
 def stage_eval(cfg: RunConfig, force: bool = False) -> Path:
     artifact, classification_path = cfg.out / "eval_retrieval.json", cfg.out / "eval_classification.json"
-    cfg_payload, inputs = _eval_stage(cfg)
+    cfg_payload, inputs = _eval_stage(cfg, cfg.eval_corpus or cfg.corpus)
 
     def build() -> None:
         _, heads = load_heads(inputs["heads"], cfg)

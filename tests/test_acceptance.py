@@ -19,7 +19,7 @@ from medtriplet.alignment import LossConfig
 from medtriplet.encoder import IMAGE, TEXT, init_head
 from medtriplet.evaluation import classification_metrics
 from medtriplet.extraction import MetaEntities, Report, extract
-from medtriplet.mining import MiningSettings, mine_corpus
+from medtriplet.mining import MiningSettings, mine_corpus, write_triplets
 from medtriplet.pipeline import (
     RunConfig,
     evaluate_retrieval_tasks,
@@ -86,8 +86,9 @@ def test_criterion_3_miner_invariants(tmp_path, ontology):
     samples = [(rec.id, extract(rec.report(), ontology)) for rec in ingest(synth.corpus_path)]
     cfg = MiningSettings(batch_size=64, target=1000, seed=31)
     p1, p2 = tmp_path / "t1.jsonl", tmp_path / "t2.jsonl"
-    manifest, triplets = mine_corpus(samples, cfg, out_path=p1)
-    mine_corpus(samples, cfg, out_path=p2)
+    manifest, triplets = mine_corpus(samples, cfg)
+    write_triplets(p1, manifest, triplets)
+    write_triplets(p2, *mine_corpus(samples, cfg))
     assert len(triplets) == 1000
     keys = {t.key() for t in triplets}
     assert len(keys) == 1000

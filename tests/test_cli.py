@@ -1,13 +1,15 @@
 """CLI subcommands, exit codes, and artifact wiring."""
 
+import argparse
 import json
 import os
+from pathlib import Path
 
 import numpy as np
 import pytest
 
 from medtriplet.checkpoint import save_checkpoint
-from medtriplet.cli import EXIT_DATA, EXIT_OK, EXIT_USAGE, main
+from medtriplet.cli import EXIT_DATA, EXIT_OK, EXIT_USAGE, _build_config, build_parser, main
 from medtriplet.pipeline import output_lock
 
 
@@ -77,6 +79,76 @@ class TestExitCodes:
         args = [command, flag, str(path)] + (["--out", str(tmp_path / "run")] if command == "extract" else [])
         assert main(args) == EXIT_DATA
         assert capsys.readouterr().err.strip() == f"error: {path}: not UTF-8: byte 0xff at offset {len(text)}"
+
+
+# Every argument each subcommand takes, subcommands in `medtriplet --help` order; each is one its command reads.
+RUN = ["--config", "--seed", "--out"]
+COMMAND_FLAGS = {
+    "extract": [*RUN, "--force", "--ontology", "--corpus"],
+    "score": ["first", "second", "--gamma0", "--gamma1", "--gamma2", "--semantics"],
+    "mine": [*RUN, "--force", "--batch-size", "--target", "--tau-min", "--tau-max"],
+    "train": [*RUN, "--force", "--corpus"],
+    "eval-retrieval": [*RUN, "--ontology", "--corpus", "--eval-corpus", "--heads", "--match-mode"],
+    "eval-classify": [*RUN, "--ontology", "--corpus", "--eval-corpus", "--heads"],
+    "synth": [*RUN, "--classes", "--per-class", "--image-size", "--overlap", "--id-prefix"],
+    "run": [*RUN, "--force", "--ontology", "--corpus", "--eval-corpus", "--stages"],
+    "dump-ontology": ["--ontology", "--output"],
+}
+
+
+def _subparsers() -> dict[str, argparse.ArgumentParser]:
+    (action,) = (a for a in build_parser()._actions if isinstance(a, argparse._SubParsersAction))
+    return dict(action.choices)
+
+
+class TestFlags:
+    def test_each_command_takes_exactly_its_flags(self):
+        taken = {
+            name: [(a.option_strings or [a.dest])[0] for a in p._actions if not isinstance(a, argparse._HelpAction)]
+            for name, p in _subparsers().items()
+        }
+        assert list(taken) == list(COMMAND_FLAGS)
+        assert {name: set(flags) for name, flags in taken.items()} == {k: set(v) for k, v in COMMAND_FLAGS.items()}
+        assert sum(map(len, taken.values())) == 58
+
+    @pytest.mark.parametrize(
+        "command, flag",
+        [
+            ("eval-retrieval", "--force"),
+            ("eval-classify", "--force"),
+            ("synth", "--force"),
+            ("mine", "--ontology o.txt"),
+            ("train", "--ontology o.txt"),
+            ("synth", "--ontology o.txt"),
+        ],
+    )
+    def test_flag_a_command_does_not_read_is_usage_error(self, tmp_path, capsys, command, flag):
+        assert main([command, "--out", str(tmp_path / "run"), *flag.split()]) == EXIT_USAGE
+        assert f"error: unrecognized arguments: {flag}" in capsys.readouterr().err
+        assert os.listdir(tmp_path) == []
+
+    @pytest.mark.parametrize(
+        "command, flag, good, want, bad, message",
+        [
+            ("run", "--seed", "7", 7, "7.5", "invalid int value: '7.5'"),
+            ("run", "--out", "o", Path("o"), "", "empty path"),
+            ("run", "--ontology", "o.txt", Path("o.txt"), "", "empty path"),
+            ("run", "--corpus", "c.jsonl", Path("c.jsonl"), "", "empty path"),
+            ("run", "--eval-corpus", "e.jsonl", Path("e.jsonl"), "", "empty path"),
+            ("mine", "--batch-size", "5", 5, "x", "invalid int value: 'x'"),
+            ("mine", "--target", "9", 9, "1e3", "invalid int value: '1e3'"),
+            ("mine", "--tau-min", "0.125", 0.125, "low", "invalid float value: 'low'"),
+            ("mine", "--tau-max", "0.875", 0.875, "high", "invalid float value: 'high'"),
+        ],
+    )
+    def test_setting_flag_parses_to_its_type_and_reaches_the_config(self, capsys, command, flag, good, want, bad, message):
+        cfg = _build_config(build_parser().parse_args([command, flag, good]))
+        value = getattr(cfg if command == "run" else cfg.mining, flag[2:].replace("-", "_"))
+        assert value == want and type(value) is type(want)
+        with pytest.raises(SystemExit) as info:
+            build_parser().parse_args([command, flag, bad])
+        assert info.value.code == EXIT_USAGE
+        assert f"argument {flag}: {message}" in capsys.readouterr().err
 
 
 # `medtriplet score` output for the worked example under each semantics,

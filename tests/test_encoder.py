@@ -66,28 +66,29 @@ class TestConfig:
 class TestPatchify:
     def test_shape(self):
         img = ImageSample(np.zeros((32, 32)))
-        assert patchify(img, 8).shape == (16, 64)
+        assert patchify(img).shape == (16, 64)
 
     def test_single_patch_is_flattened_image(self):
         rng = np.random.default_rng(0)
         img = ImageSample(rng.random((8, 8)))
-        patches = patchify(img, 8)
+        patches = patchify(img)
         assert patches.shape == (1, 64)
         np.testing.assert_array_equal(patches[0], img.pixels.ravel())
 
     def test_constant_image(self):
         img = ImageSample(np.full((16, 16), 0.5))
-        assert np.all(patchify(img, 8) == 0.5)
+        assert np.all(patchify(img) == 0.5)
 
     def test_dimension_mismatch(self):
         with pytest.raises(ValueError):
-            patchify(ImageSample(np.zeros((30, 32))), 8)
+            patchify(ImageSample(np.zeros((30, 32))))
 
     def test_row_major_order(self):
-        grid = np.arange(16.0).reshape(4, 4)
-        patches = patchify(ImageSample(grid), 2)
-        np.testing.assert_array_equal(patches[0], [0, 1, 4, 5])
-        np.testing.assert_array_equal(patches[1], [2, 3, 6, 7])
+        grid = np.arange(256.0).reshape(16, 16)
+        patches = patchify(ImageSample(grid))
+        assert patches.shape == (4, 64)
+        for index, (r, c) in enumerate([(0, 0), (0, 8), (8, 0), (8, 8)]):
+            np.testing.assert_array_equal(patches[index], grid[r : r + 8, c : c + 8].ravel())
 
 
 class TestTokenization:

@@ -17,6 +17,7 @@ from medtriplet.mining import (
     read_triplets,
     select_negative,
     select_positive,
+    write_triplets,
 )
 from medtriplet.scoring import score
 from oracles import random_entities
@@ -139,7 +140,8 @@ class TestMineCorpus:
     def test_target_zero(self, tmp_path):
         samples = _random_corpus(20, 3)
         path = tmp_path / "t.jsonl"
-        returned = mine_corpus(samples, MiningSettings(batch_size=10, target=0, seed=1), out_path=path)
+        returned = mine_corpus(samples, MiningSettings(batch_size=10, target=0, seed=1))
+        write_triplets(path, *returned)
         manifest, triplets = read_triplets(path)
         assert returned == (manifest, triplets)
         assert triplets == [] and manifest["target"] == 0
@@ -154,7 +156,7 @@ class TestMineCorpus:
     )
     def test_bad_triplet_record_names_file_and_line(self, tmp_path, line, message):
         path = tmp_path / "t.jsonl"
-        mine_corpus(_random_corpus(20, 3), MiningSettings(batch_size=10, target=0, seed=1), out_path=path)
+        write_triplets(path, *mine_corpus(_random_corpus(20, 3), MiningSettings(batch_size=10, target=0, seed=1)))
         path.write_text(path.read_text() + line + "\n")
         with pytest.raises(DataError, match=f"^{re.escape(str(path))}:2: .*{message}"):
             read_triplets(path)
@@ -169,9 +171,16 @@ class TestMineCorpus:
         samples = _random_corpus(40, 5)
         p1, p2 = tmp_path / "a.jsonl", tmp_path / "b.jsonl"
         cfg = MiningSettings(batch_size=12, target=60, seed=9)
-        mine_corpus(samples, cfg, out_path=p1)
-        mine_corpus(samples, cfg, out_path=p2)
+        write_triplets(p1, *mine_corpus(samples, cfg))
+        write_triplets(p2, *mine_corpus(samples, cfg))
         assert p1.read_bytes() == p2.read_bytes()
+
+    def test_duplicate_id_in_corpus_named(self):
+        # the two copies of s000 never share a batch under this seed, so only a corpus-wide check sees them
+        samples = _random_corpus(40, 5)
+        samples[-1] = ("s000", samples[-1][1])
+        with pytest.raises(ValueError, match="duplicate sample id 's000'"):
+            mine_corpus(samples, MiningSettings(batch_size=8, target=60, seed=0))
 
     def test_corpus_too_small(self):
         with pytest.raises(ValueError, match="need at least"):
@@ -181,7 +190,8 @@ class TestMineCorpus:
         # three identical samples: nothing in band, target unreachable
         samples = [("a", NEAR), ("b", NEAR), ("c", NEAR)]
         path = tmp_path / "t.jsonl"
-        returned = mine_corpus(samples, MiningSettings(batch_size=3, target=10, pass_limit=4), out_path=path)
+        returned = mine_corpus(samples, MiningSettings(batch_size=3, target=10, pass_limit=4))
+        write_triplets(path, *returned)
         manifest, triplets = read_triplets(path)
         assert returned == (manifest, triplets)
         assert manifest["reached_target"] is False and manifest["passes"] == 3 and triplets == []
@@ -214,7 +224,8 @@ class TestMineCorpus:
     def test_triplets_match_golden_digest(self, tmp_path, semantics):
         path = tmp_path / "t.jsonl"
         cfg = MiningSettings(batch_size=15, target=400, semantics=semantics, seed=17)
-        manifest, triplets = mine_corpus(_random_corpus(90, 31), cfg, out_path=path)
+        manifest, triplets = mine_corpus(_random_corpus(90, 31), cfg)
+        write_triplets(path, manifest, triplets)
         assert (len(triplets), manifest["passes"], manifest["reached_target"]) == (400, 5, True)
         assert read_triplets(path) == (manifest, triplets)
         assert hashlib.sha256(path.read_bytes()).hexdigest() == GOLDEN_TRIPLETS_DIGEST[semantics]

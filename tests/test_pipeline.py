@@ -561,6 +561,18 @@ class TestEvalClassification:
         report = evaluate_classification(small_world, heads, copy)
         assert rows and report == json.loads((small_world.out / "eval_classification.json").read_text())
 
+    def test_same_corpus_named_another_way_is_reused(self, small_world, tmp_path, monkeypatch):
+        monkeypatch.chdir(tmp_path)
+        relative = small_world.eval_corpus.relative_to(tmp_path)
+        cfg = replace(small_world, eval_corpus=relative)
+        run_pipeline(cfg)
+        _, heads = load_heads(cfg.out / "heads.ckpt")
+        stored = json.loads((cfg.out / "eval_classification.json").read_text())
+        rows = _encoded_rows(monkeypatch)
+        for path in (relative, relative.resolve(), relative.parent / ".." / relative):
+            assert evaluate_classification(cfg, heads, path) == stored, path
+        assert rows == []
+
     def test_eval_manifest_without_side_outputs_reruns_eval(self, small_world, caplog):
         """A run dir made before eval wrote ``eval_classification.json`` re-runs eval once."""
         run_pipeline(small_world)

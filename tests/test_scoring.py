@@ -7,7 +7,7 @@ import pytest
 
 from conftest import entities
 from medtriplet.scoring import GammaWeights, score
-from oracles import enumerate_uniform_entities, oracle_score, random_entities
+from oracles import oracle_score, random_entities
 
 WORKED_MI = entities({"pneumonia": ({"mild"}, {"left"}), "edema": (set(), set())})
 WORKED_MJ = entities({"pneumonia": ({"mild", "severe"}, {"right"})})
@@ -155,20 +155,6 @@ class TestProperties:
 
 
 class TestOracleEquivalence:
-    def test_exhaustive_uniform_universe(self):
-        universe = enumerate_uniform_entities(
-            ("d1", "d2", "d3"), ("a1", "a2"), ("r1", "r2")
-        )
-        assert len(universe) ** 2 >= 4000
-        w = GammaWeights()
-        for semantics in ("union", "intersection"):
-            for pi in universe:
-                mi = entities(pi)
-                for pj in universe:
-                    expected = oracle_score(pi, pj, w.g0, w.g1, w.g2, semantics)
-                    got = score(mi, entities(pj), w, semantics).total
-                    assert abs(got - expected) <= 1e-12
-
     def test_random_heterogeneous_pairs(self):
         rng = np.random.default_rng(31337)
         w = GammaWeights()
