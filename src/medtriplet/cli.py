@@ -126,13 +126,12 @@ def _cmd_eval(args: argparse.Namespace) -> int:
 
 def _cmd_synth(args: argparse.Namespace) -> int:
     cfg = _build_config(args)
-    seed = args.seed if args.seed is not None else stage_seed(cfg.seed, "synth")
     spec = SyntheticSpec(
         n_classes=args.classes,
         per_class=args.per_class,
         image_size=args.image_size,
         overlap_rate=args.overlap,
-        seed=seed,
+        seed=stage_seed(cfg.seed, "synth"),
         id_prefix=args.id_prefix,
     )
     result = synthesize(spec, cfg.out)

@@ -12,6 +12,7 @@ effusion entry. Deleter tokens are the only suppression mechanism.
 
 from __future__ import annotations
 
+import threading
 from dataclasses import dataclass
 from functools import cached_property, lru_cache
 
@@ -45,6 +46,26 @@ class DiseaseEntry:
     dir: frozenset[str] = frozenset()
 
 
+# Descriptor label -> its bit, one table for every kind and every structure.
+# A label's bit is drawn the first time the label is seen and never changes,
+# so two masks intersect in exactly their shared labels whatever order the
+# labels were met in. It grows by one entry per distinct label for the life
+# of the process; extracted labels are ontology canonicals, so it stays small.
+_LABEL_BIT: dict[str, int] = {}
+_LABEL_BIT_LOCK = threading.Lock()
+
+
+def _label_bits(labels: frozenset[str]) -> int:
+    mask = 0
+    for label in labels:
+        bit = _LABEL_BIT.get(label)
+        if bit is None:
+            with _LABEL_BIT_LOCK:  # two new labels must not draw the same bit
+                bit = _LABEL_BIT.setdefault(label, 1 << len(_LABEL_BIT))
+        mask |= bit
+    return mask
+
+
 @dataclass(frozen=True)
 class MetaEntities:
     """Per-report entity structure: entries unique and sorted by disease."""
@@ -57,9 +78,21 @@ class MetaEntities:
             raise ValueError("entries must be unique and sorted by disease label")
 
     @cached_property
-    def by_disease(self) -> dict[str, DiseaseEntry]:
-        """``{disease: entry}``, built once per instance; read it, never mutate it."""
-        return {e.disease: e for e in self.entries}
+    def descriptor_masks(self) -> dict[str, tuple[int, int, int, int]]:
+        """``{disease: (n_adj, adj_bits, n_dir, dir_bits)}`` in entry order, built
+        once per instance; read it, never mutate it.
+
+        Each set bit stands for a descriptor label (see ``_label_bits``), so
+        ``(a & b).bit_count()`` is the size of a descriptor intersection.
+        The bits are process-local, so pickling drops this cache.
+        """
+        return {
+            e.disease: (len(e.adj), _label_bits(e.adj), len(e.dir), _label_bits(e.dir))
+            for e in self.entries
+        }
+
+    def __getstate__(self) -> dict:
+        return {k: v for k, v in self.__dict__.items() if k != "descriptor_masks"}
 
     def disease_set(self) -> frozenset[str]:
         return frozenset(e.disease for e in self.entries)

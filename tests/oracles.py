@@ -2,7 +2,9 @@
 
 The scoring oracle below is a direct, self-contained transcription of
 the similarity definition over plain dicts and sets. It shares no code
-with medtriplet.scoring; keep it that way. The retrieval oracle works
+with medtriplet.scoring; keep it that way. The breakdown oracle does the
+kernel's float operations in the kernel's order, so its terms, prefactor
+and total must equal the kernel's bit for bit. The retrieval oracle works
 the same way over plain lists and sets and shares no code with
 medtriplet.evaluation; neither does the AUC oracle, which counts
 pairwise wins instead of ranking. The GELU oracle is the scalar tanh
@@ -55,6 +57,35 @@ def oracle_score(mi: PlainEntities, mj: PlainEntities, g0: float, g1: float, g2:
         denom = g0 + g1 * d_adj + g2 * d_dir
         total += numer / denom if denom > 0 else 1.0
     return total / len(union)
+
+
+def oracle_score_breakdown(
+    mi: PlainEntities, mj: PlainEntities, g0: float, g1: float, g2: float, semantics: str
+) -> tuple[tuple[tuple[str, float, float, float], ...], float, float]:
+    """(terms, prefactor, total) with the kernel's float operations in its order,
+    over plain sets: each term is (disease, JI_adj, JI_dir, summand), the
+    summands add left to right from 0 and the prefactor multiplies the sum."""
+    shared = sorted(set(mi) & set(mj))
+    if not shared:
+        return (), 0.0, 0.0
+    prefactor = 1.0 / len(set(mi) | set(mj))
+    terms = []
+    total = 0
+    for q in shared:
+        (adj_i, dir_i), (adj_j, dir_j) = mi[q], mj[q]
+        adj_union, adj_inter = adj_i | adj_j, adj_i & adj_j
+        dir_union, dir_inter = dir_i | dir_j, dir_i & dir_j
+        ji_adj = len(adj_inter) / len(adj_union) if adj_union else 0.0
+        ji_dir = len(dir_inter) / len(dir_union) if dir_union else 0.0
+        numer = g0 + g1 * ji_adj + g2 * ji_dir
+        if semantics == "union":
+            denom = g0 + g1 * (1.0 if adj_union else 0.0) + g2 * (1.0 if dir_union else 0.0)
+        else:
+            denom = g0 + g1 * (1.0 if adj_inter else 0.0) + g2 * (1.0 if dir_inter else 0.0)
+        summand = numer / denom if denom > 0 else 1.0
+        terms.append((q, ji_adj, ji_dir, summand))
+        total += summand
+    return tuple(terms), prefactor, prefactor * total
 
 
 def oracle_gelu(x: float) -> float:

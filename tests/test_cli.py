@@ -11,6 +11,7 @@ import pytest
 from medtriplet.checkpoint import save_checkpoint
 from medtriplet.cli import EXIT_DATA, EXIT_OK, EXIT_USAGE, _build_config, build_parser, main
 from medtriplet.pipeline import output_lock
+from medtriplet.synthetic import SyntheticSpec, synthesize
 
 
 @pytest.fixture()
@@ -448,6 +449,21 @@ class TestSynthCommand:
         out = tmp_path / "corpus"
         assert main(["synth", "--out", str(out), "--classes", "5", "--per-class", "2", "--seed", "3"]) == EXIT_OK
         assert len((out / "corpus.jsonl").read_text().splitlines()) == 1 + 10
+
+    def test_seed_flag_and_config_seed_write_the_same_corpus(self, tmp_path):
+        cfg = tmp_path / "s.cfg"
+        cfg.write_text("[run]\nseed = 5\n")
+        common = ["--classes", "2", "--per-class", "2"]
+        assert main(["synth", "--out", str(tmp_path / "flag"), *common, "--seed", "5"]) == EXIT_OK
+        assert main(["synth", "--out", str(tmp_path / "config"), *common, "--config", str(cfg)]) == EXIT_OK
+        # Both apply the documented fan-out: seed + 1000 * 1 for synth.
+        synthesize(SyntheticSpec(n_classes=2, per_class=2, seed=1005), tmp_path / "fanned")
+        trees = [
+            {p.relative_to(root): p.read_bytes() for p in sorted(root.rglob("*")) if p.is_file()}
+            for root in (tmp_path / "flag", tmp_path / "config", tmp_path / "fanned")
+        ]
+        assert Path("corpus.jsonl") in trees[0]
+        assert trees[0] == trees[1] == trees[2]
 
     @pytest.mark.parametrize("size", ["0", "30", "72"])
     def test_image_size_the_trunk_cannot_take_writes_nothing(self, tmp_path, capsys, size):

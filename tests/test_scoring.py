@@ -1,13 +1,14 @@
 """Similarity score: worked values, algebraic properties, oracle equivalence."""
 
 import hashlib
+import pickle
 
 import numpy as np
 import pytest
 
 from conftest import entities
 from medtriplet.scoring import GammaWeights, score
-from oracles import oracle_score, random_entities
+from oracles import oracle_score, oracle_score_breakdown, random_entities
 
 WORKED_MI = entities({"pneumonia": ({"mild"}, {"left"}), "edema": (set(), set())})
 WORKED_MJ = entities({"pneumonia": ({"mild", "severe"}, {"right"})})
@@ -165,3 +166,51 @@ class TestOracleEquivalence:
             assert score(entities(pi), entities(pj), w, semantics).total == pytest.approx(
                 expected, abs=1e-12
             )
+
+
+class TestDescriptorMasks:
+    """The bitmask kernel against the plain-set oracle, bit for bit."""
+
+    # 150 adjectives no other test uses, so some draw bits past one machine
+    # word; "both" is an adjective and a direction.
+    ADJECTIVES = tuple(f"mask-adj-{i}" for i in range(150)) + ("both",)
+    DIRECTIONS = ("mask-dir-0", "mask-dir-1", "mask-dir-2", "both")
+    WEIGHTS = (GammaWeights(), GammaWeights(0.0, 0.5, 0.5), GammaWeights(0.0, 1.0, 0.0), GammaWeights(1.0, 0.0, 0.0))
+
+    def _plain(self, rng):
+        plain = {}
+        for disease in ("d1", "d2", "d3", "d4"):
+            if rng.random() < 0.6:
+                # a third of adjective sets are empty
+                n_adj = int(rng.integers(0, 3)) and int(rng.integers(1, 12))
+                adj = {self.ADJECTIVES[int(k)] for k in rng.choice(len(self.ADJECTIVES), n_adj, replace=False)}
+                direction = {d for d in self.DIRECTIONS if rng.random() < 0.3}
+                plain[disease] = (adj, direction)
+        return plain
+
+    def test_matches_breakdown_oracle_exactly(self):
+        rng = np.random.default_rng(2510)
+        cases = {"wide bit": 0, "adj and dir label": 0, "one side empty": 0, "both sides empty": 0}
+        for _ in range(1500):
+            pi, pj = self._plain(rng), self._plain(rng)
+            mi, mj = entities(pi), entities(pj)
+            for weights in self.WEIGHTS:
+                for semantics in ("union", "intersection"):
+                    expected = oracle_score_breakdown(pi, pj, weights.g0, weights.g1, weights.g2, semantics)
+                    assert score(mi, mj, weights, semantics) == expected
+            masks = [*mi.descriptor_masks.values(), *mj.descriptor_masks.values()]
+            cases["wide bit"] += any(bits.bit_length() > 64 for _, bits, _, _ in masks)
+            cases["adj and dir label"] += any("both" in adj and "both" in d for adj, d in [*pi.values(), *pj.values()])
+            for q in set(pi) & set(pj):
+                for kind in (0, 1):
+                    empties = (not pi[q][kind]) + (not pj[q][kind])
+                    cases["one side empty"] += empties == 1
+                    cases["both sides empty"] += empties == 2
+        assert min(cases.values()) > 0, cases
+
+    def test_pickle_drops_masks(self):
+        m = entities({"d1": ({"mild"}, {"left"})})
+        assert m.descriptor_masks
+        copy = pickle.loads(pickle.dumps(m))
+        assert "descriptor_masks" not in copy.__dict__
+        assert copy == m and score(copy, m).total == 1.0
