@@ -4,9 +4,11 @@ Images are cut into non-overlapping patches and linearly projected; text
 tokens index a hashed embedding table. Learnable position encodings are
 added, the sequence runs through pre-norm attention/MLP blocks with
 residual connections, and the final hidden states are mean-pooled into a
-single vector. Every step works on the last two axes, so one code path
-takes one sample, giving a (c,) vector, or a stack of N same-shape images
-or equal-length token sequences, giving (N, c) rows with the same bits as
+single vector. Elementwise steps run in place in arrays the step made
+itself, never in a caller's, with the operations and operands of the plain
+expression. Every step works on the last two axes, so one code path takes
+one sample, giving a (c,) vector, or a stack of N same-shape images or
+equal-length token sequences, giving (N, c) rows with the same bits as
 encoding each sample alone. ``init_head`` seeds the per-modality square
 projection head that maps a pooled trunk output to the embedding
 alignment trains (the pipeline applies it to whole trunk matrices); the
@@ -160,26 +162,36 @@ def _layer_norm(x: np.ndarray) -> np.ndarray:
     # Center once and reuse it for the variance: bit-identical to x.var(), without its second mean pass.
     centered = x - x.mean(axis=-1, keepdims=True)
     var = (centered * centered).sum(axis=-1, keepdims=True) / x.shape[-1]
-    return centered / np.sqrt(var + LN_EPSILON)
-
-
-def _softmax(x: np.ndarray) -> np.ndarray:
-    shifted = x - x.max(axis=-1, keepdims=True)
-    e = np.exp(shifted)
-    return e / e.sum(axis=-1, keepdims=True)
+    var += LN_EPSILON
+    centered /= np.sqrt(var, out=var)
+    return centered
 
 
 def _gelu(x: np.ndarray) -> np.ndarray:
-    # tanh approximation. The cube is an exact product: numpy sends x**3 with
-    # negative float64 bases down a slow pow path, about 50x the cost.
-    return 0.5 * x * (1.0 + np.tanh(np.sqrt(2.0 / np.pi) * (x + 0.044715 * (x * x * x))))
+    # tanh approximation, 0.5 * x * (1 + tanh(sqrt(2 / pi) * (x + 0.044715 * x * x * x))),
+    # step by step in two arrays of its own. The cube is an exact product: numpy
+    # sends x**3 with negative float64 bases down a slow pow path, about 50x the cost.
+    inner = x * x
+    inner *= x
+    inner *= 0.044715
+    inner += x
+    inner *= np.sqrt(2.0 / np.pi)
+    np.tanh(inner, out=inner)
+    inner += 1.0
+    inner *= 0.5 * x
+    return inner
 
 
 def _attention(x: np.ndarray, p: dict[str, np.ndarray], prefix: str) -> np.ndarray:
     """Softmax attention matrices (..., heads, n, n) from the already layer-normed block input ``x``."""
     q = (x @ p[prefix + "attn.wq"]).reshape(*x.shape[:-1], HEADS, HEAD_DIM).swapaxes(-3, -2)
     k = (x @ p[prefix + "attn.wk"]).reshape(*x.shape[:-1], HEADS, HEAD_DIM).swapaxes(-3, -2)
-    return _softmax(q @ k.swapaxes(-1, -2) / np.sqrt(HEAD_DIM))
+    scores = q @ k.swapaxes(-1, -2)
+    scores /= np.sqrt(HEAD_DIM)
+    scores -= scores.max(axis=-1, keepdims=True)
+    np.exp(scores, out=scores)
+    scores /= scores.sum(axis=-1, keepdims=True)
+    return scores
 
 
 def transformer_block(h: np.ndarray, p: dict[str, np.ndarray], block: int) -> np.ndarray:
@@ -188,10 +200,11 @@ def transformer_block(h: np.ndarray, p: dict[str, np.ndarray], block: int) -> np
     x = _layer_norm(h)
     *lead, n, c = h.shape
     v = (x @ p[prefix + "attn.wv"]).reshape(*lead, n, HEADS, HEAD_DIM).swapaxes(-3, -2)
-    attn = _attention(x, p, prefix)
-    mixed = (attn @ v).swapaxes(-3, -2).reshape(*lead, n, c)
-    h = h + mixed @ p[prefix + "attn.wo"]
-    return h + _gelu(_layer_norm(h) @ p[prefix + "mlp.w1"]) @ p[prefix + "mlp.w2"]
+    mixed = (_attention(x, p, prefix) @ v).swapaxes(-3, -2).reshape(*lead, n, c)
+    out = mixed @ p[prefix + "attn.wo"]
+    out += h
+    out += _gelu(_layer_norm(out) @ p[prefix + "mlp.w1"]) @ p[prefix + "mlp.w2"]
+    return out
 
 
 def embed_input(sample: ImageSample | TokenSequence, trunk: dict[str, np.ndarray]) -> np.ndarray:
@@ -205,7 +218,8 @@ def embed_input(sample: ImageSample | TokenSequence, trunk: dict[str, np.ndarray
         projected = trunk["table"][ids]
     n = projected.shape[-2]
     _check_length(n)
-    return projected + trunk["pos"][:n]
+    projected += trunk["pos"][:n]
+    return projected
 
 
 def trunk_encode(sample: ImageSample | TokenSequence, trunk: dict[str, np.ndarray]) -> np.ndarray:

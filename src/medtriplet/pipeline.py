@@ -42,6 +42,7 @@ from .encoder import (
     IMAGE,
     TEXT,
     EMBED_DIM,
+    PATCH_SIZE,
     ImageSample,
     TokenSequence,
     check_image,
@@ -301,17 +302,19 @@ def output_lock(out_dir: Path):
         lock.unlink(missing_ok=True)
 
 
-# Rows per trunk forward pass. Stacks run faster per row than single
-# samples, but larger ones raise peak RSS: at 4 the largest MLP temporary,
-# 4 x 16 patches x 256 x 8 B = 128 KiB, stays at glibc's default mmap threshold.
-TRUNK_CHUNK = 4
+# Sequence positions per trunk forward pass: an image stack holds this // its
+# patch count rows, a text stack this // its token count. Fewer, larger stacks
+# pay numpy's per-call overhead less often; the largest MLP temporary is then
+# at most 128 x 256 x 8 B = 256 KiB for either modality, above glibc's default
+# 128 KiB mmap threshold (4-row image stacks sat at it, never under it).
+TRUNK_POSITIONS = 128
 
 
 class FrozenTrunks:
     """Both frozen encoder trunks, built once; encodes records into trunk matrices.
 
-    Rows go through the trunks in stacks of up to ``TRUNK_CHUNK``, which
-    gives the same floats as one row at a time.
+    Rows go through the trunks in stacks of up to ``TRUNK_POSITIONS``
+    sequence positions, which gives the same floats as one row at a time.
     """
 
     def __init__(self, seed: int) -> None:
@@ -328,9 +331,10 @@ class FrozenTrunks:
         for t, seq in ids.items():
             by_length.setdefault(len(seq), []).append(t)
         pooled = {}
-        for group in by_length.values():
-            for start in range(0, len(group), TRUNK_CHUNK):
-                chunk = group[start : start + TRUNK_CHUNK]
+        for length, group in by_length.items():
+            per_stack = TRUNK_POSITIONS // length
+            for start in range(0, len(group), per_stack):
+                chunk = group[start : start + per_stack]
                 stack = TokenSequence(tuple(ids[t] for t in chunk))
                 pooled.update(zip(chunk, trunk_encode(stack, self.text)))
         return np.array([pooled[t] for t in texts])
@@ -351,7 +355,8 @@ class FrozenTrunks:
                 check_image(image)
             except ValueError as exc:
                 raise PipelineError(f"record {rec.id!r}, image {rec.image}: {exc}") from None
-            if stack and (len(stack) == TRUNK_CHUNK or stack[0].shape != image.pixels.shape):
+            patches = image.pixels.size // PATCH_SIZE**2
+            if stack and ((len(stack) + 1) * patches > TRUNK_POSITIONS or stack[0].shape != image.pixels.shape):
                 rows.extend(trunk_encode(ImageSample(np.array(stack)), self.image))
                 stack = []
             stack.append(image.pixels)

@@ -86,7 +86,7 @@ class SynthResult:
     records: int
 
 
-def _class_texture(class_index: int, size: int, seed: int) -> np.ndarray:
+def _class_texture(class_index: int, size: int) -> np.ndarray:
     rows, cols = np.indices((size, size))
     kind = class_index % 4
     if kind == 0:
@@ -98,8 +98,8 @@ def _class_texture(class_index: int, size: int, seed: int) -> np.ndarray:
     else:
         base = (((rows + cols) // 4) % 2).astype(np.float64)
     if class_index >= 4:
-        # later classes perturb their texture with a fixed seeded mask
-        rng = np.random.default_rng((seed, _TEXTURE_STREAM, class_index))
+        # later classes perturb their texture with a mask seeded by the class alone
+        rng = np.random.default_rng((_TEXTURE_STREAM, class_index))
         base = 0.5 * base + 0.5 * (rng.random((size, size)) > 0.5)
     return base
 
@@ -127,9 +127,9 @@ def _render(
     rng: np.random.Generator,
 ) -> np.ndarray:
     size = spec.image_size
-    image = TEXTURE_AMPLITUDE * _class_texture(primary, size, spec.seed)
+    image = TEXTURE_AMPLITUDE * _class_texture(primary, size)
     if secondary is not None:
-        image += 0.6 * TEXTURE_AMPLITUDE * _class_texture(secondary, size, spec.seed)
+        image += 0.6 * TEXTURE_AMPLITUDE * _class_texture(secondary, size)
     rows, cols = _direction_block(direction, size)
     image[rows, cols] += ADJECTIVE_LEVELS[adjective]
     image += rng.normal(0.0, NOISE, (size, size))

@@ -35,7 +35,8 @@ from medtriplet.encoder import (
     trunk_encode,
 )
 from medtriplet.images import load_image, read_pgm, write_pgm
-from medtriplet.pipeline import TRUNK_CHUNK, FrozenTrunks, PipelineError, _project
+from medtriplet import pipeline
+from medtriplet.pipeline import TRUNK_POSITIONS, FrozenTrunks, PipelineError, _project
 from oracles import oracle_gelu, oracle_read_pgm, oracle_trunk_encode
 
 def random_image(rng, size=32):
@@ -201,6 +202,30 @@ class TestTransformerBlock:
         np.testing.assert_allclose(transformer_block(h, p, 0), expected, atol=1e-12)
 
 
+class TestInputsUntouched:
+    """The forward pass computes in place only in arrays it made itself: a caller's input and the trunk's
+    weights keep their bits."""
+
+    @pytest.mark.parametrize("step", ["_layer_norm", "_gelu", "_attention", "transformer_block", "trunk_encode"])
+    def test_inputs_keep_their_bits(self, step):
+        trunk = init_image_trunk(0)
+        weights = {name: w.copy() for name, w in trunk.items()}
+        h = np.random.default_rng(19).normal(size=(3, 16, EMBED_DIM))
+        pixels = np.random.default_rng(20).random((3, 32, 32))
+        arg = pixels if step == "trunk_encode" else h
+        before = arg.copy()
+        out = {
+            "_layer_norm": lambda: _layer_norm(h),
+            "_gelu": lambda: _gelu(h),
+            "_attention": lambda: _attention(h, trunk, "block0."),
+            "transformer_block": lambda: transformer_block(h, trunk, 0),
+            "trunk_encode": lambda: trunk_encode(ImageSample(pixels), trunk),
+        }[step]()
+        assert not np.shares_memory(out, arg)
+        assert arg.tobytes() == before.tobytes()
+        assert all(trunk[name].tobytes() == w.tobytes() for name, w in weights.items())
+
+
 class TestEncode:
     """Trunk output through a projection head, as the pipeline projects trunk matrices."""
 
@@ -296,17 +321,32 @@ class TestStacks:
             for seq, row in zip(seqs, stacked):
                 assert np.array_equal(row, trunk_encode(TokenSequence(seq), text_trunk))
 
-    @pytest.mark.parametrize("n", [TRUNK_CHUNK * k + d for k in (1, 2) for d in (-1, 0, 1)])
-    def test_frozen_trunks_match_single_samples(self, tmp_path, n):
-        """``n`` rows of each image size and of each token count from 1 to 6."""
+    @pytest.mark.parametrize("n", [TRUNK_POSITIONS // 16 + d for d in (-1, 0, 1)])
+    def test_frozen_trunks_match_single_samples(self, tmp_path, monkeypatch, n):
+        """``n`` 32 x 32 images (16 patches), around the TRUNK_POSITIONS // 16 rows a stack holds, and
+        as many rows past or short of every other stack bound: 16 x 16 images (4 patches), 1-token
+        texts, where numpy takes its gemv path, and token counts that do not divide the budget."""
+        d = n - TRUNK_POSITIONS // 16
         rng = np.random.default_rng(n)
         records = []
-        for i, size in enumerate([32] * n + [16] * n + [32]):
-            path = tmp_path / f"{i}.npy"
+        for size in [32] * n + [16] * (TRUNK_POSITIONS // 4 + d) + [32]:
+            path = tmp_path / f"{len(records)}.npy"
             np.save(path, rng.random((size, size)))
-            records.append(CorpusRecord(f"r{i}", "", path))
-        texts = [" ".join(f"w{j}" for j in rng.integers(0, 10**9, length)) for _ in range(n) for length in range(1, 7)]
+            records.append(CorpusRecord(f"r{len(records)}", "", path))
+        lengths = (1, 3, 5, 6, 7)
+        texts = [
+            " ".join(f"w{j}" for j in rng.integers(0, 10**9, length))
+            for length in lengths
+            for _ in range(TRUNK_POSITIONS // length + d)
+        ]
         texts += texts[:2]  # repeats take the row their first copy got
+        stacks = []
+
+        def spy(sample, trunk):
+            stacks.append(embed_input(sample, trunk).shape[:-1])
+            return trunk_encode(sample, trunk)
+
+        monkeypatch.setattr(pipeline, "trunk_encode", spy)
         trunks = FrozenTrunks(0)
         images = trunks.encode_images(records)
         assert images.shape == (len(records), EMBED_DIM)
@@ -316,6 +356,14 @@ class TestStacks:
         assert encoded.shape == (len(texts), EMBED_DIM)
         for text, row in zip(texts, encoded):
             assert np.array_equal(row, trunk_encode(tokenize_text(text), trunks.text))
+        # each run of one patch or token count fills stacks of TRUNK_POSITIONS // count rows, then one
+        # with the rest
+        want = []
+        runs = [(16, n), (4, TRUNK_POSITIONS // 4 + d), (16, 1)] + [(k, TRUNK_POSITIONS // k + d) for k in lengths]
+        for positions, rows in runs:
+            full = TRUNK_POSITIONS // positions
+            want += [(full, positions)] * (rows // full) + [(rows % full, positions)] * (rows % full > 0)
+        assert stacks == want
 
     def test_first_failing_record_named_within_a_chunk(self, tmp_path):
         good, bad_shape, unreadable = tmp_path / "good.npy", tmp_path / "bad.npy", tmp_path / "broken.pgm"

@@ -2,8 +2,10 @@
 
 import json
 
+import numpy as np
 import pytest
 
+from medtriplet import synthetic
 from medtriplet.corpus import ingest
 from medtriplet.encoder import EMBED_DIM
 from medtriplet.extraction import extract
@@ -71,6 +73,15 @@ class TestSynthesize:
         assert len({c for r in truth.values() for c in r["classes"]}) == 5
         again = synthesize(spec, tmp_path / "b")
         assert (result.image_dir / "s0004.pgm").read_bytes() == (again.image_dir / "s0004.pgm").read_bytes()
+
+    def test_class_texture_same_in_every_corpus(self, monkeypatch):
+        # a train and an eval corpus differ in their seed, not in what a class looks like
+        monkeypatch.setattr(synthetic, "NOISE", 0.0)
+        images = [
+            synthetic._render(SyntheticSpec(n_classes=6, seed=seed), 4, 5, "mild", "left", np.random.default_rng(0))
+            for seed in (2, 3)
+        ]
+        assert images[0].tobytes() == images[1].tobytes()
 
     def test_spec_validation(self):
         with pytest.raises(ValueError):
