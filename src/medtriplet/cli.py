@@ -18,7 +18,7 @@ from .alignment import DegenerateEmbeddingError
 from .corpus import DataError
 from .evaluation import MATCH_MODES
 from .extraction import MetaEntities
-from .ontology import OntologyError, load_ontology, save_ontology, serialize_ontology
+from .ontology import OntologyError, load_ontology, read_text, save_ontology, serialize_ontology
 from .pipeline import (
     SETTINGS,
     STAGES,
@@ -81,8 +81,9 @@ def _build_config(args: argparse.Namespace) -> RunConfig:
 
 def _load_meta_record(path: Path) -> MetaEntities:
     """A meta-entity record, or its bare entries list, from a JSON file; errors name the file."""
+    text = read_text(path, DataError)
     try:
-        record = json.loads(path.read_text(encoding="utf-8"))
+        record = json.loads(text)
         if not isinstance(record, dict):
             record = {"entries": record}
         return MetaEntities.from_record(record)

@@ -22,6 +22,7 @@ from pathlib import Path
 from typing import IO, Iterable, Iterator
 
 from .extraction import MetaEntities, Report
+from .ontology import read_text
 
 CORPUS_SCHEMA = "corpus/v1"
 ENTITIES_SCHEMA = "entities/v1"
@@ -60,10 +61,7 @@ def read_jsonl(path: str | Path, schema: str) -> tuple[dict, Iterator[tuple[int,
     (line number, record) pairs, parsed as they are consumed; blank lines
     are skipped. Errors name the file and the line."""
     path = Path(path)
-    try:
-        lines = path.read_text(encoding="utf-8").splitlines()
-    except UnicodeDecodeError as exc:
-        raise DataError(f"{path}: not UTF-8: byte {exc.object[exc.start]:#04x} at offset {exc.start}") from None
+    lines = read_text(path, DataError).splitlines()
     if not lines:
         raise DataError(f"{path}: empty file, expected a {schema} header record")
     records = _json_objects(path, lines)

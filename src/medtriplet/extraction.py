@@ -2,9 +2,9 @@
 
 Stages: lemmatize the report, split it into sentences on terminal
 punctuation and splitter tokens, drop sentences containing deleter
-tokens, then match disease/adjective/direction synsets per sentence.
-Adjectives and directions are only ever emitted attached to a disease
-found in the same sentence.
+tokens, then match disease/adjective/direction synsets per sentence,
+longest first, through ``Ontology.lookups``. Adjectives and directions
+are only ever emitted attached to a disease found in the same sentence.
 
 Negation is NOT handled: "no pleural effusion" still yields a pleural
 effusion entry. Deleter tokens are the only suppression mechanism.
@@ -14,10 +14,10 @@ from __future__ import annotations
 
 import threading
 from dataclasses import dataclass
-from functools import cached_property, lru_cache
+from functools import cached_property
 
 from .lemma import SENTENCE_BREAK, lemmatize
-from .ontology import Ontology, Synset
+from .ontology import Ontology
 
 
 @dataclass(frozen=True)
@@ -133,50 +133,23 @@ class MetaEntities:
         return cls(parsed)
 
 
-@dataclass
-class _Matcher:
-    """Longest-match-first n-gram lookup over one synset category."""
+def _match(tokens: Sentence, lookup: tuple[dict[tuple[str, ...], str], int], taken: list[bool]) -> set[str]:
+    """Canonicals of one category's ``lookup`` (see ``Ontology.lookups``) found in ``tokens``.
 
-    table: dict[tuple[str, ...], str]
-    max_len: int = 1
-
-    def find(self, tokens: Sentence, blocked: list[bool]) -> tuple[set[str], list[bool]]:
-        """Return matched canonicals plus the updated consumption mask.
-
-        Longer n-grams win over shorter ones; a token consumed by one
-        match is unavailable to later matches in this category.
-        """
-        taken = list(blocked)
-        found: set[str] = set()
-        for n in range(min(self.max_len, len(tokens)), 0, -1):
-            for i in range(len(tokens) - n + 1):
-                if any(taken[i : i + n]):
-                    continue
-                canonical = self.table.get(tuple(tokens[i : i + n]))
-                if canonical is not None:
-                    found.add(canonical)
-                    taken[i : i + n] = [True] * n
-        return found, taken
-
-
-def _matcher_for(synsets: tuple[Synset, ...]) -> _Matcher:
-    table: dict[tuple[str, ...], str] = {}
-    max_len = 1
-    for s in synsets:
-        for variant in s.variants:
-            key = tuple(variant.split())
-            table[key] = s.canonical
-            max_len = max(max_len, len(key))
-    return _Matcher(table, max_len)
-
-
-@lru_cache(maxsize=8)
-def _matchers(ont: Ontology) -> tuple[_Matcher, _Matcher, _Matcher]:
-    return (
-        _matcher_for(ont.diseases),
-        _matcher_for(ont.adjectives),
-        _matcher_for(ont.directions),
-    )
+    Longer n-grams win over shorter ones: each match marks its tokens in
+    ``taken``, and a taken token is unavailable to later matches.
+    """
+    table, max_len = lookup
+    found: set[str] = set()
+    for n in range(min(max_len, len(tokens)), 0, -1):
+        for i in range(len(tokens) - n + 1):
+            if any(taken[i : i + n]):
+                continue
+            canonical = table.get(tuple(tokens[i : i + n]))
+            if canonical is not None:
+                found.add(canonical)
+                taken[i : i + n] = [True] * n
+    return found
 
 
 def split_sentences(tokens: list[str], ont: Ontology) -> list[Sentence]:
@@ -210,15 +183,13 @@ def extract_sentence(sentence: Sentence, ont: Ontology) -> list[DiseaseEntry]:
     direction matches then run independently over the remaining tokens.
     Without a disease match the sentence yields nothing.
     """
-    disease_matcher, adj_matcher, dir_matcher = _matchers(ont)
-    free = [False] * len(sentence)
-    diseases, taken = disease_matcher.find(sentence, free)
+    diseases_lookup, adj_lookup, dir_lookup = ont.lookups
+    taken = [False] * len(sentence)
+    diseases = _match(sentence, diseases_lookup, taken)
     if not diseases:
         return []
-    adjectives, _ = adj_matcher.find(sentence, taken)
-    directions, _ = dir_matcher.find(sentence, taken)
-    adj = frozenset(adjectives)
-    direction = frozenset(directions)
+    adj = frozenset(_match(sentence, adj_lookup, list(taken)))
+    direction = frozenset(_match(sentence, dir_lookup, list(taken)))
     return [DiseaseEntry(d, adj, direction) for d in sorted(diseases)]
 
 

@@ -3,16 +3,21 @@
 All lexical matching in this package happens in "lemma space": ontology
 variants and report tokens are both pushed through :func:`lemmatize`, so
 inflectional variants (plurals, -ed/-ing forms) compare equal without any
-external NLP dependency.
+external NLP dependency. :func:`tokenize` is one compiled regular
+expression: a word is a run of the characters ``str.isalnum`` accepts.
 """
 
 from __future__ import annotations
+
+import re
 
 # Token emitted between sentences. Leading/trailing punctuation never
 # produces one, so a single-sentence report lemmatizes to plain words.
 SENTENCE_BREAK = "."
 
-_TERMINAL_PUNCT = frozenset(".!?;")
+# A word token, or one terminal punctuation mark. ``[^\W_]`` is ``\w``
+# without the underscore: exactly the characters ``str.isalnum`` accepts.
+_TOKEN = re.compile(r"[^\W_]+|[.!?;]")
 
 # Irregular forms the suffix rules would mangle; consulted before any rule.
 # Self-mapping entries pin -ed derived adjectives that must survive intact.
@@ -45,18 +50,12 @@ def tokenize(text: str) -> list[str]:
     a plain separator. Breaks at the start or end of the text are dropped.
     """
     tokens: list[str] = []
-    word: list[str] = []
-    for ch in text.lower():
-        if ch.isalnum():
-            word.append(ch)
-            continue
-        if word:
-            tokens.append("".join(word))
-            word = []
-        if ch in _TERMINAL_PUNCT and tokens and tokens[-1] != SENTENCE_BREAK:
-            tokens.append(SENTENCE_BREAK)
-    if word:
-        tokens.append("".join(word))
+    for token in _TOKEN.findall(text.lower()):
+        if token in ".!?;":  # a match is one mark or a whole word, never both
+            if tokens and tokens[-1] != SENTENCE_BREAK:
+                tokens.append(SENTENCE_BREAK)
+        else:
+            tokens.append(token)
     while tokens and tokens[-1] == SENTENCE_BREAK:
         tokens.pop()
     return tokens

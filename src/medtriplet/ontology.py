@@ -22,9 +22,13 @@ File format (UTF-8, human-editable)::
 
 Synset sections take ``canonical = [variant, ...]`` entries; splitter and
 deleter sections take one bare token per line. Section order is free;
-missing sections mean empty categories. Within a section, a variant (or
-canonical) may be listed under one canonical only, so each resolves to
-one label.
+missing sections mean empty categories, and each section may be given
+once. Within a section, a variant (or canonical) may be listed under one
+canonical only, so each resolves to one label.
+
+The package's one UTF-8 reader (``read_text``, for every input file) and
+one ``[section]`` reader (``read_sections``, for ontology and run config
+files) live here, as do extraction's lookup tables (``Ontology.lookups``).
 """
 
 from __future__ import annotations
@@ -32,6 +36,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from functools import cached_property, lru_cache
 from pathlib import Path
+from typing import Collection
 
 from .lemma import SENTENCE_BREAK, lemmatize
 
@@ -44,6 +49,42 @@ _SYNSET_SECTIONS = ("diseases", "adjectives", "directions")
 
 class OntologyError(ValueError):
     """Malformed ontology file or invariant violation; names the offender."""
+
+
+def read_text(path: str | Path, error: type[Exception]) -> str:
+    """File ``path`` decoded as UTF-8, a leading byte-order mark dropped; a bad
+    byte raises ``error`` naming the file, the byte and its offset in the file."""
+    data = Path(path).read_bytes()
+    try:
+        text = data.decode("utf-8")
+    except UnicodeDecodeError as exc:
+        raise error(f"{path}: not UTF-8: byte {data[exc.start]:#04x} at offset {exc.start}") from None
+    return text.removeprefix("\ufeff")
+
+
+def read_sections(text: str, source: str, sections: Collection[str], error: type[Exception]) -> dict[str, list]:
+    """Each ``[section]``'s (line number, stripped line) entries, by lowercased
+    name in file order; blank and ``#`` lines are skipped. A section not in
+    ``sections``, a section given twice and an entry before any header raise
+    ``error`` naming ``source:line``. Entry lines are the caller's to check."""
+    found: dict[str, list[tuple[int, str]]] = {}
+    entries: list[tuple[int, str]] | None = None
+    for lineno, raw in enumerate(text.splitlines(), start=1):
+        line = raw.strip()
+        if not line or line.startswith("#"):
+            continue
+        if line.startswith("[") and line.endswith("]"):
+            name = line[1:-1].strip().lower()
+            if name not in sections:
+                raise error(f"{source}:{lineno}: unknown section [{name}]; expected one of: {', '.join(sections)}")
+            if name in found:
+                raise error(f"{source}:{lineno}: section [{name}] given twice")
+            entries = found[name] = []
+        elif entries is None:
+            raise error(f"{source}:{lineno}: entry before any section header")
+        else:
+            entries.append((lineno, line))
+    return found
 
 
 @dataclass(frozen=True)
@@ -72,13 +113,16 @@ class Ontology:
     def disease_labels(self) -> frozenset[str]:
         return frozenset(s.canonical for s in self.diseases)
 
-    def __hash__(self) -> int:
-        # The dataclass hash, computed once: extraction looks its matchers up by ontology per sentence.
-        return self._hash
-
     @cached_property
-    def _hash(self) -> int:
-        return hash((self.diseases, self.adjectives, self.directions, self.splitters, self.deleters))
+    def lookups(self) -> tuple[tuple[dict[tuple[str, ...], str], int], ...]:
+        """For diseases, adjectives and directions, in that order: a map from
+        each variant's token tuple to its canonical, and the most tokens any
+        variant has (1 for an empty category). Built once; read, never mutate."""
+        return tuple(
+            ({tuple(v.split()): s.canonical for s in synsets for v in s.variants},
+             max((len(v.split()) for s in synsets for v in s.variants), default=1))
+            for synsets in (self.diseases, self.adjectives, self.directions)
+        )
 
 
 def _lemma_phrase(raw: str, where: str) -> str:
@@ -124,32 +168,21 @@ def parse_ontology(text: str, source: str = "<string>") -> Ontology:
     the five categories; every error names ``source``, parse errors with a
     line number too."""
     entries: dict[str, list] = {s: [] for s in SECTIONS}
-    section: str | None = None
-    for lineno, raw_line in enumerate(text.splitlines(), start=1):
-        line = raw_line.strip()
-        if not line or line.startswith("#"):
-            continue
-        if line.startswith("[") and line.endswith("]"):
-            name = line[1:-1].strip().lower()
-            if name not in SECTIONS:
-                raise OntologyError(f"{source}:{lineno}: unknown section [{name}]")
-            section = name
-            continue
-        if section is None:
-            raise OntologyError(f"{source}:{lineno}: entry before any section header")
-        if section in _SYNSET_SECTIONS:
-            if "=" not in line:
-                raise OntologyError(f"{source}:{lineno}: expected 'canonical = [variants]'")
-            canonical, _, rhs = line.partition("=")
-            rhs = rhs.strip()
-            if not (rhs.startswith("[") and rhs.endswith("]")):
-                raise OntologyError(f"{source}:{lineno}: variant list must be bracketed")
-            variants = [v.strip() for v in rhs[1:-1].split(",") if v.strip()]
-            entries[section].append((canonical.strip(), variants))
-        else:
-            if "=" in line:
-                raise OntologyError(f"{source}:{lineno}: [{section}] takes bare tokens")
-            entries[section].append(line)
+    for section, lines in read_sections(text, source, SECTIONS, OntologyError).items():
+        for lineno, line in lines:
+            if section in _SYNSET_SECTIONS:
+                if "=" not in line:
+                    raise OntologyError(f"{source}:{lineno}: expected 'canonical = [variants]'")
+                canonical, _, rhs = line.partition("=")
+                rhs = rhs.strip()
+                if not (rhs.startswith("[") and rhs.endswith("]")):
+                    raise OntologyError(f"{source}:{lineno}: variant list must be bracketed")
+                variants = [v.strip() for v in rhs[1:-1].split(",") if v.strip()]
+                entries[section].append((canonical.strip(), variants))
+            else:
+                if "=" in line:
+                    raise OntologyError(f"{source}:{lineno}: [{section}] takes bare tokens")
+                entries[section].append(line)
     try:
         ont = Ontology(
             diseases=_build_synsets(entries["diseases"], "diseases"),
@@ -171,11 +204,7 @@ def load_ontology(path: str | Path | None) -> Ontology:
     if path is None:
         return default_ontology()
     path = Path(path)
-    try:
-        text = path.read_text(encoding="utf-8")
-    except UnicodeDecodeError as exc:
-        raise OntologyError(f"{path}: not UTF-8: byte {exc.object[exc.start]:#04x} at offset {exc.start}") from None
-    return parse_ontology(text, source=str(path))
+    return parse_ontology(read_text(path, OntologyError), source=str(path))
 
 
 def serialize_ontology(ont: Ontology) -> str:
@@ -209,5 +238,4 @@ def default_ontology() -> Ontology:
     6 splitters, 16 deleters. The adjective/splitter/deleter lists are a
     documented representative curation; supply a file for custom lexicons.
     """
-    text = DEFAULT_ONTOLOGY_FILE.read_text("utf-8")
-    return parse_ontology(text, source=DEFAULT_ONTOLOGY_FILE.name)
+    return parse_ontology(read_text(DEFAULT_ONTOLOGY_FILE, OntologyError), source=DEFAULT_ONTOLOGY_FILE.name)

@@ -56,7 +56,7 @@ from .evaluation import R_VALUES, classification_metrics, prompt_text, retrieval
 from .extraction import MetaEntities, extract
 from .images import load_image
 from .mining import MiningSettings, mine_corpus, read_triplets, write_triplets
-from .ontology import DEFAULT_ONTOLOGY_FILE, Ontology, load_ontology
+from .ontology import DEFAULT_ONTOLOGY_FILE, Ontology, load_ontology, read_sections, read_text
 from .scoring import GammaWeights
 
 logger = logging.getLogger(__name__)
@@ -94,34 +94,22 @@ class RunConfig:
 
 
 def read_sectioned_config(path: str | Path) -> dict[str, dict[str, str]]:
-    """Parse ``[section]`` / ``key = value`` text into nested dicts.
+    """A config file's ``key = value`` lines as nested dicts, by ``SETTINGS`` section.
 
-    A section or a key within a section given twice is an error naming
-    ``file:line``, as configparser's strict mode makes it.
+    ``read_sections`` checks the sections; a line that is not ``key = value``,
+    or a key given twice within a section, is an error naming ``file:line``.
     """
-    try:
-        text = Path(path).read_text(encoding="utf-8")
-    except UnicodeDecodeError as exc:
-        raise PipelineError(f"{path}: not UTF-8: byte {exc.object[exc.start]:#04x} at offset {exc.start}") from None
     sections: dict[str, dict[str, str]] = {}
-    current: str | None = None
-    for lineno, raw in enumerate(text.splitlines(), 1):
-        line = raw.strip()
-        if not line or line.startswith("#"):
-            continue
-        if line.startswith("[") and line.endswith("]"):
-            current = line[1:-1].strip().lower()
-            if current in sections:
-                raise PipelineError(f"{path}:{lineno}: section [{current}] given twice")
-            sections[current] = {}
-            continue
-        if current is None or "=" not in line:
-            raise PipelineError(f"{path}:{lineno}: expected '[section]' or 'key = value'")
-        key, _, value = line.partition("=")
-        key = key.strip().lower()
-        if key in sections[current]:
-            raise PipelineError(f"{path}:{lineno}: key {key!r} given twice in [{current}]")
-        sections[current][key] = value.strip()
+    for name, entries in read_sections(read_text(path, PipelineError), str(path), SETTINGS, PipelineError).items():
+        values = sections[name] = {}
+        for lineno, line in entries:
+            if "=" not in line:
+                raise PipelineError(f"{path}:{lineno}: expected '[section]' or 'key = value'")
+            key, _, value = line.partition("=")
+            key = key.strip().lower()
+            if key in values:
+                raise PipelineError(f"{path}:{lineno}: key {key!r} given twice in [{name}]")
+            values[key] = value.strip()
     return sections
 
 
@@ -147,12 +135,6 @@ SETTINGS: dict[str, dict[str, type]] = {
 _SECTION_FIELD = {"miner": "mining", "loss": "loss", "optimizer": "optimizer"}
 
 
-def _reject_unknown(what: str, names, allowed) -> None:
-    unknown = sorted(set(names) - set(allowed))
-    if unknown:
-        raise PipelineError(f"unknown {what} {unknown[0]!r}; expected one of: {', '.join(allowed)}")
-
-
 def with_settings(cfg: RunConfig, section: str, values: dict) -> RunConfig:
     """``cfg`` with one ``SETTINGS`` section's ``values`` applied.
 
@@ -163,7 +145,9 @@ def with_settings(cfg: RunConfig, section: str, values: dict) -> RunConfig:
     if section in _SECTION_FIELD and "seed" in values:
         raise PipelineError(f"[{section}] seed is not read; every stage seed derives from [run] seed")
     kinds = SETTINGS[section]
-    _reject_unknown(f"config key in [{section}]", values, kinds)
+    unknown = sorted(set(values) - set(kinds))
+    if unknown:
+        raise PipelineError(f"unknown config key in [{section}] {unknown[0]!r}; expected one of: {', '.join(kinds)}")
     updates = {key: _parse(section, key, raw, kinds[key]) for key, raw in values.items()}
     if section == "run":
         return replace(cfg, **updates)
@@ -179,7 +163,6 @@ def config_from_file(path: str | Path) -> RunConfig:
     """Parse and validate a run config file; every error it raises names the file."""
     sections = read_sectioned_config(path)
     try:
-        _reject_unknown("config section", sections, SETTINGS)
         cfg = RunConfig()
         for section in SETTINGS:
             cfg = with_settings(cfg, section, sections.get(section, {}))
@@ -252,7 +235,7 @@ def _read_manifest(artifact: Path) -> dict | None:
         return None
     try:
         manifest = json.loads(manifest_path.read_text(encoding="utf-8"))
-    except ValueError:  # not UTF-8, or not JSON
+    except ValueError:  # undecodable, or not JSON
         return None
     return manifest if isinstance(manifest, dict) else None
 

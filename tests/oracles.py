@@ -16,7 +16,8 @@ hinge coefficient, zero or not, accumulated: the bits the active-row
 gradient must reproduce. The graymap oracle is the token-by-token P2
 parse, one Python string per pixel. The trunk oracle runs the frozen
 forward pass with the layer-norm affine and every bias written out as
-ones and zeros.
+ones and zeros. The tokenizer oracle is a character loop over
+``str.isalnum``.
 
 This module imports nothing from medtriplet: the tests convert its plain
 entity encoding with ``conftest.entities``.
@@ -349,3 +350,25 @@ def oracle_trunk_encode(
         gelu = 0.5 * u * (1.0 + np.tanh(np.sqrt(2.0 / np.pi) * (u + 0.044715 * (u * u * u))))
         h = h + (gelu @ w["mlp.w2"] + zeros)
     return h.mean(axis=-2)
+
+
+def oracle_tokenize(text: str) -> list[str]:
+    """Lowercase alphanumeric runs are words; a run of ``. ! ? ;`` after a
+    word is one "." token, and any other character only separates. Breaks
+    at the start or end are dropped."""
+    tokens: list[str] = []
+    word: list[str] = []
+    for ch in text.lower():
+        if ch.isalnum():
+            word.append(ch)
+            continue
+        if word:
+            tokens.append("".join(word))
+            word = []
+        if ch in ".!?;" and tokens and tokens[-1] != ".":
+            tokens.append(".")
+    if word:
+        tokens.append("".join(word))
+    while tokens and tokens[-1] == ".":
+        tokens.pop()
+    return tokens

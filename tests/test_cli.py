@@ -223,6 +223,13 @@ class TestScoreCommand:
         assert main(["score", str(good), str(bad)]) == EXIT_DATA
         assert capsys.readouterr().err == f"error: {bad}: {message}\n"
 
+    def test_non_utf8_record_names_byte_and_offset(self, tmp_path, capsys):
+        good, bad = tmp_path / "good.json", tmp_path / "bad.json"
+        good.write_text(json.dumps({"entries": []}))
+        bad.write_bytes(b'{"entries": [\xff]}')
+        assert main(["score", str(good), str(bad)]) == EXIT_DATA
+        assert capsys.readouterr().err == f"error: {bad}: not UTF-8: byte 0xff at offset 13\n"
+
 
 class TestPipelineCommands:
     def test_extract_mine_roundtrip(self, synth_dir, tmp_path, capsys):
@@ -291,7 +298,9 @@ class TestPipelineCommands:
         cfg = tmp_path / "run.cfg"
         cfg.write_text(f"[run]\nout = {out}\ncorpus = {synth_dir / 'corpus.jsonl'}\n[encoder]\n{key} = 0\n")
         assert main(["run", "--config", str(cfg)]) == EXIT_DATA
-        assert f"{cfg}: unknown config section 'encoder'" in capsys.readouterr().err
+        assert f"{cfg}:4: unknown section [encoder]; expected one of: run, scoring, miner, loss, optimizer" in (
+            capsys.readouterr().err
+        )
         assert not out.exists()
 
     @pytest.mark.parametrize(

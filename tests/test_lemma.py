@@ -1,9 +1,25 @@
 """Tokenizer and lemmatizer behavior."""
 
+import random
+import re
+import string
+
 import numpy as np
 import pytest
 
+from medtriplet import lemma
 from medtriplet.lemma import SENTENCE_BREAK, lemmatize, lemmatize_token, tokenize
+from oracles import oracle_tokenize
+
+# Word characters, the underscore (which \w admits and isalnum does not), a
+# superscript digit, letters whose lowercase differs in length or carries a
+# combining mark, the combining mark alone, breaks, other punctuation, spaces.
+TOKENIZER_ALPHABET = string.ascii_letters + string.digits + "_\u00b2\u00e9\u0130\u0307" + ".!?;,:-" + " \n"
+
+
+def _random_texts(n: int = 5000) -> list[str]:
+    rng = random.Random(28)
+    return ["".join(rng.choices(TOKENIZER_ALPHABET, k=rng.randrange(40))) for _ in range(n)]
 
 
 class TestTokenize:
@@ -28,6 +44,15 @@ class TestTokenize:
     def test_empty_input(self):
         assert tokenize("") == []
         assert tokenize("   ") == []
+
+    def test_matches_character_loop_oracle(self):
+        texts = _random_texts()
+        assert [t for t in texts if tokenize(t) != oracle_tokenize(t)] == []
+        assert sum(SENTENCE_BREAK in oracle_tokenize(t) for t in texts) > 1000
+
+    def test_oracle_check_catches_word_pattern_admitting_underscore(self, monkeypatch):
+        monkeypatch.setattr(lemma, "_TOKEN", re.compile(r"\w+|[.!?;]"))
+        assert any(tokenize(t) != oracle_tokenize(t) for t in _random_texts())
 
 
 class TestLemmatizeToken:

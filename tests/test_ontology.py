@@ -5,7 +5,10 @@ import re
 import pytest
 
 from medtriplet import ontology as ontology_module
+from medtriplet.cli import _load_meta_record
+from medtriplet.corpus import ingest, read_entities
 from medtriplet.lemma import lemmatize
+from medtriplet.mining import read_triplets
 from medtriplet.ontology import (
     OntologyError,
     load_ontology,
@@ -13,6 +16,7 @@ from medtriplet.ontology import (
     save_ontology,
     serialize_ontology,
 )
+from medtriplet.pipeline import PipelineError, config_from_file
 
 
 class TestParsing:
@@ -145,3 +149,73 @@ class TestRoundTrip:
     def test_variants_lemmatized_on_load(self):
         ont = parse_ontology("[diseases]\nedema = [edemas, Oedema]\n")
         assert ont.diseases[0].variants == frozenset({"edema", "oedema"})
+
+
+# One small valid file of each kind that goes through ``read_text``, and the reader that takes it.
+TEXT_FILES = {
+    "config": ("[run]\nseed = 3\n", config_from_file),
+    "ontology": ("[diseases]\nedema = [edema, oedema]\n", load_ontology),
+    "corpus": ('{"schema": "corpus/v1"}\n{"id": "a", "text": "Edema.", "image": null}\n', ingest),
+    "entities": ('{"schema": "entities/v1"}\n{"id": "a", "entries": [{"disease": "edema"}]}\n', read_entities),
+    "triplets": (
+        '{"schema": "triplets/v1"}\n'
+        '{"anchor_id": "a", "positive_id": "b", "negative_id": "c", "score_ap": 0.5, "score_an": 0.25}\n',
+        read_triplets,
+    ),
+    "score_record": ('{"entries": [{"disease": "edema", "adj": ["mild"]}]}', _load_meta_record),
+}
+
+# Each rule the section reader applies, as (text, the error after "<source>:", or None for none).
+# The text is filled in per format with a valid section and entry (a, entry_a; b, entry_b).
+SECTION_RULES = {
+    "comments_and_blank_lines": ("# top\n\n[{a}]\n   # indented\n\n{entry_a}\n", None),
+    "mixed_case_header": ("[ {A} ]\n{entry_a}\n", None),
+    "repeated_section": ("[{a}]\n{entry_a}\n[{b}]\n{entry_b}\n\n[{A}]\n", "6: section [{a}] given twice"),
+    "unknown_section": (
+        "[{a}]\n{entry_a}\n# next\n[nosuch]\n", "4: unknown section [nosuch]; expected one of: {allowed}"
+    ),
+    "entry_before_header": ("# top\n\n{entry_a}\n[{a}]\n", "3: entry before any section header"),
+}
+SECTION_FORMATS = {
+    "config": (
+        dict(a="run", A="Run", entry_a="seed = 1", b="loss", entry_b="alpha = 0.2",
+             allowed="run, scoring, miner, loss, optimizer"),
+        lambda path: config_from_file(path).seed,
+        1,
+    ),
+    "ontology": (
+        dict(a="diseases", A="DISEASES", entry_a="edema = [edema]", b="splitters", entry_b="and",
+             allowed="diseases, adjectives, directions, splitters, deleters"),
+        lambda path: parse_ontology(path.read_text(), source=str(path)).disease_labels,
+        {"edema"},
+    ),
+}
+
+
+class TestTextFrontEnd:
+    @pytest.mark.parametrize("kind", TEXT_FILES)
+    def test_byte_order_mark_reads_as_absent(self, tmp_path, kind):
+        text, read = TEXT_FILES[kind]
+        plain, marked, damaged = (tmp_path / name / "input" for name in ("plain", "marked", "damaged"))
+        for path, data in ((plain, b""), (marked, b"\xef\xbb\xbf"), (damaged, b"\xef\xbb\xbf\xff")):
+            path.parent.mkdir()
+            path.write_bytes(data + text.encode())
+        assert read(marked) == read(plain)
+        # The offset is the byte's place in the file, counting the mark.
+        with pytest.raises((ValueError, PipelineError)) as info:
+            read(damaged)
+        assert str(info.value) == f"{damaged}: not UTF-8: byte 0xff at offset 3"
+
+    @pytest.mark.parametrize("fmt", SECTION_FORMATS)
+    @pytest.mark.parametrize("rule", SECTION_RULES)
+    def test_config_and_ontology_share_section_rules(self, tmp_path, rule, fmt):
+        template, error = SECTION_RULES[rule]
+        names, read, expected = SECTION_FORMATS[fmt]
+        path = tmp_path / "input.txt"
+        path.write_text(template.format(**names))
+        if error is None:
+            assert read(path) == expected
+            return
+        with pytest.raises((OntologyError, PipelineError)) as info:
+            read(path)
+        assert str(info.value) == f"{path}:{error.format(**names)}"
