@@ -12,6 +12,8 @@ row per sample, plus a (T, 3) array of anchor/positive/negative row
 indices. ``train_heads`` gathers one batch's rows at a time into
 (B, 3, c) blocks, and ``head_gradients`` computes all four terms and
 their analytic gradients for a block with row-wise matrix operations.
+``train_heads`` returns the trained heads and the loss curve, whose rows
+it builds exactly as ``loss_curve.jsonl`` holds them.
 This is the package's one implementation of the objective; the test
 suite checks it against a scalar, one-triplet-at-a-time transcription
 and central finite differences of it (``tests/oracles.py``).
@@ -34,12 +36,9 @@ from __future__ import annotations
 import logging
 import math
 from dataclasses import dataclass
-from pathlib import Path
-from typing import Sequence
 
 import numpy as np
 
-from .corpus import write_jsonl
 from .encoder import IMAGE, TEXT
 
 logger = logging.getLogger(__name__)
@@ -179,19 +178,6 @@ class Adam:
             self.params[key] -= self.cfg.learning_rate * m_hat / (np.sqrt(v_hat) + EPS)
 
 
-@dataclass(frozen=True)
-class EpochStats:
-    epoch: int
-    total: float
-    terms: dict[str, float]
-
-
-@dataclass
-class TrainResult:
-    heads: dict[str, np.ndarray]
-    curve: list[EpochStats]
-
-
 def train_heads(
     z_img: np.ndarray,
     z_txt: np.ndarray,
@@ -199,23 +185,24 @@ def train_heads(
     heads: dict[str, np.ndarray],
     loss_cfg: LossConfig = LossConfig(),
     opt_cfg: OptimizerConfig = OptimizerConfig(),
-) -> TrainResult:
-    """Mini-batch Adam over pre-computed trunk outputs.
+) -> tuple[dict[str, np.ndarray], list[dict]]:
+    """Mini-batch Adam over pre-computed trunk outputs; the trained heads and the loss curve.
 
     ``z_img`` and ``z_txt`` are (N, c) trunk matrices with one row per
     sample; ``triplets`` is a (T, 3) array of anchor, positive and
     negative row indices into them. Each batch gathers only its own rows.
-    The input heads are not mutated; training runs on copies. Loss per
-    epoch is the mean over batches of the pre-update batch loss. Each
-    epoch's shuffle is seeded by (seed, epoch number). A zero-norm or
-    non-finite embedding, or a non-finite loss, is a ``ValueError`` that
-    names the epoch and the batch.
+    The input heads are not mutated; training runs on copies. The curve
+    has one row per epoch: ``epoch``, ``total``, then ``TERM_NAMES``, each
+    the epoch's per-sample mean of the pre-update batch losses. Each epoch's
+    shuffle is seeded by (seed, epoch number). A zero-norm or non-finite
+    embedding, or a non-finite loss, is a ``ValueError`` that names the
+    epoch and the batch.
     """
     if len(triplets) == 0:
         raise ValueError("no triplets to train on")
     trained = {k: v.copy() for k, v in heads.items()}
     optimizer = Adam(trained, opt_cfg)
-    curve: list[EpochStats] = []
+    curve: list[dict] = []
     n = len(triplets)
     for epoch in range(1, opt_cfg.epochs + 1):
         order = np.random.default_rng((opt_cfg.seed, epoch)).permutation(n)
@@ -234,13 +221,6 @@ def train_heads(
             total_sum += batch_total * len(rows)
             for k, v in batch_terms.items():
                 term_sums[k] += v * len(rows)
-        curve.append(
-            EpochStats(epoch, total_sum / n, {k: v / n for k, v in term_sums.items()})
-        )
-        logger.debug("epoch %d mean loss %.6f", epoch, curve[-1].total)
-    return TrainResult(heads=trained, curve=curve)
-
-
-def write_loss_curve(path: str | Path, curve: Sequence[EpochStats]) -> None:
-    records = ({"epoch": s.epoch, "total": s.total, **{k: s.terms[k] for k in TERM_NAMES}} for s in curve)
-    write_jsonl(path, records)
+        curve.append({"epoch": epoch, "total": total_sum / n, **{k: v / n for k, v in term_sums.items()}})
+        logger.debug("epoch %d mean loss %.6f", epoch, curve[-1]["total"])
+    return trained, curve

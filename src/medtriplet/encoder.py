@@ -169,7 +169,7 @@ def _layer_norm(x: np.ndarray) -> np.ndarray:
 
 def _gelu(x: np.ndarray) -> np.ndarray:
     # tanh approximation, 0.5 * x * (1 + tanh(sqrt(2 / pi) * (x + 0.044715 * x * x * x))),
-    # step by step in two arrays of its own. The cube is an exact product: numpy
+    # step by step in one array of its own. The cube is an exact product: numpy
     # sends x**3 with negative float64 bases down a slow pow path, about 50x the cost.
     inner = x * x
     inner *= x
@@ -178,7 +178,8 @@ def _gelu(x: np.ndarray) -> np.ndarray:
     inner *= np.sqrt(2.0 / np.pi)
     np.tanh(inner, out=inner)
     inner += 1.0
-    inner *= 0.5 * x
+    inner *= x
+    inner *= 0.5  # exact above the subnormals: the bits of multiplying by 0.5 * x, without that temporary
     return inner
 
 

@@ -17,12 +17,13 @@ each kind's consistencies are one array operation.
 Zero-shot classification scores image rows against one templated text
 prompt per disease in one (n, k) cosine matrix; each row predicts its
 most similar class, and the metrics read the matrix column by column.
+``classification_metrics`` returns the metrics as a dict, under the keys
+the classification report holds them by.
 """
 
 from __future__ import annotations
 
 import logging
-from dataclasses import dataclass
 from itertools import repeat
 from typing import Sequence
 
@@ -115,22 +116,14 @@ def _binary_auc(positive: np.ndarray, scores: np.ndarray) -> float:
     return (rank_sum - n_pos * (n_pos + 1) / 2.0) / (n_pos * n_neg)
 
 
-@dataclass(frozen=True)
-class ClassificationMetrics:
-    accuracy: float  # percent
-    macro_f1: float  # percent
-    macro_auc: float  # fraction in [0, 1]
-    per_class_f1: dict[str, float]
-    per_class_auc: dict[str, float]
-
-
 def classification_metrics(
     predictions: Sequence[str],
     truths: Sequence[str],
     scores: np.ndarray,
     classes: Sequence[str],
-) -> ClassificationMetrics:
-    """Accuracy, macro F1 and macro one-vs-rest AUC.
+) -> dict:
+    """``accuracy`` and ``macro_f1`` (percent), ``macro_auc`` (one-vs-rest, a
+    fraction), and each class's F1 and AUC as ``per_class_f1`` and ``per_class_auc``.
 
     ``scores`` is the (n, k) matrix with one row per sample and column j
     for ``classes[j]``. Classes that never occur in the truths are
@@ -160,13 +153,13 @@ def classification_metrics(
         # 2·tp + fp + fn: every true and every predicted sample of cls, so at least one.
         f1[cls] = 100.0 * (2 * tp / (np.count_nonzero(is_true) + np.count_nonzero(is_pred)))
         auc[cls] = _binary_auc(is_true, scores[:, list(classes).index(cls)])
-    return ClassificationMetrics(
-        accuracy=100.0 * float(np.mean(pred_arr == truth_arr)),
-        macro_f1=float(np.mean([f1[c] for c in classes_seen])),
-        macro_auc=float(np.mean([auc[c] for c in classes_seen])),
-        per_class_f1=f1,
-        per_class_auc=auc,
-    )
+    return {
+        "accuracy": 100.0 * float(np.mean(pred_arr == truth_arr)),
+        "macro_f1": float(np.mean([f1[c] for c in classes_seen])),
+        "macro_auc": float(np.mean([auc[c] for c in classes_seen])),
+        "per_class_f1": f1,
+        "per_class_auc": auc,
+    }
 
 
 def retrieval_report(

@@ -35,9 +35,9 @@ from typing import Callable
 import numpy as np
 
 from . import __version__
-from .alignment import LossConfig, OptimizerConfig, train_heads, write_loss_curve
+from .alignment import LossConfig, OptimizerConfig, train_heads
 from .checkpoint import load_checkpoint, save_checkpoint
-from .corpus import CorpusRecord, atomic_write, ingest, read_entities, write_entities
+from .corpus import CorpusRecord, atomic_write, ingest, read_entities, write_entities, write_jsonl
 from .encoder import (
     IMAGE,
     TEXT,
@@ -443,10 +443,9 @@ def stage_train(cfg: RunConfig, force: bool = False) -> Path:
         row = {sample_id: r for r, sample_id in enumerate(ids)}
         index = np.array([[row[i] for i in t.key()] for t in triplets], dtype=np.int64)
         heads = {IMAGE: init_head(cfg.seed, IMAGE), TEXT: init_head(cfg.seed, TEXT)}
-        result = train_heads(z_img, z_txt, index, heads, cfg.loss, cfg.optimizer)
-        write_loss_curve(curve_path, result.curve)
-        arrays = {"head.image": result.heads[IMAGE], "head.text": result.heads[TEXT]}
-        save_checkpoint(artifact, _heads_record(cfg), arrays)
+        heads, curve = train_heads(z_img, z_txt, index, heads, cfg.loss, cfg.optimizer)
+        write_jsonl(curve_path, curve)
+        save_checkpoint(artifact, _heads_record(cfg), {f"head.{m}": h for m, h in heads.items()})
 
     cfg_payload = {"seed": cfg.seed, "loss": asdict(cfg.loss), "optimizer": asdict(cfg.optimizer)}
     inputs = {"triplets": triplets_path, "corpus": cfg.corpus, "images": records}
@@ -549,7 +548,7 @@ def _classification(
     prompts = _project(trunks.encode_texts([prompt_text(label, ont) for label in classes]), heads[TEXT])
     predictions, scores = zero_shot_classify(images, prompts, classes)
     metrics = classification_metrics(predictions, truths, scores, classes)
-    return {"classes": classes, "samples": len(labelled), **asdict(metrics)}
+    return {"classes": classes, "samples": len(labelled), **metrics}
 
 
 def _eval_stage(cfg: RunConfig, eval_corpus: Path) -> tuple[dict, dict]:

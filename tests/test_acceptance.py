@@ -284,17 +284,17 @@ def test_criterion_9_metric_units():
 
     ab = ["a", "b"]
     perfect = classification_metrics(["a", "b"], ["a", "b"], np.array([[0.9, 0.1], [0.1, 0.9]]), ab)
-    assert perfect.accuracy == 100.0 and perfect.macro_f1 == 100.0 and perfect.macro_auc == 1.0
+    assert perfect["accuracy"] == 100.0 and perfect["macro_f1"] == 100.0 and perfect["macro_auc"] == 1.0
 
     collapsed = classification_metrics(["a", "a", "a", "a"], ["a", "a", "b", "b"], np.full((4, 2), 0.5), ab)
-    assert collapsed.accuracy == 50.0
+    assert collapsed["accuracy"] == 50.0
 
     rng = np.random.default_rng(9001)
     n = 1000
     truths = ["a"] * (n // 2) + ["b"] * (n // 2)
     scores = np.array([(float(rng.random()), float(rng.random())) for _ in range(n)])
     preds = ["a" if a >= b else "b" for a, b in scores]
-    random_auc = classification_metrics(preds, truths, scores, ab).macro_auc
+    random_auc = classification_metrics(preds, truths, scores, ab)["macro_auc"]
     assert abs(random_auc - 0.5) <= 0.05
 
     checked = 0
@@ -305,9 +305,9 @@ def test_criterion_9_metric_units():
             continue
         scores = np.array([(float(rng.normal()), float(rng.normal())) for _ in range(m)])
         preds = ["a" if a >= b else "b" for a, b in scores]
-        base = classification_metrics(preds, truths, scores, ab).macro_auc
+        base = classification_metrics(preds, truths, scores, ab)["macro_auc"]
         warped = np.tanh(scores) * 7 - 2
-        assert classification_metrics(preds, truths, warped, ab).macro_auc == pytest.approx(base, abs=1e-12)
+        assert classification_metrics(preds, truths, warped, ab)["macro_auc"] == pytest.approx(base, abs=1e-12)
         checked += 1
     assert checked >= 90
     print(f"\n[criterion 9] PASS — metric examples exact; random AUC {random_auc:.3f}; "

@@ -325,21 +325,21 @@ class TestAdamAndTraining:
         z_img, z_txt = rng.normal(size=(2, 90, 16))
         triplets = np.stack([rng.permutation(90)[:3] for _ in range(200)])
         heads = {IMAGE: rng.normal(0, 0.5, (16, 16)), TEXT: rng.normal(0, 0.5, (16, 16))}
-        result = train_heads(z_img, z_txt, triplets, heads, LossConfig(alpha=0.3, eta=eta, sign_mode=sign_mode),
-                             OptimizerConfig(learning_rate=0.01, epochs=20, batch_size=32, seed=5))
-        curve = np.array([[e.total, *(e.terms[k] for k in TERM_NAMES)] for e in result.curve])
-        digest = hashlib.sha256(result.heads[IMAGE].tobytes() + result.heads[TEXT].tobytes() + curve.tobytes())
+        trained, curve = train_heads(z_img, z_txt, triplets, heads, LossConfig(alpha=0.3, eta=eta, sign_mode=sign_mode),
+                                     OptimizerConfig(learning_rate=0.01, epochs=20, batch_size=32, seed=5))
+        losses = np.array([[row["total"], *(row[k] for k in TERM_NAMES)] for row in curve])
+        digest = hashlib.sha256(trained[IMAGE].tobytes() + trained[TEXT].tobytes() + losses.tobytes())
         assert digest.hexdigest() == GOLDEN_HEADS_DIGEST[(sign_mode, eta)]
 
     def test_zero_learning_rate_is_identity(self):
         rng = np.random.default_rng(7)
         problem = triplet_problem(rng, 32)
         heads = {IMAGE: rng.normal(0, 0.5, (8, 8)), TEXT: rng.normal(0, 0.5, (8, 8))}
-        result = train_heads(*problem, heads, LossConfig(),
-                             OptimizerConfig(learning_rate=0.0, epochs=5, batch_size=8, seed=0))
-        np.testing.assert_array_equal(result.heads[IMAGE], heads[IMAGE])
-        np.testing.assert_array_equal(result.heads[TEXT], heads[TEXT])
-        totals = [e.total for e in result.curve]
+        trained, curve = train_heads(*problem, heads, LossConfig(),
+                                     OptimizerConfig(learning_rate=0.0, epochs=5, batch_size=8, seed=0))
+        np.testing.assert_array_equal(trained[IMAGE], heads[IMAGE])
+        np.testing.assert_array_equal(trained[TEXT], heads[TEXT])
+        totals = [row["total"] for row in curve]
         assert max(totals) == pytest.approx(min(totals), abs=1e-15)
 
     def test_same_seed_same_curve(self):
@@ -347,17 +347,17 @@ class TestAdamAndTraining:
         problem = triplet_problem(rng, 32)
         heads = {IMAGE: rng.normal(0, 0.5, (8, 8)), TEXT: rng.normal(0, 0.5, (8, 8))}
         opt = OptimizerConfig(learning_rate=0.01, epochs=4, batch_size=8, seed=42)
-        c1 = train_heads(*problem, heads, LossConfig(), opt).curve
-        c2 = train_heads(*problem, heads, LossConfig(), opt).curve
-        assert [e.total for e in c1] == [e.total for e in c2]
+        _, c1 = train_heads(*problem, heads, LossConfig(), opt)
+        _, c2 = train_heads(*problem, heads, LossConfig(), opt)
+        assert [row["total"] for row in c1] == [row["total"] for row in c2]
 
     def test_loss_decreases_on_trainable_problem(self):
         rng = np.random.default_rng(9)
         problem = triplet_problem(rng, 64)
         heads = {IMAGE: rng.normal(0, 0.5, (8, 8)), TEXT: rng.normal(0, 0.5, (8, 8))}
-        result = train_heads(*problem, heads, LossConfig(),
-                             OptimizerConfig(learning_rate=0.01, epochs=10, batch_size=16, seed=1))
-        assert result.curve[-1].total < result.curve[0].total
+        _, curve = train_heads(*problem, heads, LossConfig(),
+                               OptimizerConfig(learning_rate=0.01, epochs=10, batch_size=16, seed=1))
+        assert curve[-1]["total"] < curve[0]["total"]
 
     def test_adam_matches_reference_update(self):
         # single step against the textbook update rule
@@ -387,6 +387,13 @@ class TestAdamAndTraining:
         heads = {IMAGE: rng.normal(0, 0.5, (8, 8)), TEXT: rng.normal(0, 0.5, (8, 8))}
         with pytest.raises(ValueError, match="^epoch 1, batch 1: non-finite loss inf"), np.errstate(over="ignore"):
             train_heads(*problem, heads, LossConfig(alpha=1e308), OptimizerConfig(epochs=2, batch_size=8))
+
+    def test_empty_triplet_index_rejected(self):
+        rng = np.random.default_rng(16)
+        z_img, z_txt, _ = triplet_problem(rng, 4)
+        heads = {IMAGE: rng.normal(0, 0.5, (8, 8)), TEXT: rng.normal(0, 0.5, (8, 8))}
+        with pytest.raises(ValueError, match="^no triplets to train on$"):
+            train_heads(z_img, z_txt, np.zeros((0, 3), dtype=np.int64), heads)
 
     def test_input_heads_not_mutated(self):
         rng = np.random.default_rng(10)

@@ -202,6 +202,18 @@ class TestScoreCommand:
         assert printed == WORKED_SCORE_JSON_INTERSECTION
         assert json.loads(printed)["total"] == pytest.approx(0.9 / 0.95 / 2, abs=1e-12)
 
+    def test_bare_entries_list_scores_as_its_record(self, tmp_path, capsys):
+        """A file may hold a record's ``entries`` list alone."""
+        entries = [{"disease": "pneumonia", "adj": ["mild"], "dir": ["left"]}, {"disease": "edema", "adj": [], "dir": []}]
+        record, bare = tmp_path / "record.json", tmp_path / "bare.json"
+        record.write_text(json.dumps({"entries": entries}))
+        bare.write_text(json.dumps(entries))
+        assert main(["score", str(record), str(record)]) == EXIT_OK
+        expected = capsys.readouterr().out
+        assert main(["score", str(bare), str(record)]) == main(["score", str(record), str(bare)]) == EXIT_OK
+        assert capsys.readouterr().out == expected * 2
+        assert json.loads(expected)["total"] > 0
+
     def test_bad_gammas_rejected(self, tmp_path):
         rec = tmp_path / "m.json"
         rec.write_text(json.dumps({"entries": []}))
@@ -370,6 +382,10 @@ class TestPipelineCommands:
             assert main(mine) == EXIT_OK
             assert main([*mine, "--force"]) == EXIT_OK
         assert [r.message for r in caplog.records if "skipping" in r.message] == ["mine: up to date, skipping"]
+
+    def test_extract_without_a_corpus_names_it(self, tmp_path, capsys):
+        assert main(["extract", "--out", str(tmp_path / "r")]) == EXIT_DATA
+        assert capsys.readouterr().err == "error: extract stage needs a path for corpus\n"
 
     def test_mine_before_extract_dependency_error(self, synth_dir, tmp_path):
         cfg = tmp_path / "run.cfg"

@@ -292,16 +292,16 @@ class TestClassificationMetrics:
         truths = ["a", "b", "a", "b"]
         scores = rows((0.9, 0.1), (0.1, 0.9), (0.8, 0.2), (0.2, 0.8))
         m = classification_metrics(preds, truths, scores, ["a", "b"])
-        assert m.accuracy == 100.0
-        assert m.macro_f1 == 100.0
-        assert m.macro_auc == pytest.approx(1.0)
+        assert m["accuracy"] == 100.0
+        assert m["macro_f1"] == 100.0
+        assert m["macro_auc"] == pytest.approx(1.0)
 
     def test_all_one_class_on_balanced_truth(self):
         preds = ["a"] * 4
         truths = ["a", "a", "b", "b"]
         scores = rows(*[(0.5, 0.5)] * 4)
         m = classification_metrics(preds, truths, scores, ["a", "b"])
-        assert m.accuracy == 50.0
+        assert m["accuracy"] == 50.0
 
     def test_random_scores_auc_near_half(self):
         rng = np.random.default_rng(123)
@@ -310,7 +310,7 @@ class TestClassificationMetrics:
         scores = rows(*[(float(rng.random()), float(rng.random())) for _ in range(n)])
         preds = ["a" if a > b else "b" for a, b in scores]
         m = classification_metrics(preds, truths, scores, ["a", "b"])
-        assert abs(m.macro_auc - 0.5) <= 0.05
+        assert abs(m["macro_auc"] - 0.5) <= 0.05
 
     def test_auc_invariant_under_monotone_transform(self):
         rng = np.random.default_rng(7)
@@ -324,7 +324,7 @@ class TestClassificationMetrics:
             base = classification_metrics(preds, truths, scores, ["a", "b"])
             warped = np.exp(3 * scores) + 1
             transformed = classification_metrics(preds, truths, warped, ["a", "b"])
-            assert transformed.macro_auc == pytest.approx(base.macro_auc, abs=1e-12)
+            assert transformed["macro_auc"] == pytest.approx(base["macro_auc"], abs=1e-12)
 
     def test_class_missing_from_truths_flagged(self, caplog):
         preds = ["a", "c", "b", "b"]
@@ -334,14 +334,14 @@ class TestClassificationMetrics:
             m = classification_metrics(preds, truths, scores, ["a", "b", "c"])
         (record,) = [r for r in caplog.records if r.levelname == "WARNING"]
         assert "classes absent from truths" in record.getMessage() and "('c',)" in record.getMessage()
-        assert set(m.per_class_f1) == set(m.per_class_auc) == {"a", "b"}
+        assert set(m["per_class_f1"]) == set(m["per_class_auc"]) == {"a", "b"}
 
     def test_ties_count_half(self):
         truths = ["a", "b"]
         preds = ["a", "a"]
         scores = rows((0.5, 0.5), (0.5, 0.5))
         m = classification_metrics(preds, truths, scores, ["a", "b"])
-        assert m.macro_auc == pytest.approx(0.5)
+        assert m["macro_auc"] == pytest.approx(0.5)
 
     def test_auc_matches_pairwise_oracle(self):
         rng = np.random.default_rng(2025)
@@ -356,7 +356,7 @@ class TestClassificationMetrics:
             m = classification_metrics(preds, truths, scores, ["a", "b"])
             for j, cls in enumerate(("a", "b")):
                 positive = [t == cls for t in truths]
-                assert m.per_class_auc[cls] == oracle_binary_auc(positive, scores[:, j].tolist()), case
+                assert m["per_class_auc"][cls] == oracle_binary_auc(positive, scores[:, j].tolist()), case
 
     @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
     def test_non_finite_scores_rejected(self, bad):

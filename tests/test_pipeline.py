@@ -182,6 +182,14 @@ class TestIngest:
             read_entities(path)
         assert str(info.value) == f"{path}:3: 'entries' must be a list, got 'edema'"
 
+    def test_disease_named_twice_names_file_and_line(self, tmp_path):
+        path = tmp_path / "entities.jsonl"
+        twice = [{"disease": "edema", "adj": [], "dir": []}, {"disease": "edema", "adj": ["mild"], "dir": []}]
+        write_jsonl(path, [{"schema": "entities/v1"}, {"id": "a", "entries": twice[:1]}, {"id": "b", "entries": twice}])
+        with pytest.raises(DataError) as info:
+            read_entities(path)
+        assert str(info.value) == f"{path}:3: entries must be unique and sorted by disease label"
+
 
 def _encoded_rows(monkeypatch) -> list:
     """Record each row of every stack ``pipeline.trunk_encode`` encodes: an id tuple per text, a pixel grid per image."""
@@ -217,6 +225,20 @@ class TestStages:
         lines = artifacts["extract"].read_text().splitlines()
         assert json.loads(lines[0])["schema"] == "entities/v1"
         assert len(lines) - 1 == 36
+
+    def test_unknown_stage_fails_before_the_output_dir_is_made(self, small_world):
+        with pytest.raises(PipelineError, match=r"^unknown stages: \['bogus'\]$"):
+            run_pipeline(small_world, stages=("bogus",))
+        assert not small_world.out.exists()
+
+    def test_corpus_without_the_mined_ids_named(self, small_world, tmp_path):
+        run_pipeline(small_world, stages=("extract", "mine"))
+        records = ingest(small_world.corpus)
+        subset = tmp_path / "subset.jsonl"
+        write_corpus(subset, records[: len(records) // 2])
+        with pytest.raises(PipelineError, match=r"^triplet ids missing from corpus: \["):
+            run_pipeline(replace(small_world, corpus=subset), stages=("train",))
+        assert not (small_world.out / "heads.ckpt").exists()
 
     def test_mine_before_extract_fails(self, small_world):
         with pytest.raises(PipelineError, match="run extract first"):
@@ -516,7 +538,7 @@ class TestEvalClassification:
         assert capsys.readouterr().out == text
 
     def test_report_holds_exactly_its_keys(self, small_world):
-        """No field of ``ClassificationMetrics`` reaches the report unlisted."""
+        """The report is the classes, the sample count and the five keys ``classification_metrics`` returns."""
         heads = {IMAGE: init_head(small_world.seed, IMAGE), TEXT: init_head(small_world.seed, TEXT)}
         report = evaluate_classification(small_world, heads, small_world.eval_corpus)
         keys = {"classes", "samples", "accuracy", "macro_f1", "macro_auc", "per_class_f1", "per_class_auc"}
@@ -530,7 +552,7 @@ class TestEvalClassification:
         assert rows == [] and reports == []
         assert report == json.loads((small_world.out / "eval_classification.json").read_text())
 
-    @pytest.mark.parametrize("change", ["heads", "side_output", "image", "manifest"])
+    @pytest.mark.parametrize("change", ["heads", "side_output", "image", "manifest", "heads_file"])
     def test_stale_result_is_computed_afresh(self, small_world, tmp_path, monkeypatch, change):
         run_pipeline(small_world)
         _, heads = load_heads(small_world.out / "heads.ckpt")
@@ -542,8 +564,10 @@ class TestEvalClassification:
         elif change == "image":
             image = sorted((small_world.eval_corpus.parent / "images").glob("*.pgm"))[0]
             write_pgm(image, 1.0 - load_image(image).pixels)
-        else:
+        elif change == "manifest":
             Path(str(small_world.out / "eval_retrieval.json") + ".manifest.json").write_text("[]")
+        else:
+            (small_world.out / "heads.ckpt").unlink()
         stale = json.loads(side.read_text())
         rows, reports = _encoded_rows(monkeypatch), _extract_calls(monkeypatch)
         report = evaluate_classification(with_seed_defaults(small_world), heads, small_world.eval_corpus)

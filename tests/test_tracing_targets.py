@@ -170,3 +170,24 @@ def test_traced_stages_run_and_record_trunk_calls(tmp_path, monkeypatch):
     assert not tracer.errors
     assert tracer.calls("encoder.trunk_encode") > 0
     assert tracer.useful_ratio("encoder.trunk_encode") > 0
+
+
+def test_bench_output_checks_pass_on_a_small_run(bench, tmp_path):
+    """One run as the benchmark makes it, checked by the benchmark's own output checks: triplet
+    scores under the run config's ``gammas`` and ``semantics``, the loss curve's ``total``, the
+    classification report's ``macro_auc`` and the retrieval P@10."""
+    train = synthesize(SyntheticSpec(n_classes=3, per_class=8, overlap_rate=0.4, seed=5), tmp_path / "train")
+    evalc = synthesize(SyntheticSpec(n_classes=3, per_class=4, overlap_rate=0.0, seed=6, id_prefix="e"), tmp_path / "eval")
+    cfg = pipeline.RunConfig(
+        out=tmp_path / "run",
+        seed=1,
+        corpus=train.corpus_path,
+        eval_corpus=evalc.corpus_path,
+        mining=MiningSettings(batch_size=8, target=12),
+    )
+    tracer, checks = bench.Tracer(), bench.Checks()
+    with bench.stage_spans(tracer) as evaluate_classification:
+        outcome = bench.run_once(cfg, tracer, evaluate_classification)
+    assert outcome["error"] is None
+    quality = bench.check_run(cfg, outcome, checks)
+    assert quality is not None and checks.attempted > 0 and checks.failed == 0
