@@ -8,6 +8,7 @@ clipped to [0, 1] on load; a NaN or infinite pixel is an error.
 
 from __future__ import annotations
 
+import math
 import warnings
 from pathlib import Path
 
@@ -72,9 +73,16 @@ def load_image(path: str | Path) -> ImageSample:
     if path.suffix == ".pgm":
         return read_pgm(path)
     if path.suffix == ".npy":
+        fmt = np.lib.format
         try:
-            with open(path, "rb") as fh:  # read_array, unlike np.load, takes no .npz archive or pickle
-                grid = np.lib.format.read_array(fh, allow_pickle=False)
+            with open(path, "rb") as fh:  # read the header alone, so no array is made before its size is checked
+                read_header = fmt.read_array_header_1_0 if fmt.read_magic(fh) == (1, 0) else fmt.read_array_header_2_0
+                shape, fortran, dtype = read_header(fh)
+                data = fh.read()
+            declared = dtype.itemsize * math.prod(shape)
+            if declared != len(data):
+                raise ValueError(f"shape {shape} of {dtype.str} takes {declared} bytes; {len(data)} follow the header")
+            grid = np.frombuffer(data, dtype).reshape(shape, order="F" if fortran else "C")
         except ValueError as exc:
             raise ValueError(f"{path}: {exc}") from None
         if grid.dtype.kind not in "biuf":

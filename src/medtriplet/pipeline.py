@@ -27,7 +27,7 @@ import hashlib
 import json
 import logging
 import os
-from contextlib import contextmanager
+from contextlib import contextmanager, suppress
 from dataclasses import asdict, astuple, dataclass, field, replace
 from pathlib import Path
 from typing import Callable
@@ -36,12 +36,11 @@ import numpy as np
 
 from . import __version__
 from .alignment import LossConfig, OptimizerConfig, train_heads
-from .checkpoint import load_checkpoint, save_checkpoint
+from .checkpoint import MAGIC, load_checkpoint, save_checkpoint
 from .corpus import CorpusRecord, atomic_write, ingest, read_entities, write_entities, write_jsonl
 from .encoder import (
     IMAGE,
     TEXT,
-    EMBED_DIM,
     PATCH_SIZE,
     ImageSample,
     TokenSequence,
@@ -270,7 +269,9 @@ def _lock_owner(lock: Path) -> str:
 
 @contextmanager
 def output_lock(out_dir: Path):
-    """Hold ``out_dir/.lock``, which records this pid, for the block; never removes another's lock."""
+    """Hold ``out_dir/.lock``, which records this pid, for the block; never removes another's lock.
+    The directories this call made, ``out_dir`` and its missing parents, are removed again if left empty."""
+    made = [d for d in (out_dir, *out_dir.parents) if not d.exists()]  # deepest first
     out_dir.mkdir(parents=True, exist_ok=True)
     lock = out_dir / ".lock"
     try:
@@ -283,6 +284,9 @@ def output_lock(out_dir: Path):
         yield
     finally:
         lock.unlink(missing_ok=True)
+        for directory in made:
+            with suppress(OSError):  # rmdir removes only an empty directory
+                directory.rmdir()
 
 
 # Sequence positions per trunk forward pass: an image stack holds this // its
@@ -445,9 +449,11 @@ def stage_train(cfg: RunConfig, force: bool = False) -> Path:
         heads = {IMAGE: init_head(cfg.seed, IMAGE), TEXT: init_head(cfg.seed, TEXT)}
         heads, curve = train_heads(z_img, z_txt, index, heads, cfg.loss, cfg.optimizer)
         write_jsonl(curve_path, curve)
-        save_checkpoint(artifact, _heads_record(cfg), {f"head.{m}": h for m, h in heads.items()})
+        save_checkpoint(artifact, _heads_record(cfg), heads)
 
+    # Naming the checkpoint layout re-trains heads saved in another one, which eval could not read.
     cfg_payload = {"seed": cfg.seed, "loss": asdict(cfg.loss), "optimizer": asdict(cfg.optimizer)}
+    cfg_payload["checkpoint"] = MAGIC.decode()
     inputs = {"triplets": triplets_path, "corpus": cfg.corpus, "images": records}
     return _run_stage(cfg, "train", force, artifact, cfg_payload, inputs, build, side_outputs=(curve_path,))
 
@@ -458,32 +464,18 @@ def _heads_record(cfg: RunConfig) -> dict:
 
 
 def load_heads(path: str | Path, cfg: RunConfig | None = None) -> tuple[dict, dict[str, np.ndarray]]:
-    """A checkpoint's config and its two projection heads, square and of one
-    shape; other arrays in the file are ignored.
-
-    The heads must be (EMBED_DIM, EMBED_DIM). With ``cfg``, the checkpoint
-    must record exactly ``cfg``'s seed: the first field that differs, or
-    that only one side has, is named. Each error names the file.
-    """
-    config, arrays = load_checkpoint(path)
-    heads = {}
-    for modality in (IMAGE, TEXT):
-        name = f"head.{modality}"
-        if name not in arrays:
-            raise PipelineError(f"{path}: checkpoint has no {name!r} array")
-        heads[modality] = arrays[name]
-    for modality, head in heads.items():
-        if head.shape != (EMBED_DIM, EMBED_DIM):
-            raise PipelineError(f"{path}: head.{modality} has shape {head.shape}, expected {(EMBED_DIM, EMBED_DIM)}")
+    """The run record and the two projection heads that ``load_checkpoint`` reads from ``path``.
+    With ``cfg``, the record must be exactly ``cfg``'s seed: the first field that differs, or
+    that only one side has, is named. Each error names the file."""
+    record, heads = load_checkpoint(path)
     if cfg is not None:
-        got = config if isinstance(config, dict) else {}
         want = _heads_record(cfg)
         absent = object()
-        for name in {**want, **got}:  # the run's fields in order, then any only the checkpoint has
-            if got.get(name, absent) != want.get(name, absent):
-                recorded, has = (f"{name} = {r[name]!r}" if name in r else f"no {name}" for r in (got, want))
+        for name in {**want, **record}:  # the run's fields in order, then any only the checkpoint has
+            if record.get(name, absent) != want.get(name, absent):
+                recorded, has = (f"{name} = {r[name]!r}" if name in r else f"no {name}" for r in (record, want))
                 raise PipelineError(f"{path}: checkpoint records {recorded}; this run has {has}")
-    return config, heads
+    return record, heads
 
 
 def _eval_records(
@@ -568,9 +560,9 @@ def _current_classification(cfg: RunConfig, heads: dict[str, np.ndarray], eval_c
     try:
         if not _up_to_date(artifact, cfg_payload, _input_hashes("eval", inputs), (side,)):
             return None
-    except PipelineError:  # heads.ckpt missing, or not the one train wrote
+        _, stored = load_heads(inputs["heads"])
+    except (PipelineError, ValueError):  # heads.ckpt missing, not the one train wrote, or unreadable
         return None
-    _, stored = load_heads(inputs["heads"])
     passed, current = ([(h[m].dtype, h[m].shape, h[m].tobytes()) for m in (IMAGE, TEXT)] for h in (heads, stored))
     return json.loads(side.read_text(encoding="utf-8")) if passed == current else None
 

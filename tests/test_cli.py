@@ -8,8 +8,10 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from medtriplet.checkpoint import save_checkpoint
+from conftest import write_old_layout_heads
+from medtriplet.checkpoint import MAGIC, save_checkpoint
 from medtriplet.cli import EXIT_DATA, EXIT_OK, EXIT_USAGE, _build_config, build_parser, main
+from medtriplet.encoder import IMAGE, TEXT
 from medtriplet.pipeline import output_lock
 from medtriplet.synthetic import SyntheticSpec, synthesize
 
@@ -38,6 +40,22 @@ class TestExitCodes:
         corpus.write_text('{"schema": "corpus/v1"}\n{"id": "a", "text": "Edema.", "image": 5}\n')
         assert main(["extract", "--corpus", str(corpus), "--out", str(tmp_path / "run")]) == EXIT_DATA
         assert f"error: {corpus}:2: 'image' must be a string or null, got 5" in capsys.readouterr().err
+
+    def test_npy_image_declaring_more_data_than_it_holds_is_data_error(self, tmp_path, capsys):
+        """Its header is checked against the file's size before numpy allocates the declared array."""
+        huge = tmp_path / "huge.npy"
+        with open(huge, "wb") as fh:
+            np.lib.format.write_array_header_1_0(fh, {"descr": "<f8", "fortran_order": False, "shape": (10**6, 10**5)})
+            fh.write(bytes(16))
+        np.save(tmp_path / "ok.npy", np.zeros((8, 8)))
+        corpus = tmp_path / "c.jsonl"
+        rows = [{"schema": "corpus/v1"}] + [{"id": i, "text": "Edema.", "image": f"{i}.npy"} for i in ("ok", "huge")]
+        corpus.write_text("".join(json.dumps(row) + "\n" for row in rows))
+        heads = tmp_path / "heads.ckpt"
+        save_checkpoint(heads, {"seed": 0}, {IMAGE: np.eye(64), TEXT: np.eye(64)})
+        assert main(["eval-retrieval", "--corpus", str(corpus), "--heads", str(heads)]) == EXIT_DATA
+        err = capsys.readouterr().err
+        assert err == f"error: {huge}: shape (1000000, 100000) of <f8 takes 800000000000 bytes; 16 follow the header\n"
 
     @pytest.mark.parametrize("flag", ["--out", "--corpus", "--eval-corpus", "--ontology", "--config"])
     def test_empty_path_flag_is_usage_error_naming_it(self, tmp_path, monkeypatch, capsys, flag):
@@ -387,6 +405,24 @@ class TestPipelineCommands:
         assert main(["extract", "--out", str(tmp_path / "r")]) == EXIT_DATA
         assert capsys.readouterr().err == "error: extract stage needs a path for corpus\n"
 
+    @pytest.mark.parametrize(
+        "command, message", [("extract", "extract stage needs a path for corpus"), ("train", "run mine first")]
+    )
+    def test_failed_stage_leaves_no_output_dir_it_made(self, tmp_path, capsys, command, message):
+        assert main([command, "--out", str(tmp_path / "new" / "r")]) == EXIT_DATA
+        assert message in capsys.readouterr().err
+        assert os.listdir(tmp_path) == []
+
+    def test_failed_stage_keeps_an_output_dir_that_existed(self, tmp_path):
+        empty, kept = tmp_path / "empty", tmp_path / "kept"
+        empty.mkdir()
+        kept.mkdir()
+        (kept / "notes.txt").write_text("mine\n")
+        for out in (empty, kept):
+            assert main(["extract", "--out", str(out)]) == EXIT_DATA
+        assert empty.is_dir() and os.listdir(empty) == []
+        assert os.listdir(kept) == ["notes.txt"]
+
     def test_mine_before_extract_dependency_error(self, synth_dir, tmp_path):
         cfg = tmp_path / "run.cfg"
         out = tmp_path / "run"
@@ -397,15 +433,15 @@ class TestPipelineCommands:
 class TestBadHeadsCheckpoint:
     """``eval-retrieval --heads X`` on a bad checkpoint exits 2 with an error naming X."""
 
-    def _heads(self, tmp_path, dim=64, names=("head.image", "head.text")):
+    def _heads(self, tmp_path, record=None):
         rng = np.random.default_rng(0)
         path = tmp_path / "heads.ckpt"
-        save_checkpoint(path, {"seed": 0}, {name: rng.normal(size=(dim, dim)) for name in names})
+        save_checkpoint(path, record or {"seed": 0}, {m: rng.normal(size=(64, 64)) for m in (IMAGE, TEXT)})
         return path
 
-    def _eval(self, synth_dir, heads, capsys) -> str:
+    def _eval(self, synth_dir, heads, capsys, command="eval-retrieval") -> str:
         capsys.readouterr()
-        code = main(["eval-retrieval", "--corpus", str(synth_dir / "corpus.jsonl"), "--heads", str(heads)])
+        code = main([command, "--corpus", str(synth_dir / "corpus.jsonl"), "--heads", str(heads)])
         err = capsys.readouterr().err
         assert code == EXIT_DATA, err
         assert err.startswith(f"error: {heads}: ")
@@ -415,32 +451,39 @@ class TestBadHeadsCheckpoint:
     def test_payload_cut_short(self, synth_dir, tmp_path, capsys):
         heads = self._heads(tmp_path)
         heads.write_bytes(heads.read_bytes()[:-100])
-        assert "array 'head.text': bytes [32768, 65536) run past the 65436-byte payload" in self._eval(
-            synth_dir, heads, capsys
-        )
+        assert "65436 bytes follow the header; the two heads take 65536" in self._eval(synth_dir, heads, capsys)
 
     def test_header_cut_short(self, synth_dir, tmp_path, capsys):
         heads = self._heads(tmp_path)
-        heads.write_bytes(heads.read_bytes()[:30])
-        assert "header runs past the 30-byte file" in self._eval(synth_dir, heads, capsys)
+        heads.write_bytes(heads.read_bytes()[:20])
+        assert "checkpoint header is not JSON" in self._eval(synth_dir, heads, capsys)
 
     def test_missing_image_head(self, synth_dir, tmp_path, capsys):
-        heads = self._heads(tmp_path, names=("head.text",))
-        assert "checkpoint has no 'head.image' array" in self._eval(synth_dir, heads, capsys)
+        """The header followed by the text head alone."""
+        heads = self._heads(tmp_path)
+        raw = heads.read_bytes()
+        heads.write_bytes(raw[: -2 * 32768] + raw[-32768:])
+        assert "32768 bytes follow the header; the two heads take 65536" in self._eval(synth_dir, heads, capsys)
 
     def test_heads_of_another_embed_dim(self, synth_dir, tmp_path, capsys):
-        heads = self._heads(tmp_path, dim=8)
-        assert "head.image has shape (8, 8), expected (64, 64)" in self._eval(synth_dir, heads, capsys)
+        heads = tmp_path / "heads.ckpt"
+        header = b'{"seed": 0}'
+        heads.write_bytes(MAGIC + len(header).to_bytes(4, "little") + header + np.zeros((2, 8, 8)).tobytes())
+        assert "1024 bytes follow the header; the two heads take 65536" in self._eval(synth_dir, heads, capsys)
+
+    @pytest.mark.parametrize("command", ["eval-retrieval", "eval-classify"])
+    def test_old_layout_heads_must_be_trained_again(self, synth_dir, tmp_path, capsys, command):
+        heads = tmp_path / "heads.ckpt"
+        write_old_layout_heads(heads, {"seed": 0}, {IMAGE: np.eye(64), TEXT: np.eye(64)})
+        message = "not a heads checkpoint: magic b'MTCKPT01', not b'MTHEADS1'; train again"
+        assert self._eval(synth_dir, heads, capsys, command) == f"error: {heads}: {message}\n"
 
     @pytest.mark.parametrize("field, value", [("use_layer_norm", False), ("mlp_ratio", 2.0)])
     def test_heads_recording_a_field_this_run_lacks(self, synth_dir, tmp_path, capsys, field, value):
         """The seeds match, but the checkpoint records an encoder block, as heads trained while the
         trunk shape was a setting do: they must be trained again."""
-        heads = tmp_path / "heads.ckpt"
-        rng = np.random.default_rng(0)
         encoder = {"patch_size": 8, "embed_dim": 64, "depth": 2, "heads": 4, "max_seq_len": 64, "seed": 0, field: value}
-        arrays = {name: rng.normal(size=(64, 64)) for name in ("head.image", "head.text")}
-        save_checkpoint(heads, {"encoder": encoder, "seed": 0}, arrays)
+        heads = self._heads(tmp_path, {"encoder": encoder, "seed": 0})
         err = self._eval(synth_dir, heads, capsys)
         recorded = dict(sorted(encoder.items()))  # the header is written with sorted keys
         assert err == f"error: {heads}: checkpoint records encoder = {recorded!r}; this run has no encoder\n"

@@ -44,3 +44,20 @@ def test_library_use_examples_run():
     namespace: dict = {}
     for block in blocks:
         exec(compile(block, "README.md", "exec"), namespace)
+
+
+def _suite_commands(lines) -> list[str]:
+    """The commands among ``lines`` that run the whole test suite: each that runs pytest, installs
+    nothing and names no test file."""
+    commands = [line.split("#", 1)[0].strip() for line in lines]
+    return [c for c in commands if "pytest" in c and not c.startswith(("pip ", "python -m pip ")) and "tests/" not in c]
+
+
+def test_ci_runs_the_readme_verify_commands():
+    """The tier-1 workflow runs exactly the README's full-suite commands, in its order."""
+    section = _readme().split("## Install and test", 1)[1]
+    block = re.search(r"^```bash\n(.*?)^```$", section, re.M | re.S).group(1)
+    workflow = (README.parent / ".github" / "workflows" / "tier1.yml").read_text(encoding="utf-8")
+    runs = re.findall(r"^\s*- run: (.*)$", workflow, re.M)
+    assert _suite_commands(block.splitlines()) == ["pytest", "OPENBLAS_CORETYPE=Haswell PYTHONPATH=src python -m pytest -q"]
+    assert _suite_commands(runs) == _suite_commands(block.splitlines())

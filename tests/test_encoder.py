@@ -37,6 +37,7 @@ from medtriplet.encoder import (
 from medtriplet.images import load_image, read_pgm, write_pgm
 from medtriplet import pipeline
 from medtriplet.pipeline import TRUNK_POSITIONS, FrozenTrunks, PipelineError, _project
+from conftest import write_old_layout_heads
 from oracles import oracle_gelu, oracle_read_pgm, oracle_trunk_encode
 
 def random_image(rng, size=32):
@@ -511,6 +512,13 @@ class TestImagesIO:
         np.save(path, grid)
         np.testing.assert_allclose(load_image(path).pixels, grid, atol=1e-15)
 
+    @pytest.mark.parametrize("layout", [np.asfortranarray, lambda g: g.astype(">f8")], ids=["fortran", "big_endian"])
+    def test_npy_layouts_load_equal(self, tmp_path, layout):
+        grid = np.random.default_rng(12).random((6, 8))
+        path = tmp_path / "img.npy"
+        np.save(path, layout(grid))
+        np.testing.assert_array_equal(load_image(path).pixels, grid)
+
     @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf], ids=["nan", "inf", "negative_inf"])
     def test_npy_non_finite_pixels_rejected(self, tmp_path, bad):
         grid = np.zeros((8, 8))
@@ -522,7 +530,8 @@ class TestImagesIO:
 
     @pytest.mark.parametrize(
         "cut, message",
-        [(40, "EOF: reading array header"), (140, "Failed to read all data"), (0, "EOF: reading magic string")],
+        [(40, "EOF: reading array header"), (140, r"shape \(8, 8\) of <f8 takes 512 bytes; 12 follow the header"),
+         (0, "EOF: reading magic string")],
         ids=["header", "body", "empty"],
     )
     def test_truncated_npy_names_file(self, tmp_path, cut, message):
@@ -530,6 +539,21 @@ class TestImagesIO:
         np.save(path, np.zeros((8, 8)))
         path.write_bytes(path.read_bytes()[:cut])
         with pytest.raises(ValueError, match=f"^{re.escape(str(path))}: {message}"):
+            load_image(path)
+
+    @pytest.mark.parametrize(
+        "shape, data, message",
+        [((10**6, 10**5), 16, "shape (1000000, 100000) of <f8 takes 800000000000 bytes; 16 follow the header"),
+         ((8, 8), 520, "shape (8, 8) of <f8 takes 512 bytes; 520 follow the header")],
+        ids=["oversized", "trailing_bytes"],
+    )
+    def test_npy_header_must_match_the_data_it_precedes(self, tmp_path, shape, data, message):
+        """The declared size is checked before any array is made, so a huge one is an error, not an allocation."""
+        path = tmp_path / "img.npy"
+        with open(path, "wb") as fh:
+            np.lib.format.write_array_header_1_0(fh, {"descr": "<f8", "fortran_order": False, "shape": shape})
+            fh.write(bytes(data))
+        with pytest.raises(ValueError, match=f"^{re.escape(f'{path}: {message}')}$"):
             load_image(path)
 
     def test_npz_archive_named_npy_names_file(self, tmp_path):
@@ -567,68 +591,91 @@ class TestImagesIO:
 
 
 class TestCheckpoint:
+    def _heads(self, seed=13):
+        rng = np.random.default_rng(seed)
+        return {IMAGE: rng.normal(size=(EMBED_DIM, EMBED_DIM)), TEXT: rng.normal(size=(EMBED_DIM, EMBED_DIM))}
+
+    def _write(self, path, header: bytes, payload: bytes):
+        path.write_bytes(MAGIC + len(header).to_bytes(4, "little") + header + payload)
+
     def test_bit_exact_round_trip(self, tmp_path):
-        rng = np.random.default_rng(13)
-        arrays = {
-            "head.image": rng.normal(size=(8, 8)),
-            "head.text": rng.normal(size=(8, 8)),
-            "adam.t": np.array([7], dtype=np.int64),
-        }
-        config = {"embed_dim": 8, "seed": 3}
+        heads, record = self._heads(), {"seed": 3}
         path = tmp_path / "w.ckpt"
-        save_checkpoint(path, config, arrays)
-        config2, arrays2 = load_checkpoint(path)
-        assert config2 == config
-        for name, arr in arrays.items():
-            assert arrays2[name].dtype == arr.dtype
-            np.testing.assert_array_equal(arrays2[name], arr)
+        save_checkpoint(path, record, heads)
+        record2, heads2 = load_checkpoint(path)
+        assert record2 == record
+        assert list(heads2) == [IMAGE, TEXT]
+        for modality, head in heads.items():
+            assert heads2[modality].dtype == np.float64
+            assert heads2[modality].tobytes() == head.tobytes()
+        header = json.dumps(record).encode()
+        payload = heads[IMAGE].tobytes() + heads[TEXT].tobytes()
+        assert path.read_bytes() == MAGIC + len(header).to_bytes(4, "little") + header + payload
 
     def test_shapes_round_trip(self, tmp_path):
-        """A 0-d array keeps shape (); a transposed or big-endian one loads C-ordered and equal."""
-        grid = np.arange(12.0).reshape(3, 4)
-        arrays = {"c": np.array(3.0), "t": grid.T, "b": grid.astype(">f8")}
+        """A transposed or big-endian head is saved as its values in C order, little-endian, and loads equal."""
+        heads = self._heads()
         path = tmp_path / "w.ckpt"
-        save_checkpoint(path, {}, arrays)
+        save_checkpoint(path, {}, {IMAGE: heads[IMAGE].T, TEXT: heads[TEXT].astype(">f8")})
         _, loaded = load_checkpoint(path)
-        assert {name: arr.shape for name, arr in loaded.items()} == {"c": (), "t": (4, 3), "b": (3, 4)}
-        for name, arr in arrays.items():
-            np.testing.assert_array_equal(loaded[name], arr)
+        np.testing.assert_array_equal(loaded[IMAGE], heads[IMAGE].T)
+        np.testing.assert_array_equal(loaded[TEXT], heads[TEXT])
+        assert all(h.flags.c_contiguous and h.dtype == np.float64 for h in loaded.values())
 
     @pytest.mark.parametrize(
-        "entry, message",
+        "record, heads",
         [
-            ({"shape": [4, 4], "offset": 0, "nbytes": 64}, "nbytes 64 does not hold shape [4, 4] of <f8"),
-            ({"shape": [4, 4], "offset": 8, "nbytes": 128}, "bytes [8, 136) run past the 128-byte payload"),
-            ({"shape": [4, 4], "offset": -8, "nbytes": 128}, "must be non-negative integers"),
-            ({"shape": [4], "offset": 0}, "header entry has no 'nbytes' field"),
-            ({"shape": [4], "offset": 0, "nbytes": 32, "dtype": "<q8"}, "data type"),
+            ({}, {IMAGE: np.zeros((EMBED_DIM, EMBED_DIM))}),
+            ({}, {IMAGE: np.zeros((8, 8)), TEXT: np.zeros((8, 8))}),
+            ({}, {"head.image": np.zeros((EMBED_DIM, EMBED_DIM)), "head.text": np.zeros((EMBED_DIM, EMBED_DIM))}),
+            ([], {IMAGE: np.zeros((EMBED_DIM, EMBED_DIM)), TEXT: np.zeros((EMBED_DIM, EMBED_DIM))}),
         ],
+        ids=["one_head", "embed_dim_8", "old_names", "list_record"],
     )
-    def test_header_entry_must_fit_the_payload(self, tmp_path, entry, message):
-        entry = {"name": "head.image", "dtype": "<f8", **entry}
-        header = json.dumps({"config": {}, "arrays": [entry]}).encode()
+    def test_save_refuses_other_shapes_before_writing(self, tmp_path, record, heads):
         path = tmp_path / "w.ckpt"
-        path.write_bytes(MAGIC + len(header).to_bytes(4, "little") + header + bytes(128))
-        with pytest.raises(ValueError, match=re.escape(f"{path}: array 'head.image': ")) as err:
-            load_checkpoint(path)
-        assert message in str(err.value)
-
-    def test_header_entry_without_a_name(self, tmp_path):
-        header = json.dumps({"config": {}, "arrays": [{"dtype": "<f8", "shape": [1], "offset": 0, "nbytes": 8}]}).encode()
-        path = tmp_path / "w.ckpt"
-        path.write_bytes(MAGIC + len(header).to_bytes(4, "little") + header + bytes(8))
-        with pytest.raises(ValueError, match=re.escape(f"{path}: checkpoint header entry without a name")):
-            load_checkpoint(path)
+        with pytest.raises(ValueError, match=f"^{re.escape(str(path))}: a heads checkpoint takes"):
+            save_checkpoint(path, record, heads)
+        assert not path.exists()
 
     def test_header_without_arrays(self, tmp_path):
-        header = json.dumps({"config": {}}).encode()
+        """A header with no heads after it."""
         path = tmp_path / "w.ckpt"
-        path.write_bytes(MAGIC + len(header).to_bytes(4, "little") + header)
-        with pytest.raises(ValueError, match=re.escape(f"{path}: unreadable checkpoint header: KeyError('arrays')")):
+        self._write(path, b'{"seed": 0}', b"")
+        message = f"{path}: 0 bytes follow the header; the two heads take 65536"
+        with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+            load_checkpoint(path)
+
+    @pytest.mark.parametrize(
+        "header, message",
+        [
+            (b"[]", "checkpoint header is a JSON list, not an object"),
+            (b'"x"', "checkpoint header is a JSON str, not an object"),
+            (b"{", "checkpoint header is not JSON"),
+            (b"\xff{}", "checkpoint header is not JSON"),
+        ],
+        ids=["list", "string", "cut", "not_utf8"],
+    )
+    def test_header_not_a_json_object(self, tmp_path, header, message):
+        path = tmp_path / "w.ckpt"
+        self._write(path, header, bytes(2 * EMBED_DIM * EMBED_DIM * 8))
+        with pytest.raises(ValueError, match=f"^{re.escape(f'{path}: {message}')}"):
+            load_checkpoint(path)
+
+    @pytest.mark.parametrize("extra", [-8, 8], ids=["short", "long"])
+    def test_heads_must_fill_the_rest_exactly(self, tmp_path, extra):
+        path = tmp_path / "w.ckpt"
+        self._write(path, b"{}", bytes(65536 + extra))
+        with pytest.raises(ValueError, match=re.escape(f"{path}: {65536 + extra} bytes follow the header")):
             load_checkpoint(path)
 
     def test_bad_magic(self, tmp_path):
+        """Another file, or heads saved in the older named-array layout, is refused by its magic."""
         path = tmp_path / "w.ckpt"
         path.write_bytes(b"NOTACKPT" + b"\x00" * 16)
-        with pytest.raises(ValueError, match="magic"):
+        with pytest.raises(ValueError, match="magic b'NOTACKPT', not b'MTHEADS1'"):
+            load_checkpoint(path)
+        write_old_layout_heads(path, {"seed": 0}, self._heads())
+        message = f"{path}: not a heads checkpoint: magic b'MTCKPT01', not b'MTHEADS1'; train again"
+        with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
             load_checkpoint(path)

@@ -13,9 +13,10 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+from conftest import write_old_layout_heads
 from medtriplet import pipeline
 from medtriplet.alignment import OptimizerConfig
-from medtriplet.checkpoint import load_checkpoint, save_checkpoint
+from medtriplet.checkpoint import MAGIC, load_checkpoint, save_checkpoint
 from medtriplet.cli import main as cli_main
 from medtriplet.corpus import CorpusRecord, DataError, ingest, read_entities, write_corpus, write_jsonl
 from medtriplet.encoder import EMBED_DIM, IMAGE, TEXT, init_head
@@ -74,9 +75,9 @@ class TestAtomicWrites:
     def test_checkpoint_write_replaces_and_leaves_no_temp_file(self, tmp_path):
         path = tmp_path / "heads.ckpt"
         path.write_bytes(b"stale")
-        save_checkpoint(path, {"seed": 0}, {"head.image": np.eye(2)})
+        save_checkpoint(path, {"seed": 0}, {IMAGE: np.eye(EMBED_DIM), TEXT: np.ones((EMBED_DIM, EMBED_DIM))})
         assert sorted(os.listdir(tmp_path)) == ["heads.ckpt"]
-        np.testing.assert_array_equal(load_checkpoint(path)[1]["head.image"], np.eye(2))
+        np.testing.assert_array_equal(load_checkpoint(path)[1][IMAGE], np.eye(EMBED_DIM))
 
     @pytest.mark.skipif(os.name != "posix", reason="the directory is fsynced on POSIX only")
     def test_directory_fsynced_after_the_rename(self, tmp_path, monkeypatch):
@@ -189,6 +190,14 @@ class TestIngest:
         with pytest.raises(DataError) as info:
             read_entities(path)
         assert str(info.value) == f"{path}:3: entries must be unique and sorted by disease label"
+
+
+def _edit_manifest(artifact: Path, edit) -> None:
+    """Apply ``edit`` to the dict in ``artifact``'s manifest and write it back."""
+    path = artifact.with_name(artifact.name + ".manifest.json")
+    manifest = json.loads(path.read_text())
+    edit(manifest)
+    path.write_text(json.dumps(manifest, indent=2, sort_keys=True) + "\n")
 
 
 def _encoded_rows(monkeypatch) -> list:
@@ -339,21 +348,37 @@ class TestStages:
 
     def test_checkpoint_holds_only_the_two_heads(self, small_world):
         artifacts = run_pipeline(small_world, stages=("extract", "mine", "train"))
-        _, arrays = load_checkpoint(artifacts["train"])
-        assert sorted(arrays) == ["head.image", "head.text"]
+        record, heads = load_checkpoint(artifacts["train"])
+        header = json.dumps({"seed": small_world.seed}).encode()
+        payload = heads[IMAGE].tobytes() + heads[TEXT].tobytes()
+        assert artifacts["train"].read_bytes() == MAGIC + len(header).to_bytes(4, "little") + header + payload
+        manifest = json.loads((small_world.out / "heads.ckpt.manifest.json").read_text())
+        assert manifest["config"]["checkpoint"] == MAGIC.decode()
 
-    def test_checkpoint_with_optimizer_state_still_loads(self, tmp_path):
-        rng = np.random.default_rng(0)
-        c = EMBED_DIM
-        heads = {"head.image": rng.normal(size=(c, c)), "head.text": rng.normal(size=(c, c))}
-        extra = {f"adam.{m}.{k}": rng.normal(size=(c, c)) for m in "mv" for k in (IMAGE, TEXT)}
-        extra["adam.t"] = extra["adam.epoch"] = np.array([3], dtype=np.int64)
-        path = tmp_path / "heads.ckpt"
-        save_checkpoint(path, {"seed": 0}, {**heads, **extra})
-        _, loaded = load_heads(path)
-        assert sorted(loaded) == [IMAGE, TEXT]
-        np.testing.assert_array_equal(loaded[IMAGE], heads["head.image"])
-        np.testing.assert_array_equal(loaded[TEXT], heads["head.text"])
+    def test_run_dir_with_old_layout_heads_retrains_to_a_fresh_tree(self, small_world, tmp_path, caplog):
+        """A run dir as an older version left it: heads.ckpt in the named-array layout, and a train
+        manifest whose config names no checkpoint layout. Train and eval run again."""
+        fresh = replace(small_world, out=tmp_path / "fresh")
+        run_pipeline(fresh)
+        run_pipeline(small_world)
+        ckpt = small_world.out / "heads.ckpt"
+        write_old_layout_heads(ckpt, *load_heads(ckpt))
+
+        def old_train_manifest(manifest):
+            del manifest["config"]["checkpoint"]
+            manifest["config_hash"] = pipeline._config_hash(manifest["config"])
+            manifest["output_hash"] = sha256_file(ckpt)
+
+        _edit_manifest(ckpt, old_train_manifest)
+        _edit_manifest(small_world.out / "eval_retrieval.json", lambda m: m["inputs"].update(heads=sha256_file(ckpt)))
+        with caplog.at_level("INFO"):
+            run_pipeline(small_world)
+        skipped = [r.message for r in caplog.records if "skipping" in r.message]
+        assert skipped == ["extract: up to date, skipping", "mine: up to date, skipping"]
+        names = sorted(p.name for p in fresh.out.iterdir())
+        assert sorted(p.name for p in small_world.out.iterdir()) == names
+        for name in names:
+            assert (small_world.out / name).read_bytes() == (fresh.out / name).read_bytes(), name
 
     def test_corrupted_artifact_with_intact_manifest_reruns(self, small_world, caplog):
         artifacts = run_pipeline(small_world, stages=("extract", "mine"))
@@ -552,7 +577,7 @@ class TestEvalClassification:
         assert rows == [] and reports == []
         assert report == json.loads((small_world.out / "eval_classification.json").read_text())
 
-    @pytest.mark.parametrize("change", ["heads", "side_output", "image", "manifest", "heads_file"])
+    @pytest.mark.parametrize("change", ["heads", "side_output", "image", "manifest", "heads_file", "unreadable_heads"])
     def test_stale_result_is_computed_afresh(self, small_world, tmp_path, monkeypatch, change):
         run_pipeline(small_world)
         _, heads = load_heads(small_world.out / "heads.ckpt")
@@ -566,8 +591,13 @@ class TestEvalClassification:
             write_pgm(image, 1.0 - load_image(image).pixels)
         elif change == "manifest":
             Path(str(small_world.out / "eval_retrieval.json") + ".manifest.json").write_text("[]")
-        else:
+        elif change == "heads_file":
             (small_world.out / "heads.ckpt").unlink()
+        else:  # bytes that do not load as heads, though the train and eval manifests both match them
+            ckpt = small_world.out / "heads.ckpt"
+            ckpt.write_bytes(b"not heads")
+            _edit_manifest(ckpt, lambda m: m.update(output_hash=sha256_file(ckpt)))
+            _edit_manifest(small_world.out / "eval_retrieval.json", lambda m: m["inputs"].update(heads=sha256_file(ckpt)))
         stale = json.loads(side.read_text())
         rows, reports = _encoded_rows(monkeypatch), _extract_calls(monkeypatch)
         report = evaluate_classification(with_seed_defaults(small_world), heads, small_world.eval_corpus)
@@ -644,6 +674,7 @@ class TestLockAndSeeds:
 
     def test_lock_records_and_names_owner_pid(self, tmp_path):
         out = tmp_path / "out"
+        out.mkdir()  # kept after the block, so another owner's lock can be put in it
         with output_lock(out):
             assert (out / ".lock").read_text() == f"{os.getpid()}\n"
             with pytest.raises(PipelineError, match=f"pid {os.getpid()} "):
@@ -657,6 +688,7 @@ class TestLockAndSeeds:
 
     def test_lock_error_says_whether_its_pid_runs(self, tmp_path):
         out = tmp_path / "out"
+        out.mkdir()  # kept after the block, so another owner's lock can be put in it
         with output_lock(out):
             with pytest.raises(PipelineError, match=f"held by running pid {os.getpid()} "):
                 with output_lock(out):
@@ -668,6 +700,18 @@ class TestLockAndSeeds:
             with output_lock(out):
                 pass
         assert (out / ".lock").read_text() == f"{child.pid}\n"
+
+    def test_lock_removes_only_an_empty_dir_it_made(self, tmp_path):
+        made, existing = tmp_path / "a" / "made", tmp_path / "existing"
+        existing.mkdir()
+        for out in (made, existing):
+            with output_lock(out):
+                pass
+        assert not made.parent.exists() and tmp_path.is_dir()
+        assert existing.is_dir()
+        with output_lock(made):
+            (made / "entities.jsonl").write_text("")
+        assert os.listdir(made) == ["entities.jsonl"]
 
     def test_stage_seeds_distinct(self):
         seeds = {stage_seed(5, s) for s in ("synth", "extract", "mine", "train", "eval")}
