@@ -32,7 +32,7 @@ from .pipeline import (
     stage_seed,
     with_settings,
 )
-from .scoring import DEFAULT_SEMANTICS, SEMANTICS, GammaWeights, score
+from .scoring import SEMANTICS, score
 from .synthetic import SyntheticSpec, synthesize
 
 EXIT_OK = 0
@@ -60,6 +60,7 @@ _HELP = {
     "out": "output directory (overrides config)",
     "ontology": "ontology file (default: embedded)",
     "corpus": "corpus jsonl file",
+    "semantics": "one of: " + ", ".join(SEMANTICS),
 }
 
 
@@ -71,9 +72,9 @@ def _add_settings(parser: argparse.ArgumentParser, section: str, *keys: str) -> 
 
 
 def _build_config(args: argparse.Namespace) -> RunConfig:
-    cfg = config_from_file(args.config) if args.config else RunConfig()
-    # A command-line value overrides the config file's; only ``mine`` has [miner] flags.
-    for section in ("run", "miner"):
+    cfg = config_from_file(args.config) if getattr(args, "config", None) else RunConfig()
+    # A command-line value overrides the config file's; only ``score`` has [scoring] flags, and no --config.
+    for section in ("run", "scoring", "miner"):
         values = {key: value for key in SETTINGS[section] if (value := getattr(args, key, None)) is not None}
         cfg = with_settings(cfg, section, values)
     return cfg
@@ -92,10 +93,10 @@ def _load_meta_record(path: Path) -> MetaEntities:
 
 
 def _cmd_score(args: argparse.Namespace) -> int:
-    weights = GammaWeights(args.gamma0, args.gamma1, args.gamma2)
+    cfg = _build_config(args)
     mi = _load_meta_record(args.first)
     mj = _load_meta_record(args.second)
-    breakdown = score(mi, mj, weights, args.semantics)
+    breakdown = score(mi, mj, cfg.gammas, cfg.semantics)
     shared = [term._asdict() for term in breakdown.shared_diseases]
     print(json.dumps({"total": breakdown.total, "prefactor": breakdown.prefactor, "shared_diseases": shared}, indent=2))
     return EXIT_OK
@@ -170,9 +171,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("score", help="score two meta-entity records")
     p.add_argument("first", type=_path)
     p.add_argument("second", type=_path)
-    for i, default in enumerate((GammaWeights.g0, GammaWeights.g1, GammaWeights.g2)):
-        p.add_argument(f"--gamma{i}", type=float, default=default)
-    p.add_argument("--semantics", choices=SEMANTICS, default=DEFAULT_SEMANTICS)
+    _add_settings(p, "scoring", *SETTINGS["scoring"])
     p.set_defaults(func=_cmd_score)
 
     p = _run_command(sub, "mine", "mine triplets from <out>/entities.jsonl", _cmd_stages)

@@ -14,9 +14,10 @@ equal. Precision@R is the mean consistency over the top-R items, as a
 percentage; all queries' top items form one (n, depth) index matrix, so
 each kind's consistencies are one array operation.
 
-Zero-shot classification scores image rows against one templated text
-prompt per disease in one (n, k) cosine matrix; each row predicts its
-most similar class, and the metrics read the matrix column by column.
+Zero-shot classification scores image rows against one text prompt per
+disease, ``prompt_text``'s ``PROMPT_TEMPLATE`` filled with the label, in
+one (n, k) cosine matrix; each row predicts its most similar class, and
+the metrics read the matrix column by column.
 ``classification_metrics`` returns the metrics as a dict, under the keys
 the classification report holds them by.
 """
@@ -31,7 +32,6 @@ import numpy as np
 
 from .alignment import cosine, norm
 from .extraction import MetaEntities
-from .ontology import Ontology
 
 logger = logging.getLogger(__name__)
 
@@ -76,9 +76,7 @@ def _consistency(query: np.ndarray, items: np.ndarray, match_mode: str) -> np.nd
     return np.divide(inter, union, out=np.zeros(inter.shape), where=union > 0)
 
 
-def prompt_text(disease: str, ont: Ontology) -> str:
-    if disease not in ont.disease_labels:
-        raise ValueError(f"unknown disease label {disease!r}")
+def prompt_text(disease: str) -> str:
     return PROMPT_TEMPLATE.format(disease=disease)
 
 

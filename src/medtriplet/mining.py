@@ -18,8 +18,9 @@ benchmark's traced run checks that count (ROADMAP.md, item 1). Those
 calls are nearly all of mining's time, so their cost is kept down inside
 ``score``: it reads each structure's ``descriptor_masks``, built once per
 structure, and intersects descriptor sets as ints: about 1 µs a call on
-two-disease structures on a 2-vCPU x86_64 VM. Around those calls the batch is kept as parallel
-id and structure tuples, and each sweep yields a plain list of totals.
+two-disease structures on a 2-vCPU x86_64 VM. Around those calls a batch
+is the tuple of (sample id, entities) pairs that the corpus shuffle
+yields, and each sweep yields a plain list of totals.
 """
 
 from __future__ import annotations
@@ -27,7 +28,6 @@ from __future__ import annotations
 import logging
 from collections import Counter
 from dataclasses import dataclass, field
-from functools import cached_property
 from itertools import chain
 from operator import itemgetter
 from pathlib import Path
@@ -42,29 +42,6 @@ from .scoring import DEFAULT_SEMANTICS, SEMANTICS, GammaWeights, Semantics, scor
 logger = logging.getLogger(__name__)
 
 TRIPLETS_SCHEMA = "triplets/v1"
-
-
-@dataclass(frozen=True)
-class Batch:
-    """Ordered mini-batch of (sample id, extracted entities)."""
-
-    samples: tuple[tuple[str, MetaEntities], ...]
-
-    def __post_init__(self) -> None:
-        duplicates = [sid for sid, n in Counter(self.ids).items() if n > 1]
-        if duplicates:
-            raise ValueError(f"duplicate sample id {duplicates[0]!r}")
-
-    def __len__(self) -> int:
-        return len(self.samples)
-
-    @cached_property
-    def ids(self) -> tuple[str, ...]:
-        return tuple(sid for sid, _ in self.samples)
-
-    @cached_property
-    def structures(self) -> tuple[MetaEntities, ...]:
-        return tuple(m for _, m in self.samples)
 
 
 @dataclass(frozen=True)
@@ -113,27 +90,36 @@ def _others(items: tuple, anchor_index: int) -> tuple:
     return items[:anchor_index] + items[anchor_index + 1 :]
 
 
-def _anchor_scores(anchor_index: int, batch: Batch, cfg: MiningSettings) -> list[float]:
+def _unique_ids(samples: Sequence[tuple[str, MetaEntities]]) -> tuple[str, ...]:
+    """The samples' ids in order; an id given twice is an error naming it."""
+    ids = tuple(sid for sid, _ in samples)
+    duplicates = [sid for sid, n in Counter(ids).items() if n > 1]
+    if duplicates:
+        raise ValueError(f"duplicate sample id {duplicates[0]!r}")
+    return ids
+
+
+def _anchor_scores(anchor_index: int, batch: Sequence[tuple], cfg: MiningSettings) -> list[float]:
     """The anchor's score against every other sample, in batch order.
 
     ``score`` is looked up in this module at each call, never bound early,
     so a wrapper put in its place (the benchmark's tracer) sees every call.
     """
-    anchor = batch.structures[anchor_index]
+    anchor = batch[anchor_index][1]
     gammas, semantics = cfg.gammas, cfg.semantics
-    return [score(anchor, m, gammas, semantics).total for m in _others(batch.structures, anchor_index)]
+    return [score(anchor, m, gammas, semantics).total for _, m in _others(batch, anchor_index)]
 
 
-def select_positive(anchor_index: int, batch: Batch, cfg: MiningSettings) -> str:
+def select_positive(anchor_index: int, batch: Sequence[tuple], cfg: MiningSettings) -> str:
     """Id of the non-anchor sample with maximum similarity to the anchor; ties go to the lowest id."""
     if len(batch) < 2:
         raise ValueError("batch must hold at least 2 samples")
     scores = _anchor_scores(anchor_index, batch, cfg)
     best = max(scores)
-    return min(sid for sid, s in zip(_others(batch.ids, anchor_index), scores) if s == best)
+    return min(sid for (sid, _), s in zip(_others(batch, anchor_index), scores) if s == best)
 
 
-def select_negative(anchor_index: int, batch: Batch, cfg: MiningSettings, exclude: str) -> str | None:
+def select_negative(anchor_index: int, batch: Sequence[tuple], cfg: MiningSettings, exclude: str) -> str | None:
     """Id of the in-band minimum-similarity sample, or None if band empty.
 
     Ties go to the lowest id. Band bounds are inclusive; the anchor and the
@@ -143,15 +129,16 @@ def select_negative(anchor_index: int, batch: Batch, cfg: MiningSettings, exclud
         raise ValueError("batch must hold at least 3 samples")
     lo, hi = cfg.tau_min, cfg.tau_max
     scores = _anchor_scores(anchor_index, batch, cfg)
-    band = [(s, sid) for sid, s in zip(_others(batch.ids, anchor_index), scores) if lo <= s <= hi and sid != exclude]
+    band = [(s, sid) for (sid, _), s in zip(_others(batch, anchor_index), scores) if lo <= s <= hi and sid != exclude]
     return min(band)[1] if band else None
 
 
-def mine_batch(batch: Batch, cfg: MiningSettings, rng: np.random.Generator) -> list[Triplet]:
-    """Mine one triplet attempt per batch element, anchors in the order ``rng`` draws."""
+def mine_batch(batch: Sequence[tuple], cfg: MiningSettings, rng: np.random.Generator) -> list[Triplet]:
+    """Mine one triplet attempt per (sample id, entities) pair of ``batch``, anchors in the order ``rng``
+    draws. Sample ids must be unique."""
+    ids = _unique_ids(batch)
     if len(batch) < 3:
         return []
-    ids = batch.ids
     rows = [dict(zip(_others(ids, i), _anchor_scores(i, batch, cfg))) for i in range(len(batch))]
     triplets: list[Triplet] = []
     for anchor_index in rng.permutation(len(batch)).tolist():
@@ -167,10 +154,10 @@ def mine_batch(batch: Batch, cfg: MiningSettings, rng: np.random.Generator) -> l
     return triplets
 
 
-def _batches(samples: Sequence[tuple[str, MetaEntities]], k: int, rng: np.random.Generator) -> Iterator[Batch]:
+def _batches(samples: Sequence[tuple[str, MetaEntities]], k: int, rng: np.random.Generator) -> Iterator[tuple]:
     order = rng.permutation(len(samples))
     for start in range(0, len(samples) - k + 1, k):
-        yield Batch(tuple(samples[int(i)] for i in order[start : start + k]))
+        yield tuple(samples[int(i)] for i in order[start : start + k])
 
 
 def mine_corpus(samples: Sequence[tuple[str, MetaEntities]], cfg: MiningSettings) -> tuple[dict, list[Triplet]]:
@@ -185,7 +172,7 @@ def mine_corpus(samples: Sequence[tuple[str, MetaEntities]], cfg: MiningSettings
     k, target = cfg.batch_size, cfg.target
     if len(samples) < k:
         raise ValueError(f"corpus holds {len(samples)} samples, need at least k={k}")
-    Batch(tuple(samples))  # ids must be unique corpus-wide, not only within each batch
+    _unique_ids(samples)  # corpus-wide, not only within each batch
     rng = np.random.default_rng(cfg.seed)
     unique: dict[tuple[str, str, str], Triplet] = {}
     passes = 0

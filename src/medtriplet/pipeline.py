@@ -55,7 +55,7 @@ from .evaluation import R_VALUES, classification_metrics, prompt_text, retrieval
 from .extraction import MetaEntities, extract
 from .images import load_image
 from .mining import MiningSettings, mine_corpus, read_triplets, write_triplets
-from .ontology import DEFAULT_ONTOLOGY_FILE, Ontology, load_ontology, read_sections, read_text
+from .ontology import DEFAULT_ONTOLOGY_FILE, load_ontology, read_sections, read_text
 from .scoring import GammaWeights
 
 logger = logging.getLogger(__name__)
@@ -411,9 +411,8 @@ def stage_extract(cfg: RunConfig, force: bool = False) -> Path:
         ont = load_ontology(cfg.ontology)
         write_entities(artifact, [(rec.id, extract(rec.report(), ont)) for rec in ingest(cfg.corpus)])
 
-    cfg_payload = {"ontology": "default" if cfg.ontology is None else str(cfg.ontology)}
     inputs = {"corpus": cfg.corpus, "ontology": cfg.ontology or DEFAULT_ONTOLOGY_FILE}
-    return _run_stage(cfg, "extract", force, artifact, cfg_payload, inputs, build)
+    return _run_stage(cfg, "extract", force, artifact, {}, inputs, build)
 
 
 def stage_mine(cfg: RunConfig, force: bool = False) -> Path:
@@ -465,31 +464,26 @@ def _heads_record(cfg: RunConfig) -> dict:
 
 def load_heads(path: str | Path, cfg: RunConfig | None = None) -> tuple[dict, dict[str, np.ndarray]]:
     """The run record and the two projection heads that ``load_checkpoint`` reads from ``path``.
-    With ``cfg``, the record must be exactly ``cfg``'s seed: the first field that differs, or
-    that only one side has, is named. Each error names the file."""
+    With ``cfg``, the record must equal ``cfg``'s; an error names the file and both records."""
     record, heads = load_checkpoint(path)
-    if cfg is not None:
-        want = _heads_record(cfg)
-        absent = object()
-        for name in {**want, **record}:  # the run's fields in order, then any only the checkpoint has
-            if record.get(name, absent) != want.get(name, absent):
-                recorded, has = (f"{name} = {r[name]!r}" if name in r else f"no {name}" for r in (record, want))
-                raise PipelineError(f"{path}: checkpoint records {recorded}; this run has {has}")
+    if cfg is not None and record != _heads_record(cfg):
+        recorded, has = (json.dumps(r, sort_keys=True) for r in (record, _heads_record(cfg)))
+        raise PipelineError(f"{path}: checkpoint records {recorded}; this run has {has}")
     return record, heads
 
 
 def _eval_records(
     cfg: RunConfig, eval_corpus_path: Path, records: list[CorpusRecord] | None = None
-) -> tuple[list[CorpusRecord], list[MetaEntities], Ontology]:
-    """The eval corpus's records sorted by id, their extracted entities, and the ontology; ``records``,
-    if given, are the corpus's records as already ingested. A query needs another record to retrieve,
-    so the corpus must hold 2 or more."""
+) -> tuple[list[CorpusRecord], list[MetaEntities]]:
+    """The eval corpus's records sorted by id and their extracted entities; ``records``, if given, are
+    the corpus's records as already ingested. A query needs another record to retrieve, so the corpus
+    must hold 2 or more."""
     ont = load_ontology(cfg.ontology)
     records = sorted(ingest(eval_corpus_path, require_images=True) if records is None else records, key=lambda r: r.id)
     if len(records) < 2:
         held = "holds no records" if not records else "holds 1 record"
         raise PipelineError(f"eval corpus {eval_corpus_path} {held}; evaluation needs 2 or more")
-    return records, [extract(rec.report(), ont) for rec in records], ont
+    return records, [extract(rec.report(), ont) for rec in records]
 
 
 def _project(z: np.ndarray, head: np.ndarray) -> np.ndarray:
@@ -519,14 +513,14 @@ def evaluate_retrieval_tasks(
     cfg: RunConfig, heads: dict[str, np.ndarray], eval_corpus_path: Path, match_mode: str = "mean"
 ) -> dict:
     """P@R tables for the four retrieval tasks over an evaluation corpus."""
-    records, ents, _ = _eval_records(cfg, eval_corpus_path)
+    records, ents = _eval_records(cfg, eval_corpus_path)
     z_img, z_txt = FrozenTrunks(cfg.seed).encode_records(records)
     return _retrieval_tasks(_project(z_img, heads[IMAGE]), _project(z_txt, heads[TEXT]), ents, match_mode)
 
 
 def _classification(
     trunks: FrozenTrunks, heads: dict[str, np.ndarray], records: list[CorpusRecord], ents: list[MetaEntities],
-    ont: Ontology, eval_corpus_path: Path, z_img: np.ndarray | None = None,
+    eval_corpus_path: Path, z_img: np.ndarray | None = None,
 ) -> dict:
     """Zero-shot classification of the single-disease records, from their rows of ``z_img`` (every record's
     image-trunk row) if given, else encoding their images; ``{"skipped": reason}`` under 2 classes."""
@@ -537,7 +531,7 @@ def _classification(
         return {"skipped": f"eval corpus {eval_corpus_path} needs single-disease records of 2 or more classes"}
     z = trunks.encode_images([records[i] for i in labelled]) if z_img is None else z_img[labelled]
     images = _project(z, heads[IMAGE])
-    prompts = _project(trunks.encode_texts([prompt_text(label, ont) for label in classes]), heads[TEXT])
+    prompts = _project(trunks.encode_texts([prompt_text(label) for label in classes]), heads[TEXT])
     predictions, scores = zero_shot_classify(images, prompts, classes)
     metrics = classification_metrics(predictions, truths, scores, classes)
     return {"classes": classes, "samples": len(labelled), **metrics}
@@ -573,8 +567,8 @@ def evaluate_classification(cfg: RunConfig, heads: dict[str, np.ndarray], eval_c
     records' images and the class prompts."""
     report = _current_classification(cfg, heads, eval_corpus_path)
     if report is None:
-        records, ents, ont = _eval_records(cfg, eval_corpus_path)
-        report = _classification(FrozenTrunks(cfg.seed), heads, records, ents, ont, eval_corpus_path)
+        records, ents = _eval_records(cfg, eval_corpus_path)
+        report = _classification(FrozenTrunks(cfg.seed), heads, records, ents, eval_corpus_path)
     if "skipped" in report:
         raise PipelineError(report["skipped"])
     return report
@@ -586,10 +580,10 @@ def stage_eval(cfg: RunConfig, force: bool = False) -> Path:
 
     def build() -> None:
         _, heads = load_heads(inputs["heads"], cfg)
-        records, ents, ont = _eval_records(cfg, inputs["eval_corpus"], inputs["images"]())
+        records, ents = _eval_records(cfg, inputs["eval_corpus"], inputs["images"]())
         trunks = FrozenTrunks(cfg.seed)
         z_img, z_txt = trunks.encode_records(records)
-        classification = _classification(trunks, heads, records, ents, ont, inputs["eval_corpus"], z_img)
+        classification = _classification(trunks, heads, records, ents, inputs["eval_corpus"], z_img)
         del trunks  # its 2 MB of weights would raise the peak RSS that retrieval sets
         retrieval = _retrieval_tasks(_project(z_img, heads[IMAGE]), _project(z_txt, heads[TEXT]), ents, "mean")
         for path, report in ((artifact, retrieval), (classification_path, classification)):

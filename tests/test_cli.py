@@ -237,6 +237,13 @@ class TestScoreCommand:
         rec.write_text(json.dumps({"entries": []}))
         assert main(["score", str(rec), str(rec), "--gamma0", "0.9"]) == EXIT_DATA
 
+    def test_unknown_semantics_is_data_error_naming_it(self, tmp_path, capsys):
+        """As ``[scoring] semantics = bogus`` in a config file is."""
+        rec = tmp_path / "m.json"
+        rec.write_text(json.dumps({"entries": []}))
+        assert main(["score", str(rec), str(rec), "--semantics", "bogus"]) == EXIT_DATA
+        assert capsys.readouterr().err == "error: unknown semantics 'bogus'; expected one of: union, intersection\n"
+
     @pytest.mark.parametrize(
         "text, message",
         [
@@ -485,14 +492,14 @@ class TestBadHeadsCheckpoint:
         encoder = {"patch_size": 8, "embed_dim": 64, "depth": 2, "heads": 4, "max_seq_len": 64, "seed": 0, field: value}
         heads = self._heads(tmp_path, {"encoder": encoder, "seed": 0})
         err = self._eval(synth_dir, heads, capsys)
-        recorded = dict(sorted(encoder.items()))  # the header is written with sorted keys
-        assert err == f"error: {heads}: checkpoint records encoder = {recorded!r}; this run has no encoder\n"
+        recorded = json.dumps({"encoder": encoder, "seed": 0}, sort_keys=True)
+        assert err == f'error: {heads}: checkpoint records {recorded}; this run has {{"seed": 0}}\n'
 
 
     @pytest.mark.parametrize(
         "extra_args, extra_config, message",
         [
-            (["--seed", "9"], "", "checkpoint records seed = 4; this run has seed = 9"),
+            (["--seed", "9"], "", 'checkpoint records {"seed": 4}; this run has {"seed": 9}'),
         ],
         ids=["seed"],
     )

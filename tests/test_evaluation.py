@@ -10,6 +10,7 @@ from conftest import entities
 from medtriplet.alignment import DegenerateEmbeddingError, cosine, norm
 from medtriplet.encoder import tokenize_text
 from medtriplet.evaluation import (
+    PROMPT_TEMPLATE,
     _ranked,
     classification_metrics,
     prompt_text,
@@ -225,22 +226,15 @@ class TestPrecisionAtR:
 
 
 class TestPrompts:
-    def test_template_text(self, ontology):
-        assert prompt_text("pneumonia", ontology) == "This is an X-Ray image of pneumonia."
-        assert (
-            prompt_text("pleural effusion", ontology)
-            == "This is an X-Ray image of pleural effusion."
-        )
+    def test_template_text(self):
+        assert prompt_text("pneumonia") == "This is an X-Ray image of pneumonia."
+        assert prompt_text("pleural effusion") == "This is an X-Ray image of pleural effusion."
+        # any label: the one caller passes labels that the ontology has just extracted
+        assert prompt_text("psittacosis") == PROMPT_TEMPLATE.format(disease="psittacosis")
 
-    def test_tokenized_through_standard_pipeline(self, ontology):
-        seq = tokenize_text(prompt_text("pneumonia", ontology))
+    def test_tokenized_through_standard_pipeline(self):
+        seq = tokenize_text(prompt_text("pneumonia"))
         assert seq.ids == tokenize_text("This is an X-Ray image of pneumonia.").ids
-
-    def test_unknown_disease(self, ontology):
-        with pytest.raises(ValueError):
-            prompt_text("psittacosis", ontology)
-        with pytest.raises(ValueError):
-            prompt_text("", ontology)
 
 
 class TestZeroShot:

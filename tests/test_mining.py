@@ -9,7 +9,6 @@ import pytest
 from conftest import entities
 from medtriplet.corpus import DataError
 from medtriplet.mining import (
-    Batch,
     MiningSettings,
     Triplet,
     mine_batch,
@@ -31,7 +30,7 @@ FAR = entities({"cardiomegaly": (set(), set())})
 
 
 def batch_of(*pairs):
-    return Batch(tuple(pairs))
+    return tuple(pairs)
 
 
 class TestScoresBehindTheScenarios:
@@ -88,8 +87,14 @@ class TestMineBatch:
         assert triplets["c"].score_ap == triplets["c"].score_an == pytest.approx(0.45)
 
     def test_empty_and_small_batches(self):
-        assert mine_batch(Batch(()), MiningSettings(), np.random.default_rng(0)) == []
+        assert mine_batch((), MiningSettings(), np.random.default_rng(0)) == []
         assert mine_batch(batch_of(("a", ANCHOR), ("b", MID)), MiningSettings(), np.random.default_rng(0)) == []
+
+    def test_duplicate_id_in_batch_named(self):
+        """A batch handed to ``mine_batch`` directly is checked, not only a corpus ``mine_corpus`` mines."""
+        batch = batch_of(("a", ANCHOR), ("b", NEAR), ("a", MID))
+        with pytest.raises(ValueError, match="duplicate sample id 'a'"):
+            mine_batch(batch, MiningSettings(), np.random.default_rng(0))
 
     def test_zero_score_positive_skips_anchor(self):
         other = entities({"fracture": (set(), set())})
@@ -232,7 +237,7 @@ class TestMineCorpus:
 
     def test_anchor_unique_within_batch(self):
         samples = _random_corpus(30, 15)
-        batch = Batch(tuple(samples[:12]))
+        batch = tuple(samples[:12])
         triplets = mine_batch(batch, MiningSettings(seed=3), np.random.default_rng(3))
         anchors = [t.anchor_id for t in triplets]
         assert len(anchors) == len(set(anchors))

@@ -460,6 +460,20 @@ class TestStages:
         skipped = [r.message for r in caplog.records if "skipping" in r.message]
         assert skipped == ["mine: up to date, skipping", "train: up to date, skipping"]
 
+    @pytest.mark.parametrize("spelling", ["relative_then_absolute", "omitted_then_named"])
+    def test_same_ontology_bytes_by_another_path_skip_extract(self, small_world, tmp_path, monkeypatch, caplog, spelling):
+        """Extract keys on the ontology's bytes, not on how its path is spelled."""
+        if spelling == "relative_then_absolute":
+            save_ontology(default_ontology(), tmp_path / "o.txt")
+            monkeypatch.chdir(tmp_path)
+            first, second = Path("o.txt"), tmp_path / "o.txt"
+        else:
+            first, second = None, pipeline.DEFAULT_ONTOLOGY_FILE
+        run_pipeline(replace(small_world, ontology=first), stages=("extract",))
+        with caplog.at_level("INFO"):
+            run_pipeline(replace(small_world, ontology=second), stages=("extract",))
+        assert [r.message for r in caplog.records if "skipping" in r.message] == ["extract: up to date, skipping"]
+
     def test_default_ontology_recorded_as_input(self, small_world):
         artifacts = run_pipeline(small_world)
         for stage in ("extract", "eval"):

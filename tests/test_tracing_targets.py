@@ -16,7 +16,7 @@ from conftest import entities
 from medtriplet import alignment, evaluation, mining, pipeline
 from medtriplet.corpus import ingest
 from medtriplet.encoder import IMAGE, TEXT, init_head
-from medtriplet.mining import Batch, MiningSettings
+from medtriplet.mining import MiningSettings
 from medtriplet.synthetic import SyntheticSpec, synthesize
 from oracles import random_entities
 
@@ -119,7 +119,7 @@ def test_mine_batch_scores_each_ordered_pair_three_times(monkeypatch):
     rng = np.random.default_rng(3)
     k = 9
     plain = [{"d1": (set(), set()), **random_entities(rng)} for _ in range(k)]
-    batch = Batch(tuple((f"s{i}", entities(p)) for i, p in enumerate(plain)))
+    batch = tuple((f"s{i}", entities(p)) for i, p in enumerate(plain))
     calls = _counting(monkeypatch, mining, "score")
     mining.mine_batch(batch, MiningSettings(), np.random.default_rng(0))
     assert len(calls) == 3 * k * (k - 1)
